@@ -53,16 +53,8 @@ from .objectives import (
     gradient_at_theta,
     gradient_logp,
     gradient_terms,
-    intersection_gradient,
-    intersection_value,
     likelihood_concentration_residual,
-    likelihood_gradient,
-    likelihood_value,
     posterior_given_both,
-    subset_intersection_gradient,
-    subset_intersection_value,
-    subset_likelihood_gradient,
-    subset_likelihood_value,
     value_at_theta,
 )
 from .optimize import (

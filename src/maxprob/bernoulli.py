@@ -23,7 +23,7 @@ from .distributions import (
     apply_parameterization,
     uniform_distribution,
 )
-from .errors import DimensionMismatch, NonPositiveAlpha, RangeMismatch
+from .errors import DimensionMismatch, RangeMismatch, require_alpha
 from .objectives import ASSUMPTIONS, KINDS, ObjectiveConfig, value_at_theta
 
 __all__ = [
@@ -65,8 +65,7 @@ class SweepSpec:
             if obj not in KINDS:
                 raise RangeMismatch(f"objective must be one of {KINDS}, got {obj!r}")
         for a in self.alphas:
-            if not a > 0:
-                raise NonPositiveAlpha(f"alphas must be positive, got {a!r}")
+            require_alpha(a)
         if not self.grid_step > 0 or not self.grid_max > self.grid_min:
             raise DimensionMismatch("grid needs grid_max > grid_min and grid_step > 0")
 
@@ -123,11 +122,11 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
         for alpha in spec.alphas:
             config = ObjectiveConfig(objective, spec.assumption, alpha, prior)
             values = np.array([value_at_theta(config, oracle, p, t) for t in grid])
-            mid = values[middle]
+            top, bottom = np.max(values[middle]), np.min(values[middle])
             curves.append(SweepCurve(
                 objective, alpha, grid, values,
                 int(np.argmax(values)),
-                float(np.max(mid) - np.min(mid)),
+                0.0 if top == bottom else float(top - bottom),  # all -inf is flat, not NaN
             ))
     return SweepReport(spec, tuple(curves))
 

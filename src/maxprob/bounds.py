@@ -47,9 +47,9 @@ from .errors import (
     LabelOutOfRange,
     NegativeAlphaOnZeroMass,
     NegativeMass,
-    NonPositiveAlpha,
     SpaceTooLarge,
     SumOutOfTolerance,
+    require_alpha,
 )
 from .logspace import NEG_INF, logsumexp
 
@@ -113,8 +113,7 @@ def softmax_probability(prior: FiniteDistribution, conditional: FiniteDistributi
     alpha and bounded above by max_probability; the gap to the hard bound is
     at most log(support size) / alpha.
     """
-    if not alpha > 0:
-        raise NonPositiveAlpha(f"soft bound requires alpha > 0, got {alpha!r}")
+    require_alpha(alpha)
     _require_same_range(prior, conditional, "bound computations")
     supp = conditional.support
     ratios = prior.logp[supp] - conditional.logp[supp]

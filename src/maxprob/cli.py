@@ -8,9 +8,9 @@ serialized with repr, so outputs round-trip exactly and fixed-seed runs
 are byte-identical.  Every subcommand accepts --out to write the primary
 output to a file instead of stdout (the path "-" also means stdout).
 
-Log-scale fields that can be minus infinity (a model event ruled out by
-the prior) are emitted as the string "-inf" rather than an illegal JSON
-token.
+JSON output writes an infinite float, such as the log value of a model
+event ruled out by the prior, as the string "-inf" or "inf" rather than an
+illegal JSON token; a NaN is a NonFiniteEncountered domain error.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import logging
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -37,7 +38,7 @@ from .distributions import (
     distribution_to_jsonable,
     uniform_distribution,
 )
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, NonFiniteEncountered
 from .nn import ToyNet, make_toy_dataset, train
 from .nn import report_to_jsonable as train_report_to_jsonable
 from .objectives import ObjectiveConfig, evaluate, gradient_logp
@@ -71,8 +72,21 @@ def _write_text(text: str, out: Optional[str]) -> None:
         log.info("wrote %s", out)
 
 
+def _json_safe(obj):
+    """obj with every infinite float replaced by the string "inf" or "-inf"."""
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            raise NonFiniteEncountered("a NaN reached the JSON output")
+        return repr(float(obj)) if math.isinf(obj) else obj
+    if isinstance(obj, dict):
+        return {key: _json_safe(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(value) for value in obj]
+    return obj
+
+
 def _emit_json(obj, out: Optional[str]) -> None:
-    _write_text(json.dumps(obj, allow_nan=False) + "\n", out)
+    _write_text(json.dumps(_json_safe(obj), allow_nan=False) + "\n", out)
 
 
 def _emit_csv(header: Sequence[str], rows, out: Optional[str]) -> None:
@@ -81,11 +95,6 @@ def _emit_csv(header: Sequence[str], rows, out: Optional[str]) -> None:
     writer.writerow(header)
     writer.writerows(rows)
     _write_text(buf.getvalue(), out)
-
-
-def _log_field(x: float):
-    """JSON-safe log value: floats for finite entries, "-inf" otherwise."""
-    return float(x) if np.isfinite(x) else repr(float(x))
 
 
 def _floats_csv(text: str) -> tuple[float, ...]:
@@ -111,7 +120,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     conditional = _load_distribution(args.conditional)
     result: BoundResult = max_probability(prior, conditional)
     _emit_json({
-        "log_value": _log_field(result.log_max_probability),
+        "log_value": result.log_max_probability,
         "value": result.value,
         "argmin_outcome": result.argmin_outcome,
     }, args.out)
@@ -124,7 +133,7 @@ def _cmd_soft_bound(args: argparse.Namespace) -> int:
     log_value = softmax_probability(prior, conditional, args.alpha)
     _emit_json({
         "alpha": args.alpha,
-        "log_value": _log_field(log_value),
+        "log_value": log_value,
         "value": float(np.exp(log_value)),
     }, args.out)
     return 0
@@ -148,7 +157,7 @@ def _cmd_objective(args: argparse.Namespace) -> int:
         "kind": args.kind,
         "assumption": args.assumption,
         "alpha": args.alpha,
-        "value": _log_field(value.value),
+        "value": value.value,
         "dropped_constant_terms": list(value.dropped_constant_terms),
         "gradient_logp": [float(g) for g in grad.d_logp],
     }, args.out)
@@ -185,7 +194,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             "status": trace.status,
             "iterations": trace.iterations,
             "final_theta": [float(t) for t in trace.final_theta],
-            "final_value": _log_field(trace.final_value),
+            "final_value": trace.final_value,
         }, None)
     return 0
 

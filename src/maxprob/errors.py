@@ -8,6 +8,8 @@ library callers can catch either the base class or a specific subclass.
 
 from __future__ import annotations
 
+import math
+
 __all__ = [
     "DomainError",
     "NegativeMass",
@@ -26,6 +28,7 @@ __all__ = [
     "NonFiniteEncountered",
     "NonFiniteLogits",
     "LabelOutOfRange",
+    "require_alpha",
 ]
 
 
@@ -58,7 +61,7 @@ class DimensionMismatch(DomainError):
 
 
 class NonFiniteParameter(DomainError):
-    """Parameter vector contains NaN or infinity."""
+    """A parameter vector or a sharpness alpha contains NaN or infinity."""
 
 
 class RangeMismatch(DomainError):
@@ -99,3 +102,15 @@ class NonFiniteLogits(DomainError):
 
 class LabelOutOfRange(DomainError):
     """A class label falls outside [0, num_classes)."""
+
+
+def require_alpha(alpha: float) -> None:
+    """Raise unless alpha is a finite positive sharpness.
+
+    The package's one alpha check: public entry points call it, and the code
+    behind them trusts the alpha they accepted.
+    """
+    if not math.isfinite(alpha):
+        raise NonFiniteParameter(f"alpha must be finite, got {alpha!r}")
+    if alpha <= 0:
+        raise NonPositiveAlpha(f"alpha must be positive, got {alpha!r}")

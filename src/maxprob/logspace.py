@@ -13,11 +13,20 @@ import numpy as np
 __all__ = ["NEG_INF", "logsumexp", "log_softmax", "softmax", "log_sigmoid", "soft_min"]
 
 NEG_INF = float("-inf")
+_MIN_FLOAT = -np.finfo(float).max
 
 
-def logsumexp(a) -> float:
-    """log(sum(exp(a))) with max-shift; empty or all-(-inf) input gives -inf."""
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) with max-shift; empty or all-(-inf) input gives -inf.
+
+    axis=None reduces everything to a float; an axis reduces each slice along
+    it, with its own max-shift, to an array.
+    """
     a = np.asarray(a, dtype=float)
+    if axis is not None:
+        # the finite floor shifts an empty or all-(-inf) slice to a sum of 0
+        m = np.max(a, axis=axis, keepdims=True, initial=_MIN_FLOAT)
+        return (m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))).squeeze(axis)
     if a.size == 0:
         return NEG_INF
     m = float(np.max(a))

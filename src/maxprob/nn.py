@@ -38,9 +38,10 @@ from .errors import (
     DimensionMismatch,
     LabelOutOfRange,
     NonFiniteLogits,
-    NonPositiveAlpha,
     RangeMismatch,
+    require_alpha,
 )
+from .logspace import logsumexp
 
 __all__ = [
     "hn_forward",
@@ -69,17 +70,11 @@ def _check_logits(logits) -> np.ndarray:
     return x
 
 
-def _row_logsumexp(x: np.ndarray) -> np.ndarray:
-    m = np.max(x, axis=-1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(x - m), axis=-1, keepdims=True)))[..., 0]
-
-
 def hn_forward(logits, alpha: float) -> np.ndarray:
     """Generalized softmax head: exp(x_i - logsumexp(alpha * x)) along the last axis."""
-    if not alpha > 0:
-        raise NonPositiveAlpha(f"head sharpness must be positive, got {alpha!r}")
+    require_alpha(alpha)
     x = _check_logits(logits)
-    return np.exp(x - _row_logsumexp(alpha * x)[..., np.newaxis])
+    return np.exp(x - logsumexp(alpha * x, axis=-1)[..., np.newaxis])
 
 
 def head_mass(logits, alpha: float) -> np.ndarray:
@@ -101,12 +96,11 @@ def _check_batch(logits, labels) -> tuple[np.ndarray, np.ndarray]:
 
 def intersection_loss(batch_logits, labels, alpha: float) -> float:
     """Mean of -log p[y] + (1/alpha) * log sum_y p_y ** alpha over the batch."""
-    if not alpha > 0:
-        raise NonPositiveAlpha(f"alpha must be positive, got {alpha!r}")
+    require_alpha(alpha)
     x, y = _check_batch(batch_logits, labels)
-    lse = _row_logsumexp(x)
+    lse = logsumexp(x, axis=-1)
     logp = x - lse[:, np.newaxis]
-    log_mass_alpha = _row_logsumexp(alpha * logp)  # log sum_y p_y ** alpha
+    log_mass_alpha = logsumexp(alpha * logp, axis=-1)  # log sum_y p_y ** alpha
     per_sample = -logp[np.arange(len(y)), y] + log_mass_alpha / alpha
     return float(per_sample.mean())
 
@@ -114,15 +108,15 @@ def intersection_loss(batch_logits, labels, alpha: float) -> float:
 def cross_entropy_loss(batch_logits, labels) -> float:
     """Mean negative log softmax probability of the true labels."""
     x, y = _check_batch(batch_logits, labels)
-    logp = x - _row_logsumexp(x)[:, np.newaxis]
+    logp = x - logsumexp(x, axis=-1)[:, np.newaxis]
     return float(-logp[np.arange(len(y)), y].mean())
 
 
 def _mean_regularizer(batch_logits, alpha: float) -> float:
     """Mean of -(1/alpha) * log sum_y p_y ** alpha; zero everywhere at alpha = 1."""
     x = _check_logits(np.atleast_2d(batch_logits))
-    logp = x - _row_logsumexp(x)[:, np.newaxis]
-    return float(-(_row_logsumexp(alpha * logp) / alpha).mean())
+    logp = x - logsumexp(x, axis=-1)[:, np.newaxis]
+    return float(-(logsumexp(alpha * logp, axis=-1) / alpha).mean())
 
 
 def regularizer_bound(k: int, alpha: float) -> float:
@@ -224,7 +218,7 @@ def loss_and_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, mode: str,
     logits, (x0, z1, a1, z2, a2) = net.forward(x, want_cache=True)
     xb, yb = _check_batch(logits, y)
     n = len(yb)
-    logp = xb - _row_logsumexp(xb)[:, np.newaxis]
+    logp = xb - logsumexp(xb, axis=-1)[:, np.newaxis]
     onehot = np.zeros_like(logp)
     onehot[np.arange(n), yb] = 1.0
 
@@ -233,7 +227,7 @@ def loss_and_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, mode: str,
         loss = intersection_loss(xb, yb, alpha)
         reg = _mean_regularizer(xb, alpha)
         # d loss_i / d x_j = softmax(alpha x)_j - onehot_j
-        sharp = np.exp(alpha * xb - _row_logsumexp(alpha * xb)[:, np.newaxis])
+        sharp = np.exp(alpha * xb - logsumexp(alpha * xb, axis=-1)[:, np.newaxis])
         dlogits = (sharp - onehot) / n
         penalty_grads = {name: 0.0 for name in ("W1", "W2", "W3")}
     else:

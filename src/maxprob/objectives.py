@@ -2,33 +2,37 @@
 
 Two events over the same finite variable V: a parameterized model M and a
 fixed oracle M*.  Each is identified by the conditional distribution it
-induces on V (see bounds).  Objectives come in two families crossed with
-two assumptions:
+induces on V (see bounds).  Every objective is the sum of two terms, and
+each term depends on one configuration axis only:
 
-kind
-    "likelihood"    log P(M* | M): how much of the oracle the model explains.
-    "intersection"  likelihood plus the log soft bound on the model event
-                    itself, penalizing models that hoard probability mass.
-
-assumption
+likelihood term, chosen by the assumption on how M* relates to M
     "cond-independent"  M and M* are conditionally independent given V, so
-                        P(M, M* | v) factors and the posterior over outcomes
-                        given both events is model * oracle / prior,
-                        renormalized.
+                        P(M, M* | v) factors and the term is
+                        log P(M* | M) = log sum_v oracle(v) model(v) / prior(v)
+                        up to the constant log P(M*).
     "oracle-subset"     the oracle event is contained in the model event;
-                        the likelihood becomes a soft minimum over the
-                        oracle's support of log model(v) - log oracle(v).
+                        the term becomes a soft minimum over the oracle's
+                        support of log model(v) - log oracle(v).
+
+penalty term, chosen by the kind
+    "likelihood"    none: the objective is the likelihood term alone.
+    "intersection"  the log soft bound on P(M), which charges the model for
+                    the probability its own event could at most carry, so
+                    maximizing the sum finds events that are both
+                    oracle-compatible and individually probable.
 
 Values are reported up to additive constants that do not depend on the
 model parameters; anything dropped is listed by name in
 dropped_constant_terms so downstream comparisons stay honest.
 
 Gradients are taken with respect to the model's log-probabilities in the
-gauge where the model stays normalized: every gradient is the difference
-of two probability vectors (an attraction term and a repulsion term), so
-its entries sum to zero and it maps through any parameterization Jacobian
-unchanged.  gradient_terms exposes the two vectors directly; the Monte
-Carlo estimator in optimize samples from them.
+gauge where the model stays normalized.  Each term contributes one
+probability vector: the likelihood term an attraction (the posterior given
+both events, or the soft-min weights) and the penalty term a repulsion
+(the model itself, or the soft bound's ratio skeleton).  Every gradient is
+attraction minus repulsion, so its entries sum to zero and it maps through
+any parameterization Jacobian unchanged.  gradient_terms exposes the two
+vectors directly; the Monte Carlo estimator in optimize samples from them.
 """
 
 from __future__ import annotations
@@ -48,9 +52,9 @@ from .distributions import (
 from .errors import (
     EmptyIntersectionSupport,
     NonFiniteEncountered,
-    NonPositiveAlpha,
     OracleSupportEscapesModel,
     RangeMismatch,
+    require_alpha,
 )
 from .logspace import NEG_INF, logsumexp, soft_min
 from .bounds import softmax_probability
@@ -63,14 +67,6 @@ __all__ = [
     "ObjectiveValue",
     "GradientVector",
     "posterior_given_both",
-    "likelihood_value",
-    "likelihood_gradient",
-    "intersection_value",
-    "intersection_gradient",
-    "subset_likelihood_value",
-    "subset_likelihood_gradient",
-    "subset_intersection_value",
-    "subset_intersection_gradient",
     "likelihood_concentration_residual",
     "evaluate",
     "gradient_terms",
@@ -104,8 +100,7 @@ class ObjectiveConfig:
             raise RangeMismatch(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.assumption not in ASSUMPTIONS:
             raise RangeMismatch(f"assumption must be one of {ASSUMPTIONS}, got {self.assumption!r}")
-        if not self.alpha > 0:
-            raise NonPositiveAlpha(f"alpha must be positive, got {self.alpha!r}")
+        require_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -156,127 +151,6 @@ def posterior_given_both(model: FiniteDistribution, oracle: FiniteDistribution,
     return FiniteDistribution.from_logp(model.range, logpost, normalize=True)
 
 
-def likelihood_value(model: FiniteDistribution, oracle: FiniteDistribution,
-                     prior: FiniteDistribution) -> ObjectiveValue:
-    """log P(M* | M) up to the constant log P(M*).
-
-    Equals log sum_v oracle(v) * model(v) / prior(v); -inf when the two
-    events share no prior-supported outcome.
-    """
-    supp = _joint_support(model, oracle, prior)
-    terms = (model.logp + oracle.logp - prior.logp)[supp]
-    return ObjectiveValue(logsumexp(terms), (_DROPPED_ORACLE_MASS,))
-
-
-def likelihood_gradient(model: FiniteDistribution, oracle: FiniteDistribution,
-                        prior: FiniteDistribution) -> GradientVector:
-    """Attraction toward the joint posterior, repulsion from the model itself."""
-    post = posterior_given_both(model, oracle, prior)
-    return GradientVector(post.probs - model.probs)
-
-
-def _ratio_skeleton(model: FiniteDistribution, prior: FiniteDistribution,
-                    alpha: float) -> np.ndarray:
-    """Probability vector proportional to (model/prior) ** alpha on supp(model).
-
-    This is the exact repulsion term of the soft-bound penalty.  For a
-    uniform prior it coincides with alpha_skeleton(model, alpha).
-    """
-    supp = model.support
-    scaled = alpha * (model.logp[supp] - prior.logp[supp])
-    if np.any(np.isinf(scaled) & (scaled > 0)):
-        raise NonFiniteEncountered(
-            "model mass on a zero-prior outcome makes the soft bound -inf; gradient undefined")
-    out = np.zeros(len(model.range))
-    out[supp] = np.exp(scaled - logsumexp(scaled))
-    return out
-
-
-def intersection_value(model: FiniteDistribution, oracle: FiniteDistribution,
-                       prior: FiniteDistribution, alpha: float) -> ObjectiveValue:
-    """log P(M* | M) plus the log soft bound on P(M), dropping log P(M*).
-
-    The second term charges the model for the probability its own event
-    could at most carry, so maximizing the sum finds events that are both
-    oracle-compatible and individually probable.
-    """
-    lik = likelihood_value(model, oracle, prior)
-    soft = softmax_probability(prior, model, alpha)
-    return ObjectiveValue(lik.value + soft, lik.dropped_constant_terms)
-
-
-def intersection_gradient(model: FiniteDistribution, oracle: FiniteDistribution,
-                          prior: FiniteDistribution, alpha: float) -> GradientVector:
-    """Posterior attraction minus the soft-bound's ratio-skeleton repulsion.
-
-    With a uniform prior the repulsion term is exactly the alpha-skeleton of
-    the model, and the critical points are models whose alpha-skeleton equals
-    the joint posterior.  At alpha = 1 (uniform prior) this collapses to the
-    likelihood gradient.
-    """
-    if not alpha > 0:
-        raise NonPositiveAlpha(f"alpha must be positive, got {alpha!r}")
-    post = posterior_given_both(model, oracle, prior)
-    return GradientVector(post.probs - _ratio_skeleton(model, prior, alpha))
-
-
-def _check_subset(model: FiniteDistribution, oracle: FiniteDistribution) -> np.ndarray:
-    _require_same_range(model, oracle, "objectives")
-    osupp = oracle.support
-    if np.any(osupp & ~model.support):
-        raise OracleSupportEscapesModel(
-            "subset assumption requires the model to support every oracle outcome")
-    return osupp
-
-
-def subset_likelihood_value(model: FiniteDistribution, oracle: FiniteDistribution,
-                            alpha: float) -> ObjectiveValue:
-    """Soft minimum over the oracle's support of log model(v) - log oracle(v).
-
-    Under the subset assumption P(M* | M) is at most the smallest such
-    ratio; the soft minimum keeps the objective differentiable and tends to
-    the hard minimum as alpha grows.
-    """
-    if not alpha > 0:
-        raise NonPositiveAlpha(f"alpha must be positive, got {alpha!r}")
-    osupp = _check_subset(model, oracle)
-    gaps = model.logp[osupp] - oracle.logp[osupp]
-    return ObjectiveValue(soft_min(gaps, alpha))
-
-
-def _softmin_weights(model: FiniteDistribution, oracle: FiniteDistribution,
-                     alpha: float) -> np.ndarray:
-    """Probability vector proportional to (oracle/model) ** alpha on supp(oracle)."""
-    osupp = _check_subset(model, oracle)
-    scaled = -alpha * (model.logp[osupp] - oracle.logp[osupp])
-    out = np.zeros(len(model.range))
-    out[osupp] = np.exp(scaled - logsumexp(scaled))
-    return out
-
-
-def subset_likelihood_gradient(model: FiniteDistribution, oracle: FiniteDistribution,
-                               alpha: float) -> GradientVector:
-    """Attraction toward the binding (smallest-ratio) outcomes, minus the model."""
-    if not alpha > 0:
-        raise NonPositiveAlpha(f"alpha must be positive, got {alpha!r}")
-    return GradientVector(_softmin_weights(model, oracle, alpha) - model.probs)
-
-
-def subset_intersection_value(model: FiniteDistribution, oracle: FiniteDistribution,
-                              prior: FiniteDistribution, alpha: float) -> ObjectiveValue:
-    """Subset likelihood plus the log soft bound on the model event."""
-    lik = subset_likelihood_value(model, oracle, alpha)
-    return ObjectiveValue(lik.value + softmax_probability(prior, model, alpha))
-
-
-def subset_intersection_gradient(model: FiniteDistribution, oracle: FiniteDistribution,
-                                 prior: FiniteDistribution, alpha: float) -> GradientVector:
-    if not alpha > 0:
-        raise NonPositiveAlpha(f"alpha must be positive, got {alpha!r}")
-    w = _softmin_weights(model, oracle, alpha)
-    return GradientVector(w - _ratio_skeleton(model, prior, alpha))
-
-
 def likelihood_concentration_residual(model: FiniteDistribution, oracle: FiniteDistribution,
                                       prior: FiniteDistribution) -> float:
     """Model mass outside the argmax set of oracle(v) / prior(v).
@@ -300,16 +174,99 @@ def likelihood_concentration_residual(model: FiniteDistribution, oracle: FiniteD
     return float(model.probs[~in_set].sum())
 
 
+# Term tables.  Likelihood term by assumption: (value, attraction, dropped
+# constants) of (model, oracle, prior, alpha).  Penalty term by kind: (value,
+# repulsion) of (model, prior, alpha).  Public functions are looked up at call
+# time, so a wrapper installed on them (as the span tracer does) still sees them.
+
+
+def _independent_value(model: FiniteDistribution, oracle: FiniteDistribution,
+                       prior: FiniteDistribution, alpha: float) -> float:
+    """log P(M* | M) up to the constant log P(M*).
+
+    Equals log sum_v oracle(v) * model(v) / prior(v); -inf when the two
+    events share no prior-supported outcome.
+    """
+    supp = _joint_support(model, oracle, prior)
+    return logsumexp((model.logp + oracle.logp - prior.logp)[supp])
+
+
+def _check_subset(model: FiniteDistribution, oracle: FiniteDistribution) -> np.ndarray:
+    _require_same_range(model, oracle, "objectives")
+    osupp = oracle.support
+    if np.any(osupp & ~model.support):
+        raise OracleSupportEscapesModel(
+            "subset assumption requires the model to support every oracle outcome")
+    return osupp
+
+
+def _subset_value(model: FiniteDistribution, oracle: FiniteDistribution,
+                  prior: FiniteDistribution, alpha: float) -> float:
+    """Soft minimum over the oracle's support of log model(v) - log oracle(v).
+
+    Under the subset assumption P(M* | M) is at most the smallest such
+    ratio; the soft minimum keeps the objective differentiable and tends to
+    the hard minimum as alpha grows.
+    """
+    osupp = _check_subset(model, oracle)
+    return soft_min(model.logp[osupp] - oracle.logp[osupp], alpha)
+
+
+def _softmin_weights(model: FiniteDistribution, oracle: FiniteDistribution,
+                     prior: FiniteDistribution, alpha: float) -> np.ndarray:
+    """Probability vector proportional to (oracle/model) ** alpha on supp(oracle).
+
+    The attraction toward the binding (smallest-ratio) outcomes.
+    """
+    osupp = _check_subset(model, oracle)
+    scaled = -alpha * (model.logp[osupp] - oracle.logp[osupp])
+    out = np.zeros(len(model.range))
+    out[osupp] = np.exp(scaled - logsumexp(scaled))
+    return out
+
+
+def _ratio_skeleton(model: FiniteDistribution, prior: FiniteDistribution,
+                    alpha: float) -> np.ndarray:
+    """Probability vector proportional to (model/prior) ** alpha on supp(model).
+
+    This is the exact repulsion term of the soft-bound penalty.  For a
+    uniform prior it coincides with alpha_skeleton(model, alpha), so the
+    critical points are models whose alpha-skeleton equals the attraction;
+    at alpha = 1 it is the model itself, the likelihood's repulsion.
+    """
+    supp = model.support
+    scaled = alpha * (model.logp[supp] - prior.logp[supp])
+    if np.any(np.isinf(scaled) & (scaled > 0)):
+        raise NonFiniteEncountered(
+            "model mass on a zero-prior outcome makes the soft bound -inf; gradient undefined")
+    out = np.zeros(len(model.range))
+    out[supp] = np.exp(scaled - logsumexp(scaled))
+    return out
+
+
+_LIKELIHOOD_TERMS = {
+    "cond-independent": (_independent_value,
+                         lambda model, oracle, prior, alpha:
+                             posterior_given_both(model, oracle, prior).probs,
+                         (_DROPPED_ORACLE_MASS,)),
+    "oracle-subset": (_subset_value, _softmin_weights, ()),
+}
+
+_PENALTY_TERMS = {
+    # -0.0, not 0.0: x + -0.0 is x bit for bit, including x = -0.0
+    "likelihood": (lambda model, prior, alpha: -0.0, lambda model, prior, alpha: model.probs),
+    "intersection": (lambda model, prior, alpha: softmax_probability(prior, model, alpha),
+                     _ratio_skeleton),
+}
+
+
 def evaluate(config: ObjectiveConfig, model: FiniteDistribution,
              oracle: FiniteDistribution) -> ObjectiveValue:
-    """Dispatch on (kind, assumption)."""
-    if config.assumption == "cond-independent":
-        if config.kind == "likelihood":
-            return likelihood_value(model, oracle, config.prior)
-        return intersection_value(model, oracle, config.prior, config.alpha)
-    if config.kind == "likelihood":
-        return subset_likelihood_value(model, oracle, config.alpha)
-    return subset_intersection_value(model, oracle, config.prior, config.alpha)
+    """Likelihood term for config.assumption plus penalty term for config.kind."""
+    lik_value, _, dropped = _LIKELIHOOD_TERMS[config.assumption]
+    penalty_value, _ = _PENALTY_TERMS[config.kind]
+    lik = lik_value(model, oracle, config.prior, config.alpha)
+    return ObjectiveValue(lik + penalty_value(model, config.prior, config.alpha), dropped)
 
 
 def gradient_terms(config: ObjectiveConfig, model: FiniteDistribution,
@@ -320,19 +277,15 @@ def gradient_terms(config: ObjectiveConfig, model: FiniteDistribution,
     repulsion term (model or ratio skeleton).  The Monte Carlo gradient
     estimator samples one empirical distribution from each.
     """
-    if config.assumption == "cond-independent":
-        attract = posterior_given_both(model, oracle, config.prior).probs
-    else:
-        attract = _softmin_weights(model, oracle, config.alpha)
-    if config.kind == "likelihood":
-        repulse = model.probs
-    else:
-        repulse = _ratio_skeleton(model, config.prior, config.alpha)
-    return attract, repulse
+    _, attraction, _ = _LIKELIHOOD_TERMS[config.assumption]
+    _, repulsion = _PENALTY_TERMS[config.kind]
+    return (attraction(model, oracle, config.prior, config.alpha),
+            repulsion(model, config.prior, config.alpha))
 
 
 def gradient_logp(config: ObjectiveConfig, model: FiniteDistribution,
                   oracle: FiniteDistribution) -> GradientVector:
+    """Attraction minus repulsion (see gradient_terms)."""
     attract, repulse = gradient_terms(config, model, oracle)
     return GradientVector(attract - repulse)
 

@@ -54,7 +54,6 @@ class AscentConfig:
     step_size: float = 0.1
     max_iters: int = 10000
     grad_tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.step_size > 0:

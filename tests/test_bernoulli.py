@@ -3,11 +3,14 @@ import pytest
 
 from maxprob import (
     DimensionMismatch,
+    NonFiniteParameter,
     NonPositiveAlpha,
+    ObjectiveConfig,
     Parameterization,
     RangeMismatch,
     SweepSpec,
     apply_parameterization,
+    evaluate,
     max_probability,
     run_sweep,
     sweep_rows,
@@ -16,7 +19,6 @@ from maxprob import (
     uniqueness_diagnostic,
 )
 from maxprob.bernoulli import report_to_jsonable
-from maxprob.objectives import likelihood_value
 
 LOG9 = 2.1972245773362196
 
@@ -34,8 +36,10 @@ class TestSweepSpec:
             small_spec(objectives=("banana",))
 
     def test_rejects_non_positive_alpha(self):
-        with pytest.raises(NonPositiveAlpha):
-            small_spec(alphas=(1.0, 0.0))
+        for alpha, error in ((0.0, NonPositiveAlpha), (np.inf, NonFiniteParameter),
+                             (np.nan, NonFiniteParameter)):
+            with pytest.raises(error):
+                small_spec(alphas=(1.0, alpha))
 
     def test_rejects_degenerate_grid(self):
         with pytest.raises(DimensionMismatch):
@@ -97,9 +101,10 @@ class TestRunSweep:
         p = Parameterization.sigmoid_bernoulli()
         prior = uniform_distribution(p.range)
         oracle = apply_parameterization(p, LOG9)
+        likelihood = ObjectiveConfig("likelihood", "cond-independent", 1.0, prior)
         for theta, value in zip(curve.thetas, curve.values):
             model = apply_parameterization(p, theta)
-            expected = (likelihood_value(model, oracle, prior).value
+            expected = (evaluate(likelihood, model, oracle).value
                         + max_probability(prior, model).log_max_probability)
             assert abs(value - expected) <= np.log(2.0) / 50000.0 + 1e-12
 

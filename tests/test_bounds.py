@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import dist_from_weights, distribution_pairs, distributions, labels_of
 from maxprob import (
     NegativeAlphaOnZeroMass,
+    NonFiniteParameter,
     NonPositiveAlpha,
     OutcomeRange,
     Refinement,
@@ -18,7 +20,7 @@ from maxprob import (
     softmax_probability,
     uniform_distribution,
 )
-from maxprob.logspace import NEG_INF, soft_min
+from maxprob.logspace import NEG_INF, logsumexp, soft_min
 
 
 COIN = OutcomeRange(("H", "T"))
@@ -82,8 +84,10 @@ class TestMaxProbability:
 class TestSoftmaxProbability:
     def test_rejects_non_positive_alpha(self):
         prior = uniform_distribution(COIN)
-        with pytest.raises(NonPositiveAlpha):
-            softmax_probability(prior, prior, 0.0)
+        for alpha, error in ((0.0, NonPositiveAlpha), (np.inf, NonFiniteParameter),
+                             (np.nan, NonFiniteParameter)):
+            with pytest.raises(error):
+                softmax_probability(prior, prior, alpha)
 
     def test_zero_prior_support_gives_minus_inf(self):
         prior = make_distribution(COIN, [1.0, 0.0])
@@ -131,6 +135,16 @@ class TestSoftMinHelper:
         sm = soft_min(a, alpha)
         assert sm <= a.min() + 1e-12
         assert sm >= a.min() - np.log(len(a)) / alpha - 1e-12
+
+
+class TestLogsumexpAxis:
+    @given(arrays(float, st.tuples(st.integers(1, 4), st.integers(0, 6)),
+                  elements=st.sampled_from([NEG_INF, -3.5, 0.0, 1.25, 20.0])))
+    def test_rows_match_the_scalar_path_bitwise(self, x):
+        """Including empty and all -inf rows, which reduce to -inf as the scalar path does."""
+        with np.errstate(divide="ignore"):
+            reduced = logsumexp(x, axis=-1)
+        np.testing.assert_array_equal(reduced, [logsumexp(row) for row in x])
 
 
 class TestAlphaSkeleton:

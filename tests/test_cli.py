@@ -132,10 +132,13 @@ class TestSoftBoundAndSkeleton:
 
     def test_non_positive_alpha_is_a_domain_error(self, coin_files, capsys):
         prior, cond = coin_files
-        code, _, err = run(["soft-bound", "--alpha", "0", "--prior", prior,
-                            "--conditional", cond], capsys)
-        assert code == 1
-        assert json.loads(err)["error"] == "NonPositiveAlpha"
+        for alpha, error in (("0", "NonPositiveAlpha"), ("inf", "NonFiniteParameter"),
+                             ("nan", "NonFiniteParameter")):
+            code, out, err = run(["soft-bound", "--alpha", alpha, "--prior", prior,
+                                  "--conditional", cond], capsys)
+            assert code == 1 and out == ""
+            assert len(err.splitlines()) == 1
+            assert json.loads(err)["error"] == error
 
     def test_skeleton_emits_distribution_json(self, coin_files, capsys):
         _, cond = coin_files
@@ -232,6 +235,22 @@ class TestSweepCommand:
         summary = json.loads(summary_path.read_text())
         assert len(summary["curves"]) == 4
 
+    def test_zero_prior_entry_summary_encodes_minus_inf(self, tmp_path, capsys):
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps({"range": ["1", "0"], "probs": [1.0, 0]}))
+        summary_path = tmp_path / "summary.json"
+        code, _, err = run(["sweep-bernoulli", "--theta-star", "2.1972245773362196",
+                            "--grid-step", "0.5", "--alphas", "1,2",
+                            "--prior", str(prior), "--summary-out", str(summary_path)],
+                           capsys)
+        assert code == 0 and err == ""
+        curves = json.loads(summary_path.read_text())["curves"]
+        intersection = [c for c in curves if c["objective"] == "intersection"]
+        assert len(intersection) == 2
+        for curve in intersection:
+            assert curve["argmax_value"] == "-inf"
+            assert curve["flatness"] == 0.0
+
     def test_invalid_grid_is_a_domain_error(self, capsys):
         code, _, err = run(["sweep-bernoulli", "--theta-star", "0",
                             "--grid-min", "2", "--grid-max", "-2"], capsys)
@@ -249,6 +268,13 @@ class TestTrainToyCommand:
         assert len(report["records"]) == 4
         assert set(report["records"][0]) == {"epoch", "train_loss", "test_loss",
                                              "train_acc", "test_acc", "reg_term"}
+
+    def test_non_finite_alpha_is_a_domain_error(self, capsys):
+        code, out, err = run(["train-toy", "--loss", "intersection", "--alpha", "inf",
+                              "--epochs", "1"], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "NonFiniteParameter"
 
     def test_repeated_runs_identical(self, tmp_path, capsys):
         args = ["train-toy", "--loss", "ce-l2", "--lam", "0.001", "--epochs", "2"]

@@ -7,6 +7,8 @@ from hypothesis.extra.numpy import arrays
 from maxprob import (
     DimensionMismatch,
     LabelOutOfRange,
+    NonFiniteParameter,
+    NonPositiveAlpha,
     RangeMismatch,
     ToyNet,
     canonical_report_bytes,
@@ -55,6 +57,12 @@ class TestHnForward:
     def test_rejects_non_finite_logits(self):
         with pytest.raises(NonFiniteLogits):
             hn_forward(np.array([1.0, np.nan]), 2.0)
+
+    def test_rejects_bad_alpha(self):
+        for alpha, error in ((0.0, NonPositiveAlpha), (np.inf, NonFiniteParameter),
+                             (np.nan, NonFiniteParameter)):
+            with pytest.raises(error):
+                hn_forward(np.array([1.0, 0.0]), alpha)
 
 
 class TestIntersectionLoss:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from helpers import distribution_triples
 from maxprob import (
     EmptyIntersectionSupport,
+    NonFiniteParameter,
+    NonPositiveAlpha,
     ObjectiveConfig,
     OracleSupportEscapesModel,
     OutcomeRange,
@@ -19,25 +21,34 @@ from maxprob import (
     softmax_probability,
     uniform_distribution,
 )
-from maxprob.objectives import (
-    intersection_value,
-    likelihood_value,
-    subset_intersection_value,
-    subset_likelihood_value,
-)
 
 COIN = OutcomeRange(("1", "0"))
 UNIFORM2 = uniform_distribution(COIN)
 SURE = make_distribution(COIN, [1.0, 0.0])
 TILTED = make_distribution(COIN, [0.9, 0.1])
 
-configs = st.sampled_from([
-    ("likelihood", "cond-independent"),
-    ("intersection", "cond-independent"),
-    ("likelihood", "oracle-subset"),
-    ("intersection", "oracle-subset"),
-])
+LIKELIHOOD = ("likelihood", "cond-independent")
+INTERSECTION = ("intersection", "cond-independent")
+SUBSET_LIKELIHOOD = ("likelihood", "oracle-subset")
+SUBSET_INTERSECTION = ("intersection", "oracle-subset")
+
+configs = st.sampled_from([LIKELIHOOD, INTERSECTION, SUBSET_LIKELIHOOD, SUBSET_INTERSECTION])
 alphas = st.sampled_from([0.5, 1.0, 2.0, 4.0, 16.0])
+
+
+def value(cell, model, oracle, prior=None, alpha=1.0):
+    """evaluate() for one (kind, assumption) cell; the prior defaults to uniform."""
+    prior = uniform_distribution(model.range) if prior is None else prior
+    return evaluate(ObjectiveConfig(*cell, alpha, prior), model, oracle)
+
+
+class TestObjectiveConfig:
+    def test_rejects_bad_alpha(self):
+        for alpha, error in ((0.0, NonPositiveAlpha), (-1.0, NonPositiveAlpha),
+                             (np.inf, NonFiniteParameter), (-np.inf, NonFiniteParameter),
+                             (np.nan, NonFiniteParameter)):
+            with pytest.raises(error):
+                ObjectiveConfig("intersection", "cond-independent", alpha, UNIFORM2)
 
 
 class TestPosterior:
@@ -67,7 +78,7 @@ class TestPosterior:
 
 class TestLikelihoodValue:
     def test_coin_hand_value(self):
-        v = likelihood_value(TILTED, SURE, UNIFORM2)
+        v = value(LIKELIHOOD, TILTED, SURE, UNIFORM2)
         np.testing.assert_allclose(v.value, 0.5877866649021191, rtol=1e-15)
         assert v.dropped_constant_terms == ("log_prob_oracle_event",)
 
@@ -79,10 +90,10 @@ class TestLikelihoodValue:
         cap = np.log(0.7 / 0.5)
         for p1 in (0.1, 0.4, 0.7, 0.9):
             other = make_distribution(COIN, [p1, 1.0 - p1])
-            assert likelihood_value(other, oracle, UNIFORM2).value <= cap + 1e-12
+            assert value(LIKELIHOOD, other, oracle, UNIFORM2).value <= cap + 1e-12
         nearly_degenerate = make_distribution(COIN, [1.0 - 1e-9, 1e-9])
         np.testing.assert_allclose(
-            likelihood_value(nearly_degenerate, oracle, UNIFORM2).value, cap, rtol=1e-8)
+            value(LIKELIHOOD, nearly_degenerate, oracle, UNIFORM2).value, cap, rtol=1e-8)
 
     def test_gradient_is_posterior_minus_model(self):
         g = gradient_logp(ObjectiveConfig("likelihood", "cond-independent", 1.0, UNIFORM2),
@@ -93,20 +104,20 @@ class TestLikelihoodValue:
 class TestIntersectionValue:
     def test_tilted_coin_hand_value(self):
         # log 1.8 - (1/2) log((0.9/0.5)^2 + (0.1/0.5)^2)
-        v = intersection_value(TILTED, SURE, UNIFORM2, 2.0)
+        v = value(INTERSECTION, TILTED, SURE, UNIFORM2, 2.0)
         np.testing.assert_allclose(v.value, -0.0061350462959071095, rtol=1e-12)
 
     def test_all_uniform_collapses_to_support_penalty(self):
         u4 = uniform_distribution(OutcomeRange(tuple("abcd")))
-        v = intersection_value(u4, u4, u4, 2.0)
+        v = value(INTERSECTION, u4, u4, u4, 2.0)
         np.testing.assert_allclose(v.value, -0.6931471805599453, rtol=1e-15)
 
     @given(distribution_triples(allow_zeros=(False, True, False)), alphas)
     def test_definitional_identity(self, triple, alpha):
         """Intersection = likelihood + the soft bound on the model event."""
         prior, oracle, model = triple
-        whole = intersection_value(model, oracle, prior, alpha).value
-        parts = (likelihood_value(model, oracle, prior).value
+        whole = value(INTERSECTION, model, oracle, prior, alpha).value
+        parts = (value(LIKELIHOOD, model, oracle, prior).value
                  + softmax_probability(prior, model, alpha))
         np.testing.assert_allclose(whole, parts, rtol=1e-12, atol=1e-12)
 
@@ -119,40 +130,40 @@ class TestIntersectionValue:
         """At alpha = 2 with a uniform prior the intersection objective is
         stationary exactly at model = oracle (the recovery property)."""
         oracle = make_distribution(COIN, [0.7, 0.3])
-        at_oracle = intersection_value(oracle, oracle, UNIFORM2, 2.0).value
+        at_oracle = value(INTERSECTION, oracle, oracle, UNIFORM2, 2.0).value
         for p1 in (0.1, 0.4, 0.9):
             other = make_distribution(COIN, [p1, 1.0 - p1])
-            assert intersection_value(other, oracle, UNIFORM2, 2.0).value \
+            assert value(INTERSECTION, other, oracle, UNIFORM2, 2.0).value \
                 <= at_oracle + 1e-12
 
 
 class TestSubsetLikelihood:
     def test_model_equal_oracle_closed_form(self):
         u3 = uniform_distribution(OutcomeRange(tuple("abc")))
-        v = subset_likelihood_value(u3, u3, 4.0)
+        v = value(SUBSET_LIKELIHOOD, u3, u3, alpha=4.0)
         np.testing.assert_allclose(v.value, -0.27465307216702745, rtol=1e-15)
 
     def test_degenerate_oracle_reads_off_model_mass(self):
-        v = subset_likelihood_value(TILTED, SURE, 8.0)
+        v = value(SUBSET_LIKELIHOOD, TILTED, SURE, alpha=8.0)
         np.testing.assert_allclose(v.value, np.log(0.9), rtol=1e-15)
 
     def test_oracle_must_stay_inside_model_support(self):
         model = make_distribution(COIN, [1.0, 0.0])
         oracle = make_distribution(COIN, [0.5, 0.5])
         with pytest.raises(OracleSupportEscapesModel):
-            subset_likelihood_value(model, oracle, 2.0)
+            value(SUBSET_LIKELIHOOD, model, oracle, alpha=2.0)
 
     @given(distribution_triples(min_n=2, max_n=5, allow_zeros=(False, False, False)))
     def test_soft_min_below_worst_ratio(self, triple):
         _, oracle, model = triple
-        v = subset_likelihood_value(model, oracle, 2.0).value
+        v = value(SUBSET_LIKELIHOOD, model, oracle, alpha=2.0).value
         ratios = model.logp - oracle.logp
         assert v <= ratios[oracle.support].min() + 1e-12
 
     @given(distribution_triples(min_n=2, max_n=5, allow_zeros=(False, False, False)))
     def test_monotone_in_alpha(self, triple):
         _, oracle, model = triple
-        values = [subset_likelihood_value(model, oracle, a).value
+        values = [value(SUBSET_LIKELIHOOD, model, oracle, alpha=a).value
                   for a in (0.5, 1.0, 2.0, 8.0, 64.0)]
         assert np.all(np.diff(values) >= -1e-12)
 
@@ -160,13 +171,13 @@ class TestSubsetLikelihood:
                                 allow_zeros=(False, False, False)), alphas)
     def test_subset_intersection_identity(self, triple, alpha):
         prior, oracle, model = triple
-        whole = subset_intersection_value(model, oracle, prior, alpha).value
-        parts = (subset_likelihood_value(model, oracle, alpha).value
+        whole = value(SUBSET_INTERSECTION, model, oracle, prior, alpha).value
+        parts = (value(SUBSET_LIKELIHOOD, model, oracle, alpha=alpha).value
                  + softmax_probability(prior, model, alpha))
         np.testing.assert_allclose(whole, parts, rtol=1e-12, atol=1e-12)
 
     def test_all_uniform_hand_value(self):
-        v = subset_intersection_value(UNIFORM2, UNIFORM2, UNIFORM2, 2.0)
+        v = value(SUBSET_INTERSECTION, UNIFORM2, UNIFORM2, UNIFORM2, 2.0)
         np.testing.assert_allclose(v.value, -0.6931471805599453, rtol=1e-15)
 
 
@@ -201,8 +212,8 @@ class TestAlphaOneEquivalence:
     def test_uniform_prior_offset_is_the_log_range_size(self, triple):
         _, oracle, model = triple
         prior = uniform_distribution(model.range)
-        lik = likelihood_value(model, oracle, prior).value
-        inter = intersection_value(model, oracle, prior, 1.0).value
+        lik = value(LIKELIHOOD, model, oracle, prior).value
+        inter = value(INTERSECTION, model, oracle, prior, 1.0).value
         np.testing.assert_allclose(inter - lik, -np.log(len(model.range)), rtol=1e-12)
 
 
@@ -222,16 +233,25 @@ class TestConcentrationResidual:
 class TestEvaluateDispatch:
     @given(configs, alphas)
     def test_dispatch_matches_direct_calls(self, combo, alpha):
+        """Every cell of the (kind, assumption) table against its hand value.
+
+        Model 0.9/0.1, sure oracle, uniform prior: the likelihood term is
+        log 1.8 (cond-independent) or log 0.9 (oracle-subset), the penalty
+        term -(1/alpha) log(1.8^alpha + 0.2^alpha); the attraction is the
+        oracle's outcome, the repulsion the model or its alpha-skeleton.
+        """
         kind, assumption = combo
         config = ObjectiveConfig(kind, assumption, alpha, UNIFORM2)
-        direct = {
-            ("likelihood", "cond-independent"):
-                lambda: likelihood_value(TILTED, SURE, UNIFORM2),
-            ("intersection", "cond-independent"):
-                lambda: intersection_value(TILTED, SURE, UNIFORM2, alpha),
-            ("likelihood", "oracle-subset"):
-                lambda: subset_likelihood_value(TILTED, SURE, alpha),
-            ("intersection", "oracle-subset"):
-                lambda: subset_intersection_value(TILTED, SURE, UNIFORM2, alpha),
-        }[combo]()
-        assert evaluate(config, TILTED, SURE).value == direct.value
+        lik = np.log(1.8) if assumption == "cond-independent" else np.log(0.9)
+        penalty = 0.0 if kind == "likelihood" else \
+            -np.log(1.8 ** alpha + 0.2 ** alpha) / alpha
+        repulse = np.array([0.9, 0.1]) if kind == "likelihood" else \
+            np.array([0.9 ** alpha, 0.1 ** alpha]) / (0.9 ** alpha + 0.1 ** alpha)
+        dropped = ("log_prob_oracle_event",) if assumption == "cond-independent" else ()
+
+        v = evaluate(config, TILTED, SURE)
+        np.testing.assert_allclose(v.value, lik + penalty, rtol=1e-12)
+        assert v.dropped_constant_terms == dropped
+        attract, rep = gradient_terms(config, TILTED, SURE)
+        np.testing.assert_allclose(attract, [1.0, 0.0], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(rep, repulse, rtol=1e-12, atol=1e-15)
