@@ -56,6 +56,7 @@ from .objectives import (
     likelihood_concentration_residual,
     posterior_given_both,
     value_at_theta,
+    values_at_thetas,
 )
 from .optimize import (
     AscentConfig,

@@ -51,7 +51,7 @@ from .objectives import (
     ObjectiveConfig,
     gradient_at_theta,
     likelihood_concentration_residual,
-    value_at_theta,
+    values_at_thetas,
 )
 from .optimize import AscentConfig, ascend, finite_difference_check, grid_argmax
 
@@ -287,9 +287,8 @@ def criterion_06_alpha1_equivalence() -> CriterionResult:
     oracle = apply_parameterization(p, 1.2)
     lik = ObjectiveConfig("likelihood", "cond-independent", 1.0, prior)
     inter = ObjectiveConfig("intersection", "cond-independent", 1.0, prior)
-    diffs = []
-    for t in np.linspace(-6.0, 6.0, 100):
-        diffs.append(value_at_theta(inter, oracle, p, t) - value_at_theta(lik, oracle, p, t))
+    grid = np.linspace(-6.0, 6.0, 100)[:, np.newaxis]
+    diffs = values_at_thetas(inter, oracle, p, grid) - values_at_thetas(lik, oracle, p, grid)
     spread = float(np.max(diffs) - np.min(diffs))
     ok = spread <= 1e-9
     return _result(6, "alpha=1 intersection equals likelihood up to a constant", 1.0, t0,
@@ -308,7 +307,7 @@ def criterion_07_oracle_recovery() -> CriterionResult:
                    AscentConfig(step_size=1.0, max_iters=10000, grad_tol=1e-10))
     err = abs(float(trace.final_theta[0]) - target)
     grid = -6.0 + np.arange(12001) * 0.001
-    best = grid_argmax(lambda t: value_at_theta(config, oracle, p, t), grid)
+    best = grid_argmax(lambda g: values_at_thetas(config, oracle, p, g[:, np.newaxis]), grid)
     grid_err = abs(best.theta - target)
     ok = trace.status == "converged" and err <= 1e-4 and grid_err <= 0.001
     detail = (f"{trace.status} after {trace.iterations} iterations, |theta - log 9| = {err:.1e}; "

@@ -7,7 +7,8 @@ to tabulate exhaustively.  The sweep reports, per (objective, alpha) pair,
 the full (theta, value) curve, its grid argmax, a flatness diagnostic, and
 a shape classification.  Absolute curve heights depend on which additive
 constants an objective drops, so cross-family comparisons should use argmax
-positions and shapes, not raw heights.
+positions and shapes, not raw heights.  Each curve is one batched
+values_at_thetas call over the whole grid.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .distributions import (
     uniform_distribution,
 )
 from .errors import DimensionMismatch, RangeMismatch, require_alpha
-from .objectives import ASSUMPTIONS, KINDS, ObjectiveConfig, value_at_theta
+from .objectives import ASSUMPTIONS, KINDS, ObjectiveConfig, values_at_thetas
 
 __all__ = [
     "PLATEAU_RUN",
@@ -115,13 +116,14 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     oracle = apply_parameterization(p, spec.theta_star)
     prior = spec.prior if spec.prior is not None else uniform_distribution(p.range)
     grid = theta_grid(spec)
+    rows = grid[:, np.newaxis]
     quarter = len(grid) // 4
     middle = slice(quarter, max(quarter + 1, len(grid) - quarter))
     curves = []
     for objective in spec.objectives:
         for alpha in spec.alphas:
             config = ObjectiveConfig(objective, spec.assumption, alpha, prior)
-            values = np.array([value_at_theta(config, oracle, p, t) for t in grid])
+            values = values_at_thetas(config, oracle, p, rows)
             top, bottom = np.max(values[middle]), np.min(values[middle])
             curves.append(SweepCurve(
                 objective, alpha, grid, values,

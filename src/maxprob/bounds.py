@@ -30,6 +30,7 @@ only at the reporting boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -47,11 +48,12 @@ from .errors import (
     LabelOutOfRange,
     NegativeAlphaOnZeroMass,
     NegativeMass,
+    NonFiniteParameter,
     SpaceTooLarge,
     SumOutOfTolerance,
     require_alpha,
 )
-from .logspace import NEG_INF, logsumexp
+from .logspace import NEG_INF, soft_min
 
 __all__ = [
     "BoundResult",
@@ -115,11 +117,21 @@ def softmax_probability(prior: FiniteDistribution, conditional: FiniteDistributi
     """
     require_alpha(alpha)
     _require_same_range(prior, conditional, "bound computations")
-    supp = conditional.support
-    ratios = prior.logp[supp] - conditional.logp[supp]
-    if np.any(ratios == NEG_INF):
-        return NEG_INF  # event must be null: zero prior mass on a supported outcome
-    return -logsumexp(-alpha * ratios) / alpha
+    return float(_log_soft_bound(conditional.logp, conditional.support, prior.logp, alpha))
+
+
+def _log_soft_bound(conditional: np.ndarray, supp: np.ndarray, prior: np.ndarray,
+                    alpha: float) -> np.ndarray:
+    """softmax_probability of each row of conditional (..., K) against prior (K,).
+
+    The rows share the support mask supp (K,).  compress, not
+    conditional[..., supp], keeps the rows C-ordered, so each sums in the
+    order of a single row (see the objectives kernels).
+    """
+    if (prior[supp] == NEG_INF).any():
+        # event must be null: zero prior mass on a supported outcome
+        return np.full(conditional.shape[:-1], NEG_INF)
+    return soft_min(prior[supp] - conditional.compress(supp, axis=-1), alpha, axis=-1)
 
 
 def alpha_skeleton(dist: FiniteDistribution, alpha: float) -> FiniteDistribution:
@@ -129,8 +141,10 @@ def alpha_skeleton(dist: FiniteDistribution, alpha: float) -> FiniteDistribution
     argmax, 0 < alpha < 1 flattens, and alpha = 0 is the flat limit, uniform
     over the support.  alpha > 0 preserves the support exactly.  Negative
     alpha inverts the ordering and therefore requires full support.
-    Composing skeletons multiplies their exponents.
+    Composing skeletons multiplies their exponents.  alpha must be finite.
     """
+    if not math.isfinite(alpha):
+        raise NonFiniteParameter(f"alpha must be finite, got {alpha!r}")
     if alpha == 1.0:
         return dist
     logp = dist.logp

@@ -251,6 +251,7 @@ _SOFTMAX = "softmax-logits"
 # Sigmoid convention: the range lists the success outcome first, so
 # apply(theta) puts sigma(theta) at index 0.  theta = log-odds of success.
 _DEFAULT_BERNOULLI_RANGE = OutcomeRange(("1", "0"))
+_SIGMOID_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -289,24 +290,37 @@ def _check_theta(p: Parameterization, theta) -> np.ndarray:
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     if th.shape != (p.dim,):
         raise DimensionMismatch(f"parameter vector has shape {th.shape}, expected ({p.dim},)")
-    if not np.all(np.isfinite(th)):
+    return _check_thetas(p, th[np.newaxis])[0]
+
+
+def _check_thetas(p: Parameterization, thetas) -> np.ndarray:
+    """Parameter rows (N, dim) as a C-ordered float array, every entry finite."""
+    th = np.ascontiguousarray(thetas, dtype=float)
+    if th.ndim != 2 or th.shape[1] != p.dim:
+        raise DimensionMismatch(f"parameter rows have shape {th.shape}, expected (N, {p.dim})")
+    if not np.isfinite(th).all():
         raise NonFiniteParameter(f"parameter vector must be finite, got {th!r}")
     return th
 
 
-def apply_parameterization(p: Parameterization, theta) -> FiniteDistribution:
-    """Map a parameter vector to its distribution.
+def _theta_logp(p: Parameterization, th: np.ndarray) -> np.ndarray:
+    """Log-probabilities (N, K) of checked parameter rows (N, dim).
 
     Both kinds are computed in log space (softplus / max-shifted log-sum-exp)
-    so any finite theta yields a valid distribution, however extreme.
+    and then renormalized, so any finite theta yields a valid distribution,
+    however extreme.
     """
-    th = _check_theta(p, theta)
     if p.kind == _SIGMOID:
-        t = float(th[0])
-        logp = np.array([log_sigmoid(t), log_sigmoid(-t)])
+        raw = log_sigmoid(th * _SIGMOID_SIGNS)  # log sigma(theta), log sigma(-theta)
     else:
-        logp = log_softmax(th)
-    return FiniteDistribution.from_logp(p.range, logp, normalize=True)
+        raw = log_softmax(th)
+    return log_softmax(raw)
+
+
+def apply_parameterization(p: Parameterization, theta) -> FiniteDistribution:
+    """Map a parameter vector to its distribution (see _theta_logp)."""
+    th = _check_theta(p, theta)
+    return FiniteDistribution(p.range, _theta_logp(p, th[np.newaxis])[0])
 
 
 def parameterization_jacobian(p: Parameterization, theta) -> np.ndarray:
@@ -316,7 +330,7 @@ def parameterization_jacobian(p: Parameterization, theta) -> np.ndarray:
     rows.  softmax-logits: delta_ij - P(v_j); every row sums to zero.
     """
     th = _check_theta(p, theta)
-    mass = apply_parameterization(p, th).probs
+    mass = np.exp(_theta_logp(p, th[np.newaxis])[0])
     if p.kind == _SIGMOID:
         s = mass[0]
         return np.array([[1.0 - s], [-s]])

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import require_alpha
+
 __all__ = ["NEG_INF", "logsumexp", "log_softmax", "softmax", "log_sigmoid", "soft_min"]
 
 NEG_INF = float("-inf")
@@ -23,23 +25,24 @@ def logsumexp(a, axis=None):
     it, with its own max-shift, to an array.
     """
     a = np.asarray(a, dtype=float)
+    # ndarray methods, not np.max / np.sum: the same reductions at half the call cost
     if axis is not None:
         # the finite floor shifts an empty or all-(-inf) slice to a sum of 0
-        m = np.max(a, axis=axis, keepdims=True, initial=_MIN_FLOAT)
-        return (m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))).squeeze(axis)
+        m = a.max(axis=axis, keepdims=True, initial=_MIN_FLOAT)
+        return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
     if a.size == 0:
         return NEG_INF
-    m = float(np.max(a))
+    m = float(a.max())
     if m == NEG_INF:
         return NEG_INF
     # exp(-inf - m) is exactly 0, so zero-mass entries drop out of the sum
-    return m + float(np.log(np.sum(np.exp(a - m))))
+    return m + float(np.log(np.exp(a - m).sum()))
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
-    """Log of the softmax of x, stabilized by a single max-shift."""
+    """Log of the softmax of x along its last axis, stabilized by a max-shift per slice."""
     x = np.asarray(x, dtype=float)
-    return x - logsumexp(x)
+    return x - logsumexp(x, axis=-1)[..., np.newaxis]
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -48,19 +51,26 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(x))
 
 
-def soft_min(a, alpha: float) -> float:
+def soft_min(a, alpha: float, axis=None):
     """Smooth lower envelope -(1/alpha) * log(sum(exp(-alpha * a))).
 
-    Never exceeds min(a) for alpha > 0 and converges to it from below as
-    alpha grows; the gap is at most log(len(a)) / alpha.
+    Never exceeds min(a) and converges to it from below as alpha grows; the
+    gap is at most log(len(a)) / alpha.  alpha must be finite and positive.
+    axis reduces each slice along it, as logsumexp does.
     """
+    require_alpha(alpha)
     a = np.asarray(a, dtype=float)
-    return -logsumexp(-alpha * a) / alpha
+    return -logsumexp(-alpha * a, axis=axis) / alpha
 
 
-def log_sigmoid(x: float) -> float:
-    """log(1 / (1 + exp(-x))) without overflow for large |x|."""
-    # log sigma(x) = -log1p(exp(-x)) for x >= 0, x - log1p(exp(x)) for x < 0
-    if x >= 0:
-        return -float(np.log1p(np.exp(-x)))
-    return x - float(np.log1p(np.exp(x)))
+def log_sigmoid(x):
+    """log(1 / (1 + exp(-x))) without overflow for large |x|, elementwise.
+
+    A float gives a float, an array an array of its shape.
+    """
+    # log sigma(x) = -log1p(exp(-x)) for x >= 0, x - log1p(exp(x)) for x < 0;
+    # exp(-|x|) is the exp of either branch and never overflows
+    x = np.asarray(x, dtype=float)
+    tail = np.log1p(np.exp(-np.abs(x)))
+    out = np.where(x >= 0, -tail, x - tail)
+    return float(out) if out.ndim == 0 else out

@@ -121,6 +121,7 @@ def _mean_regularizer(batch_logits, alpha: float) -> float:
 
 def regularizer_bound(k: int, alpha: float) -> float:
     """Largest possible regularizer term for k classes: log(k) * (alpha - 1) / alpha."""
+    require_alpha(alpha)
     return float(np.log(k) * (alpha - 1.0) / alpha)
 
 

@@ -33,6 +33,14 @@ both events, or the soft-min weights) and the penalty term a repulsion
 attraction minus repulsion, so its entries sum to zero and it maps through
 any parameterization Jacobian unchanged.  gradient_terms exposes the two
 vectors directly; the Monte Carlo estimator in optimize samples from them.
+
+Each term is one array kernel over raw log-probabilities: the model is
+(..., K), one row per model, and the oracle and the prior are (K,).  A value
+kernel returns (...), an attraction or repulsion kernel (..., K).  The same
+kernels serve one model (evaluate, gradient_terms) and a whole grid of
+parameter rows (values_at_thetas).  Validation lives in those three entry
+points: outcome ranges, finite parameters and the support conditions of
+each term are checked there, once per call, before any kernel runs.
 """
 
 from __future__ import annotations
@@ -44,10 +52,12 @@ import numpy as np
 
 from .distributions import (
     FiniteDistribution,
+    OutcomeRange,
     Parameterization,
     apply_parameterization,
     parameterization_jacobian,
-    _require_same_range,
+    _check_thetas,
+    _theta_logp,
 )
 from .errors import (
     EmptyIntersectionSupport,
@@ -56,8 +66,8 @@ from .errors import (
     RangeMismatch,
     require_alpha,
 )
-from .logspace import NEG_INF, logsumexp, soft_min
-from .bounds import softmax_probability
+from .logspace import NEG_INF, log_softmax, logsumexp, soft_min
+from .bounds import _log_soft_bound
 
 __all__ = [
     "KINDS",
@@ -72,6 +82,7 @@ __all__ = [
     "gradient_terms",
     "gradient_logp",
     "value_at_theta",
+    "values_at_thetas",
     "gradient_at_theta",
 ]
 
@@ -128,11 +139,37 @@ class GradientVector:
             object.__setattr__(self, "d_theta", t)
 
 
-def _joint_support(model: FiniteDistribution, oracle: FiniteDistribution,
-                   prior: FiniteDistribution) -> np.ndarray:
-    _require_same_range(model, oracle, "objectives")
-    _require_same_range(model, prior, "objectives")
-    return model.support & oracle.support & prior.support
+def _require_ranges(rng: OutcomeRange, oracle: FiniteDistribution,
+                    prior: FiniteDistribution) -> None:
+    for other in (oracle, prior):
+        if other.range != rng:
+            raise RangeMismatch(f"objectives require identical outcome ranges: "
+                                f"{rng.labels!r} vs {other.range.labels!r}")
+
+
+def _require_joint_support(supp: np.ndarray, oracle: np.ndarray, prior: np.ndarray) -> None:
+    if not (supp & (oracle > NEG_INF) & (prior > NEG_INF)).any():
+        raise EmptyIntersectionSupport(
+            "model, oracle, and prior share no supported outcome; the joint event is null")
+
+
+def _require_supports(config: ObjectiveConfig, supp: np.ndarray, oracle: np.ndarray,
+                      gradient: bool) -> None:
+    """The support conditions under which config's value (or gradient) is defined.
+
+    supp is the model's support mask and oracle the oracle's log-probabilities,
+    both over the prior's range.
+    """
+    prior = config.prior.logp
+    if config.assumption == "oracle-subset":
+        if ((oracle > NEG_INF) & ~supp).any():
+            raise OracleSupportEscapesModel(
+                "subset assumption requires the model to support every oracle outcome")
+    elif gradient:
+        _require_joint_support(supp, oracle, prior)
+    if gradient and config.kind == "intersection" and (supp & (prior == NEG_INF)).any():
+        raise NonFiniteEncountered(
+            "model mass on a zero-prior outcome makes the soft bound -inf; gradient undefined")
 
 
 def posterior_given_both(model: FiniteDistribution, oracle: FiniteDistribution,
@@ -143,12 +180,10 @@ def posterior_given_both(model: FiniteDistribution, oracle: FiniteDistribution,
     three support.  Outcomes outside the prior's support are almost-surely
     absent and contribute nothing.
     """
-    supp = _joint_support(model, oracle, prior)
-    if not np.any(supp):
-        raise EmptyIntersectionSupport(
-            "model, oracle, and prior share no supported outcome; the joint event is null")
-    logpost = np.where(supp, model.logp + oracle.logp - prior.logp, NEG_INF)
-    return FiniteDistribution.from_logp(model.range, logpost, normalize=True)
+    _require_ranges(model.range, oracle, prior)
+    _require_joint_support(model.support, oracle.logp, prior.logp)
+    return FiniteDistribution(
+        model.range, _log_posterior(model.logp, model.support, oracle.logp, prior.logp))
 
 
 def likelihood_concentration_residual(model: FiniteDistribution, oracle: FiniteDistribution,
@@ -160,8 +195,7 @@ def likelihood_concentration_residual(model: FiniteDistribution, oracle: FiniteD
     concentrated there.  Ratio ties are collected within ARGMAX_LOG_TOL in
     log space.
     """
-    _require_same_range(model, oracle, "objectives")
-    _require_same_range(model, prior, "objectives")
+    _require_ranges(model.range, oracle, prior)
     # oracle mass 0 never binds; positive oracle mass on a zero-prior outcome dominates all
     ratios = np.where(oracle.support,
                       np.where(prior.support, oracle.logp - prior.logp, np.inf),
@@ -174,58 +208,77 @@ def likelihood_concentration_residual(model: FiniteDistribution, oracle: FiniteD
     return float(model.probs[~in_set].sum())
 
 
-# Term tables.  Likelihood term by assumption: (value, attraction, dropped
-# constants) of (model, oracle, prior, alpha).  Penalty term by kind: (value,
-# repulsion) of (model, prior, alpha).  Public functions are looked up at call
-# time, so a wrapper installed on them (as the span tracer does) still sees them.
+# Term kernels.  Each takes the model's log-probabilities (..., K), whose rows
+# share the support mask supp (K,), plus the oracle's and the prior's
+# log-probabilities (K,) and alpha.  A value kernel returns (...), an
+# attraction or repulsion kernel (..., K).  They trust their inputs: the
+# support conditions are checked by _require_supports before they run.
+#
+# Columns are selected with compress, which keeps the rows C-ordered: each
+# row then sums in the same order as a single 1-D row, so a batch of models
+# gives bit for bit the values of one model at a time.  model[..., supp] on a
+# 2-D model gives a column-major copy whose row sums can differ in the last bit.
 
 
-def _independent_value(model: FiniteDistribution, oracle: FiniteDistribution,
-                       prior: FiniteDistribution, alpha: float) -> float:
+def _joint_terms(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
+                 prior: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The joint support mask and log model + log oracle - log prior on it."""
+    joint = supp & (oracle > NEG_INF) & (prior > NEG_INF)
+    return joint, model.compress(joint, axis=-1) + oracle[joint] - prior[joint]
+
+
+def _independent_value(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
+                       prior: np.ndarray, alpha: float) -> np.ndarray:
     """log P(M* | M) up to the constant log P(M*).
 
     Equals log sum_v oracle(v) * model(v) / prior(v); -inf when the two
     events share no prior-supported outcome.
     """
-    supp = _joint_support(model, oracle, prior)
-    return logsumexp((model.logp + oracle.logp - prior.logp)[supp])
+    joint, terms = _joint_terms(model, supp, oracle, prior)
+    if not joint.any():
+        return np.full(model.shape[:-1], NEG_INF)
+    return logsumexp(terms, axis=-1)
 
 
-def _check_subset(model: FiniteDistribution, oracle: FiniteDistribution) -> np.ndarray:
-    _require_same_range(model, oracle, "objectives")
-    osupp = oracle.support
-    if np.any(osupp & ~model.support):
-        raise OracleSupportEscapesModel(
-            "subset assumption requires the model to support every oracle outcome")
-    return osupp
+def _log_posterior(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
+                   prior: np.ndarray) -> np.ndarray:
+    """Log of the posterior given both events; needs a non-empty joint support."""
+    joint, terms = _joint_terms(model, supp, oracle, prior)
+    logpost = np.full(model.shape, NEG_INF)
+    logpost[..., joint] = terms
+    return log_softmax(logpost)
 
 
-def _subset_value(model: FiniteDistribution, oracle: FiniteDistribution,
-                  prior: FiniteDistribution, alpha: float) -> float:
+def _subset_value(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
+                  prior: np.ndarray, alpha: float) -> np.ndarray:
     """Soft minimum over the oracle's support of log model(v) - log oracle(v).
 
     Under the subset assumption P(M* | M) is at most the smallest such
     ratio; the soft minimum keeps the objective differentiable and tends to
     the hard minimum as alpha grows.
     """
-    osupp = _check_subset(model, oracle)
-    return soft_min(model.logp[osupp] - oracle.logp[osupp], alpha)
+    osupp = oracle > NEG_INF
+    return soft_min(model.compress(osupp, axis=-1) - oracle[osupp], alpha, axis=-1)
 
 
-def _softmin_weights(model: FiniteDistribution, oracle: FiniteDistribution,
-                     prior: FiniteDistribution, alpha: float) -> np.ndarray:
+def _weights_on(mask: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """Probability vectors proportional to exp(scaled) on mask, zero elsewhere."""
+    out = np.zeros(scaled.shape[:-1] + mask.shape)
+    out[..., mask] = np.exp(scaled - logsumexp(scaled, axis=-1)[..., np.newaxis])
+    return out
+
+
+def _softmin_weights(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
+                     prior: np.ndarray, alpha: float) -> np.ndarray:
     """Probability vector proportional to (oracle/model) ** alpha on supp(oracle).
 
     The attraction toward the binding (smallest-ratio) outcomes.
     """
-    osupp = _check_subset(model, oracle)
-    scaled = -alpha * (model.logp[osupp] - oracle.logp[osupp])
-    out = np.zeros(len(model.range))
-    out[osupp] = np.exp(scaled - logsumexp(scaled))
-    return out
+    osupp = oracle > NEG_INF
+    return _weights_on(osupp, -alpha * (model.compress(osupp, axis=-1) - oracle[osupp]))
 
 
-def _ratio_skeleton(model: FiniteDistribution, prior: FiniteDistribution,
+def _ratio_skeleton(model: np.ndarray, supp: np.ndarray, prior: np.ndarray,
                     alpha: float) -> np.ndarray:
     """Probability vector proportional to (model/prior) ** alpha on supp(model).
 
@@ -234,39 +287,57 @@ def _ratio_skeleton(model: FiniteDistribution, prior: FiniteDistribution,
     critical points are models whose alpha-skeleton equals the attraction;
     at alpha = 1 it is the model itself, the likelihood's repulsion.
     """
-    supp = model.support
-    scaled = alpha * (model.logp[supp] - prior.logp[supp])
-    if np.any(np.isinf(scaled) & (scaled > 0)):
-        raise NonFiniteEncountered(
-            "model mass on a zero-prior outcome makes the soft bound -inf; gradient undefined")
-    out = np.zeros(len(model.range))
-    out[supp] = np.exp(scaled - logsumexp(scaled))
-    return out
+    return _weights_on(supp, alpha * (model.compress(supp, axis=-1) - prior[supp]))
 
 
 _LIKELIHOOD_TERMS = {
     "cond-independent": (_independent_value,
-                         lambda model, oracle, prior, alpha:
-                             posterior_given_both(model, oracle, prior).probs,
+                         lambda model, supp, oracle, prior, alpha:
+                             np.exp(_log_posterior(model, supp, oracle, prior)),
                          (_DROPPED_ORACLE_MASS,)),
     "oracle-subset": (_subset_value, _softmin_weights, ()),
 }
 
 _PENALTY_TERMS = {
-    # -0.0, not 0.0: x + -0.0 is x bit for bit, including x = -0.0
-    "likelihood": (lambda model, prior, alpha: -0.0, lambda model, prior, alpha: model.probs),
-    "intersection": (lambda model, prior, alpha: softmax_probability(prior, model, alpha),
-                     _ratio_skeleton),
+    # -0.0, not 0.0: x + -0.0 is x bit for bit, including x = -0.0; a scalar broadcasts
+    "likelihood": (lambda model, supp, prior, alpha: -0.0,
+                   lambda model, supp, prior, alpha: np.exp(model)),
+    "intersection": (_log_soft_bound, _ratio_skeleton),
 }
+
+
+def _values(config: ObjectiveConfig, model: np.ndarray, supp: np.ndarray,
+            oracle: np.ndarray) -> np.ndarray:
+    """Objective value of each row of model (..., K), whose rows share supp."""
+    _require_supports(config, supp, oracle, gradient=False)
+    lik_value, _, _ = _LIKELIHOOD_TERMS[config.assumption]
+    penalty_value, _ = _PENALTY_TERMS[config.kind]
+    prior, alpha = config.prior.logp, config.alpha
+    return lik_value(model, supp, oracle, prior, alpha) + penalty_value(model, supp, prior, alpha)
 
 
 def evaluate(config: ObjectiveConfig, model: FiniteDistribution,
              oracle: FiniteDistribution) -> ObjectiveValue:
     """Likelihood term for config.assumption plus penalty term for config.kind."""
-    lik_value, _, dropped = _LIKELIHOOD_TERMS[config.assumption]
-    penalty_value, _ = _PENALTY_TERMS[config.kind]
-    lik = lik_value(model, oracle, config.prior, config.alpha)
-    return ObjectiveValue(lik + penalty_value(model, config.prior, config.alpha), dropped)
+    _require_ranges(model.range, oracle, config.prior)
+    value = _values(config, model.logp, model.support, oracle.logp)
+    return ObjectiveValue(float(value), _LIKELIHOOD_TERMS[config.assumption][2])
+
+
+def values_at_thetas(config: ObjectiveConfig, oracle: FiniteDistribution,
+                     p: Parameterization, thetas) -> np.ndarray:
+    """Objective value at each parameter row of thetas (N, p.dim), in one call.
+
+    Row i equals value_at_theta(config, oracle, p, thetas[i]) bit for bit.
+    Every row is checked first, with the errors value_at_theta raises for one.
+    """
+    th = _check_thetas(p, thetas)
+    _require_ranges(p.range, oracle, config.prior)
+    model = _theta_logp(p, th)
+    if (model > NEG_INF).all():
+        return _values(config, model, np.ones(len(p.range), dtype=bool), oracle.logp)
+    # a logit gap beyond the float range zeroes an outcome: rows differ in support
+    return np.array([_values(config, row, row > NEG_INF, oracle.logp) for row in model])
 
 
 def gradient_terms(config: ObjectiveConfig, model: FiniteDistribution,
@@ -277,10 +348,14 @@ def gradient_terms(config: ObjectiveConfig, model: FiniteDistribution,
     repulsion term (model or ratio skeleton).  The Monte Carlo gradient
     estimator samples one empirical distribution from each.
     """
+    _require_ranges(model.range, oracle, config.prior)
+    supp = model.support
+    _require_supports(config, supp, oracle.logp, gradient=True)
     _, attraction, _ = _LIKELIHOOD_TERMS[config.assumption]
     _, repulsion = _PENALTY_TERMS[config.kind]
-    return (attraction(model, oracle, config.prior, config.alpha),
-            repulsion(model, config.prior, config.alpha))
+    prior, alpha = config.prior.logp, config.alpha
+    return (attraction(model.logp, supp, oracle.logp, prior, alpha),
+            repulsion(model.logp, supp, prior, alpha))
 
 
 def gradient_logp(config: ObjectiveConfig, model: FiniteDistribution,

@@ -190,16 +190,20 @@ class GridArgmaxResult:
     value: float
 
 
-def grid_argmax(value_fn: Callable[[float], float], theta_grid: Sequence[float],
+def grid_argmax(values_fn: Callable[[np.ndarray], np.ndarray], theta_grid: Sequence[float],
                 ) -> GridArgmaxResult:
-    """Exhaustive argmax over an explicit grid; ties go to the first point."""
+    """Exhaustive argmax over an explicit grid; ties go to the first point.
+
+    values_fn maps the whole (N,) grid to its (N,) values in one call.  A NaN
+    value never wins; when no value beats -inf the first point is reported
+    with value -inf.
+    """
     grid = np.asarray(theta_grid, dtype=float)
     if grid.size == 0:
         raise DimensionMismatch("theta_grid must contain at least one point")
-    best_i = 0
-    best_v = -np.inf
-    for i, t in enumerate(grid):
-        v = float(value_fn(float(t)))
-        if v > best_v:
-            best_i, best_v = i, v
-    return GridArgmaxResult(best_i, float(grid[best_i]), best_v)
+    values = np.asarray(values_fn(grid), dtype=float)
+    if values.shape != grid.shape:
+        raise DimensionMismatch(f"values_fn gave shape {values.shape} for a grid of {grid.shape}")
+    values = np.where(np.isnan(values), -np.inf, values)
+    best = int(np.argmax(values))  # first maximum
+    return GridArgmaxResult(best, float(grid[best]), float(values[best]))

@@ -20,10 +20,12 @@ from maxprob import (
     softmax_probability,
     uniform_distribution,
 )
-from maxprob.logspace import NEG_INF, logsumexp, soft_min
+from maxprob.logspace import NEG_INF, log_sigmoid, logsumexp, soft_min
 
 
 COIN = OutcomeRange(("H", "T"))
+BAD_ALPHAS = ((0.0, NonPositiveAlpha), (np.inf, NonFiniteParameter),
+              (-np.inf, NonFiniteParameter), (np.nan, NonFiniteParameter))
 
 
 class TestMaxProbability:
@@ -84,8 +86,7 @@ class TestMaxProbability:
 class TestSoftmaxProbability:
     def test_rejects_non_positive_alpha(self):
         prior = uniform_distribution(COIN)
-        for alpha, error in ((0.0, NonPositiveAlpha), (np.inf, NonFiniteParameter),
-                             (np.nan, NonFiniteParameter)):
+        for alpha, error in BAD_ALPHAS:
             with pytest.raises(error):
                 softmax_probability(prior, prior, alpha)
 
@@ -128,6 +129,16 @@ class TestSoftmaxProbability:
 
 
 class TestSoftMinHelper:
+    @pytest.mark.parametrize("alpha, error", BAD_ALPHAS)
+    def test_rejects_bad_alpha(self, alpha, error):
+        with pytest.raises(error):
+            soft_min([1.0, 2.0], alpha)
+
+    def test_axis_reduces_each_row(self):
+        a = np.array([[1.0, 2.0, -3.0], [0.5, 0.5, 4.0]])
+        np.testing.assert_array_equal(soft_min(a, 2.0, axis=-1),
+                                      [soft_min(row, 2.0) for row in a])
+
     @given(st.lists(st.floats(-20.0, 20.0, allow_nan=False), min_size=1, max_size=8),
            st.sampled_from([0.5, 1.0, 2.0, 8.0]))
     def test_sandwiched_around_true_min(self, values, alpha):
@@ -147,7 +158,24 @@ class TestLogsumexpAxis:
         np.testing.assert_array_equal(reduced, [logsumexp(row) for row in x])
 
 
+class TestLogSigmoid:
+    def test_array_matches_elementwise_floats(self):
+        x = np.array([[-800.0, -2.5, -0.0], [0.0, 3.0, 800.0]])
+        out = log_sigmoid(x)
+        assert out.shape == x.shape
+        for got, xi in zip(out.ravel(), x.ravel()):
+            want = log_sigmoid(float(xi))
+            assert isinstance(want, float)
+            assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
 class TestAlphaSkeleton:
+    @pytest.mark.parametrize("probs", [[0.9, 0.1], [1.0, 0.0]])
+    @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_alpha(self, probs, alpha):
+        with pytest.raises(NonFiniteParameter):
+            alpha_skeleton(make_distribution(COIN, probs), alpha)
+
     def test_alpha_one_returns_input_object(self):
         d = dist_from_weights([3, 1])
         assert alpha_skeleton(d, 1.0) is d

@@ -149,6 +149,16 @@ class TestSoftBoundAndSkeleton:
         np.testing.assert_allclose(payload["probs"], [0.81 / 0.82, 0.01 / 0.82],
                                    rtol=1e-12)
 
+    @pytest.mark.parametrize("probs", [[0.9, 0.1], [1.0, 0]])
+    @pytest.mark.parametrize("alpha", ["inf", "-inf", "nan"])
+    def test_skeleton_non_finite_alpha_is_a_domain_error(self, tmp_path, capsys, probs, alpha):
+        dist = tmp_path / "d.json"
+        dist.write_text(json.dumps({"range": ["H", "T"], "probs": probs}))
+        code, out, err = run(["skeleton", f"--alpha={alpha}", "--dist", str(dist)], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "NonFiniteParameter"
+
     def test_skeleton_keeps_zero_as_integer_literal(self, tmp_path, capsys):
         dist = tmp_path / "d.json"
         dist.write_text(json.dumps({"range": ["a", "b"], "probs": [1.0, 0]}))
@@ -166,6 +176,15 @@ class TestObjectiveCommand:
         payload = json.loads(out)
         assert payload["dropped_constant_terms"] == ["log_prob_oracle_event"]
         np.testing.assert_allclose(sum(payload["gradient_logp"]), 0.0, atol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_outcome_no_distribution_supports_leaves_stderr_empty(self, tmp_path, capsys):
+        sure = tmp_path / "sure.json"
+        sure.write_text(json.dumps({"range": ["H", "T"], "probs": [1.0, 0]}))
+        code, out, err = run(["objective", "--kind", "likelihood", "--model", str(sure),
+                              "--oracle", str(sure), "--prior", str(sure)], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["gradient_logp"] == [0.0, 0.0]
 
     def test_subset_violation_reports_domain_code(self, tmp_path, coin_files, capsys):
         prior, _ = coin_files

@@ -27,6 +27,8 @@ from maxprob.logspace import softmax
 logit_rows = arrays(np.float64, (4, 5), elements=st.floats(-30.0, 30.0))
 label_rows = arrays(np.int64, (4,), elements=st.integers(0, 4))
 head_alphas = st.sampled_from([0.5, 1.0, 2.0, 4.0, 16.0])
+BAD_ALPHAS = ((0.0, NonPositiveAlpha), (np.inf, NonFiniteParameter),
+              (-np.inf, NonFiniteParameter), (np.nan, NonFiniteParameter))
 
 
 class TestHnForward:
@@ -59,8 +61,7 @@ class TestHnForward:
             hn_forward(np.array([1.0, np.nan]), 2.0)
 
     def test_rejects_bad_alpha(self):
-        for alpha, error in ((0.0, NonPositiveAlpha), (np.inf, NonFiniteParameter),
-                             (np.nan, NonFiniteParameter)):
+        for alpha, error in BAD_ALPHAS:
             with pytest.raises(error):
                 hn_forward(np.array([1.0, 0.0]), alpha)
 
@@ -128,6 +129,11 @@ class TestRegularizerBound:
         gap = (intersection_loss(logits, labels, 4.0)
                - cross_entropy_loss(logits, labels))
         np.testing.assert_allclose(gap, -regularizer_bound(3, 4.0), rtol=1e-14)
+
+    @pytest.mark.parametrize("alpha, error", BAD_ALPHAS)
+    def test_bound_rejects_bad_alpha(self, alpha, error):
+        with pytest.raises(error):
+            regularizer_bound(3, alpha)
 
     def test_bound_values(self):
         assert regularizer_bound(3, 1.0) == 0.0

@@ -172,6 +172,25 @@ class TestGridArgmax:
         result = grid_argmax(lambda t: -(t - 0.5) ** 2, grid)
         np.testing.assert_allclose(result.theta, 0.5, atol=1e-12)
 
+    def test_values_come_from_one_call_and_nan_never_wins(self):
+        calls = []
+
+        def values(grid):
+            calls.append(grid.copy())
+            return np.array([np.nan, 1.0, 3.0, 3.0, np.nan])
+
+        result = grid_argmax(values, [0.0, 1.0, 2.0, 3.0, 4.0])
+        assert len(calls) == 1 and calls[0].shape == (5,)
+        assert (result.index, result.theta, result.value) == (2, 2.0, 3.0)
+
+    def test_no_value_above_minus_inf_reports_the_first_point(self):
+        result = grid_argmax(lambda g: np.array([np.nan, -np.inf]), [5.0, 6.0])
+        assert (result.index, result.theta, result.value) == (0, 5.0, -np.inf)
+
+    def test_values_of_another_shape_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            grid_argmax(lambda g: g[:-1], [0.0, 1.0, 2.0])
+
     def test_empty_grid_rejected(self):
         with pytest.raises(DimensionMismatch):
             grid_argmax(lambda t: t, [])
