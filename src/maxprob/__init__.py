@@ -23,7 +23,6 @@ from .errors import (
 )
 from .logspace import NEG_INF, log_sigmoid, log_softmax, logsumexp, soft_min, softmax
 from .distributions import (
-    EventModel,
     FiniteDistribution,
     OutcomeRange,
     Parameterization,
@@ -33,7 +32,6 @@ from .distributions import (
     distribution_from_jsonable,
     distribution_to_jsonable,
     make_distribution,
-    parameterization_jacobian,
     uniform_distribution,
 )
 from .bounds import (

@@ -33,6 +33,7 @@ from .bernoulli import report_to_jsonable as sweep_report_to_jsonable
 from .bounds import BoundResult, alpha_skeleton, max_probability, softmax_probability
 from .distributions import (
     FiniteDistribution,
+    OutcomeRange,
     Parameterization,
     distribution_from_jsonable,
     distribution_to_jsonable,
@@ -164,21 +165,22 @@ def _cmd_objective(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_parameterization(args: argparse.Namespace) -> Parameterization:
+def _make_parameterization(args: argparse.Namespace, rng: OutcomeRange) -> Parameterization:
+    """The --param family over the oracle's range; --dim, if given, must be its size."""
+    if args.dim is not None and args.dim != len(rng):
+        raise DimensionMismatch(f"--dim {args.dim} does not match the oracle's "
+                                f"{len(rng)} outcomes")
     if args.param == "sigmoid":
-        return Parameterization.sigmoid_bernoulli()
-    return Parameterization.softmax_logits(args.dim)
+        return Parameterization.sigmoid_bernoulli(rng)
+    return Parameterization.softmax_logits(rng)
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    p = _make_parameterization(args)
     oracle = _load_distribution(args.oracle)
+    p = _make_parameterization(args, oracle.range)
     prior = (_load_distribution(args.prior) if args.prior is not None
              else uniform_distribution(p.range))
-    theta0 = np.zeros(p.dim) if args.theta0 is None else np.asarray(args.theta0, dtype=float)
-    if theta0.shape != (p.dim,):
-        raise DimensionMismatch(
-            f"--theta0 needs {p.dim} component(s), got {theta0.shape[0]}")
+    theta0 = np.zeros(p.dim) if args.theta0 is None else args.theta0
     config = ObjectiveConfig(args.kind, args.assumption, args.alpha, prior)
     ascent = AscentConfig(step_size=args.step, max_iters=args.max_iters,
                           grad_tol=args.grad_tol)
@@ -313,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--oracle", required=True)
     opt.add_argument("--prior", default=None)
     opt.add_argument("--param", required=True, choices=("sigmoid", "softmax"))
-    opt.add_argument("--dim", type=int, default=2,
-                     help="range size for the softmax parameterization")
+    opt.add_argument("--dim", type=int, default=None,
+                     help="number of outcomes; the parameterization takes the oracle's "
+                          "range, so this must match it (default: the oracle's size)")
     opt.add_argument("--theta0", type=_floats_csv, default=None,
                      help="comma-separated start point (default: zeros)")
     opt.add_argument("--step", type=float, default=0.1)

@@ -15,7 +15,7 @@ All types here are immutable.  Operations return new objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -45,8 +45,6 @@ __all__ = [
     "coarsen",
     "Parameterization",
     "apply_parameterization",
-    "parameterization_jacobian",
-    "EventModel",
     "distribution_to_jsonable",
     "distribution_from_jsonable",
 ]
@@ -323,49 +321,17 @@ def apply_parameterization(p: Parameterization, theta) -> FiniteDistribution:
     return FiniteDistribution(p.range, _theta_logp(p, th[np.newaxis])[0])
 
 
-def parameterization_jacobian(p: Parameterization, theta) -> np.ndarray:
-    """Matrix J[i, j] = d log P(v_i) / d theta_j at the given theta.
+def _pullback(p: Parameterization, d_logp: np.ndarray) -> np.ndarray:
+    """d_theta = J^T d_logp for a d_logp whose entries sum to zero.
 
-    sigmoid-bernoulli: column (1 - sigma, -sigma) for the (success, failure)
-    rows.  softmax-logits: delta_ij - P(v_j); every row sums to zero.
+    J[i, j] = d log P(v_i) / d theta_j.  softmax-logits has
+    J[i, j] = delta_ij - P(v_j), so J^T d = d - P * sum(d) = d.
+    sigmoid-bernoulli has the column (1 - s, -s) over (success, failure), so
+    J^T d = d_0 - s * (d_0 + d_1) = d_0.  Either way the pullback is the first
+    p.dim entries; every objective gradient (attraction minus repulsion) sums
+    to zero, so no Jacobian is ever built.
     """
-    th = _check_theta(p, theta)
-    mass = np.exp(_theta_logp(p, th[np.newaxis])[0])
-    if p.kind == _SIGMOID:
-        s = mass[0]
-        return np.array([[1.0 - s], [-s]])
-    return np.eye(p.dim) - mass[np.newaxis, :]
-
-
-@dataclass(frozen=True, eq=False)
-class EventModel:
-    """An event identified by the conditional distribution it induces.
-
-    When built from a parameterization the conditional is recomputed from
-    the parameters, never patched in place, so the two can not drift apart.
-    """
-
-    conditional: FiniteDistribution
-    parameterization: Optional[Parameterization] = None
-    params: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        if self.params is not None:
-            if self.parameterization is None:
-                raise DimensionMismatch("params given without a parameterization")
-            th = _check_theta(self.parameterization, self.params)
-            th.setflags(write=False)
-            object.__setattr__(self, "params", th)
-
-    @staticmethod
-    def from_params(p: Parameterization, theta) -> "EventModel":
-        th = _check_theta(p, theta)
-        return EventModel(apply_parameterization(p, th), p, th)
-
-    def with_params(self, theta) -> "EventModel":
-        if self.parameterization is None:
-            raise DimensionMismatch("this event model has no parameterization")
-        return EventModel.from_params(self.parameterization, theta)
+    return d_logp[:p.dim]
 
 
 def distribution_to_jsonable(d: FiniteDistribution) -> dict:

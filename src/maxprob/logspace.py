@@ -16,6 +16,23 @@ __all__ = ["NEG_INF", "logsumexp", "log_softmax", "softmax", "log_sigmoid", "sof
 
 NEG_INF = float("-inf")
 _MIN_FLOAT = -np.finfo(float).max
+# The max-shift a - m (m = max(a), every finite a >= -finfo.max) overflows
+# only when m > 2**969: a result below -finfo.max rounds back to it unless it
+# is past by half an ulp, 2**970.  The -inf an overflow gives has the correct
+# exp, 0, so only numpy's warning is wrong.  np.errstate costs about as much
+# as the shift, but a float compare on a single shift costs nothing, so the
+# warning is silenced on the scalar path and where an axis reduces to one
+# slice (a 1-D input, one row).  A batch of rows would need one more
+# reduction to find its largest shift, so it keeps numpy's warning.
+_SHIFT_LIMIT = 2.0 ** 968
+
+
+def _shift(a: np.ndarray, m, top: float) -> np.ndarray:
+    """a - m for the max-shift m whose one value is top; an overflow is -inf, silently."""
+    if top > _SHIFT_LIMIT:
+        with np.errstate(over="ignore"):
+            return a - m
+    return a - m
 
 
 def logsumexp(a, axis=None):
@@ -29,20 +46,23 @@ def logsumexp(a, axis=None):
     if axis is not None:
         # the finite floor shifts an empty or all-(-inf) slice to a sum of 0
         m = a.max(axis=axis, keepdims=True, initial=_MIN_FLOAT)
-        return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+        shifted = _shift(a, m, m.item()) if m.size == 1 else a - m
+        return (m + np.log(np.exp(shifted).sum(axis=axis, keepdims=True))).squeeze(axis)
     if a.size == 0:
         return NEG_INF
     m = float(a.max())
     if m == NEG_INF:
         return NEG_INF
     # exp(-inf - m) is exactly 0, so zero-mass entries drop out of the sum
-    return m + float(np.log(np.exp(a - m).sum()))
+    return m + float(np.log(np.exp(_shift(a, m, m)).sum()))
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
     """Log of the softmax of x along its last axis, stabilized by a max-shift per slice."""
     x = np.asarray(x, dtype=float)
-    return x - logsumexp(x, axis=-1)[..., np.newaxis]
+    lse = logsumexp(x, axis=-1)[..., np.newaxis]
+    # lse exceeds its row's max by at most log(K), far below an ulp at the limit
+    return _shift(x, lse, lse.item()) if lse.size == 1 else x - lse
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

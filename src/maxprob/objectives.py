@@ -30,17 +30,19 @@ gauge where the model stays normalized.  Each term contributes one
 probability vector: the likelihood term an attraction (the posterior given
 both events, or the soft-min weights) and the penalty term a repulsion
 (the model itself, or the soft bound's ratio skeleton).  Every gradient is
-attraction minus repulsion, so its entries sum to zero and it maps through
-any parameterization Jacobian unchanged.  gradient_terms exposes the two
-vectors directly; the Monte Carlo estimator in optimize samples from them.
+attraction minus repulsion, so its entries sum to zero and a
+parameterization pulls it back to the parameters by slicing (see
+distributions._pullback).  gradient_terms exposes the two vectors directly;
+the Monte Carlo estimator in optimize samples from them.
 
 Each term is one array kernel over raw log-probabilities: the model is
 (..., K), one row per model, and the oracle and the prior are (K,).  A value
 kernel returns (...), an attraction or repulsion kernel (..., K).  The same
-kernels serve one model (evaluate, gradient_terms) and a whole grid of
-parameter rows (values_at_thetas).  Validation lives in those three entry
-points: outcome ranges, finite parameters and the support conditions of
-each term are checked there, once per call, before any kernel runs.
+kernels serve one model (evaluate, gradient_terms), a whole grid of
+parameter rows (values_at_thetas) and every step of optimize.ascend.
+Validation lives in those entry points: outcome ranges and finite
+parameters are checked there, once per call, and the support conditions of
+each term before its kernels run.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ from .distributions import (
     OutcomeRange,
     Parameterization,
     apply_parameterization,
-    parameterization_jacobian,
     _check_thetas,
+    _pullback,
     _theta_logp,
 )
 from .errors import (
@@ -264,7 +266,7 @@ def _subset_value(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
 def _weights_on(mask: np.ndarray, scaled: np.ndarray) -> np.ndarray:
     """Probability vectors proportional to exp(scaled) on mask, zero elsewhere."""
     out = np.zeros(scaled.shape[:-1] + mask.shape)
-    out[..., mask] = np.exp(scaled - logsumexp(scaled, axis=-1)[..., np.newaxis])
+    out[..., mask] = np.exp(log_softmax(scaled))
     return out
 
 
@@ -316,6 +318,17 @@ def _values(config: ObjectiveConfig, model: np.ndarray, supp: np.ndarray,
     return lik_value(model, supp, oracle, prior, alpha) + penalty_value(model, supp, prior, alpha)
 
 
+def _terms(config: ObjectiveConfig, model: np.ndarray, supp: np.ndarray,
+           oracle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Attraction and repulsion of each row of model (..., K), whose rows share supp."""
+    _require_supports(config, supp, oracle, gradient=True)
+    _, attraction, _ = _LIKELIHOOD_TERMS[config.assumption]
+    _, repulsion = _PENALTY_TERMS[config.kind]
+    prior, alpha = config.prior.logp, config.alpha
+    return (attraction(model, supp, oracle, prior, alpha),
+            repulsion(model, supp, prior, alpha))
+
+
 def evaluate(config: ObjectiveConfig, model: FiniteDistribution,
              oracle: FiniteDistribution) -> ObjectiveValue:
     """Likelihood term for config.assumption plus penalty term for config.kind."""
@@ -349,13 +362,7 @@ def gradient_terms(config: ObjectiveConfig, model: FiniteDistribution,
     estimator samples one empirical distribution from each.
     """
     _require_ranges(model.range, oracle, config.prior)
-    supp = model.support
-    _require_supports(config, supp, oracle.logp, gradient=True)
-    _, attraction, _ = _LIKELIHOOD_TERMS[config.assumption]
-    _, repulsion = _PENALTY_TERMS[config.kind]
-    prior, alpha = config.prior.logp, config.alpha
-    return (attraction(model.logp, supp, oracle.logp, prior, alpha),
-            repulsion(model.logp, supp, prior, alpha))
+    return _terms(config, model.logp, model.support, oracle.logp)
 
 
 def gradient_logp(config: ObjectiveConfig, model: FiniteDistribution,
@@ -373,8 +380,6 @@ def value_at_theta(config: ObjectiveConfig, oracle: FiniteDistribution,
 
 def gradient_at_theta(config: ObjectiveConfig, oracle: FiniteDistribution,
                       p: Parameterization, theta) -> GradientVector:
-    """d_logp pulled back through the parameterization Jacobian to d_theta."""
-    model = apply_parameterization(p, theta)
-    g = gradient_logp(config, model, oracle)
-    jac = parameterization_jacobian(p, theta)
-    return GradientVector(g.d_logp, jac.T @ g.d_logp)
+    """d_logp of the parameterized model at theta, pulled back to d_theta."""
+    g = gradient_logp(config, apply_parameterization(p, theta), oracle)
+    return GradientVector(g.d_logp, _pullback(p, g.d_logp))

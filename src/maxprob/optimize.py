@@ -15,21 +15,18 @@ seed, so a silent change of generator or stream shows up as a test failure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import FiniteDistribution, Parameterization, apply_parameterization, \
-    parameterization_jacobian
-from .errors import DimensionMismatch, NonPositiveAlpha
-from .objectives import (
-    GradientVector,
-    ObjectiveConfig,
-    gradient_at_theta,
-    gradient_terms,
-    value_at_theta,
-)
+from .distributions import (FiniteDistribution, Parameterization, apply_parameterization,
+                            _check_theta, _pullback, _theta_logp)
+from .errors import DimensionMismatch, NonFiniteParameter, NonPositiveAlpha
+from .logspace import NEG_INF
+from .objectives import (GradientVector, ObjectiveConfig, gradient_at_theta, gradient_terms,
+                         value_at_theta, _require_ranges, _terms, _values)
 
 __all__ = [
     "DIVERGENCE_THETA_BOUND",
@@ -56,6 +53,9 @@ class AscentConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self) -> None:
+        for name in ("step_size", "grad_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise NonFiniteParameter(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.step_size > 0:
             raise NonPositiveAlpha(f"step_size must be positive, got {self.step_size!r}")
         if self.max_iters < 1:
@@ -101,31 +101,36 @@ def ascend(config: ObjectiveConfig, oracle: FiniteDistribution, p: Parameterizat
            theta0, cfg: AscentConfig = AscentConfig()) -> AscentTrace:
     """Maximize the objective over theta by fixed-step gradient ascent.
 
-    Each iteration evaluates value and gradient at the current theta and
-    records both before deciding to stop, so the trace always contains the
-    final iterate.  A point already at grad_tol converges on the first
-    iteration without stepping.
+    theta0 and the outcome ranges are checked once, with the errors
+    value_at_theta raises.  Each iteration then maps theta to
+    log-probabilities once and runs the objective's value and gradient
+    kernels on that row; the support conditions are checked on every
+    iteration, since a logit gap that overflows can zero an outcome.  Each
+    iteration records value and gradient norm before deciding to stop, so
+    the trace always contains the final iterate.  A point already at
+    grad_tol converges on the first iteration without stepping.
     """
-    theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
+    theta = _check_theta(p, theta0)
+    _require_ranges(p.range, oracle, config.prior)
     thetas, values, norms = [], [], []
     status = "max_iters"
     for _ in range(cfg.max_iters):
-        value = value_at_theta(config, oracle, p, theta)
-        grad = gradient_at_theta(config, oracle, p, theta)
-        gnorm = float(np.max(np.abs(grad.d_theta)))
-        thetas.append(theta.copy())
+        logp = _theta_logp(p, theta[np.newaxis])[0]
+        supp = logp > NEG_INF
+        value = float(_values(config, logp, supp, oracle.logp))
+        attract, repulse = _terms(config, logp, supp, oracle.logp)
+        d_theta = _pullback(p, attract - repulse)
+        gnorm = float(np.max(np.abs(d_theta)))
+        thetas.append(theta)
         values.append(value)
         norms.append(gnorm)
-        if np.isnan(value) or np.isnan(gnorm):
-            status = "diverged"
-            break
-        if np.max(np.abs(theta)) > DIVERGENCE_THETA_BOUND:
+        if np.isnan(value) or np.isnan(gnorm) or np.max(np.abs(theta)) > DIVERGENCE_THETA_BOUND:
             status = "diverged"
             break
         if gnorm <= cfg.grad_tol:
             status = "converged"
             break
-        theta = theta + cfg.step_size * grad.d_theta
+        theta = theta + cfg.step_size * d_theta
     return AscentTrace(np.array(thetas), np.array(values), np.array(norms), status)
 
 
@@ -137,8 +142,8 @@ def mc_gradient(config: ObjectiveConfig, oracle: FiniteDistribution, p: Paramete
     n_samples from the repulsion distribution (that order is part of the
     contract) by inverse CDF over the range's outcome order, using one
     seeded generator.  The difference of the two empirical frequency
-    vectors estimates d_logp; mapping through the parameterization Jacobian
-    gives the d_theta estimate.
+    vectors estimates d_logp; it sums to zero (up to rounding) like the exact
+    gradient, so it is pulled back to d_theta the same way.
     """
     if n_samples < 1:
         raise DimensionMismatch("n_samples must be at least 1")
@@ -152,8 +157,7 @@ def mc_gradient(config: ObjectiveConfig, oracle: FiniteDistribution, p: Paramete
         draws = np.minimum(draws, len(probs) - 1)  # guard the cum[-1] < 1 rounding case
         counts.append(np.bincount(draws, minlength=len(probs)) / n_samples)
     d_logp = counts[0] - counts[1]
-    jac = parameterization_jacobian(p, theta)
-    return GradientVector(d_logp, jac.T @ d_logp)
+    return GradientVector(d_logp, _pullback(p, d_logp))
 
 
 def fd_gradient(value_fn: Callable[[np.ndarray], float], theta, h: float = 1e-5) -> np.ndarray:

@@ -3,8 +3,12 @@
 A copy of the per-object term bodies and the per-theta loop the package used
 before its terms became array kernels.  The tests require the kernels to
 agree with it bit for bit (np.array_equal), errors included.  It builds on
-nothing but FiniteDistribution, OutcomeRange and the error classes, so a
-change to a kernel can not change the reference with it.
+nothing but FiniteDistribution, OutcomeRange, AscentTrace and the error
+classes, so a change to a kernel can not change the reference with it.
+
+It also keeps the explicit parameterization Jacobian and the ascent loop
+that pulled each gradient back through it: the package slices instead
+(distributions._pullback), and the tests require the two to agree.
 
 The old bodies computed log model + log oracle - log prior before masking;
 on an outcome none of the three supports that is -inf - -inf, so they run
@@ -16,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from maxprob import (
+    AscentTrace,
     EmptyIntersectionSupport,
     FiniteDistribution,
     NonFiniteEncountered,
@@ -23,6 +28,7 @@ from maxprob import (
     RangeMismatch,
 )
 from maxprob.distributions import _check_theta
+from maxprob.optimize import DIVERGENCE_THETA_BOUND
 
 NEG_INF = float("-inf")
 
@@ -158,3 +164,47 @@ def value_at_theta(config, oracle, p, theta) -> float:
 def values_at_thetas(config, oracle, p, thetas) -> np.ndarray:
     """The per-theta loop: one validated model and one evaluate per row."""
     return np.array([value_at_theta(config, oracle, p, t) for t in thetas])
+
+
+def parameterization_jacobian(p, theta) -> np.ndarray:
+    """Matrix J[i, j] = d log P(v_i) / d theta_j at the given theta.
+
+    sigmoid-bernoulli: column (1 - sigma, -sigma) for the (success, failure)
+    rows.  softmax-logits: delta_ij - P(v_j); every row sums to zero.
+    """
+    mass = apply_parameterization(p, theta).probs
+    if p.kind == "sigmoid-bernoulli":
+        s = mass[0]
+        return np.array([[1.0 - s], [-s]])
+    return np.eye(p.dim) - mass[np.newaxis, :]
+
+
+def gradient_at_theta(config, oracle, p, theta) -> np.ndarray:
+    """d_theta = J^T d_logp, with d_logp attraction minus repulsion."""
+    attract, repulse = gradient_terms(config, apply_parameterization(p, theta), oracle)
+    return parameterization_jacobian(p, theta).T @ (attract - repulse)
+
+
+def ascend(config, oracle, p, theta0, cfg) -> AscentTrace:
+    """The two-call loop: value_at_theta and gradient_at_theta at every step."""
+    theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
+    thetas, values, norms = [], [], []
+    status = "max_iters"
+    for _ in range(cfg.max_iters):
+        value = value_at_theta(config, oracle, p, theta)
+        d_theta = gradient_at_theta(config, oracle, p, theta)
+        gnorm = float(np.max(np.abs(d_theta)))
+        thetas.append(theta.copy())
+        values.append(value)
+        norms.append(gnorm)
+        if np.isnan(value) or np.isnan(gnorm):
+            status = "diverged"
+            break
+        if np.max(np.abs(theta)) > DIVERGENCE_THETA_BOUND:
+            status = "diverged"
+            break
+        if gnorm <= cfg.grad_tol:
+            status = "converged"
+            break
+        theta = theta + cfg.step_size * d_theta
+    return AscentTrace(np.array(thetas), np.array(values), np.array(norms), status)

@@ -20,7 +20,7 @@ from maxprob import (
     softmax_probability,
     uniform_distribution,
 )
-from maxprob.logspace import NEG_INF, log_sigmoid, logsumexp, soft_min
+from maxprob.logspace import NEG_INF, log_sigmoid, log_softmax, logsumexp, soft_min
 
 
 COIN = OutcomeRange(("H", "T"))
@@ -156,6 +156,17 @@ class TestLogsumexpAxis:
         with np.errstate(divide="ignore"):
             reduced = logsumexp(x, axis=-1)
         np.testing.assert_array_equal(reduced, [logsumexp(row) for row in x])
+
+    @pytest.mark.parametrize("row,want", [([1e308, -1e308], [0.0, NEG_INF]),
+                                          ([-1e308, 0.5, 1e308], [NEG_INF, -1e308, 0.0])])
+    def test_overflowing_shift_of_one_slice_is_zero_mass_without_a_warning(self, row, want):
+        """The shift overflows to -inf, whose exp is the correct 0."""
+        top = max(row)
+        assert logsumexp(row) == top
+        np.testing.assert_array_equal(logsumexp(np.array(row), axis=-1), top)
+        np.testing.assert_array_equal(logsumexp(np.array([row]), axis=-1), [top])
+        np.testing.assert_array_equal(log_softmax(row), want)
+        np.testing.assert_array_equal(log_softmax([row]), [want])
 
 
 class TestLogSigmoid:

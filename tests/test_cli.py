@@ -140,6 +140,15 @@ class TestSoftBoundAndSkeleton:
             assert len(err.splitlines()) == 1
             assert json.loads(err)["error"] == error
 
+    def test_huge_alpha_leaves_stderr_empty(self, coin_files, capsys):
+        """The max-shift overflows to -inf, whose exp is the correct 0; no warning."""
+        prior, cond = coin_files
+        code, out, err = run(["soft-bound", "--alpha", "1e308", "--prior", prior,
+                              "--conditional", cond], capsys)
+        assert code == 0 and err == ""
+        np.testing.assert_allclose(json.loads(out)["log_value"], np.log(5.0 / 9.0),
+                                   rtol=1e-12)
+
     def test_skeleton_emits_distribution_json(self, coin_files, capsys):
         _, cond = coin_files
         code, out, _ = run(["skeleton", "--alpha", "2", "--dist", cond], capsys)
@@ -225,6 +234,31 @@ class TestOptimizeCommand:
         code, _, err = run(["optimize", "--kind", "likelihood",
                             "--oracle", bernoulli_oracle, "--param", "sigmoid",
                             "--theta0", "1,2"], capsys)
+        assert code == 1
+        assert json.loads(err)["error"] == "DimensionMismatch"
+
+    @pytest.mark.parametrize("argv", [["--grad-tol", "nan"], ["--step", "inf"]])
+    def test_non_finite_ascent_setting_is_a_domain_error(self, bernoulli_oracle, capsys,
+                                                          argv):
+        code, out, err = run(["optimize", "--kind", "intersection", "--alpha", "2",
+                              "--oracle", bernoulli_oracle, "--param", "sigmoid", *argv],
+                             capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "NonFiniteParameter"
+
+    @pytest.mark.parametrize("param", ["sigmoid", "softmax"])
+    def test_parameterization_takes_the_oracle_range(self, coin_files, capsys, param):
+        _, cond = coin_files
+        code, out, err = run(["optimize", "--kind", "intersection", "--alpha", "2",
+                              "--oracle", cond, "--param", param, "--max-iters", "5"],
+                             capsys)
+        assert code == 0 and err == ""
+        assert len(list(csv.reader(io.StringIO(out)))) == 6
+
+    def test_dim_must_match_the_oracle(self, bernoulli_oracle, capsys):
+        code, _, err = run(["optimize", "--kind", "likelihood", "--oracle", bernoulli_oracle,
+                            "--param", "softmax", "--dim", "3"], capsys)
         assert code == 1
         assert json.loads(err)["error"] == "DimensionMismatch"
 

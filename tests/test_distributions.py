@@ -3,16 +3,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from helpers import dist_from_weights, distributions, labels_of, weight_lists
 from maxprob import (
     DimensionMismatch,
     DuplicateOutcome,
     EmptyRange,
-    EventModel,
     FiniteDistribution,
     LabelOutOfRange,
     NegativeMass,
     NonFiniteParameter,
+    ObjectiveConfig,
     OutcomeRange,
     Parameterization,
     RangeMismatch,
@@ -22,12 +23,13 @@ from maxprob import (
     coarsen,
     distribution_from_jsonable,
     distribution_to_jsonable,
+    gradient_at_theta,
     make_distribution,
-    parameterization_jacobian,
-    uniform_distribution,
+    mc_gradient,
 )
 from maxprob.errors import NonSurjectiveProjection
 from maxprob.logspace import NEG_INF
+from maxprob.objectives import ASSUMPTIONS, KINDS
 
 
 class TestOutcomeRange:
@@ -176,7 +178,8 @@ class TestSigmoidParameterization:
 
     def test_jacobian_at_zero(self):
         p = Parameterization.sigmoid_bernoulli()
-        np.testing.assert_allclose(parameterization_jacobian(p, 0.0), [[0.5], [-0.5]])
+        np.testing.assert_allclose(reference.parameterization_jacobian(p, 0.0),
+                                   [[0.5], [-0.5]])
 
     def test_requires_two_outcomes(self):
         with pytest.raises(DimensionMismatch):
@@ -206,8 +209,13 @@ class TestSoftmaxParameterization:
         p = Parameterization.softmax_logits(3)
         theta = np.array([0.2, -1.0, 0.5])
         probs = apply_parameterization(p, theta).probs
-        np.testing.assert_allclose(parameterization_jacobian(p, theta),
+        np.testing.assert_allclose(reference.parameterization_jacobian(p, theta),
                                    np.eye(3) - probs[None, :], rtol=1e-14)
+
+    def test_overflowing_logit_gap_zeroes_an_outcome_without_a_warning(self):
+        p = Parameterization.softmax_logits(2)
+        np.testing.assert_array_equal(apply_parameterization(p, [1e308, -1e308]).logp,
+                                      [0.0, NEG_INF])
 
     def test_wrong_dim_rejected(self):
         p = Parameterization.softmax_logits(3)
@@ -221,21 +229,22 @@ theta_vectors = st.lists(
 
 
 class TestJacobianGauge:
-    """probs @ J = 0: moving theta never changes total mass, so the gradient
-    of any objective is insensitive to the zero-sum gauge of d_logp."""
+    """probs @ J = 0 for the reference Jacobian: moving theta never changes
+    total mass, so the gradient of any objective is insensitive to the
+    zero-sum gauge of d_logp."""
 
     @given(st.floats(-5.0, 5.0, allow_nan=False))
     def test_sigmoid_mass_conservation(self, theta):
         p = Parameterization.sigmoid_bernoulli()
         d = apply_parameterization(p, theta)
-        np.testing.assert_allclose(d.probs @ parameterization_jacobian(p, theta),
+        np.testing.assert_allclose(d.probs @ reference.parameterization_jacobian(p, theta),
                                    0.0, atol=1e-15)
 
     @given(theta_vectors.filter(lambda t: len(t) >= 2))
     def test_softmax_mass_conservation(self, theta):
         p = Parameterization.softmax_logits(len(theta))
         d = apply_parameterization(p, theta)
-        np.testing.assert_allclose(d.probs @ parameterization_jacobian(p, theta),
+        np.testing.assert_allclose(d.probs @ reference.parameterization_jacobian(p, theta),
                                    0.0, atol=1e-12)
 
     @given(st.floats(-4.0, 4.0, allow_nan=False))
@@ -245,21 +254,47 @@ class TestJacobianGauge:
         up = apply_parameterization(p, theta + h).logp
         dn = apply_parameterization(p, theta - h).logp
         fd = (up - dn) / (2 * h)
-        analytic = parameterization_jacobian(p, theta)[:, 0]
+        analytic = reference.parameterization_jacobian(p, theta)[:, 0]
         np.testing.assert_allclose(analytic, fd, rtol=1e-7, atol=1e-9)
 
+    @given(theta_vectors.filter(lambda t: len(t) >= 2))
+    def test_softmax_jacobian_matches_finite_differences(self, theta):
+        p = Parameterization.softmax_logits(len(theta))
+        h = 1e-6
+        fd = np.empty((p.dim, p.dim))
+        for j in range(p.dim):
+            up, dn = np.array(theta, dtype=float), np.array(theta, dtype=float)
+            up[j] += h
+            dn[j] -= h
+            fd[:, j] = (apply_parameterization(p, up).logp
+                        - apply_parameterization(p, dn).logp) / (2 * h)
+        np.testing.assert_allclose(reference.parameterization_jacobian(p, theta), fd,
+                                   rtol=1e-7, atol=1e-8)
 
-class TestEventModel:
-    def test_from_params_round_trip(self):
-        p = Parameterization.sigmoid_bernoulli()
-        m = EventModel.from_params(p, 1.0)
-        np.testing.assert_allclose(m.conditional.probs,
-                                   apply_parameterization(p, 1.0).probs)
-        m2 = m.with_params(2.0)
-        np.testing.assert_allclose(m2.conditional.probs,
-                                   apply_parameterization(p, 2.0).probs)
 
-    def test_params_require_parameterization(self):
-        d = uniform_distribution(OutcomeRange(("a", "b")))
-        with pytest.raises(DimensionMismatch):
-            EventModel(d, None, np.array([0.0]))
+PULLBACK_CASES = [("sigmoid", 2), ("softmax", 2), ("softmax", 16), ("softmax", 64)]
+
+
+class TestPullback:
+    """Slicing d_logp gives J^T d_logp, for the exact and the sampled gradient."""
+
+    def setup_case(self, param, k):
+        rng = np.random.default_rng(k)
+        labels = OutcomeRange(labels_of(k))
+        prior = make_distribution(labels, rng.dirichlet(np.ones(k)))
+        oracle = make_distribution(labels, rng.dirichlet(np.ones(k)))
+        if param == "sigmoid":
+            return prior, oracle, Parameterization.sigmoid_bernoulli(labels), rng.normal(size=1)
+        return prior, oracle, Parameterization.softmax_logits(labels), rng.normal(size=k)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("assumption", ASSUMPTIONS)
+    @pytest.mark.parametrize("param,k", PULLBACK_CASES)
+    def test_matches_reference_jacobian(self, param, k, kind, assumption):
+        prior, oracle, p, theta = self.setup_case(param, k)
+        config = ObjectiveConfig(kind, assumption, 2.0, prior)
+        jac = reference.parameterization_jacobian(p, theta)
+        for g in (gradient_at_theta(config, oracle, p, theta),
+                  mc_gradient(config, oracle, p, theta, 50, seed=k)):
+            assert g.d_theta.shape == (p.dim,)
+            np.testing.assert_allclose(g.d_theta, jac.T @ g.d_logp, rtol=0, atol=1e-12)

@@ -3,22 +3,29 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import distribution_triples
+import reference
+from helpers import distribution_triples, labels_of
 from maxprob import (
     AscentConfig,
     DimensionMismatch,
+    NonFiniteParameter,
     NonPositiveAlpha,
     ObjectiveConfig,
+    OracleSupportEscapesModel,
+    OutcomeRange,
     Parameterization,
+    RangeMismatch,
     apply_parameterization,
     ascend,
     fd_gradient,
     finite_difference_check,
     gradient_at_theta,
     grid_argmax,
+    make_distribution,
     mc_gradient,
     uniform_distribution,
 )
+from maxprob.objectives import ASSUMPTIONS, KINDS
 
 SIGMOID = Parameterization.sigmoid_bernoulli()
 UNIFORM2 = uniform_distribution(SIGMOID.range)
@@ -54,6 +61,12 @@ class TestAscentConfig:
     def test_rejects_empty_budget(self):
         with pytest.raises(DimensionMismatch):
             AscentConfig(max_iters=0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["step_size", "grad_tol"])
+    def test_rejects_non_finite_settings(self, name, bad):
+        with pytest.raises(NonFiniteParameter):
+            AscentConfig(**{name: bad})
 
 
 class TestAscend:
@@ -106,6 +119,65 @@ class TestAscend:
                        AscentConfig(step_size=1.0, max_iters=300))
         assert trace.status == "max_iters"
         assert trace.final_theta[0] > trace.thetas[0, 0]
+
+
+def assert_same_run(trace, ref):
+    assert (trace.status, trace.iterations) == (ref.status, ref.iterations)
+    np.testing.assert_allclose(trace.thetas, ref.thetas, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trace.values, ref.values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trace.grad_norms, ref.grad_norms, rtol=0, atol=1e-12)
+
+
+class TestAscendMatchesReference:
+    """ascend against the two-call loop that pulled gradients back through J."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("assumption", ASSUMPTIONS)
+    @pytest.mark.parametrize("alpha", [2.0, 4.0])
+    @pytest.mark.parametrize("theta_star", [0.25, 1.25])
+    def test_sigmoid_fits(self, theta_star, alpha, kind, assumption):
+        oracle = apply_parameterization(SIGMOID, theta_star)
+        config = ObjectiveConfig(kind, assumption, alpha, UNIFORM2)
+        cfg = AscentConfig(step_size=1.0, max_iters=400, grad_tol=1e-10)
+        assert_same_run(ascend(config, oracle, SIGMOID, 0.0, cfg),
+                        reference.ascend(config, oracle, SIGMOID, 0.0, cfg))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("assumption", ASSUMPTIONS)
+    def test_softmax_fit_at_k64(self, kind, assumption):
+        rng = np.random.default_rng(64)
+        labels = OutcomeRange(labels_of(64))
+        prior = make_distribution(labels, rng.dirichlet(np.ones(64)))
+        oracle = make_distribution(labels, rng.dirichlet(np.ones(64)))
+        p = Parameterization.softmax_logits(labels)
+        config = ObjectiveConfig(kind, assumption, 2.0, prior)
+        cfg = AscentConfig(step_size=1.0, max_iters=40)
+        assert_same_run(ascend(config, oracle, p, np.zeros(64), cfg),
+                        reference.ascend(config, oracle, p, np.zeros(64), cfg))
+
+
+class TestAscendValidation:
+    """Bad input raises what the per-step path raised, checked once up front."""
+
+    @pytest.mark.parametrize("theta0,oracle_labels,error", [
+        ([0.0, 1.0], ("1", "0"), DimensionMismatch),
+        ([np.nan], ("1", "0"), NonFiniteParameter),
+        ([0.0], ("a", "b"), RangeMismatch),
+        ([0.0, 1.0], ("a", "b"), DimensionMismatch),
+    ])
+    def test_same_error_as_the_reference(self, theta0, oracle_labels, error):
+        oracle = make_distribution(OutcomeRange(oracle_labels), [0.5, 0.5])
+        config = ObjectiveConfig("intersection", "cond-independent", 2.0, UNIFORM2)
+        for run in (ascend, reference.ascend):
+            with pytest.raises(error):
+                run(config, oracle, SIGMOID, theta0, AscentConfig(max_iters=3))
+
+    def test_overflowing_logit_gap_fails_the_support_check(self):
+        p = Parameterization.softmax_logits(2)
+        oracle = uniform_distribution(p.range)
+        config = ObjectiveConfig("likelihood", "oracle-subset", 2.0, oracle)
+        with pytest.raises(OracleSupportEscapesModel):
+            ascend(config, oracle, p, [1e308, -1e308])
 
 
 class TestMCGradient:
