@@ -8,7 +8,9 @@ from .errors import (
     DuplicateOutcome,
     EmptyIntersectionSupport,
     EmptyRange,
+    InvalidSetting,
     LabelOutOfRange,
+    MalformedDistribution,
     NegativeAlphaOnZeroMass,
     NegativeMass,
     NonFiniteEncountered,

@@ -390,7 +390,10 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     except FileNotFoundError as exc:
         _fail("FileNotFound", str(exc))
         return 1
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, a permission, a device: any other file failure
+        _fail("IOError", str(exc))
+        return 1
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         _fail("InvalidJson", str(exc))
         return 1
 

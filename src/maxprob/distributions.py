@@ -24,6 +24,7 @@ from .errors import (
     DuplicateOutcome,
     EmptyRange,
     LabelOutOfRange,
+    MalformedDistribution,
     NegativeMass,
     NonFiniteEncountered,
     NonFiniteParameter,
@@ -341,6 +342,21 @@ def distribution_to_jsonable(d: FiniteDistribution) -> dict:
 
 
 def distribution_from_jsonable(obj: Mapping) -> FiniteDistribution:
+    """Inverse of distribution_to_jsonable; any other payload is MalformedDistribution."""
     if not isinstance(obj, Mapping) or "range" not in obj or "probs" not in obj:
-        raise RangeMismatch('distribution JSON must carry "range" and "probs" keys')
-    return make_distribution(OutcomeRange(tuple(obj["range"])), obj["probs"])
+        raise MalformedDistribution('distribution JSON must be an object with "range" '
+                                    'and "probs" keys')
+    labels = obj["range"]
+    try:
+        rng = OutcomeRange(tuple(labels)) if isinstance(labels, (list, tuple)) else None
+    except TypeError:  # a label that is itself a list or an object is unhashable
+        rng = None
+    if rng is None:
+        raise MalformedDistribution('"range" must be a list of strings or numbers')
+    try:
+        probs = np.asarray(obj["probs"])
+    except ValueError:  # ragged nesting
+        probs = None
+    if probs is None or probs.ndim != 1 or probs.dtype.kind not in "iuf":
+        raise MalformedDistribution('"probs" must be a flat list of numbers')
+    return make_distribution(rng, probs)

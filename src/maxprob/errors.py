@@ -28,6 +28,8 @@ __all__ = [
     "NonFiniteEncountered",
     "NonFiniteLogits",
     "LabelOutOfRange",
+    "InvalidSetting",
+    "MalformedDistribution",
     "require_alpha",
 ]
 
@@ -102,6 +104,14 @@ class NonFiniteLogits(DomainError):
 
 class LabelOutOfRange(DomainError):
     """A class label falls outside [0, num_classes)."""
+
+
+class InvalidSetting(DomainError):
+    """A count, step size or seed lies outside its valid range."""
+
+
+class MalformedDistribution(DomainError):
+    """A serialized distribution is not a {"range": [labels], "probs": [numbers]} object."""
 
 
 def require_alpha(alpha: float) -> None:

@@ -20,15 +20,20 @@ log(K) * (alpha - 1) / alpha (attained at uniform predictions); it enters
 the loss with a minus sign, so minimizing the loss trades label fit against
 spread-out predictions.  alpha = 1 collapses to plain cross entropy.
 
-Everything trains by explicitly written backpropagation on numpy arrays;
-there is no autodiff anywhere, which is what makes the finite-difference
-audit in the test suite meaningful.
+Training runs through one loss kernel (_loss: one log-softmax, plus one
+logsumexp for the intersection loss) and one hand-written backward pass
+(_backprop) on numpy arrays; there is no autodiff anywhere, which is what
+makes the finite-difference audit in the test suite meaningful.  train
+checks every setting and both splits once; a minibatch then checks only
+that its logits are finite, which is how a diverging run is reported.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,12 +41,14 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidSetting,
     LabelOutOfRange,
     NonFiniteLogits,
+    NonFiniteParameter,
     RangeMismatch,
     require_alpha,
 )
-from .logspace import logsumexp
+from .logspace import log_softmax, logsumexp, softmax
 
 __all__ = [
     "hn_forward",
@@ -61,13 +68,46 @@ __all__ = [
 ]
 
 LOSS_MODES = ("intersection", "ce-l2")
+WEIGHTS = ("W1", "W2", "W3")
 
 
 def _check_logits(logits) -> np.ndarray:
     x = np.asarray(logits, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteLogits("logits must be finite")
     return x
+
+
+def _check_batch(rows, labels, k: Optional[int] = None,
+                 width: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, labels as ints) for n >= 1 rows (of the given width) and n labels
+    in [0, k); k defaults to the rows' width, as it is for logits."""
+    x = np.asarray(rows, dtype=float)
+    y = np.asarray(labels)
+    if x.ndim != 2 or len(x) == 0 or width not in (None, x.shape[1]) or y.shape != (len(x),):
+        raise DimensionMismatch(f"expected n >= 1 rows of width {width or 'k'} and n labels, "
+                                f"got shapes {x.shape} and {y.shape}")
+    k = x.shape[1] if k is None else k
+    if np.any(y < 0) or np.any(y >= k):
+        raise LabelOutOfRange(f"labels must lie in [0, {k})")
+    return x, y.astype(int)
+
+
+def _check_loss(mode: str, alpha: float, **finite: float) -> None:
+    """A known mode, a finite positive alpha, and finite lam (and step)."""
+    if mode not in LOSS_MODES:
+        raise RangeMismatch(f"mode must be one of {LOSS_MODES}, got {mode!r}")
+    require_alpha(alpha)
+    for name, value in finite.items():
+        if not math.isfinite(value):
+            raise NonFiniteParameter(f"{name} must be finite, got {value!r}")
+
+
+def _require_settings(*settings: tuple[str, int, int]) -> None:
+    """Raise InvalidSetting for the first (name, value, least) whose value is below least."""
+    for name, value, least in settings:
+        if value < least:
+            raise InvalidSetting(f"{name} must be at least {least}, got {value!r}")
 
 
 def hn_forward(logits, alpha: float) -> np.ndarray:
@@ -82,46 +122,41 @@ def head_mass(logits, alpha: float) -> np.ndarray:
     return hn_forward(logits, alpha).sum(axis=-1)
 
 
-def _check_batch(logits, labels) -> tuple[np.ndarray, np.ndarray]:
-    x = _check_logits(logits)
-    if x.ndim != 2:
-        raise DimensionMismatch(f"batch logits must be 2-d, got shape {x.shape}")
-    y = np.asarray(labels)
-    if y.shape != (x.shape[0],):
-        raise DimensionMismatch(f"labels shape {y.shape} does not match batch size {x.shape[0]}")
-    if np.any(y < 0) or np.any(y >= x.shape[1]):
-        raise LabelOutOfRange(f"labels must lie in [0, {x.shape[1]})")
-    return x, y.astype(int)
+def _loss(x: np.ndarray, y: np.ndarray, mode: str, alpha: float,
+          penalty: float) -> tuple[float, float]:
+    """(mean loss, regularizer term) of checked logits x against labels y; the
+    penalty, ce-l2's regularizer, is ignored by intersection."""
+    logp = log_softmax(x)
+    label_logp = logp[np.arange(len(y)), y]
+    if mode == "intersection":
+        mass = logsumexp(alpha * logp, axis=-1) / alpha
+        return float((mass - label_logp).mean()), float(-mass.mean())
+    return float(-label_logp.mean()) + penalty, penalty
+
+
+def _penalty(net: "ToyNet", lam: float) -> float:
+    """lam times the sum of squared weight-matrix entries; biases are not penalized."""
+    return lam * sum(float(np.sum(net.params[w] ** 2)) for w in WEIGHTS)
 
 
 def intersection_loss(batch_logits, labels, alpha: float) -> float:
     """Mean of -log p[y] + (1/alpha) * log sum_y p_y ** alpha over the batch."""
     require_alpha(alpha)
-    x, y = _check_batch(batch_logits, labels)
-    lse = logsumexp(x, axis=-1)
-    logp = x - lse[:, np.newaxis]
-    log_mass_alpha = logsumexp(alpha * logp, axis=-1)  # log sum_y p_y ** alpha
-    per_sample = -logp[np.arange(len(y)), y] + log_mass_alpha / alpha
-    return float(per_sample.mean())
+    x, y = _check_batch(_check_logits(batch_logits), labels)
+    return _loss(x, y, "intersection", alpha, 0.0)[0]
 
 
 def cross_entropy_loss(batch_logits, labels) -> float:
     """Mean negative log softmax probability of the true labels."""
-    x, y = _check_batch(batch_logits, labels)
-    logp = x - logsumexp(x, axis=-1)[:, np.newaxis]
-    return float(-logp[np.arange(len(y)), y].mean())
-
-
-def _mean_regularizer(batch_logits, alpha: float) -> float:
-    """Mean of -(1/alpha) * log sum_y p_y ** alpha; zero everywhere at alpha = 1."""
-    x = _check_logits(np.atleast_2d(batch_logits))
-    logp = x - logsumexp(x, axis=-1)[:, np.newaxis]
-    return float(-(logsumexp(alpha * logp, axis=-1) / alpha).mean())
+    x, y = _check_batch(_check_logits(batch_logits), labels)
+    # -0.0 is the exact additive identity: a saturated batch keeps its -0.0 loss
+    return _loss(x, y, "ce-l2", 1.0, -0.0)[0]
 
 
 def regularizer_bound(k: int, alpha: float) -> float:
     """Largest possible regularizer term for k classes: log(k) * (alpha - 1) / alpha."""
     require_alpha(alpha)
+    _require_settings(("k", k, 1))
     return float(np.log(k) * (alpha - 1.0) / alpha)
 
 
@@ -137,8 +172,7 @@ class ToyDataset:
 
     def __post_init__(self) -> None:
         for name in ("train_x", "train_y", "test_x", "test_y"):
-            arr = getattr(self, name)
-            arr.setflags(write=False)
+            getattr(self, name).setflags(write=False)
 
 
 def make_toy_dataset(n_train: int = 512, n_test: int = 512, k: int = 3,
@@ -149,6 +183,8 @@ def make_toy_dataset(n_train: int = 512, n_test: int = 512, k: int = 3,
     round-robin so counts differ by at most one when k does not divide the
     sample count.  Everything is a pure function of the seed.
     """
+    _require_settings(("n_train", n_train, 1), ("n_test", n_test, 1), ("k", k, 1),
+                      ("seed", seed, 0))
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(k) / k
     centers = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -170,6 +206,7 @@ class ToyNet:
     PARAM_ORDER = ("W1", "b1", "W2", "b2", "W3", "b3")
 
     def __init__(self, k: int = 3, hidden: int = 16, seed: int = 0) -> None:
+        _require_settings(("k", k, 1), ("hidden", hidden, 1), ("seed", seed, 0))
         rng = np.random.default_rng(seed)
         self.k = k
         self.hidden = hidden
@@ -204,6 +241,27 @@ class ToyNet:
         return h.hexdigest()
 
 
+def _backprop(net: ToyNet, x: np.ndarray, y: np.ndarray, mode: str, alpha: float,
+              lam: float) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """(logits, mean-loss gradients) of checked examples; d loss_i / d logits is
+    softmax(a * logits) - onehot(y_i), a = alpha (intersection) or 1 (ce-l2)."""
+    logits, (x0, z1, a1, z2, a2) = net.forward(x, want_cache=True)
+    _check_logits(logits)
+    dlogits = softmax((alpha if mode == "intersection" else 1.0) * logits)
+    dlogits[np.arange(len(y)), y] -= 1.0
+    dlogits /= len(y)
+    p = net.params
+    grads = {"W3": a2.T @ dlogits, "b3": dlogits.sum(axis=0)}
+    dz2 = (dlogits @ p["W3"].T) * (z2 > 0)
+    grads["W2"], grads["b2"] = a1.T @ dz2, dz2.sum(axis=0)
+    dz1 = (dz2 @ p["W2"].T) * (z1 > 0)
+    grads["W1"], grads["b1"] = x0.T @ dz1, dz1.sum(axis=0)
+    if mode == "ce-l2":
+        for w in WEIGHTS:
+            grads[w] = grads[w] + 2.0 * lam * p[w]
+    return logits, grads
+
+
 def loss_and_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, mode: str,
                    alpha: float = 1.0, lam: float = 0.0,
                    ) -> tuple[float, dict[str, np.ndarray], float]:
@@ -214,41 +272,10 @@ def loss_and_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, mode: str,
     entries (biases are not penalized).  The logit gradient is
     skeleton_alpha(p) - onehot, which reduces to p - onehot at alpha = 1.
     """
-    if mode not in LOSS_MODES:
-        raise RangeMismatch(f"mode must be one of {LOSS_MODES}, got {mode!r}")
-    logits, (x0, z1, a1, z2, a2) = net.forward(x, want_cache=True)
-    xb, yb = _check_batch(logits, y)
-    n = len(yb)
-    logp = xb - logsumexp(xb, axis=-1)[:, np.newaxis]
-    onehot = np.zeros_like(logp)
-    onehot[np.arange(n), yb] = 1.0
-
-    p = net.params
-    if mode == "intersection":
-        loss = intersection_loss(xb, yb, alpha)
-        reg = _mean_regularizer(xb, alpha)
-        # d loss_i / d x_j = softmax(alpha x)_j - onehot_j
-        sharp = np.exp(alpha * xb - logsumexp(alpha * xb, axis=-1)[:, np.newaxis])
-        dlogits = (sharp - onehot) / n
-        penalty_grads = {name: 0.0 for name in ("W1", "W2", "W3")}
-    else:
-        penalty = lam * sum(float(np.sum(p[w] ** 2)) for w in ("W1", "W2", "W3"))
-        loss = cross_entropy_loss(xb, yb) + penalty
-        reg = penalty
-        dlogits = (np.exp(logp) - onehot) / n
-        penalty_grads = {w: 2.0 * lam * p[w] for w in ("W1", "W2", "W3")}
-
-    grads: dict[str, np.ndarray] = {}
-    grads["W3"] = a2.T @ dlogits + penalty_grads["W3"]
-    grads["b3"] = dlogits.sum(axis=0)
-    da2 = dlogits @ p["W3"].T
-    dz2 = da2 * (z2 > 0)
-    grads["W2"] = a1.T @ dz2 + penalty_grads["W2"]
-    grads["b2"] = dz2.sum(axis=0)
-    da1 = dz2 @ p["W2"].T
-    dz1 = da1 * (z1 > 0)
-    grads["W1"] = x0.T @ dz1 + penalty_grads["W1"]
-    grads["b1"] = dz1.sum(axis=0)
+    _check_loss(mode, alpha, lam=lam)
+    x, y = _check_batch(x, y, net.k, width=2)
+    logits, grads = _backprop(net, x, y, mode, alpha, lam)
+    loss, reg = _loss(logits, y, mode, alpha, _penalty(net, lam))
     return loss, grads, reg
 
 
@@ -274,26 +301,21 @@ class TrainReport:
     data_seed: int
     k: int
     hidden: int
-    records: tuple[EpochRecord, ...]
     final_digest: str
+    records: tuple[EpochRecord, ...]
 
 
-def _metrics(net: ToyNet, data: ToyDataset, mode: str, alpha: float, lam: float,
+def _metrics(net: ToyNet, splits, mode: str, alpha: float, lam: float,
              epoch: int) -> EpochRecord:
-    logits_tr = net.forward(data.train_x)
-    logits_te = net.forward(data.test_x)
-    if mode == "intersection":
-        tr = intersection_loss(logits_tr, data.train_y, alpha)
-        te = intersection_loss(logits_te, data.test_y, alpha)
-        reg = _mean_regularizer(logits_tr, alpha)
-    else:
-        penalty = lam * sum(float(np.sum(net.params[w] ** 2)) for w in ("W1", "W2", "W3"))
-        tr = cross_entropy_loss(logits_tr, data.train_y) + penalty
-        te = cross_entropy_loss(logits_te, data.test_y) + penalty
-        reg = penalty
-    acc_tr = float((logits_tr.argmax(axis=1) == data.train_y).mean())
-    acc_te = float((logits_te.argmax(axis=1) == data.test_y).mean())
-    return EpochRecord(epoch, float(tr), float(te), acc_tr, acc_te, float(reg))
+    (x_tr, y_tr), (x_te, y_te) = splits
+    logits_tr = _check_logits(net.forward(x_tr))
+    logits_te = _check_logits(net.forward(x_te))
+    penalty = _penalty(net, lam)
+    tr, reg = _loss(logits_tr, y_tr, mode, alpha, penalty)
+    te, _ = _loss(logits_te, y_te, mode, alpha, penalty)
+    acc_tr = float((logits_tr.argmax(axis=1) == y_tr).mean())
+    acc_te = float((logits_te.argmax(axis=1) == y_te).mean())
+    return EpochRecord(epoch, tr, te, acc_tr, acc_te, reg)
 
 
 def train(net: ToyNet, data: ToyDataset, mode: str = "intersection", alpha: float = 1.0,
@@ -306,53 +328,30 @@ def train(net: ToyNet, data: ToyDataset, mode: str = "intersection", alpha: floa
     training set once with a generator seeded from `seed`, so runs remain
     exactly reproducible.  Epoch 0 records the untouched initial network.
     """
-    if mode not in LOSS_MODES:
-        raise RangeMismatch(f"mode must be one of {LOSS_MODES}, got {mode!r}")
+    _check_loss(mode, alpha, lam=lam, step=step)
+    _require_settings(("epochs", epochs, 0), ("seed", seed, 0),
+                      ("batch_size", 1 if batch_size is None else batch_size, 1))
+    splits = [_check_batch(data.train_x, data.train_y, net.k, width=2),
+              _check_batch(data.test_x, data.test_y, net.k, width=2)]
+    train_x, train_y = splits[0]
+    n = len(train_y)
     rng = np.random.default_rng(seed)
-    records = [_metrics(net, data, mode, alpha, lam, 0)]
-    n = len(data.train_y)
+    records = [_metrics(net, splits, mode, alpha, lam, 0)]
     for epoch in range(1, epochs + 1):
-        if batch_size is None:
-            slices = [(data.train_x, data.train_y)]
-        else:
-            order = rng.permutation(n)
-            slices = [(data.train_x[order[i:i + batch_size]], data.train_y[order[i:i + batch_size]])
-                      for i in range(0, n, batch_size)]
-        for bx, by in slices:
-            _, grads, _ = loss_and_grads(net, bx, by, mode, alpha, lam)
+        for rows in ([slice(None)] if batch_size is None else
+                     np.split(rng.permutation(n), range(batch_size, n, batch_size))):
+            grads = _backprop(net, train_x[rows], train_y[rows], mode, alpha, lam)[1]
             for name in net.PARAM_ORDER:
                 net.params[name] = net.params[name] - step * grads[name]
-        records.append(_metrics(net, data, mode, alpha, lam, epoch))
+        records.append(_metrics(net, splits, mode, alpha, lam, epoch))
     return TrainReport(mode, alpha, lam, epochs, step, seed, net_seed, data_seed,
-                       data.k, net.hidden, tuple(records), net.digest())
+                       data.k, net.hidden, net.digest(), tuple(records))
 
 
 def report_to_jsonable(report: TrainReport) -> dict:
-    out = {
-        "mode": report.mode,
-        "alpha": report.alpha,
-        "lambda": report.lam,
-        "epochs": report.epochs,
-        "step": report.step,
-        "seed": report.seed,
-        "net_seed": report.net_seed,
-        "data_seed": report.data_seed,
-        "k": report.k,
-        "hidden": report.hidden,
-        "final_digest": report.final_digest,
-        "records": [
-            {
-                "epoch": r.epoch,
-                "train_loss": r.train_loss,
-                "test_loss": r.test_loss,
-                "train_acc": r.train_acc,
-                "test_acc": r.test_acc,
-                "reg_term": r.reg_term,
-            }
-            for r in report.records
-        ],
-    }
-    return out
+    """The report as a JSON-ready dict, field order kept and lam written as "lambda"."""
+    return {("lambda" if key == "lam" else key): value
+            for key, value in dataclasses.asdict(report).items()}
 
 
 def canonical_report_bytes(report: TrainReport) -> bytes:

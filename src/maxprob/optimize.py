@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import (FiniteDistribution, Parameterization, apply_parameterization,
                             _check_theta, _pullback, _theta_logp)
-from .errors import DimensionMismatch, NonFiniteParameter, NonPositiveAlpha
+from .errors import DimensionMismatch, InvalidSetting, NonFiniteParameter
 from .logspace import NEG_INF
 from .objectives import (GradientVector, ObjectiveConfig, gradient_at_theta, gradient_terms,
                          value_at_theta, _require_ranges, _terms, _values)
@@ -57,11 +57,11 @@ class AscentConfig:
             if not math.isfinite(getattr(self, name)):
                 raise NonFiniteParameter(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.step_size > 0:
-            raise NonPositiveAlpha(f"step_size must be positive, got {self.step_size!r}")
+            raise InvalidSetting(f"step_size must be positive, got {self.step_size!r}")
         if self.max_iters < 1:
-            raise DimensionMismatch("max_iters must be at least 1")
+            raise InvalidSetting(f"max_iters must be at least 1, got {self.max_iters!r}")
         if self.grad_tol < 0:
-            raise DimensionMismatch("grad_tol must be non-negative")
+            raise InvalidSetting(f"grad_tol must be non-negative, got {self.grad_tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +146,7 @@ def mc_gradient(config: ObjectiveConfig, oracle: FiniteDistribution, p: Paramete
     gradient, so it is pulled back to d_theta the same way.
     """
     if n_samples < 1:
-        raise DimensionMismatch("n_samples must be at least 1")
+        raise InvalidSetting(f"n_samples must be at least 1, got {n_samples!r}")
     model = apply_parameterization(p, theta)
     attract, repulse = gradient_terms(config, model, oracle)
     rng = np.random.default_rng(seed)

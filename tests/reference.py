@@ -13,6 +13,12 @@ that pulled each gradient back through it: the package slices instead
 The old bodies computed log model + log oracle - log prior before masking;
 on an outcome none of the three supports that is -inf - -inf, so they run
 under np.errstate(invalid="ignore") here.
+
+Last, it keeps the toy network's loss functions and training loop as they
+were before one loss kernel and one backward pass served them: each loss
+recomputed log-softmax on its own, and every minibatch evaluated the loss
+and regularizer that training then discarded.  They use the package only
+for ToyNet.forward and the report dataclasses, and skip its input checks.
 """
 
 from __future__ import annotations
@@ -26,8 +32,10 @@ from maxprob import (
     NonFiniteEncountered,
     OracleSupportEscapesModel,
     RangeMismatch,
+    TrainReport,
 )
 from maxprob.distributions import _check_theta
+from maxprob.nn import EpochRecord
 from maxprob.optimize import DIVERGENCE_THETA_BOUND
 
 NEG_INF = float("-inf")
@@ -208,3 +216,131 @@ def ascend(config, oracle, p, theta0, cfg) -> AscentTrace:
             break
         theta = theta + cfg.step_size * d_theta
     return AscentTrace(np.array(thetas), np.array(values), np.array(norms), status)
+
+
+# ---------------------------------------------------------------------------
+# toy network
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    m = a.max(axis=-1, keepdims=True, initial=-np.finfo(float).max)
+    return (m + np.log(np.exp(a - m).sum(axis=-1, keepdims=True))).squeeze(-1)
+
+
+def intersection_loss(x, y, alpha) -> float:
+    lse = _logsumexp_rows(x)
+    logp = x - lse[:, np.newaxis]
+    log_mass_alpha = _logsumexp_rows(alpha * logp)
+    per_sample = -logp[np.arange(len(y)), y] + log_mass_alpha / alpha
+    return float(per_sample.mean())
+
+
+def cross_entropy_loss(x, y) -> float:
+    logp = x - _logsumexp_rows(x)[:, np.newaxis]
+    return float(-logp[np.arange(len(y)), y].mean())
+
+
+def mean_regularizer(x, alpha) -> float:
+    logp = x - _logsumexp_rows(x)[:, np.newaxis]
+    return float(-(_logsumexp_rows(alpha * logp) / alpha).mean())
+
+
+def loss_and_grads(net, x, y, mode, alpha=1.0, lam=0.0):
+    """(loss, gradients, regularizer) from three separate loss evaluations."""
+    logits, (x0, z1, a1, z2, a2) = net.forward(x, want_cache=True)
+    n = len(y)
+    logp = logits - _logsumexp_rows(logits)[:, np.newaxis]
+    onehot = np.zeros_like(logp)
+    onehot[np.arange(n), y] = 1.0
+    p = net.params
+    if mode == "intersection":
+        loss = intersection_loss(logits, y, alpha)
+        reg = mean_regularizer(logits, alpha)
+        sharp = np.exp(alpha * logits - _logsumexp_rows(alpha * logits)[:, np.newaxis])
+        dlogits = (sharp - onehot) / n
+        penalty_grads = {name: 0.0 for name in ("W1", "W2", "W3")}
+    else:
+        penalty = lam * sum(float(np.sum(p[w] ** 2)) for w in ("W1", "W2", "W3"))
+        loss = cross_entropy_loss(logits, y) + penalty
+        reg = penalty
+        dlogits = (np.exp(logp) - onehot) / n
+        penalty_grads = {w: 2.0 * lam * p[w] for w in ("W1", "W2", "W3")}
+    grads = {}
+    grads["W3"] = a2.T @ dlogits + penalty_grads["W3"]
+    grads["b3"] = dlogits.sum(axis=0)
+    dz2 = (dlogits @ p["W3"].T) * (z2 > 0)
+    grads["W2"] = a1.T @ dz2 + penalty_grads["W2"]
+    grads["b2"] = dz2.sum(axis=0)
+    dz1 = (dz2 @ p["W2"].T) * (z1 > 0)
+    grads["W1"] = x0.T @ dz1 + penalty_grads["W1"]
+    grads["b1"] = dz1.sum(axis=0)
+    return loss, grads, reg
+
+
+def _metrics(net, data, mode, alpha, lam, epoch) -> EpochRecord:
+    logits_tr = net.forward(data.train_x)
+    logits_te = net.forward(data.test_x)
+    if mode == "intersection":
+        tr = intersection_loss(logits_tr, data.train_y, alpha)
+        te = intersection_loss(logits_te, data.test_y, alpha)
+        reg = mean_regularizer(logits_tr, alpha)
+    else:
+        penalty = lam * sum(float(np.sum(net.params[w] ** 2)) for w in ("W1", "W2", "W3"))
+        tr = cross_entropy_loss(logits_tr, data.train_y) + penalty
+        te = cross_entropy_loss(logits_te, data.test_y) + penalty
+        reg = penalty
+    acc_tr = float((logits_tr.argmax(axis=1) == data.train_y).mean())
+    acc_te = float((logits_te.argmax(axis=1) == data.test_y).mean())
+    return EpochRecord(epoch, float(tr), float(te), acc_tr, acc_te, float(reg))
+
+
+def train(net, data, mode="intersection", alpha=1.0, lam=0.0, epochs=200, step=0.05,
+          seed=0, batch_size=None, net_seed=0, data_seed=0) -> TrainReport:
+    """One full loss_and_grads per minibatch, loss and regularizer thrown away."""
+    rng = np.random.default_rng(seed)
+    records = [_metrics(net, data, mode, alpha, lam, 0)]
+    n = len(data.train_y)
+    for epoch in range(1, epochs + 1):
+        if batch_size is None:
+            slices = [(data.train_x, data.train_y)]
+        else:
+            order = rng.permutation(n)
+            slices = [(data.train_x[order[i:i + batch_size]],
+                       data.train_y[order[i:i + batch_size]])
+                      for i in range(0, n, batch_size)]
+        for bx, by in slices:
+            _, grads, _ = loss_and_grads(net, bx, by, mode, alpha, lam)
+            for name in net.PARAM_ORDER:
+                net.params[name] = net.params[name] - step * grads[name]
+        records.append(_metrics(net, data, mode, alpha, lam, epoch))
+    return TrainReport(mode=mode, alpha=alpha, lam=lam, epochs=epochs, step=step, seed=seed,
+                       net_seed=net_seed, data_seed=data_seed, k=data.k, hidden=net.hidden,
+                       final_digest=net.digest(), records=tuple(records))
+
+
+def report_to_jsonable(report) -> dict:
+    """The field-by-field copy, in the CLI's key order."""
+    return {
+        "mode": report.mode,
+        "alpha": report.alpha,
+        "lambda": report.lam,
+        "epochs": report.epochs,
+        "step": report.step,
+        "seed": report.seed,
+        "net_seed": report.net_seed,
+        "data_seed": report.data_seed,
+        "k": report.k,
+        "hidden": report.hidden,
+        "final_digest": report.final_digest,
+        "records": [
+            {
+                "epoch": r.epoch,
+                "train_loss": r.train_loss,
+                "test_loss": r.test_loss,
+                "train_acc": r.train_acc,
+                "test_acc": r.test_acc,
+                "reg_term": r.reg_term,
+            }
+            for r in report.records
+        ],
+    }

@@ -80,6 +80,37 @@ class TestBoundCommand:
         assert code == 1
         assert json.loads(err)["error"] == "SumOutOfTolerance"
 
+    @pytest.mark.parametrize("payload", [
+        {"range": ["H", "T"], "probs": ["a", "b"]},
+        {"range": 5, "probs": [0.5, 0.5]},
+        {"range": [["H"], ["T"]], "probs": [0.5, 0.5]},
+    ])
+    def test_malformed_distribution_is_a_domain_error(self, payload, tmp_path, coin_files,
+                                                       capsys):
+        prior, _ = coin_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = run(["bound", "--prior", prior, "--conditional", str(bad)], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "MalformedDistribution"
+
+    def test_directory_input_reports_io_error(self, tmp_path, coin_files, capsys):
+        prior, _ = coin_files
+        code, out, err = run(["bound", "--prior", prior, "--conditional", str(tmp_path)],
+                             capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "IOError"
+
+    def test_undecodable_file_reports_invalid_json(self, tmp_path, coin_files, capsys):
+        prior, _ = coin_files
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\x8e\xff{}")
+        code, _, err = run(["bound", "--prior", prior, "--conditional", str(bad)], capsys)
+        assert code == 1
+        assert json.loads(err)["error"] == "InvalidJson"
+
     def test_stdin_dash(self, coin_files, capsys, monkeypatch):
         prior, _ = coin_files
         monkeypatch.setattr(sys, "stdin",
@@ -328,6 +359,25 @@ class TestTrainToyCommand:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "NonFiniteParameter"
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--batch-size", "0"], "InvalidSetting"),
+        (["--batch-size", "-3"], "InvalidSetting"),
+        (["--epochs", "-1"], "InvalidSetting"),
+        (["--classes", "0"], "InvalidSetting"),
+        (["--hidden", "-1"], "InvalidSetting"),
+        (["--seed", "-1"], "InvalidSetting"),
+        (["--net-seed", "-1"], "InvalidSetting"),
+        (["--data-seed", "-1"], "InvalidSetting"),
+        (["--step", "nan"], "NonFiniteParameter"),
+        (["--step", "inf"], "NonFiniteParameter"),
+        (["--lam", "nan"], "NonFiniteParameter"),
+    ])
+    def test_settings_out_of_range_are_domain_errors(self, flags, error, capsys):
+        code, out, err = run(["train-toy", "--loss", "ce-l2", "--epochs", "1", *flags], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == error
 
     def test_repeated_runs_identical(self, tmp_path, capsys):
         args = ["train-toy", "--loss", "ce-l2", "--lam", "0.001", "--epochs", "2"]

@@ -11,6 +11,7 @@ from maxprob import (
     EmptyRange,
     FiniteDistribution,
     LabelOutOfRange,
+    MalformedDistribution,
     NegativeMass,
     NonFiniteParameter,
     ObjectiveConfig,
@@ -96,8 +97,20 @@ class TestJsonRoundTrip:
         assert isinstance(payload["probs"][1], int)
 
     def test_missing_keys_rejected(self):
-        with pytest.raises(RangeMismatch):
+        with pytest.raises(MalformedDistribution):
             distribution_from_jsonable({"range": ["a", "b"]})
+
+    @pytest.mark.parametrize("payload", [
+        {"range": ["a", "b"], "probs": ["a", "b"]},
+        {"range": 5, "probs": [0.5, 0.5]},
+        {"range": [["H"], ["T"]], "probs": [0.5, 0.5]},
+        {"range": ["a", "b"], "probs": [[0.5], [0.5, 0.0]]},
+        {"range": ["a", "b"], "probs": [True, False]},
+        [0.5, 0.5],
+    ])
+    def test_non_distribution_payloads_rejected(self, payload):
+        with pytest.raises(MalformedDistribution):
+            distribution_from_jsonable(payload)
 
 
 class TestRefinement:

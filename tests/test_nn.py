@@ -1,11 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import reference
 from maxprob import (
     DimensionMismatch,
+    InvalidSetting,
     LabelOutOfRange,
     NonFiniteParameter,
     NonPositiveAlpha,
@@ -22,6 +26,7 @@ from maxprob import (
     train,
 )
 from maxprob.errors import NonFiniteLogits
+from maxprob.nn import report_to_jsonable
 from maxprob.logspace import softmax
 
 logit_rows = arrays(np.float64, (4, 5), elements=st.floats(-30.0, 30.0))
@@ -135,6 +140,10 @@ class TestRegularizerBound:
         with pytest.raises(error):
             regularizer_bound(3, alpha)
 
+    def test_bound_rejects_no_classes(self):
+        with pytest.raises(InvalidSetting):
+            regularizer_bound(0, 2.0)
+
     def test_bound_values(self):
         assert regularizer_bound(3, 1.0) == 0.0
         np.testing.assert_allclose(regularizer_bound(3, 4.0),
@@ -166,6 +175,16 @@ class TestToyDataset:
 
 
 class TestToyNet:
+    @pytest.mark.parametrize("kwargs", [dict(k=0), dict(hidden=0), dict(seed=-1)])
+    def test_rejects_settings_out_of_range(self, kwargs):
+        with pytest.raises(InvalidSetting):
+            ToyNet(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [dict(k=0), dict(n_train=0), dict(n_test=-1)])
+    def test_dataset_rejects_settings_out_of_range(self, kwargs):
+        with pytest.raises(InvalidSetting):
+            make_toy_dataset(**kwargs)
+
     def test_same_seed_same_parameters(self):
         a, b = ToyNet(seed=5), ToyNet(seed=5)
         assert a.digest() == b.digest()
@@ -185,6 +204,11 @@ class TestToyNet:
 
 
 class TestLossAndGrads:
+    def test_inputs_must_be_points(self):
+        with pytest.raises(DimensionMismatch):
+            loss_and_grads(ToyNet(seed=0), np.zeros((4, 3)), np.zeros(4, dtype=int),
+                           "intersection", 2.0)
+
     def test_unknown_mode_rejected(self):
         data = make_toy_dataset(seed=11)
         with pytest.raises(RangeMismatch):
@@ -266,9 +290,86 @@ class TestTrain:
         assert canonical_report_bytes(a) == canonical_report_bytes(b)
         assert a.final_digest != full.final_digest
 
+    @pytest.mark.parametrize("overrides, error", [
+        (dict(epochs=-1), InvalidSetting),
+        (dict(batch_size=0), InvalidSetting),
+        (dict(seed=-1), InvalidSetting),
+        (dict(step=np.nan), NonFiniteParameter),
+        (dict(lam=np.inf), NonFiniteParameter),
+        (dict(mode="ce-l2", alpha=0.0), NonPositiveAlpha),
+        (dict(mode="banana"), RangeMismatch),
+    ])
+    def test_settings_checked_before_training(self, overrides, error):
+        with pytest.raises(error):
+            self.small_run(**overrides)
+
+    def test_labels_checked_against_the_network(self):
+        with pytest.raises(LabelOutOfRange):
+            train(ToyNet(k=2), make_toy_dataset(k=3), epochs=1)
+
+    def test_divergence_reports_non_finite_logits(self):
+        with pytest.raises(NonFiniteLogits), np.errstate(over="ignore", invalid="ignore"):
+            self.small_run(step=1e300)
+
     def test_mutates_the_passed_network(self):
         data = make_toy_dataset(seed=11)
         net = ToyNet(seed=5)
         before = net.digest()
         train(net, data, mode="intersection", alpha=2.0, epochs=1, step=0.05)
         assert net.digest() != before
+
+
+def float_bytes(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+LOSS_SETTINGS = [("intersection", alpha, 0.0) for alpha in (0.5, 1.0, 2.0, 4.0)] + \
+    [("ce-l2", 1.0, lam) for lam in (0.0, 0.01)]
+BATCH_SIZES = (None, 1, 7, 64)
+
+
+class TestMatchesReference:
+    """One loss kernel and one backward pass against the separate loss
+    evaluations they replaced (tests/reference.py), bit for bit."""
+
+    @pytest.mark.parametrize("mode, alpha, lam", LOSS_SETTINGS)
+    @pytest.mark.parametrize("size", [1, 7, 64, 512])
+    def test_loss_regularizer_and_gradients(self, mode, alpha, lam, size):
+        data = make_toy_dataset(seed=11)
+        x, y = data.train_x[:size], data.train_y[:size]
+        loss, grads, reg = loss_and_grads(ToyNet(seed=3), x, y, mode, alpha, lam)
+        ref_loss, ref_grads, ref_reg = reference.loss_and_grads(ToyNet(seed=3), x, y, mode,
+                                                                alpha, lam)
+        assert type(loss) is float and type(reg) is float
+        assert float_bytes(loss) == float_bytes(ref_loss)
+        assert float_bytes(reg) == float_bytes(ref_reg)
+        assert sorted(grads) == sorted(ref_grads)
+        for name, g in grads.items():
+            assert g.shape == ref_grads[name].shape
+            assert float_bytes(g) == float_bytes(ref_grads[name]), name
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 4.0])
+    def test_public_losses(self, alpha):
+        rng = np.random.default_rng(7)
+        logits = rng.normal(scale=3.0, size=(16, 5))
+        logits[0] = [900.0, 0.0, 0.0, 0.0, 0.0]  # a saturated row: log p[y] is exactly 0
+        labels = rng.integers(0, 5, size=16)
+        labels[0] = 0
+        for rows in (slice(0, 1), slice(None)):
+            x, y = logits[rows], labels[rows]
+            assert float_bytes(intersection_loss(x, y, alpha)) == \
+                float_bytes(reference.intersection_loss(x, y, alpha))
+            assert float_bytes(cross_entropy_loss(x, y)) == \
+                float_bytes(reference.cross_entropy_loss(x, y))
+
+    @pytest.mark.parametrize("mode, alpha, lam", LOSS_SETTINGS)
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_training_reports(self, mode, alpha, lam, batch_size):
+        args = dict(mode=mode, alpha=alpha, lam=lam, epochs=3, step=0.05, seed=4,
+                    batch_size=batch_size, net_seed=5, data_seed=11)
+        report = train(ToyNet(seed=5), make_toy_dataset(seed=11), **args)
+        ref = reference.train(ToyNet(seed=5), make_toy_dataset(seed=11), **args)
+        assert canonical_report_bytes(report) == canonical_report_bytes(ref)
+        # the CLI writes the report without sorting keys, so their order is output too
+        assert json.dumps(report_to_jsonable(report)) == \
+            json.dumps(reference.report_to_jsonable(ref))

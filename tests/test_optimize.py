@@ -8,8 +8,8 @@ from helpers import distribution_triples, labels_of
 from maxprob import (
     AscentConfig,
     DimensionMismatch,
+    InvalidSetting,
     NonFiniteParameter,
-    NonPositiveAlpha,
     ObjectiveConfig,
     OracleSupportEscapesModel,
     OutcomeRange,
@@ -55,12 +55,16 @@ class TestGeneratorContract:
 
 class TestAscentConfig:
     def test_rejects_non_positive_step(self):
-        with pytest.raises(NonPositiveAlpha):
+        with pytest.raises(InvalidSetting):
             AscentConfig(step_size=0.0)
 
     def test_rejects_empty_budget(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidSetting):
             AscentConfig(max_iters=0)
+
+    def test_rejects_negative_tolerance(self):
+        with pytest.raises(InvalidSetting):
+            AscentConfig(grad_tol=-1e-8)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("name", ["step_size", "grad_tol"])
@@ -202,7 +206,7 @@ class TestMCGradient:
         assert abs(estimates.mean() - exact) <= 4.0 * se
 
     def test_rejects_empty_sample(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidSetting):
             mc_gradient(self.config, self.oracle, SIGMOID, 0.3, 0, seed=1)
 
     def test_estimate_lives_in_the_gradient_gauge(self):
