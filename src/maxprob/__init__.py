@@ -73,7 +73,6 @@ from .bernoulli import (
     SweepReport,
     SweepSpec,
     run_sweep,
-    sweep_rows,
     theta_grid,
     uniqueness_diagnostic,
 )

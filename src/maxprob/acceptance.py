@@ -13,7 +13,6 @@ forms for the handful of cases small enough to do by hand.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -412,16 +411,15 @@ def criterion_11_toy_training(artifacts_dir: Optional[str] = None) -> CriterionR
                      seed=0, net_seed=5, data_seed=11)
     if artifacts_dir is not None:
         import os
+        from .cli import _emit_csv
         os.makedirs(artifacts_dir, exist_ok=True)
-        path = os.path.join(artifacts_dir, "toy_training_curves.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["mode", "alpha", "epoch", "train_loss", "test_loss",
-                        "train_acc", "test_acc", "reg_term"])
-            for rep in list(reports.values()) + [baseline]:
-                for r in rep.records:
-                    w.writerow([rep.mode, rep.alpha, r.epoch, r.train_loss, r.test_loss,
-                                r.train_acc, r.test_acc, r.reg_term])
+        _emit_csv(["mode", "alpha", "epoch", "train_loss", "test_loss", "train_acc",
+                   "test_acc", "reg_term"],
+                  ((f"{rep.mode},{rep.alpha!r},", [f"{r.epoch}," for r in rep.records],
+                    np.array([(r.train_loss, r.test_loss, r.train_acc, r.test_acc, r.reg_term)
+                              for r in rep.records]))
+                   for rep in [*reports.values(), baseline]),
+                  os.path.join(artifacts_dir, "toy_training_curves.csv"))
     ok = not problems
     detail = "; ".join(problems) if problems else (
         "alpha in {1,2,4} all improved, regularizer within bound, reports byte-identical"

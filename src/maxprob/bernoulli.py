@@ -14,7 +14,7 @@ values_at_thetas call over the whole grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "theta_grid",
     "run_sweep",
     "uniqueness_diagnostic",
-    "sweep_rows",
     "report_to_jsonable",
 ]
 
@@ -149,13 +148,6 @@ def uniqueness_diagnostic(curve: SweepCurve) -> str:
     if curve.argmax_index in (0, len(curve.values) - 1):
         return "boundary-max"
     return "unique-interior-max"
-
-
-def sweep_rows(report: SweepReport) -> Iterator[tuple]:
-    """Flat rows (objective, assumption, alpha, theta, value) for CSV emission."""
-    for curve in report.curves:
-        for t, v in zip(curve.thetas, curve.values):
-            yield (curve.objective, report.spec.assumption, curve.alpha, float(t), float(v))
 
 
 def report_to_jsonable(report: SweepReport) -> dict:

@@ -8,27 +8,26 @@ serialized with repr, so outputs round-trip exactly and fixed-seed runs
 are byte-identical.  Every subcommand accepts --out to write the primary
 output to a file instead of stdout (the path "-" also means stdout).
 
-JSON output writes an infinite float, such as the log value of a model
-event ruled out by the prior, as the string "-inf" or "inf" rather than an
-illegal JSON token; a NaN is a NonFiniteEncountered domain error.
+An infinite float, such as the log value of a model event ruled out by the
+prior, is the CSV cell inf or -inf and the JSON string "-inf" or "inf" (not
+an illegal JSON token); a NaN is a NonFiniteEncountered domain error in both.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import functools
 import json
 import logging
 import math
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .acceptance import run_all, run_criterion
-from .bernoulli import SweepSpec, run_sweep, sweep_rows
+from .bernoulli import SweepSpec, run_sweep, theta_grid
 from .bernoulli import report_to_jsonable as sweep_report_to_jsonable
 from .bounds import BoundResult, alpha_skeleton, max_probability, softmax_probability
 from .distributions import (
@@ -90,12 +89,23 @@ def _emit_json(obj, out: Optional[str]) -> None:
     _write_text(json.dumps(_json_safe(obj), allow_nan=False) + "\n", out)
 
 
-def _emit_csv(header: Sequence[str], rows, out: Optional[str]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_text(buf.getvalue(), out)
+def _csv_cells(table: np.ndarray) -> list[str]:
+    """Each row of a float array (1-D: one column) as CSV text of repr floats, as
+    csv.writer writes them; a NaN raises NonFiniteEncountered."""
+    if np.isnan(table).any():
+        raise NonFiniteEncountered("a NaN reached the CSV output")
+    if table.ndim == 1:
+        return list(map(repr, table.tolist()))
+    return [",".join(map(repr, row)) for row in table.tolist()]
+
+
+def _emit_csv(header: Sequence[str], blocks: Iterable, out: Optional[str]) -> None:
+    """Write the header, then per (prefix, keys, table) block a line prefix + key + row
+    per row of the float array table; prefix and keys are CSV text, each key ending in ","."""
+    lines = [",".join(header)]
+    for prefix, keys, table in blocks:
+        lines += [prefix + key + row for key, row in zip(keys, _csv_cells(table))]
+    _write_text("\n".join(lines) + "\n", out)
 
 
 def _floats_csv(text: str) -> tuple[float, ...]:
@@ -186,11 +196,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                           grad_tol=args.grad_tol)
     trace = ascend(config, oracle, p, theta0, ascent)
     header = ["iter"] + [f"theta_{i}" for i in range(p.dim)] + ["value", "grad_norm"]
-    rows = (
-        [i, *trace.thetas[i], trace.values[i], trace.grad_norms[i]]
-        for i in range(len(trace.values))
-    )
-    _emit_csv(header, rows, args.out)
+    table = np.column_stack((trace.thetas, trace.values, trace.grad_norms))
+    _emit_csv(header, [("", [f"{i}," for i in range(len(table))], table)], args.out)
     if args.out not in (None, "-"):
         _emit_json({
             "status": trace.status,
@@ -214,8 +221,10 @@ def _cmd_sweep_bernoulli(args: argparse.Namespace) -> int:
         prior=prior,
     )
     report = run_sweep(spec)
+    thetas = [cell + "," for cell in _csv_cells(theta_grid(spec))]  # shared by every curve
     _emit_csv(["objective", "assumption", "alpha", "theta", "value"],
-              sweep_rows(report), args.out)
+              ((f"{c.objective},{spec.assumption},{c.alpha!r},", thetas, c.values)
+               for c in report.curves), args.out)
     if args.summary_out is not None:
         _emit_json(sweep_report_to_jsonable(report), args.summary_out)
     return 0
@@ -370,15 +379,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # parse_args leaves it as it was: one per process
+
+
 def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     """Parse and run; returns the exit code instead of exiting.
 
     Keeping this separate from main() lets tests and the reproducibility
     criterion drive the CLI in-process and still see real exit codes.
     """
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     logging.basicConfig(level=args.log_level.upper())

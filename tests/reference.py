@@ -14,14 +14,23 @@ The old bodies computed log model + log oracle - log prior before masking;
 on an outcome none of the three supports that is -inf - -inf, so they run
 under np.errstate(invalid="ignore") here.
 
-Last, it keeps the toy network's loss functions and training loop as they
+It keeps the toy network's loss functions and training loop as they
 were before one loss kernel and one backward pass served them: each loss
 recomputed log-softmax on its own, and every minibatch evaluated the loss
 and regularizer that training then discarded.  They use the package only
 for ToyNet.forward and the report dataclasses, and skip its input checks.
+
+Last, it keeps the CLI's CSV emission as it was before the emitter worked on
+whole arrays: csv.writer over one Python row per line, a sweep row per
+(curve, theta), a trace row per ascent iteration and a training-curve row
+per epoch record.  csv.writer formats a float, numpy float64 scalars
+included, with float.__repr__.
 """
 
 from __future__ import annotations
+
+import csv
+import io
 
 import numpy as np
 
@@ -344,3 +353,33 @@ def report_to_jsonable(report) -> dict:
             for r in report.records
         ],
     }
+
+
+# ---------------------------------------------------------------------------
+# CSV emission
+
+
+def csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def sweep_rows(report):
+    for curve in report.curves:
+        for t, v in zip(curve.thetas, curve.values):
+            yield (curve.objective, report.spec.assumption, curve.alpha, float(t), float(v))
+
+
+def trace_rows(trace):
+    return ([i, *trace.thetas[i], trace.values[i], trace.grad_norms[i]]
+            for i in range(len(trace.values)))
+
+
+def training_curve_rows(reports):
+    for rep in reports:
+        for r in rep.records:
+            yield [rep.mode, rep.alpha, r.epoch, r.train_loss, r.test_loss,
+                   r.train_acc, r.test_acc, r.reg_term]

@@ -7,6 +7,7 @@ file doubles as the release gate (the `maxprob check` subcommand runs the
 same functions).
 """
 
+import reference
 from maxprob import acceptance
 
 
@@ -56,8 +57,21 @@ def test_criterion_10_toy_backprop_matches_finite_differences():
     _run(10)
 
 
-def test_criterion_11_toy_training_behaves_and_reproduces(tmp_path):
+def test_criterion_11_toy_training_behaves_and_reproduces(tmp_path, monkeypatch):
+    """Also: its training-curve artifact has csv.writer's bytes for the same reports."""
+    train, reports = acceptance.train, []
+
+    def recording_train(*args, **kwargs):
+        reports.append(train(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(acceptance, "train", recording_train)
     _run(11, str(tmp_path / "artifacts"))
+    written = [*reports[:3], reports[4]]  # alpha 1, 2, 4 and the ce-l2 baseline, not the rerun
+    expected = reference.csv_text(
+        ["mode", "alpha", "epoch", "train_loss", "test_loss", "train_acc", "test_acc",
+         "reg_term"], reference.training_curve_rows(written))
+    assert (tmp_path / "artifacts" / "toy_training_curves.csv").read_bytes() == expected.encode()
 
 
 def test_criterion_12_seeded_outputs_reproduce():

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -13,11 +16,11 @@ from maxprob import (
     evaluate,
     max_probability,
     run_sweep,
-    sweep_rows,
     theta_grid,
     uniform_distribution,
     uniqueness_diagnostic,
 )
+from maxprob import cli
 from maxprob.bernoulli import report_to_jsonable
 
 LOG9 = 2.1972245773362196
@@ -60,16 +63,15 @@ class TestThetaGrid:
 
 
 class TestRunSweep:
-    def test_schema_and_row_count(self):
-        report = run_sweep(small_spec())
-        rows = list(sweep_rows(report))
+    def test_schema_and_row_count(self, capsys):
+        """The CLI's CSV of small_spec: one row per (curve, theta), all finite."""
+        assert cli.dispatch(["sweep-bernoulli", "--theta-star", repr(LOG9), "--grid-min", "-4",
+                             "--grid-max", "4", "--grid-step", "0.05", "--alphas", "1,2"]) == 0
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert header == ["objective", "assumption", "alpha", "theta", "value"]
         assert len(rows) == 2 * 2 * 161
-        objective, assumption, alpha, theta, value = rows[0]
-        assert objective == "likelihood"
-        assert assumption == "cond-independent"
-        assert alpha == 1.0
-        assert theta == -4.0
-        assert np.isfinite(value)
+        assert rows[0][:4] == ["likelihood", "cond-independent", "1.0", "-4.0"]
+        assert np.all(np.isfinite([float(row[4]) for row in rows]))
 
     def test_likelihood_curve_ignores_alpha(self):
         report = run_sweep(small_spec())

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,7 +6,22 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import reference
+from maxprob import (
+    AscentConfig,
+    NonFiniteEncountered,
+    ObjectiveConfig,
+    Parameterization,
+    SweepSpec,
+    ascend,
+    distribution_from_jsonable,
+    run_sweep,
+    uniform_distribution,
+)
 from maxprob import cli
 
 
@@ -340,6 +356,165 @@ class TestSweepCommand:
                             "--grid-min", "2", "--grid-max", "-2"], capsys)
         assert code == 1
         assert json.loads(err)["error"] == "DimensionMismatch"
+
+
+# Floats the emitter must format as csv.writer does, beyond what floats() draws often.
+SPECIAL_FLOATS = [np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16,
+                  -1e16, 1e-5, 0.1, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def emitted(header, blocks) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit_csv(header, blocks, None)
+    return buf.getvalue()
+
+
+class TestCsvEmitter:
+    @given(st.lists(st.tuples(
+        st.sampled_from(["likelihood", "intersection", "ce-l2"]),
+        st.floats(allow_nan=False) | st.sampled_from(SPECIAL_FLOATS),
+        arrays(float, st.tuples(st.integers(0, 6)) | st.tuples(st.integers(0, 6),
+                                                                st.integers(1, 4)),
+               elements=st.floats(allow_nan=False) | st.sampled_from(SPECIAL_FLOATS))),
+        max_size=3))
+    def test_matches_csv_writer(self, blocks):
+        """Per block: a string and a float prefix, an int iter column and a float
+        table, whose rows are its floats (2-D) or one float each (1-D)."""
+        header = ["name", "alpha", "iter"] + [f"c{j}" for j in range(4)]
+        expected = reference.csv_text(header, [
+            [name, alpha, i, *np.atleast_1d(row)] for name, alpha, table in blocks
+            for i, row in enumerate(table)])
+        assert emitted(header, [(f"{name},{alpha!r},", [f"{i}," for i in range(len(table))],
+                                 table) for name, alpha, table in blocks]) == expected
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_nan_raises_before_writing(self, shape):
+        table = np.zeros(shape)
+        table.flat[-1] = np.nan
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), pytest.raises(NonFiniteEncountered):
+            cli._emit_csv(["a"], [("", ["0,", "1,", "2,"], np.zeros(3)),
+                                  ("", ["0,", "1,", "2,"], table)], None)
+        assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("spec", [
+        dict(theta_star=2.1972245773362196),
+        dict(theta_star=-1.5, assumption="oracle-subset", grid_step=0.37,
+             alphas=(0.5, 3.0, 1e5)),
+        dict(theta_star=0.3, grid_step=0.5, alphas=(1.0, 2.0),
+             prior=distribution_from_jsonable({"range": ["1", "0"], "probs": [1.0, 0.0]})),
+        dict(theta_star=0.3, objectives=()),
+    ])
+    def test_sweep_matches_reference(self, spec, tmp_path, capsys):
+        """Default grid, a grid not landing on grid_max, -inf cells, and no curves."""
+        argv = ["sweep-bernoulli", "--theta-star", repr(spec["theta_star"])]
+        for flag, key in (("--assumption", "assumption"), ("--grid-step", "grid_step")):
+            if key in spec:
+                argv += [flag, str(spec[key])]
+        if "alphas" in spec:
+            argv += ["--alphas", ",".join(map(repr, spec["alphas"]))]
+        if "objectives" in spec:
+            argv += ["--objectives", ","]
+        if "prior" in spec:
+            prior = tmp_path / "prior.json"
+            prior.write_text(json.dumps({"range": ["1", "0"], "probs": [1.0, 0.0]}))
+            argv += ["--prior", str(prior)]
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        report = run_sweep(SweepSpec(**spec))
+        assert out == reference.csv_text(["objective", "assumption", "alpha", "theta", "value"],
+                                         reference.sweep_rows(report))
+
+    @pytest.mark.parametrize("param, probs", [("sigmoid", [0.9, 0.1]),
+                                              ("softmax", [0.5, 0.25, 0.125, 0.125])])
+    def test_trace_matches_reference(self, param, probs, tmp_path, capsys):
+        payload = {"range": [f"v{i}" for i in range(len(probs))], "probs": probs}
+        path = tmp_path / "oracle.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(["optimize", "--kind", "intersection", "--alpha", "2",
+                              "--oracle", str(path), "--param", param, "--step", "0.5",
+                              "--max-iters", "40"], capsys)
+        assert code == 0 and err == ""
+        oracle = distribution_from_jsonable(payload)
+        p = (Parameterization.sigmoid_bernoulli(oracle.range) if param == "sigmoid"
+             else Parameterization.softmax_logits(oracle.range))
+        config = ObjectiveConfig("intersection", "cond-independent", 2.0,
+                                 uniform_distribution(oracle.range))
+        trace = ascend(config, oracle, p, np.zeros(p.dim),
+                       AscentConfig(step_size=0.5, max_iters=40, grad_tol=1e-8))
+        header = ["iter"] + [f"theta_{i}" for i in range(p.dim)] + ["value", "grad_norm"]
+        assert out == reference.csv_text(header, reference.trace_rows(trace))
+
+
+class TestCsvNaN:
+    """A NaN reaching CSV output is NonFiniteEncountered with nothing written.
+
+    Both commands reach a NaN through the overflow of alpha * x at alpha
+    1e308, which also warns; the warnings are silenced here."""
+
+    SWEEP = ["sweep-bernoulli", "--theta-star", "1", "--alphas", "1e308", "--grid-step", "4",
+             "--assumption", "oracle-subset"]
+    OPTIMIZE = ["optimize", "--kind", "likelihood", "--assumption", "oracle-subset",
+                "--alpha", "1e308", "--param", "sigmoid", "--theta0", "3"]
+
+    def check(self, argv, capsys, written=()):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "NonFiniteEncountered"
+        for path in written:
+            assert not path.exists()
+
+    def test_sweep(self, capsys):
+        self.check(self.SWEEP, capsys)
+
+    def test_sweep_with_out(self, tmp_path, capsys):
+        out, summary = tmp_path / "sweep.csv", tmp_path / "summary.json"
+        self.check(self.SWEEP + ["--out", str(out), "--summary-out", str(summary)], capsys,
+                   (out, summary))
+
+    def optimize_argv(self, tmp_path):
+        oracle = tmp_path / "oracle.json"
+        oracle.write_text(json.dumps({"range": ["1", "0"], "probs": [0.7, 0.3]}))
+        return self.OPTIMIZE + ["--oracle", str(oracle)]
+
+    def test_optimize(self, tmp_path, capsys):
+        self.check(self.optimize_argv(tmp_path), capsys)
+
+    def test_optimize_with_out(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        self.check(self.optimize_argv(tmp_path) + ["--out", str(out)], capsys, (out,))
+
+
+class TestParserReuse:
+    def test_one_parser_per_process_and_no_leaked_defaults(self, bernoulli_oracle, capsys):
+        """dispatch builds one parser and reuses it; each call's output equals
+        a run on a fresh parser, so no value of one call reaches the next."""
+        sweep = ["sweep-bernoulli", "--theta-star", "1.5", "--grid-step", "0.5"]
+        sequence = [
+            sweep + ["--alphas", "1,2"],
+            sweep,
+            ["optimize", "--kind", "intersection", "--alpha", "2", "--oracle",
+             bernoulli_oracle, "--param", "sigmoid", "--max-iters", "5"],
+            ["--help"],
+            ["optimize", "--kind", "banana"],
+        ]
+        fresh = []
+        for argv in sequence:
+            cli._parser.cache_clear()
+            fresh.append(run(argv, capsys))
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2]
+        assert fresh[0][1] != fresh[1][1]
+        cli._parser.cache_clear()
+        assert [run(argv, capsys) for argv in sequence] == fresh
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(sequence) - 1)
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
 
 
 class TestTrainToyCommand:
