@@ -23,7 +23,7 @@ from .errors import (
     SpaceTooLarge,
     SumOutOfTolerance,
 )
-from .logspace import NEG_INF, log_sigmoid, log_softmax, logsumexp, soft_min, softmax
+from .logspace import NEG_INF, log_softmax, logsumexp, soft_min, softmax
 from .distributions import (
     FiniteDistribution,
     OutcomeRange,
@@ -83,7 +83,6 @@ from .nn import (
     canonical_report_bytes,
     cross_entropy_loss,
     hn_forward,
-    head_mass,
     intersection_loss,
     loss_and_grads,
     make_toy_dataset,

@@ -13,6 +13,7 @@ values_at_thetas call over the whole grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,10 +25,11 @@ from .distributions import (
     apply_parameterization,
     uniform_distribution,
 )
-from .errors import DimensionMismatch, RangeMismatch, require_alpha
+from .errors import InvalidSetting, NonFiniteParameter, require_alpha
 from .objectives import ASSUMPTIONS, KINDS, ObjectiveConfig, values_at_thetas
 
 __all__ = [
+    "MAX_GRID_POINTS",
     "PLATEAU_RUN",
     "PLATEAU_TOL",
     "SweepSpec",
@@ -43,6 +45,8 @@ __all__ = [
 # PLATEAU_TOL of the curve maximum.
 PLATEAU_RUN = 5
 PLATEAU_TOL = 1e-9
+# Largest theta grid a sweep tabulates.
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,14 +64,21 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if self.assumption not in ASSUMPTIONS:
-            raise RangeMismatch(f"assumption must be one of {ASSUMPTIONS}")
+            raise InvalidSetting(f"assumption must be one of {ASSUMPTIONS}, "
+                                 f"got {self.assumption!r}")
         for obj in self.objectives:
             if obj not in KINDS:
-                raise RangeMismatch(f"objective must be one of {KINDS}, got {obj!r}")
+                raise InvalidSetting(f"objective must be one of {KINDS}, got {obj!r}")
         for a in self.alphas:
             require_alpha(a)
+        bounds = (self.grid_min, self.grid_max, self.grid_step)
+        if not all(map(math.isfinite, bounds)):
+            raise NonFiniteParameter(f"grid min, max and step must be finite, got {bounds!r}")
         if not self.grid_step > 0 or not self.grid_max > self.grid_min:
-            raise DimensionMismatch("grid needs grid_max > grid_min and grid_step > 0")
+            raise InvalidSetting("grid needs grid_max > grid_min and grid_step > 0")
+        # in float, so a span that overflows to inf is too many points as well
+        if (self.grid_max - self.grid_min) / self.grid_step + 1 > MAX_GRID_POINTS:
+            raise InvalidSetting(f"grid {bounds!r} has more than {MAX_GRID_POINTS} points")
 
 
 @dataclass(frozen=True, eq=False)

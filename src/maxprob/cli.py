@@ -392,7 +392,8 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    logging.basicConfig(level=args.log_level.upper())
+    logging.basicConfig()  # installs a handler once; the level is set per call
+    log.setLevel(args.log_level.upper())
     try:
         return args.func(args)
     except DomainError as exc:

@@ -1,4 +1,4 @@
-"""Finite outcome spaces, log-space distributions, and parameterized families.
+"""Finite outcome spaces, log-space distributions, and their softmax parameterization.
 
 Representation contract
 -----------------------
@@ -32,7 +32,7 @@ from .errors import (
     RangeMismatch,
     SumOutOfTolerance,
 )
-from .logspace import NEG_INF, log_sigmoid, log_softmax, logsumexp
+from .logspace import NEG_INF, log_softmax, logsumexp
 
 __all__ = [
     "SUM_REJECT_TOL",
@@ -244,45 +244,40 @@ def coarsen(dist: FiniteDistribution, r: Refinement) -> FiniteDistribution:
     return FiniteDistribution.from_logp(r.coarse, logp, normalize=True)
 
 
-_SIGMOID = "sigmoid-bernoulli"
-_SOFTMAX = "softmax-logits"
-
 # Sigmoid convention: the range lists the success outcome first, so
 # apply(theta) puts sigma(theta) at index 0.  theta = log-odds of success.
 _DEFAULT_BERNOULLI_RANGE = OutcomeRange(("1", "0"))
-_SIGMOID_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
 class Parameterization:
-    """Smooth map from a real parameter vector to a FiniteDistribution."""
+    """Softmax over one logit per outcome of range; the first dim logits are the
+    parameters and the rest are pinned at 0.
 
-    kind: str
+    softmax-logits frees every logit.  sigmoid-bernoulli frees the first of
+    two: (log sigma(theta), log sigma(-theta)) is log_softmax((theta, 0)).
+    """
+
     dim: int
     range: OutcomeRange
 
     def __post_init__(self) -> None:
-        if self.kind == _SIGMOID:
-            if len(self.range) != 2:
-                raise DimensionMismatch("sigmoid-bernoulli requires a 2-outcome range")
-            if self.dim != 1:
-                raise DimensionMismatch("sigmoid-bernoulli has a single parameter")
-        elif self.kind == _SOFTMAX:
-            if self.dim != len(self.range):
-                raise DimensionMismatch("softmax-logits takes one logit per outcome")
-        else:
-            raise RangeMismatch(f"unknown parameterization kind {self.kind!r}; "
-                                f"expected {_SIGMOID!r} or {_SOFTMAX!r}")
+        if not 1 <= self.dim <= len(self.range):
+            raise DimensionMismatch(f"{len(self.range)} outcomes take 1 to {len(self.range)} "
+                                    f"parameters, got {self.dim}")
 
     @staticmethod
     def sigmoid_bernoulli(rng: OutcomeRange | None = None) -> "Parameterization":
-        return Parameterization(_SIGMOID, 1, rng or _DEFAULT_BERNOULLI_RANGE)
+        rng = rng or _DEFAULT_BERNOULLI_RANGE
+        if len(rng) != 2:
+            raise DimensionMismatch("sigmoid-bernoulli requires a 2-outcome range")
+        return Parameterization(1, rng)
 
     @staticmethod
     def softmax_logits(rng: OutcomeRange | int) -> "Parameterization":
         if isinstance(rng, int):
             rng = OutcomeRange(tuple(f"v{i}" for i in range(rng)))
-        return Parameterization(_SOFTMAX, len(rng), rng)
+        return Parameterization(len(rng), rng)
 
 
 def _check_theta(p: Parameterization, theta) -> np.ndarray:
@@ -305,15 +300,15 @@ def _check_thetas(p: Parameterization, thetas) -> np.ndarray:
 def _theta_logp(p: Parameterization, th: np.ndarray) -> np.ndarray:
     """Log-probabilities (N, K) of checked parameter rows (N, dim).
 
-    Both kinds are computed in log space (softplus / max-shifted log-sum-exp)
-    and then renormalized, so any finite theta yields a valid distribution,
-    however extreme.
+    The logits are the rows padded with K - dim zeros.  A max-shifted
+    log-softmax of them is renormalized by a second one, so any finite theta
+    yields a valid distribution, however extreme.  One pass alone misses
+    SUM_INVARIANT_TOL at large logits: |sum p - 1| reached 7.3e-12 at K = 64
+    with logits near 1e5.
     """
-    if p.kind == _SIGMOID:
-        raw = log_sigmoid(th * _SIGMOID_SIGNS)  # log sigma(theta), log sigma(-theta)
-    else:
-        raw = log_softmax(th)
-    return log_softmax(raw)
+    logits = np.zeros((len(th), len(p.range)))
+    logits[:, :p.dim] = th
+    return log_softmax(log_softmax(logits))
 
 
 def apply_parameterization(p: Parameterization, theta) -> FiniteDistribution:
@@ -325,12 +320,9 @@ def apply_parameterization(p: Parameterization, theta) -> FiniteDistribution:
 def _pullback(p: Parameterization, d_logp: np.ndarray) -> np.ndarray:
     """d_theta = J^T d_logp for a d_logp whose entries sum to zero.
 
-    J[i, j] = d log P(v_i) / d theta_j.  softmax-logits has
-    J[i, j] = delta_ij - P(v_j), so J^T d = d - P * sum(d) = d.
-    sigmoid-bernoulli has the column (1 - s, -s) over (success, failure), so
-    J^T d = d_0 - s * (d_0 + d_1) = d_0.  Either way the pullback is the first
-    p.dim entries; every objective gradient (attraction minus repulsion) sums
-    to zero, so no Jacobian is ever built.
+    J[i, j] = d log P(v_i) / d theta_j = delta_ij - P(v_j) for j < p.dim, so
+    J^T d = d[:dim] - P[:dim] * sum(d) = d[:dim].  Every objective gradient
+    (attraction minus repulsion) sums to zero, so no Jacobian is ever built.
     """
     return d_logp[:p.dim]
 
@@ -339,6 +331,9 @@ def distribution_to_jsonable(d: FiniteDistribution) -> dict:
     """Schema: {"range": [...], "probs": [...]}, linear space, zero as literal 0."""
     probs = [0 if lp == NEG_INF else float(np.exp(lp)) for lp in d.logp]
     return {"range": list(d.range.labels), "probs": probs}
+
+
+_NUMBER_CODES = np.typecodes["AllInteger"] + np.typecodes["Float"]
 
 
 def distribution_from_jsonable(obj: Mapping) -> FiniteDistribution:
@@ -357,6 +352,6 @@ def distribution_from_jsonable(obj: Mapping) -> FiniteDistribution:
         probs = np.asarray(obj["probs"])
     except ValueError:  # ragged nesting
         probs = None
-    if probs is None or probs.ndim != 1 or probs.dtype.kind not in "iuf":
+    if probs is None or probs.ndim != 1 or probs.dtype.char not in _NUMBER_CODES:
         raise MalformedDistribution('"probs" must be a flat list of numbers')
     return make_distribution(rng, probs)

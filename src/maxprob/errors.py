@@ -107,7 +107,7 @@ class LabelOutOfRange(DomainError):
 
 
 class InvalidSetting(DomainError):
-    """A count, step size or seed lies outside its valid range."""
+    """A count, step size or seed lies outside its valid range, or a name is unknown."""
 
 
 class MalformedDistribution(DomainError):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import require_alpha
 
-__all__ = ["NEG_INF", "logsumexp", "log_softmax", "softmax", "log_sigmoid", "soft_min"]
+__all__ = ["NEG_INF", "logsumexp", "log_softmax", "softmax", "soft_min"]
 
 NEG_INF = float("-inf")
 _MIN_FLOAT = -np.finfo(float).max
@@ -82,15 +82,3 @@ def soft_min(a, alpha: float, axis=None):
     a = np.asarray(a, dtype=float)
     return -logsumexp(-alpha * a, axis=axis) / alpha
 
-
-def log_sigmoid(x):
-    """log(1 / (1 + exp(-x))) without overflow for large |x|, elementwise.
-
-    A float gives a float, an array an array of its shape.
-    """
-    # log sigma(x) = -log1p(exp(-x)) for x >= 0, x - log1p(exp(x)) for x < 0;
-    # exp(-|x|) is the exp of either branch and never overflows
-    x = np.asarray(x, dtype=float)
-    tail = np.log1p(np.exp(-np.abs(x)))
-    out = np.where(x >= 0, -tail, x - tail)
-    return float(out) if out.ndim == 0 else out

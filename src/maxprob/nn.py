@@ -7,8 +7,8 @@ The classifier head generalizes softmax: with logits x and sharpness alpha,
 computed as exp(x_i - logsumexp(alpha * x)) so it never overflows.  At
 alpha = 1 this is exactly softmax (identical summation order, so agreement
 is bit-for-bit); for alpha != 1 the outputs are positive but sum to
-head_mass = sum exp(x) / sum exp(alpha x) rather than 1, and the loss
-accounts for that explicitly instead of renormalizing.
+sum exp(x) / sum exp(alpha x) rather than 1, and the loss accounts for that
+explicitly instead of renormalizing.
 
 The training loss couples the usual label term with a mass penalty:
 
@@ -45,14 +45,12 @@ from .errors import (
     LabelOutOfRange,
     NonFiniteLogits,
     NonFiniteParameter,
-    RangeMismatch,
     require_alpha,
 )
 from .logspace import log_softmax, logsumexp, softmax
 
 __all__ = [
     "hn_forward",
-    "head_mass",
     "intersection_loss",
     "cross_entropy_loss",
     "regularizer_bound",
@@ -96,7 +94,7 @@ def _check_batch(rows, labels, k: Optional[int] = None,
 def _check_loss(mode: str, alpha: float, **finite: float) -> None:
     """A known mode, a finite positive alpha, and finite lam (and step)."""
     if mode not in LOSS_MODES:
-        raise RangeMismatch(f"mode must be one of {LOSS_MODES}, got {mode!r}")
+        raise InvalidSetting(f"mode must be one of {LOSS_MODES}, got {mode!r}")
     require_alpha(alpha)
     for name, value in finite.items():
         if not math.isfinite(value):
@@ -115,11 +113,6 @@ def hn_forward(logits, alpha: float) -> np.ndarray:
     require_alpha(alpha)
     x = _check_logits(logits)
     return np.exp(x - logsumexp(alpha * x, axis=-1)[..., np.newaxis])
-
-
-def head_mass(logits, alpha: float) -> np.ndarray:
-    """Total head output per sample; equals 1 only at alpha = 1."""
-    return hn_forward(logits, alpha).sum(axis=-1)
 
 
 def _loss(x: np.ndarray, y: np.ndarray, mode: str, alpha: float,
@@ -231,7 +224,8 @@ class ToyNet:
         return logits
 
     def head(self, x: np.ndarray, alpha: float) -> np.ndarray:
-        """Generalized-softmax outputs; rows sum to head_mass, not 1, for alpha != 1."""
+        """Generalized-softmax outputs; for alpha != 1 a row sums to
+        sum exp(logits) / sum exp(alpha * logits), not 1."""
         return hn_forward(self.forward(x), alpha)
 
     def digest(self) -> str:

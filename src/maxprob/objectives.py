@@ -63,6 +63,7 @@ from .distributions import (
 )
 from .errors import (
     EmptyIntersectionSupport,
+    InvalidSetting,
     NonFiniteEncountered,
     OracleSupportEscapesModel,
     RangeMismatch,
@@ -110,9 +111,9 @@ class ObjectiveConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise RangeMismatch(f"kind must be one of {KINDS}, got {self.kind!r}")
+            raise InvalidSetting(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.assumption not in ASSUMPTIONS:
-            raise RangeMismatch(f"assumption must be one of {ASSUMPTIONS}, got {self.assumption!r}")
+            raise InvalidSetting(f"assumption must be one of {ASSUMPTIONS}, got {self.assumption!r}")
         require_alpha(self.alpha)
 
 

@@ -8,7 +8,11 @@ classes, so a change to a kernel can not change the reference with it.
 
 It also keeps the explicit parameterization Jacobian and the ascent loop
 that pulled each gradient back through it: the package slices instead
-(distributions._pullback), and the tests require the two to agree.
+(distributions._pullback), and the tests require the two to agree.  Its
+apply_parameterization is a scalar softmax over theta padded with zero
+logits, one family for both constructors.  sigmoid_logp keeps the map the
+sigmoid family had before it became the softmax over (theta, 0): log_sigmoid
+of theta and of -theta.  The tests hold the two within one ulp.
 
 The old bodies computed log model + log oracle - log prior before masking;
 on an outcome none of the three supports that is -inf - -inf, so they run
@@ -39,6 +43,7 @@ from maxprob import (
     EmptyIntersectionSupport,
     FiniteDistribution,
     NonFiniteEncountered,
+    OutcomeRange,
     OracleSupportEscapesModel,
     RangeMismatch,
     TrainReport,
@@ -48,6 +53,7 @@ from maxprob.nn import EpochRecord
 from maxprob.optimize import DIVERGENCE_THETA_BOUND
 
 NEG_INF = float("-inf")
+COIN = OutcomeRange(("1", "0"))
 
 
 def logsumexp(a) -> float:
@@ -70,14 +76,18 @@ def log_sigmoid(x: float) -> float:
     return x - float(np.log1p(np.exp(x)))
 
 
+def sigmoid_logp(theta: float) -> np.ndarray:
+    """The sigmoid family's own map: (log sigma(theta), log sigma(-theta)), renormalized."""
+    logp = np.array([log_sigmoid(theta), log_sigmoid(-theta)])
+    return FiniteDistribution.from_logp(COIN, logp, normalize=True).logp
+
+
 def apply_parameterization(p, theta) -> FiniteDistribution:
+    """A scalar softmax over theta padded with len(p.range) - p.dim zero logits."""
     th = _check_theta(p, theta)
-    if p.kind == "sigmoid-bernoulli":
-        t = float(th[0])
-        logp = np.array([log_sigmoid(t), log_sigmoid(-t)])
-    else:
-        logp = th - logsumexp(th)
-    return FiniteDistribution.from_logp(p.range, logp, normalize=True)
+    logits = np.zeros(len(p.range))
+    logits[:p.dim] = th
+    return FiniteDistribution.from_logp(p.range, logits - logsumexp(logits), normalize=True)
 
 
 def _same_range(a, b) -> None:
@@ -184,16 +194,13 @@ def values_at_thetas(config, oracle, p, thetas) -> np.ndarray:
 
 
 def parameterization_jacobian(p, theta) -> np.ndarray:
-    """Matrix J[i, j] = d log P(v_i) / d theta_j at the given theta.
+    """Matrix J[i, j] = d log P(v_i) / d theta_j = delta_ij - P(v_j) at the given theta.
 
-    sigmoid-bernoulli: column (1 - sigma, -sigma) for the (success, failure)
-    rows.  softmax-logits: delta_ij - P(v_j); every row sums to zero.
+    Every row sums to zero.  For the sigmoid (dim 1 of 2) it is the column
+    (1 - sigma, -sigma) for the (success, failure) rows.
     """
     mass = apply_parameterization(p, theta).probs
-    if p.kind == "sigmoid-bernoulli":
-        s = mass[0]
-        return np.array([[1.0 - s], [-s]])
-    return np.eye(p.dim) - mass[np.newaxis, :]
+    return (np.eye(len(mass)) - mass[np.newaxis, :])[:, :p.dim]
 
 
 def gradient_at_theta(config, oracle, p, theta) -> np.ndarray:

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from maxprob import (
-    DimensionMismatch,
+    InvalidSetting,
     NonFiniteParameter,
     NonPositiveAlpha,
     ObjectiveConfig,
     Parameterization,
-    RangeMismatch,
     SweepSpec,
     apply_parameterization,
     evaluate,
@@ -21,7 +20,7 @@ from maxprob import (
     uniqueness_diagnostic,
 )
 from maxprob import cli
-from maxprob.bernoulli import report_to_jsonable
+from maxprob.bernoulli import MAX_GRID_POINTS, report_to_jsonable
 
 LOG9 = 2.1972245773362196
 
@@ -35,7 +34,7 @@ def small_spec(**overrides) -> SweepSpec:
 
 class TestSweepSpec:
     def test_rejects_bad_objective(self):
-        with pytest.raises(RangeMismatch):
+        with pytest.raises(InvalidSetting):
             small_spec(objectives=("banana",))
 
     def test_rejects_non_positive_alpha(self):
@@ -44,9 +43,34 @@ class TestSweepSpec:
             with pytest.raises(error):
                 small_spec(alphas=(1.0, alpha))
 
+    def test_rejects_bad_assumption(self):
+        with pytest.raises(InvalidSetting):
+            small_spec(assumption="banana")
+
     def test_rejects_degenerate_grid(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidSetting):
             small_spec(grid_min=1.0, grid_max=-1.0)
+
+    @pytest.mark.parametrize("grid", [dict(grid_min=-np.inf), dict(grid_max=np.inf),
+                                      dict(grid_step=np.nan), dict(grid_min=np.nan),
+                                      dict(grid_step=np.inf)])
+    def test_rejects_non_finite_grid(self, grid):
+        with pytest.raises(NonFiniteParameter):
+            small_spec(**grid)
+
+    @pytest.mark.parametrize("grid", [dict(grid_step=0.0), dict(grid_step=-0.5),
+                                      dict(grid_min=4.0), dict(grid_step=1e-300),
+                                      dict(grid_min=-1e308, grid_max=1e308),
+                                      dict(grid_min=0.0, grid_max=float(MAX_GRID_POINTS),
+                                           grid_step=1.0)])
+    def test_rejects_empty_or_oversized_grid(self, grid):
+        """The span of -1e308 to 1e308 overflows; the last grid has MAX_GRID_POINTS + 1."""
+        with pytest.raises(InvalidSetting):
+            small_spec(**grid)
+
+    def test_accepts_the_largest_grid(self):
+        spec = small_spec(grid_min=0.0, grid_max=MAX_GRID_POINTS - 1.0, grid_step=1.0)
+        assert len(theta_grid(spec)) == MAX_GRID_POINTS
 
 
 class TestThetaGrid:

@@ -20,7 +20,7 @@ from maxprob import (
     softmax_probability,
     uniform_distribution,
 )
-from maxprob.logspace import NEG_INF, log_sigmoid, log_softmax, logsumexp, soft_min
+from maxprob.logspace import NEG_INF, log_softmax, logsumexp, soft_min
 
 
 COIN = OutcomeRange(("H", "T"))
@@ -167,17 +167,6 @@ class TestLogsumexpAxis:
         np.testing.assert_array_equal(logsumexp(np.array([row]), axis=-1), [top])
         np.testing.assert_array_equal(log_softmax(row), want)
         np.testing.assert_array_equal(log_softmax([row]), [want])
-
-
-class TestLogSigmoid:
-    def test_array_matches_elementwise_floats(self):
-        x = np.array([[-800.0, -2.5, -0.0], [0.0, 3.0, 800.0]])
-        out = log_sigmoid(x)
-        assert out.shape == x.shape
-        for got, xi in zip(out.ravel(), x.ravel()):
-            want = log_sigmoid(float(xi))
-            assert isinstance(want, float)
-            assert np.array([got]).tobytes() == np.array([want]).tobytes()
 
 
 class TestAlphaSkeleton:

@@ -355,7 +355,18 @@ class TestSweepCommand:
         code, _, err = run(["sweep-bernoulli", "--theta-star", "0",
                             "--grid-min", "2", "--grid-max", "-2"], capsys)
         assert code == 1
-        assert json.loads(err)["error"] == "DimensionMismatch"
+        assert json.loads(err)["error"] == "InvalidSetting"
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--grid-min=-inf"], "NonFiniteParameter"),
+        (["--grid-step", "nan"], "NonFiniteParameter"),
+        (["--grid-step", "1e-300"], "InvalidSetting"),
+        (["--objectives", "bogus"], "InvalidSetting"),
+    ])
+    def test_bad_settings_are_one_json_line(self, argv, error, capsys):
+        code, out, err = run(["sweep-bernoulli", "--theta-star", "0", *argv], capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and json.loads(err)["error"] == error
 
 
 # Floats the emitter must format as csv.writer does, beyond what floats() draws often.
@@ -515,6 +526,20 @@ class TestParserReuse:
     def test_build_parser_returns_a_fresh_parser(self):
         assert cli.build_parser() is not cli.build_parser()
         assert cli._parser() is cli._parser()
+
+
+class TestLogLevel:
+    def test_every_dispatch_sets_the_level(self, coin_files, tmp_path, caplog):
+        """A later dispatch's --log-level holds, as the first one's does."""
+        prior, cond = coin_files
+        out = str(tmp_path / "bound.json")
+        argv = ["bound", "--prior", prior, "--conditional", cond, "--out", out]
+        assert cli.dispatch(argv) == 0
+        assert caplog.records == []
+        assert cli.dispatch([*argv, "--log-level", "info"]) == 0
+        assert [r.getMessage() for r in caplog.records] == [f"wrote {out}"]
+        assert cli.dispatch(argv) == 0
+        assert len(caplog.records) == 1
 
 
 class TestTrainToyCommand:

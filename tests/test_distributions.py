@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
-from helpers import dist_from_weights, distributions, labels_of, weight_lists
+from helpers import alphas, dist_from_weights, distributions, labels_of, weight_lists
 from maxprob import (
     DimensionMismatch,
     DuplicateOutcome,
@@ -27,10 +27,16 @@ from maxprob import (
     gradient_at_theta,
     make_distribution,
     mc_gradient,
+    value_at_theta,
 )
+from maxprob.distributions import SUM_INVARIANT_TOL, _theta_logp
 from maxprob.errors import NonSurjectiveProjection
 from maxprob.logspace import NEG_INF
 from maxprob.objectives import ASSUMPTIONS, KINDS
+
+
+def assert_array_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (got, want)
 
 
 class TestOutcomeRange:
@@ -198,6 +204,20 @@ class TestSigmoidParameterization:
         with pytest.raises(DimensionMismatch):
             Parameterization.sigmoid_bernoulli(OutcomeRange(("a", "b", "c")))
 
+    def test_is_the_first_of_two_logits(self):
+        p = Parameterization.sigmoid_bernoulli()
+        assert p == Parameterization(1, OutcomeRange(("1", "0")))
+
+    @pytest.mark.parametrize("theta", [0.0, -0.0, 1e-300, 800.0, -800.0, 37.5, -745.5,
+                                       1e308, -1e308])
+    def test_within_one_ulp_of_the_log_sigmoid_map(self, theta):
+        """softmax over (theta, 0) against (log sigma(theta), log sigma(-theta)),
+        both renormalized, within one ulp of max(1, |x|)."""
+        p = Parameterization.sigmoid_bernoulli()
+        got = _theta_logp(p, np.array([[theta]]))[0]
+        want = reference.sigmoid_logp(theta)
+        assert np.all(np.abs(got - want) <= np.spacing(np.maximum(1.0, np.abs(want))))
+
     def test_extreme_theta_stays_finite_distribution(self):
         p = Parameterization.sigmoid_bernoulli()
         d = apply_parameterization(p, 800.0)
@@ -234,6 +254,24 @@ class TestSoftmaxParameterization:
         p = Parameterization.softmax_logits(3)
         with pytest.raises(DimensionMismatch):
             apply_parameterization(p, [0.0, 1.0])
+
+    @pytest.mark.parametrize("dim", [0, -1, 4])
+    def test_dim_outside_one_to_k_rejected(self, dim):
+        with pytest.raises(DimensionMismatch):
+            Parameterization(dim, OutcomeRange(labels_of(3)))
+
+    def test_trailing_logits_are_pinned_at_zero(self):
+        p = Parameterization(2, OutcomeRange(labels_of(3)))
+        assert_array_bits(apply_parameterization(p, [0.7, -2.0]).logp,
+                          apply_parameterization(Parameterization.softmax_logits(p.range),
+                                                 [0.7, -2.0, 0.0]).logp)
+
+    def test_sum_invariant_at_large_logits(self):
+        """The second log-softmax pass keeps |sum p - 1| within SUM_INVARIANT_TOL."""
+        p = Parameterization.softmax_logits(64)
+        thetas = 1e5 + np.random.default_rng(3).normal(scale=2.0, size=(200, 64))
+        total = np.exp(_theta_logp(p, thetas)).sum(axis=-1)
+        assert np.abs(total - 1.0).max() <= SUM_INVARIANT_TOL
 
 
 theta_vectors = st.lists(
@@ -311,3 +349,42 @@ class TestPullback:
                   mc_gradient(config, oracle, p, theta, 50, seed=k)):
             assert g.d_theta.shape == (p.dim,)
             np.testing.assert_allclose(g.d_theta, jac.T @ g.d_logp, rtol=0, atol=1e-12)
+
+
+EPS = np.finfo(float).eps
+
+
+class TestReparameterizationInvariance:
+    """A model's probability depends only on its likelihood function, not on
+    how it is parameterized.  Sigmoid theta, softmax (theta, 0) and softmax
+    (theta + c, c) name one distribution, so every objective cell gives them
+    one value and one d_logp: bit for bit for the first two, which are the
+    same logits, and within rounding of theta + c for the third.  The value is
+    held to 16 eps (1 + |theta| + |c|), and d_logp, whose soft-min weights
+    scale log-probability errors by up to alpha, to 4 (1 + alpha) times it."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("assumption", ASSUMPTIONS)
+    @given(theta=st.floats(-700.0, 700.0), shift=st.floats(-1e4, 1e4),
+           oracle_weights=weight_lists(2, allow_zeros=True),
+           prior_weights=weight_lists(2, allow_zeros=False), alpha=alphas)
+    def test_objectives_agree(self, kind, assumption, theta, shift, oracle_weights,
+                              prior_weights, alpha):
+        config = ObjectiveConfig(kind, assumption, alpha, dist_from_weights(prior_weights))
+        oracle = dist_from_weights(oracle_weights)
+        sigmoid = Parameterization.sigmoid_bernoulli(oracle.range)
+        softmax = Parameterization.softmax_logits(oracle.range)
+        value = value_at_theta(config, oracle, sigmoid, theta)
+        grad = gradient_at_theta(config, oracle, sigmoid, theta)
+
+        assert_array_bits(np.array(value_at_theta(config, oracle, softmax, [theta, 0.0])),
+                          np.array(value))
+        pinned = gradient_at_theta(config, oracle, softmax, [theta, 0.0])
+        assert_array_bits(pinned.d_logp, grad.d_logp)
+        assert_array_bits(pinned.d_theta[:1], grad.d_theta)
+
+        scale = EPS * (1.0 + abs(theta) + abs(shift))
+        shifted = [theta + shift, shift]
+        assert abs(value_at_theta(config, oracle, softmax, shifted) - value) <= 16 * scale
+        np.testing.assert_allclose(gradient_at_theta(config, oracle, softmax, shifted).d_logp,
+                                   grad.d_logp, rtol=0, atol=4 * (1 + alpha) * scale)

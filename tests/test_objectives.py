@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from helpers import distribution_triples
 from maxprob import (
     EmptyIntersectionSupport,
+    InvalidSetting,
     NonFiniteParameter,
     NonPositiveAlpha,
     ObjectiveConfig,
@@ -49,6 +50,12 @@ class TestObjectiveConfig:
                              (np.nan, NonFiniteParameter)):
             with pytest.raises(error):
                 ObjectiveConfig("intersection", "cond-independent", alpha, UNIFORM2)
+
+    @pytest.mark.parametrize("kind, assumption", [("banana", "cond-independent"),
+                                                  ("likelihood", "banana")])
+    def test_rejects_unknown_names(self, kind, assumption):
+        with pytest.raises(InvalidSetting):
+            ObjectiveConfig(kind, assumption, 1.0, UNIFORM2)
 
 
 class TestPosterior:
