@@ -7,8 +7,8 @@ to tabulate exhaustively.  The sweep reports, per (objective, alpha) pair,
 the full (theta, value) curve, its grid argmax, a flatness diagnostic, and
 a shape classification.  Absolute curve heights depend on which additive
 constants an objective drops, so cross-family comparisons should use argmax
-positions and shapes, not raw heights.  Each curve is one batched
-values_at_thetas call over the whole grid.
+positions and shapes, not raw heights.  Each curve is one batched value
+call over the model of the whole grid, computed once per sweep.
 """
 
 from __future__ import annotations
@@ -24,9 +24,11 @@ from .distributions import (
     Parameterization,
     apply_parameterization,
     uniform_distribution,
+    _check_thetas,
+    _theta_logp,
 )
 from .errors import InvalidSetting, NonFiniteParameter, require_alpha
-from .objectives import ASSUMPTIONS, KINDS, ObjectiveConfig, values_at_thetas
+from .objectives import ASSUMPTIONS, KINDS, ObjectiveConfig, _require_ranges, _values_of_rows
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -126,14 +128,17 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     oracle = apply_parameterization(p, spec.theta_star)
     prior = spec.prior if spec.prior is not None else uniform_distribution(p.range)
     grid = theta_grid(spec)
-    rows = grid[:, np.newaxis]
     quarter = len(grid) // 4
     middle = slice(quarter, max(quarter + 1, len(grid) - quarter))
+    # the checks and the model of values_at_thetas, once for the grid all curves share
+    th = _check_thetas(p, grid[:, np.newaxis])
+    _require_ranges(p.range, oracle, prior)
+    model = _theta_logp(p, th)
     curves = []
     for objective in spec.objectives:
         for alpha in spec.alphas:
             config = ObjectiveConfig(objective, spec.assumption, alpha, prior)
-            values = values_at_thetas(config, oracle, p, rows)
+            values = _values_of_rows(config, oracle, model)
             top, bottom = np.max(values[middle]), np.min(values[middle])
             curves.append(SweepCurve(
                 objective, alpha, grid, values,

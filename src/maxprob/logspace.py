@@ -59,10 +59,16 @@ def logsumexp(a, axis=None):
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
     """Log of the softmax of x along its last axis, stabilized by a max-shift per slice."""
+    return _log_normalize(x)[0]
+
+
+def _log_normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log_softmax(x) and the logsumexp along the last axis it subtracted."""
     x = np.asarray(x, dtype=float)
-    lse = logsumexp(x, axis=-1)[..., np.newaxis]
+    lse = logsumexp(x, axis=-1)
+    top = lse[..., np.newaxis]
     # lse exceeds its row's max by at most log(K), far below an ulp at the limit
-    return _shift(x, lse, lse.item()) if lse.size == 1 else x - lse
+    return (_shift(x, top, top.item()) if top.size == 1 else x - top), lse
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

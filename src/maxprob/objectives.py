@@ -35,14 +35,18 @@ parameterization pulls it back to the parameters by slicing (see
 distributions._pullback).  gradient_terms exposes the two vectors directly;
 the Monte Carlo estimator in optimize samples from them.
 
-Each term is one array kernel over raw log-probabilities: the model is
-(..., K), one row per model, and the oracle and the prior are (K,).  A value
-kernel returns (...), an attraction or repulsion kernel (..., K).  The same
-kernels serve one model (evaluate, gradient_terms), a whole grid of
-parameter rows (values_at_thetas) and every step of optimize.ascend.
-Validation lives in those entry points: outcome ranges and finite
-parameters are checked there, once per call, and the support conditions of
-each term before its kernels run.
+Each term has two array kernels over raw log-probabilities: the model is
+(..., K), one row per model, and the oracle and the prior are (K,).  Its
+value kernel serves a whole grid of parameter rows (values_at_thetas) and
+builds no (N, K) vector.  Its step kernel gives the value and the term's
+vector from one logsumexp, bit for bit the same; one step dispatch runs
+them for each step of optimize.ascend and for gradient_terms.  The
+cond-independent step needs a second logsumexp when the joint support has
+holes: the posterior is normalized over the whole row, -inf padded, and
+numpy sums 8 or more entries in 8 partial sums, so the zeros the padding
+adds can move the last bit of that sum.  Validation lives in the entry
+points: outcome ranges and finite parameters are checked there, once per
+call, and the support conditions of each term before its kernels run.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from .errors import (
     RangeMismatch,
     require_alpha,
 )
-from .logspace import NEG_INF, log_softmax, logsumexp, soft_min
+from .logspace import NEG_INF, log_softmax, logsumexp, soft_min, _log_normalize
 from .bounds import _log_soft_bound
 
 __all__ = [
@@ -186,7 +190,8 @@ def posterior_given_both(model: FiniteDistribution, oracle: FiniteDistribution,
     _require_ranges(model.range, oracle, prior)
     _require_joint_support(model.support, oracle.logp, prior.logp)
     return FiniteDistribution(
-        model.range, _log_posterior(model.logp, model.support, oracle.logp, prior.logp))
+        model.range, _log_posterior(*_joint_terms(model.logp, model.support, oracle.logp,
+                                                  prior.logp)))
 
 
 def likelihood_concentration_residual(model: FiniteDistribution, oracle: FiniteDistribution,
@@ -199,23 +204,24 @@ def likelihood_concentration_residual(model: FiniteDistribution, oracle: FiniteD
     log space.
     """
     _require_ranges(model.range, oracle, prior)
+    return float(model.probs[~_ratio_argmax_set(oracle, prior)].sum())
+
+
+def _ratio_argmax_set(oracle: FiniteDistribution, prior: FiniteDistribution) -> np.ndarray:
+    """Mask of the outcomes where oracle(v) / prior(v) is largest, within ARGMAX_LOG_TOL."""
     # oracle mass 0 never binds; positive oracle mass on a zero-prior outcome dominates all
     ratios = np.where(oracle.support,
                       np.where(prior.support, oracle.logp - prior.logp, np.inf),
                       NEG_INF)
     top = float(np.max(ratios))
-    if top == np.inf:
-        in_set = ratios == np.inf
-    else:
-        in_set = ratios >= top - ARGMAX_LOG_TOL
-    return float(model.probs[~in_set].sum())
+    return ratios == np.inf if top == np.inf else ratios >= top - ARGMAX_LOG_TOL
 
 
 # Term kernels.  Each takes the model's log-probabilities (..., K), whose rows
 # share the support mask supp (K,), plus the oracle's and the prior's
-# log-probabilities (K,) and alpha.  A value kernel returns (...), an
-# attraction or repulsion kernel (..., K).  They trust their inputs: the
-# support conditions are checked by _require_supports before they run.
+# log-probabilities (K,) and alpha.  A value kernel returns (...), a step
+# kernel also the attraction or repulsion (..., K).  They trust their inputs:
+# the support conditions are checked by _require_supports before they run.
 #
 # Columns are selected with compress, which keeps the rows C-ordered: each
 # row then sums in the same order as a single 1-D row, so a batch of models
@@ -228,6 +234,13 @@ def _joint_terms(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
     """The joint support mask and log model + log oracle - log prior on it."""
     joint = supp & (oracle > NEG_INF) & (prior > NEG_INF)
     return joint, model.compress(joint, axis=-1) + oracle[joint] - prior[joint]
+
+
+def _on(mask: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w (..., mask.sum()) placed on the columns of mask, zero elsewhere."""
+    out = np.zeros(w.shape[:-1] + mask.shape)
+    out[..., mask] = w
+    return out
 
 
 def _independent_value(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
@@ -243,13 +256,21 @@ def _independent_value(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
     return logsumexp(terms, axis=-1)
 
 
-def _log_posterior(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
-                   prior: np.ndarray) -> np.ndarray:
-    """Log of the posterior given both events; needs a non-empty joint support."""
-    joint, terms = _joint_terms(model, supp, oracle, prior)
-    logpost = np.full(model.shape, NEG_INF)
+def _log_posterior(joint: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Log of the posterior given both events, from a non-empty _joint_terms."""
+    logpost = np.full(terms.shape[:-1] + joint.shape, NEG_INF)
     logpost[..., joint] = terms
     return log_softmax(logpost)
+
+
+def _independent_step(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
+                      prior: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """_independent_value and the posterior given both events; one logsumexp on a full joint."""
+    joint, terms = _joint_terms(model, supp, oracle, prior)
+    if joint.all():
+        logpost, value = _log_normalize(terms)
+        return value, np.exp(logpost)
+    return logsumexp(terms, axis=-1), np.exp(_log_posterior(joint, terms))
 
 
 def _subset_value(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
@@ -264,48 +285,37 @@ def _subset_value(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
     return soft_min(model.compress(osupp, axis=-1) - oracle[osupp], alpha, axis=-1)
 
 
-def _weights_on(mask: np.ndarray, scaled: np.ndarray) -> np.ndarray:
-    """Probability vectors proportional to exp(scaled) on mask, zero elsewhere."""
-    out = np.zeros(scaled.shape[:-1] + mask.shape)
-    out[..., mask] = np.exp(log_softmax(scaled))
-    return out
-
-
-def _softmin_weights(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
-                     prior: np.ndarray, alpha: float) -> np.ndarray:
-    """Probability vector proportional to (oracle/model) ** alpha on supp(oracle).
-
-    The attraction toward the binding (smallest-ratio) outcomes.
-    """
+def _subset_step(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
+                 prior: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """_subset_value and the attraction (oracle/model) ** alpha on supp(oracle), normalized."""
     osupp = oracle > NEG_INF
-    return _weights_on(osupp, -alpha * (model.compress(osupp, axis=-1) - oracle[osupp]))
+    logw, lse = _log_normalize(-alpha * (model.compress(osupp, axis=-1) - oracle[osupp]))
+    return -lse / alpha, _on(osupp, np.exp(logw))
 
 
-def _ratio_skeleton(model: np.ndarray, supp: np.ndarray, prior: np.ndarray,
-                    alpha: float) -> np.ndarray:
-    """Probability vector proportional to (model/prior) ** alpha on supp(model).
+def _soft_bound_step(model: np.ndarray, supp: np.ndarray, prior: np.ndarray,
+                     alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """_log_soft_bound and the repulsion (model/prior) ** alpha on supp(model), normalized.
 
-    This is the exact repulsion term of the soft-bound penalty.  For a
-    uniform prior it coincides with alpha_skeleton(model, alpha), so the
-    critical points are models whose alpha-skeleton equals the attraction;
-    at alpha = 1 it is the model itself, the likelihood's repulsion.
+    The bound scales -alpha * (prior - model), this array up to the sign of
+    an exact zero, which moves no bit of the logsumexp.  For a uniform prior
+    the repulsion is alpha_skeleton(model, alpha).
     """
-    return _weights_on(supp, alpha * (model.compress(supp, axis=-1) - prior[supp]))
+    logw, lse = _log_normalize(alpha * (model.compress(supp, axis=-1) - prior[supp]))
+    return -lse / alpha, _on(supp, np.exp(logw))
 
 
+# (value kernel, step kernel) per term, and the constants a likelihood term drops
 _LIKELIHOOD_TERMS = {
-    "cond-independent": (_independent_value,
-                         lambda model, supp, oracle, prior, alpha:
-                             np.exp(_log_posterior(model, supp, oracle, prior)),
-                         (_DROPPED_ORACLE_MASS,)),
-    "oracle-subset": (_subset_value, _softmin_weights, ()),
+    "cond-independent": (_independent_value, _independent_step, (_DROPPED_ORACLE_MASS,)),
+    "oracle-subset": (_subset_value, _subset_step, ()),
 }
 
 _PENALTY_TERMS = {
     # -0.0, not 0.0: x + -0.0 is x bit for bit, including x = -0.0; a scalar broadcasts
     "likelihood": (lambda model, supp, prior, alpha: -0.0,
-                   lambda model, supp, prior, alpha: np.exp(model)),
-    "intersection": (_log_soft_bound, _ratio_skeleton),
+                   lambda model, supp, prior, alpha: (-0.0, np.exp(model))),
+    "intersection": (_log_soft_bound, _soft_bound_step),
 }
 
 
@@ -319,15 +329,25 @@ def _values(config: ObjectiveConfig, model: np.ndarray, supp: np.ndarray,
     return lik_value(model, supp, oracle, prior, alpha) + penalty_value(model, supp, prior, alpha)
 
 
-def _terms(config: ObjectiveConfig, model: np.ndarray, supp: np.ndarray,
-           oracle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Attraction and repulsion of each row of model (..., K), whose rows share supp."""
-    _require_supports(config, supp, oracle, gradient=True)
-    _, attraction, _ = _LIKELIHOOD_TERMS[config.assumption]
-    _, repulsion = _PENALTY_TERMS[config.kind]
+def _values_of_rows(config: ObjectiveConfig, oracle: FiniteDistribution,
+                    model: np.ndarray) -> np.ndarray:
+    """Objective value of each model row (N, K), rows of any support."""
+    if (model > NEG_INF).all():
+        return _values(config, model, np.ones(model.shape[-1], dtype=bool), oracle.logp)
+    # a logit gap beyond the float range zeroes an outcome: rows differ in support
+    return np.array([_values(config, row, row > NEG_INF, oracle.logp) for row in model])
+
+
+def _step(config: ObjectiveConfig, model: np.ndarray, supp: np.ndarray,
+          oracle: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_values, attraction and repulsion of each row of model (..., K), whose rows share supp."""
+    _require_supports(config, supp, oracle, gradient=True)  # includes the value's conditions
+    _, lik_step, _ = _LIKELIHOOD_TERMS[config.assumption]
+    _, penalty_step = _PENALTY_TERMS[config.kind]
     prior, alpha = config.prior.logp, config.alpha
-    return (attraction(model, supp, oracle, prior, alpha),
-            repulsion(model, supp, prior, alpha))
+    lik, attraction = lik_step(model, supp, oracle, prior, alpha)
+    penalty, repulsion = penalty_step(model, supp, prior, alpha)
+    return lik + penalty, attraction, repulsion
 
 
 def evaluate(config: ObjectiveConfig, model: FiniteDistribution,
@@ -347,11 +367,7 @@ def values_at_thetas(config: ObjectiveConfig, oracle: FiniteDistribution,
     """
     th = _check_thetas(p, thetas)
     _require_ranges(p.range, oracle, config.prior)
-    model = _theta_logp(p, th)
-    if (model > NEG_INF).all():
-        return _values(config, model, np.ones(len(p.range), dtype=bool), oracle.logp)
-    # a logit gap beyond the float range zeroes an outcome: rows differ in support
-    return np.array([_values(config, row, row > NEG_INF, oracle.logp) for row in model])
+    return _values_of_rows(config, oracle, _theta_logp(p, th))
 
 
 def gradient_terms(config: ObjectiveConfig, model: FiniteDistribution,
@@ -363,7 +379,8 @@ def gradient_terms(config: ObjectiveConfig, model: FiniteDistribution,
     estimator samples one empirical distribution from each.
     """
     _require_ranges(model.range, oracle, config.prior)
-    return _terms(config, model.logp, model.support, oracle.logp)
+    _, attraction, repulsion = _step(config, model.logp, model.support, oracle.logp)
+    return attraction, repulsion
 
 
 def gradient_logp(config: ObjectiveConfig, model: FiniteDistribution,

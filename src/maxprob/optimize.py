@@ -26,7 +26,7 @@ from .distributions import (FiniteDistribution, Parameterization, apply_paramete
 from .errors import DimensionMismatch, InvalidSetting, NonFiniteParameter
 from .logspace import NEG_INF
 from .objectives import (GradientVector, ObjectiveConfig, gradient_at_theta, gradient_terms,
-                         value_at_theta, _require_ranges, _terms, _values)
+                         value_at_theta, _require_ranges, _step)
 
 __all__ = [
     "DIVERGENCE_THETA_BOUND",
@@ -103,12 +103,13 @@ def ascend(config: ObjectiveConfig, oracle: FiniteDistribution, p: Parameterizat
 
     theta0 and the outcome ranges are checked once, with the errors
     value_at_theta raises.  Each iteration then maps theta to
-    log-probabilities once and runs the objective's value and gradient
-    kernels on that row; the support conditions are checked on every
-    iteration, since a logit gap that overflows can zero an outcome.  Each
-    iteration records value and gradient norm before deciding to stop, so
-    the trace always contains the final iterate.  A point already at
-    grad_tol converges on the first iteration without stepping.
+    log-probabilities once and makes one call to the objective's step
+    dispatch on that row for the value and both gradient vectors; the
+    support conditions are checked on every iteration, since a logit gap
+    that overflows can zero an outcome.  Each iteration records value and
+    gradient norm before deciding to stop, so the trace always contains the
+    final iterate.  A point already at grad_tol converges on the first
+    iteration without stepping.
     """
     theta = _check_theta(p, theta0)
     _require_ranges(p.range, oracle, config.prior)
@@ -116,15 +117,14 @@ def ascend(config: ObjectiveConfig, oracle: FiniteDistribution, p: Parameterizat
     status = "max_iters"
     for _ in range(cfg.max_iters):
         logp = _theta_logp(p, theta[np.newaxis])[0]
-        supp = logp > NEG_INF
-        value = float(_values(config, logp, supp, oracle.logp))
-        attract, repulse = _terms(config, logp, supp, oracle.logp)
+        value, attract, repulse = _step(config, logp, logp > NEG_INF, oracle.logp)
+        value = float(value)
         d_theta = _pullback(p, attract - repulse)
-        gnorm = float(np.max(np.abs(d_theta)))
+        gnorm = float(abs(d_theta).max())
         thetas.append(theta)
         values.append(value)
         norms.append(gnorm)
-        if np.isnan(value) or np.isnan(gnorm) or np.max(np.abs(theta)) > DIVERGENCE_THETA_BOUND:
+        if math.isnan(value) or math.isnan(gnorm) or abs(theta).max() > DIVERGENCE_THETA_BOUND:
             status = "diverged"
             break
         if gnorm <= cfg.grad_tol:

@@ -8,7 +8,9 @@ classes, so a change to a kernel can not change the reference with it.
 
 It also keeps the explicit parameterization Jacobian and the ascent loop
 that pulled each gradient back through it: the package slices instead
-(distributions._pullback), and the tests require the two to agree.  Its
+(distributions._pullback), and the tests require the two to agree.  The
+same loop with the slice pullback, over evaluate and gradient_terms here,
+is the bitwise oracle for optimize.ascend.  Its
 apply_parameterization is a scalar softmax over theta padded with zero
 logits, one family for both constructors.  sigmoid_logp keeps the map the
 sigmoid family had before it became the softmax over (theta, 0): log_sigmoid
@@ -209,14 +211,13 @@ def gradient_at_theta(config, oracle, p, theta) -> np.ndarray:
     return parameterization_jacobian(p, theta).T @ (attract - repulse)
 
 
-def ascend(config, oracle, p, theta0, cfg) -> AscentTrace:
-    """The two-call loop: value_at_theta and gradient_at_theta at every step."""
+def _ascent_loop(step, theta0, cfg) -> AscentTrace:
+    """Fixed-step ascent where step(theta) gives the value and d_theta at theta."""
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
     thetas, values, norms = [], [], []
     status = "max_iters"
     for _ in range(cfg.max_iters):
-        value = value_at_theta(config, oracle, p, theta)
-        d_theta = gradient_at_theta(config, oracle, p, theta)
+        value, d_theta = step(theta)
         gnorm = float(np.max(np.abs(d_theta)))
         thetas.append(theta.copy())
         values.append(value)
@@ -232,6 +233,27 @@ def ascend(config, oracle, p, theta0, cfg) -> AscentTrace:
             break
         theta = theta + cfg.step_size * d_theta
     return AscentTrace(np.array(thetas), np.array(values), np.array(norms), status)
+
+
+def ascend(config, oracle, p, theta0, cfg) -> AscentTrace:
+    """The two-call loop: value_at_theta and gradient_at_theta at every step."""
+    return _ascent_loop(lambda theta: (value_at_theta(config, oracle, p, theta),
+                                       gradient_at_theta(config, oracle, p, theta)),
+                        theta0, cfg)
+
+
+def ascend_sliced(config, oracle, p, theta0, cfg) -> AscentTrace:
+    """One model per step, evaluate and then gradient_terms on it, pulled back by slicing.
+
+    Each gradient sums to zero, so J^T d_logp is d_logp[:dim] exactly; the
+    steps are therefore the package's own, and ascend must match bit for bit.
+    """
+    def step(theta):
+        model = apply_parameterization(p, theta)
+        value = evaluate(config, model, oracle)
+        attract, repulse = gradient_terms(config, model, oracle)
+        return value, (attract - repulse)[:p.dim]
+    return _ascent_loop(step, theta0, cfg)
 
 
 # ---------------------------------------------------------------------------

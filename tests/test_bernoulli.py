@@ -9,10 +9,13 @@ from maxprob import (
     NonFiniteParameter,
     NonPositiveAlpha,
     ObjectiveConfig,
+    OutcomeRange,
     Parameterization,
+    RangeMismatch,
     SweepSpec,
     apply_parameterization,
     evaluate,
+    make_distribution,
     max_probability,
     run_sweep,
     theta_grid,
@@ -96,6 +99,13 @@ class TestRunSweep:
         assert len(rows) == 2 * 2 * 161
         assert rows[0][:4] == ["likelihood", "cond-independent", "1.0", "-4.0"]
         assert np.all(np.isfinite([float(row[4]) for row in rows]))
+
+    def test_prior_on_another_range_is_rejected_even_without_curves(self):
+        """The grid's model and its checks come once per sweep, before any curve."""
+        prior = make_distribution(OutcomeRange(("x", "y")), [0.5, 0.5])
+        for objectives in (("likelihood",), ()):
+            with pytest.raises(RangeMismatch):
+                run_sweep(small_spec(objectives=objectives, prior=prior))
 
     def test_likelihood_curve_ignores_alpha(self):
         report = run_sweep(small_spec())

@@ -132,8 +132,23 @@ def assert_same_run(trace, ref):
     np.testing.assert_allclose(trace.grad_norms, ref.grad_norms, rtol=0, atol=1e-12)
 
 
+def assert_bitwise_run(trace, ref):
+    assert (trace.status, trace.iterations) == (ref.status, ref.iterations)
+    for name in ("thetas", "values", "grad_norms"):
+        assert getattr(trace, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+def assert_matches_both_loops(config, oracle, p, theta0, cfg):
+    """Within 1e-12 of the loop that pulled gradients back through J, and bit
+    for bit the sliced loop over the scalar kernels: a rounding change in a
+    step kernel moves the whole trajectory, which the tolerance can let through."""
+    trace = ascend(config, oracle, p, theta0, cfg)
+    assert_same_run(trace, reference.ascend(config, oracle, p, theta0, cfg))
+    assert_bitwise_run(trace, reference.ascend_sliced(config, oracle, p, theta0, cfg))
+
+
 class TestAscendMatchesReference:
-    """ascend against the two-call loop that pulled gradients back through J."""
+    """ascend against the two reference loops (see assert_matches_both_loops)."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("assumption", ASSUMPTIONS)
@@ -143,8 +158,7 @@ class TestAscendMatchesReference:
         oracle = apply_parameterization(SIGMOID, theta_star)
         config = ObjectiveConfig(kind, assumption, alpha, UNIFORM2)
         cfg = AscentConfig(step_size=1.0, max_iters=400, grad_tol=1e-10)
-        assert_same_run(ascend(config, oracle, SIGMOID, 0.0, cfg),
-                        reference.ascend(config, oracle, SIGMOID, 0.0, cfg))
+        assert_matches_both_loops(config, oracle, SIGMOID, 0.0, cfg)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("assumption", ASSUMPTIONS)
@@ -156,8 +170,30 @@ class TestAscendMatchesReference:
         p = Parameterization.softmax_logits(labels)
         config = ObjectiveConfig(kind, assumption, 2.0, prior)
         cfg = AscentConfig(step_size=1.0, max_iters=40)
-        assert_same_run(ascend(config, oracle, p, np.zeros(64), cfg),
-                        reference.ascend(config, oracle, p, np.zeros(64), cfg))
+        assert_matches_both_loops(config, oracle, p, np.zeros(64), cfg)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("assumption", ASSUMPTIONS)
+    def test_softmax_fit_at_k64_with_exact_zeros_in_the_oracle(self, kind, assumption):
+        """The joint support has holes, so the posterior sums -inf padding at K >= 8."""
+        rng = np.random.default_rng(640)
+        labels = OutcomeRange(labels_of(64))
+        prior = make_distribution(labels, rng.dirichlet(np.ones(64)))
+        weights = rng.dirichlet(np.ones(64))
+        weights[rng.choice(64, 6, replace=False)] = 0.0
+        oracle = make_distribution(labels, weights / weights.sum())
+        p = Parameterization.softmax_logits(labels)
+        config = ObjectiveConfig(kind, assumption, 2.0, prior)
+        cfg = AscentConfig(step_size=1.0, max_iters=40)
+        assert_matches_both_loops(config, oracle, p, np.zeros(64), cfg)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("assumption", ASSUMPTIONS)
+    def test_sure_oracle_of_criterion_8(self, kind, assumption):
+        oracle = make_distribution(SIGMOID.range, [1.0, 0.0])
+        config = ObjectiveConfig(kind, assumption, 1.0, UNIFORM2)
+        cfg = AscentConfig(step_size=0.2, max_iters=1000)
+        assert_matches_both_loops(config, oracle, SIGMOID, 0.0, cfg)
 
 
 class TestAscendValidation:
