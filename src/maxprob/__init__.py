@@ -48,7 +48,6 @@ from .bounds import (
 from .objectives import (
     GradientVector,
     ObjectiveConfig,
-    ObjectiveValue,
     evaluate,
     gradient_at_theta,
     gradient_logp,

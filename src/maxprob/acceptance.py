@@ -1,9 +1,11 @@
 """Executable acceptance checks for the package's headline guarantees.
 
-Each criterion is a standalone function returning a CriterionResult; the
-CLI `check` subcommand and the test suite both run them, so a release gate
-and an interactive audit cannot drift apart.  Every check that draws random
-instances uses its own fixed seed, making failures reproducible verbatim.
+Each criterion is a check returning (ok, detail), listed with its name and
+time budget in the CRITERIA table; run_criterion times the check, applies
+the budget and builds the CriterionResult.  The CLI `check` subcommand and
+the test suite both run them, so a release gate and an interactive audit
+cannot drift apart.  Every check that draws random instances uses its own
+fixed seed, making failures reproducible verbatim.
 
 Where a check needs an independent source of truth it builds one on the
 spot: exhaustive enumeration over explicit sample spaces for the hard
@@ -13,6 +15,10 @@ forms for the handful of cases small enough to do by hand.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -35,6 +41,7 @@ from .distributions import (
     uniform_distribution,
     _theta_logp,
 )
+from .errors import InvalidSetting
 from .logspace import softmax
 from .nn import (
     ToyNet,
@@ -53,7 +60,7 @@ from .objectives import (
     values_at_thetas,
     _ratio_argmax_set,
 )
-from .optimize import AscentConfig, ascend, finite_difference_check, grid_argmax
+from .optimize import AscentConfig, ascend, fd_gradient, finite_difference_check, grid_argmax
 
 __all__ = ["CriterionResult", "CRITERIA", "run_all", "run_criterion"]
 
@@ -74,24 +81,10 @@ class CriterionResult:
         return f"{status} {self.number:2d} {self.name}: {self.detail} ({self.seconds:.3f}s{budget})"
 
 
-def _result(number: int, name: str, budget: Optional[float], started: float,
-            ok: bool, detail: str) -> CriterionResult:
-    elapsed = time.perf_counter() - started
-    with_budget = ok and (budget is None or elapsed < budget)
-    if ok and not with_budget:
-        detail += f"; exceeded {budget:g}s budget"
-    return CriterionResult(number, name, with_budget, detail, elapsed, budget)
-
-
-def _coin() -> tuple[OutcomeRange, FiniteDistribution]:
-    rng = OutcomeRange(("H", "T"))
-    return rng, uniform_distribution(rng)
-
-
-def criterion_01_coin_bounds() -> CriterionResult:
+def criterion_01_coin_bounds() -> tuple[bool, str]:
     """Hard bound on the two-outcome example, exact to 1e-15 relative."""
-    t0 = time.perf_counter()
-    rng, prior = _coin()
+    rng = OutcomeRange(("H", "T"))
+    prior = uniform_distribution(rng)
     sure = make_distribution(rng, [1.0, 0.0])
     tilted = make_distribution(rng, [0.9, 0.1])
     max_probability(prior, sure)  # warm the code path before timing
@@ -102,8 +95,7 @@ def criterion_01_coin_bounds() -> CriterionResult:
     e1 = abs(b1.value - 0.5) / 0.5
     e2 = abs(b2.value - 5.0 / 9.0) / (5.0 / 9.0)
     ok = e1 <= 1e-15 and e2 <= 1e-15 and compute_ms < 1.0
-    detail = f"rel errs {e1:.1e}, {e2:.1e}; bound pair computed in {compute_ms:.3f}ms"
-    return _result(1, "coin-flip bound values", 0.1, t0, ok, detail)
+    return ok, f"rel errs {e1:.1e}, {e2:.1e}; bound pair computed in {compute_ms:.3f}ms"
 
 
 def _random_atom_space(rng: np.random.Generator):
@@ -124,14 +116,13 @@ def _random_atom_space(rng: np.random.Generator):
     return atom_probs, assignment, vmap, out_range, prior
 
 
-def criterion_02_bound_vs_enumeration() -> CriterionResult:
+def criterion_02_bound_vs_enumeration() -> tuple[bool, str]:
     """Enumeration over all events never beats the bound; degenerate targets attain it.
 
     Atom masses are integer weights over a common denominator, so distinct
     subsets induce distinct rationals and the oracle's 1e-9 match tolerance
     only absorbs division noise, never conflates different events.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(2002)
     worst_gap = -np.inf
     worst_deg = 0.0
@@ -152,8 +143,7 @@ def criterion_02_bound_vs_enumeration() -> CriterionResult:
         found = exhaustive_bound_oracle(atom_probs, vmap, conditional)
         bound = max_probability(prior, conditional)
         if found is None or found < event_prob - 1e-12:
-            return _result(2, "bound vs enumeration", 30.0, t0, False,
-                           "enumeration missed a planted event")
+            return False, "enumeration missed a planted event"
         worst_gap = max(worst_gap, found - bound.value)
         # degenerate conditional: the preimage of one outcome attains the bound
         v0 = int(rng.integers(0, len(out_range)))
@@ -163,13 +153,11 @@ def criterion_02_bound_vs_enumeration() -> CriterionResult:
         found_deg = exhaustive_bound_oracle(atom_probs, vmap, degenerate)
         bound_deg = max_probability(prior, degenerate)
         if found_deg is None:
-            return _result(2, "bound vs enumeration", 30.0, t0, False,
-                           "enumeration missed a degenerate event")
+            return False, "enumeration missed a degenerate event"
         worst_gap = max(worst_gap, found_deg - bound_deg.value)
         worst_deg = max(worst_deg, abs(found_deg - bound_deg.value))
-    ok = worst_gap <= 1e-12 and worst_deg <= 1e-9
-    detail = f"200 spaces; max oracle-bound excess {worst_gap:.1e}; degenerate gap {worst_deg:.1e}"
-    return _result(2, "bound vs enumeration", 30.0, t0, ok, detail)
+    return (worst_gap <= 1e-12 and worst_deg <= 1e-9,
+            f"200 spaces; max oracle-bound excess {worst_gap:.1e}; degenerate gap {worst_deg:.1e}")
 
 
 def _random_distribution(rng: np.random.Generator, labels: tuple, allow_zeros: bool,
@@ -184,9 +172,8 @@ def _random_distribution(rng: np.random.Generator, labels: tuple, allow_zeros: b
     return make_distribution(OutcomeRange(labels), weights / weights.sum())
 
 
-def criterion_03_refinement_monotonicity() -> CriterionResult:
+def criterion_03_refinement_monotonicity() -> tuple[bool, str]:
     """Coarsening a variable can only loosen the bound, over 1000 random triples."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(2003)
     worst = -np.inf
     for _ in range(1000):
@@ -201,19 +188,16 @@ def criterion_03_refinement_monotonicity() -> CriterionResult:
         conditional = _random_distribution(rng, fine.labels, allow_zeros=True)
         report = check_extension_monotonicity(prior, conditional, ref)
         if not report.holds:
-            return _result(3, "refinement tightens the bound", 5.0, t0, False,
-                           f"violated: fine {report.fine.log_max_probability!r} "
+            return False, (f"violated: fine {report.fine.log_max_probability!r} "
                            f"vs coarse {report.coarse.log_max_probability!r}")
         if np.isfinite(report.fine.log_max_probability):
             worst = max(worst, report.fine.log_max_probability
                         - report.coarse.log_max_probability)
-    return _result(3, "refinement tightens the bound", 5.0, t0, True,
-                   f"1000 triples; max fine-minus-coarse log gap {worst:.1e}")
+    return True, f"1000 triples; max fine-minus-coarse log gap {worst:.1e}"
 
 
-def criterion_04_soft_bound_chain() -> CriterionResult:
+def criterion_04_soft_bound_chain() -> tuple[bool, str]:
     """Soft bounds stay below the hard bound, rise with alpha, and converge to it."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(2004)
     alphas = (0.5, 1.0, 2.0, 4.0, 16.0, 256.0)
     worst_excess = -np.inf
@@ -233,21 +217,19 @@ def criterion_04_soft_bound_chain() -> CriterionResult:
             prev = soft
         near = softmax_probability(prior, conditional, 1e4)
         worst_rel = max(worst_rel, abs(np.exp(near) - np.exp(hard)) / np.exp(hard))
-    ok = worst_excess <= 1e-12 and worst_drop <= 1e-12 and worst_rel <= 1e-3
-    detail = (f"1000 instances; max soft-over-hard {worst_excess:.1e}; "
-              f"max alpha-monotonicity violation {worst_drop:.1e}; "
-              f"alpha=1e4 max rel gap {worst_rel:.1e}")
-    return _result(4, "soft bound ordering and limit", 10.0, t0, ok, detail)
+    return (worst_excess <= 1e-12 and worst_drop <= 1e-12 and worst_rel <= 1e-3,
+            f"1000 instances; max soft-over-hard {worst_excess:.1e}; "
+            f"max alpha-monotonicity violation {worst_drop:.1e}; "
+            f"alpha=1e4 max rel gap {worst_rel:.1e}")
 
 
-def criterion_05_gradients_match_fd() -> CriterionResult:
+def criterion_05_gradients_match_fd() -> tuple[bool, str]:
     """Analytic gradients against central differences, every objective cell.
 
     Instances with a gradient coordinate under 1e-3 are redrawn: central
     differences lose relative accuracy near critical points, and the check
     audits formula correctness, not difference-quotient conditioning.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(2005)
     alphas = (0.5, 1.0, 2.0, 4.0, 8.0)
     worst = 0.0
@@ -274,14 +256,11 @@ def criterion_05_gradients_match_fd() -> CriterionResult:
                     worst = max(worst, finite_difference_check(config, oracle, p, theta))
                     done += 1
                 cells += 1
-    ok = worst <= 1e-6
-    return _result(5, "analytic gradients match finite differences", 30.0, t0, ok,
-                   f"{cells} cells x 100 instances; max relative error {worst:.1e}")
+    return worst <= 1e-6, f"{cells} cells x 100 instances; max relative error {worst:.1e}"
 
 
-def criterion_06_alpha1_equivalence() -> CriterionResult:
+def criterion_06_alpha1_equivalence() -> tuple[bool, str]:
     """At alpha = 1 with a uniform prior, intersection minus likelihood is constant."""
-    t0 = time.perf_counter()
     p = Parameterization.sigmoid_bernoulli()
     prior = uniform_distribution(p.range)
     oracle = apply_parameterization(p, 1.2)
@@ -290,14 +269,11 @@ def criterion_06_alpha1_equivalence() -> CriterionResult:
     grid = np.linspace(-6.0, 6.0, 100)[:, np.newaxis]
     diffs = values_at_thetas(inter, oracle, p, grid) - values_at_thetas(lik, oracle, p, grid)
     spread = float(np.max(diffs) - np.min(diffs))
-    ok = spread <= 1e-9
-    return _result(6, "alpha=1 intersection equals likelihood up to a constant", 1.0, t0,
-                   ok, f"100-point grid; offset spread {spread:.1e}")
+    return spread <= 1e-9, f"100-point grid; offset spread {spread:.1e}"
 
 
-def criterion_07_oracle_recovery() -> CriterionResult:
+def criterion_07_oracle_recovery() -> tuple[bool, str]:
     """Ascent on intersection at alpha = 2 recovers the oracle parameter."""
-    t0 = time.perf_counter()
     p = Parameterization.sigmoid_bernoulli()
     prior = uniform_distribution(p.range)
     target = float(np.log(9.0))
@@ -309,15 +285,13 @@ def criterion_07_oracle_recovery() -> CriterionResult:
     grid = -6.0 + np.arange(12001) * 0.001
     best = grid_argmax(lambda g: values_at_thetas(config, oracle, p, g[:, np.newaxis]), grid)
     grid_err = abs(best.theta - target)
-    ok = trace.status == "converged" and err <= 1e-4 and grid_err <= 0.001
-    detail = (f"{trace.status} after {trace.iterations} iterations, |theta - log 9| = {err:.1e}; "
-              f"grid argmax off by {grid_err:.1e}")
-    return _result(7, "intersection alpha=2 recovers the oracle", 10.0, t0, ok, detail)
+    return (trace.status == "converged" and err <= 1e-4 and grid_err <= 0.001,
+            f"{trace.status} after {trace.iterations} iterations, |theta - log 9| = {err:.1e}; "
+            f"grid argmax off by {grid_err:.1e}")
 
 
-def criterion_08_likelihood_concentration() -> CriterionResult:
+def criterion_08_likelihood_concentration() -> tuple[bool, str]:
     """Likelihood ascent concentrates the model on the oracle's best outcomes."""
-    t0 = time.perf_counter()
     p = Parameterization.sigmoid_bernoulli()
     prior = uniform_distribution(p.range)
     oracle = make_distribution(p.range, [1.0, 0.0])
@@ -328,15 +302,13 @@ def criterion_08_likelihood_concentration() -> CriterionResult:
     residuals = np.exp(_theta_logp(p, trace.thetas)).compress(outside, axis=-1).sum(axis=-1)
     final = float(residuals[-1])
     monotone = bool(np.all(np.diff(residuals) <= 1e-12))
-    ok = final < 1e-3 and monotone
-    detail = (f"{trace.iterations} iterations; final residual {final:.2e}; "
-              f"residual monotone: {monotone}")
-    return _result(8, "likelihood ascent concentrates mass", 10.0, t0, ok, detail)
+    return (final < 1e-3 and monotone,
+            f"{trace.iterations} iterations; final residual {final:.2e}; "
+            f"residual monotone: {monotone}")
 
 
-def criterion_09_head_identities() -> CriterionResult:
+def criterion_09_head_identities() -> tuple[bool, str]:
     """Generalized head equals softmax at alpha=1; hand values; loss collapse."""
-    t0 = time.perf_counter()
     x = np.array([1.0, 0.0])
     bitwise = np.array_equal(hn_forward(x, 1.0), softmax(x))
     expected = np.array([np.e / (np.e ** 2 + 1.0), 1.0 / (np.e ** 2 + 1.0)])
@@ -348,15 +320,13 @@ def criterion_09_head_identities() -> CriterionResult:
         labels = rng.integers(0, 5, size=8)
         ce_gap = max(ce_gap, abs(intersection_loss(logits, labels, 1.0)
                                  - cross_entropy_loss(logits, labels)))
-    ok = bitwise and hand <= 1e-12 and ce_gap <= 1e-12
-    detail = (f"alpha=1 bitwise softmax: {bitwise}; hand value gap {hand:.1e}; "
-              f"alpha=1 loss vs cross entropy gap {ce_gap:.1e}")
-    return _result(9, "generalized head identities", 1.0, t0, ok, detail)
+    return (bitwise and hand <= 1e-12 and ce_gap <= 1e-12,
+            f"alpha=1 bitwise softmax: {bitwise}; hand value gap {hand:.1e}; "
+            f"alpha=1 loss vs cross entropy gap {ce_gap:.1e}")
 
 
-def criterion_10_toy_backprop() -> CriterionResult:
+def criterion_10_toy_backprop() -> tuple[bool, str]:
     """Hand-written backprop against finite differences on every tensor."""
-    t0 = time.perf_counter()
     data = make_toy_dataset(seed=11)
     x5, y5 = data.train_x[:5], data.train_y[:5]
     worst = 0.0
@@ -364,29 +334,23 @@ def criterion_10_toy_backprop() -> CriterionResult:
                              ("ce-l2", 1.0, 0.01)):
         net = ToyNet(seed=1)
         _, grads, _ = loss_and_grads(net, x5, y5, mode, alpha, lam)
-        h = 1e-5
         for name in net.PARAM_ORDER:
             w = net.params[name]
-            it = np.nditer(w, flags=["multi_index"])
-            for _ in it:
-                i = it.multi_index
-                orig = float(w[i])
-                w[i] = orig + h
-                up = loss_and_grads(net, x5, y5, mode, alpha, lam)[0]
-                w[i] = orig - h
-                dn = loss_and_grads(net, x5, y5, mode, alpha, lam)[0]
-                w[i] = orig
-                fd = (up - dn) / (2.0 * h)
-                g = float(grads[name][i])
-                worst = max(worst, abs(fd - g) / max(1e-8, abs(fd), abs(g)))
-    ok = worst <= 1e-5
-    return _result(10, "toy network backprop matches finite differences", 60.0, t0, ok,
-                   f"3 loss settings, all tensors; max relative error {worst:.1e}")
+
+            def loss_at(flat: np.ndarray) -> float:
+                net.params[name] = flat.reshape(w.shape)
+                return loss_and_grads(net, x5, y5, mode, alpha, lam)[0]
+
+            fd = fd_gradient(loss_at, w.ravel())
+            net.params[name] = w
+            g = grads[name].ravel()
+            worst = max(worst, float(np.max(
+                np.abs(fd - g) / np.maximum(1e-8, np.maximum(np.abs(fd), np.abs(g))))))
+    return worst <= 1e-5, f"3 loss settings, all tensors; max relative error {worst:.1e}"
 
 
-def criterion_11_toy_training(artifacts_dir: Optional[str] = None) -> CriterionResult:
+def criterion_11_toy_training(artifacts_dir: Optional[str] = None) -> tuple[bool, str]:
     """Seeded training runs improve, respect the regularizer bound, and reproduce."""
-    t0 = time.perf_counter()
     data = make_toy_dataset(seed=11)
     k = data.k
     problems = []
@@ -410,7 +374,6 @@ def criterion_11_toy_training(artifacts_dir: Optional[str] = None) -> CriterionR
     baseline = train(ToyNet(seed=5), data, "ce-l2", lam=1e-3, epochs=200, step=0.05,
                      seed=0, net_seed=5, data_seed=11)
     if artifacts_dir is not None:
-        import os
         from .cli import _emit_csv
         os.makedirs(artifacts_dir, exist_ok=True)
         _emit_csv(["mode", "alpha", "epoch", "train_loss", "test_loss", "train_acc",
@@ -420,23 +383,18 @@ def criterion_11_toy_training(artifacts_dir: Optional[str] = None) -> CriterionR
                               for r in rep.records]))
                    for rep in [*reports.values(), baseline]),
                   os.path.join(artifacts_dir, "toy_training_curves.csv"))
-    ok = not problems
-    detail = "; ".join(problems) if problems else (
+    return not problems, "; ".join(problems) if problems else (
         "alpha in {1,2,4} all improved, regularizer within bound, reports byte-identical"
         + ("; curves written" if artifacts_dir else ""))
-    return _result(11, "toy training behaves and reproduces", 120.0, t0, ok, detail)
 
 
-def criterion_12_reproducible_outputs() -> CriterionResult:
+def criterion_12_reproducible_outputs() -> tuple[bool, str]:
     """Fixed-seed invocations of every emitting subcommand are byte-identical."""
     import tempfile
     from . import cli
 
-    t0 = time.perf_counter()
     problems = []
     with tempfile.TemporaryDirectory() as tmp:
-        import json
-        import os
         prior_path = os.path.join(tmp, "prior.json")
         cond_path = os.path.join(tmp, "cond.json")
         bern_path = os.path.join(tmp, "bern.json")
@@ -464,8 +422,6 @@ def criterion_12_reproducible_outputs() -> CriterionResult:
             "train-toy": ["train-toy", "--loss", "intersection", "--alpha", "2",
                           "--epochs", "5", "--seed", "7"],
         }
-        import contextlib
-        import io
         for name, argv in invocations.items():
             outputs = []
             for run in (0, 1):
@@ -479,36 +435,41 @@ def criterion_12_reproducible_outputs() -> CriterionResult:
                     outputs.append(fh.read())
             if len(outputs) == 2 and outputs[0] != outputs[1]:
                 problems.append(f"{name} output differs between identical runs")
-    ok = not problems
-    detail = "; ".join(problems) if problems else \
+    return not problems, "; ".join(problems) if problems else \
         f"{len(invocations)} subcommands byte-identical across repeated runs"
-    return _result(12, "seeded outputs reproduce byte-for-byte", 60.0, t0, ok, detail)
 
 
-CRITERIA: tuple[tuple[int, Callable[[], CriterionResult]], ...] = (
-    (1, criterion_01_coin_bounds),
-    (2, criterion_02_bound_vs_enumeration),
-    (3, criterion_03_refinement_monotonicity),
-    (4, criterion_04_soft_bound_chain),
-    (5, criterion_05_gradients_match_fd),
-    (6, criterion_06_alpha1_equivalence),
-    (7, criterion_07_oracle_recovery),
-    (8, criterion_08_likelihood_concentration),
-    (9, criterion_09_head_identities),
-    (10, criterion_10_toy_backprop),
-    (11, criterion_11_toy_training),
-    (12, criterion_12_reproducible_outputs),
+# (name, budget in seconds, check) of criterion i + 1
+CRITERIA: tuple[tuple[str, float, Callable[..., tuple[bool, str]]], ...] = (
+    ("coin-flip bound values", 0.1, criterion_01_coin_bounds),
+    ("bound vs enumeration", 30.0, criterion_02_bound_vs_enumeration),
+    ("refinement tightens the bound", 5.0, criterion_03_refinement_monotonicity),
+    ("soft bound ordering and limit", 10.0, criterion_04_soft_bound_chain),
+    ("analytic gradients match finite differences", 30.0, criterion_05_gradients_match_fd),
+    ("alpha=1 intersection equals likelihood up to a constant", 1.0,
+     criterion_06_alpha1_equivalence),
+    ("intersection alpha=2 recovers the oracle", 10.0, criterion_07_oracle_recovery),
+    ("likelihood ascent concentrates mass", 10.0, criterion_08_likelihood_concentration),
+    ("generalized head identities", 1.0, criterion_09_head_identities),
+    ("toy network backprop matches finite differences", 60.0, criterion_10_toy_backprop),
+    ("toy training behaves and reproduces", 120.0, criterion_11_toy_training),
+    ("seeded outputs reproduce byte-for-byte", 60.0, criterion_12_reproducible_outputs),
 )
 
 
 def run_criterion(number: int, artifacts_dir: Optional[str] = None) -> CriterionResult:
-    for num, fn in CRITERIA:
-        if num == number:
-            if num == 11:
-                return fn(artifacts_dir)  # type: ignore[call-arg]
-            return fn()
-    raise KeyError(f"no criterion {number}")
+    """Run criterion number (1 to len(CRITERIA)); it passes if its check holds
+    within its budget.  artifacts_dir goes to criterion 11 only."""
+    if number not in range(1, len(CRITERIA) + 1):
+        raise InvalidSetting(f"criterion number must be in 1-{len(CRITERIA)}, got {number!r}")
+    name, budget, check = CRITERIA[number - 1]
+    started = time.perf_counter()
+    ok, detail = check(artifacts_dir) if check is criterion_11_toy_training else check()
+    elapsed = time.perf_counter() - started
+    if ok and not elapsed < budget:
+        ok, detail = False, f"{detail}; exceeded {budget:g}s budget"
+    return CriterionResult(number, name, ok, detail, elapsed, budget)
 
 
 def run_all(artifacts_dir: Optional[str] = None) -> list[CriterionResult]:
-    return [run_criterion(num, artifacts_dir) for num, _ in CRITERIA]
+    return [run_criterion(number, artifacts_dir) for number in range(1, len(CRITERIA) + 1)]

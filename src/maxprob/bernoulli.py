@@ -25,10 +25,11 @@ from .distributions import (
     apply_parameterization,
     uniform_distribution,
     _check_thetas,
+    _require_ranges,
     _theta_logp,
 )
 from .errors import InvalidSetting, NonFiniteParameter, require_alpha
-from .objectives import ASSUMPTIONS, KINDS, ObjectiveConfig, _require_ranges, _values_of_rows
+from .objectives import ASSUMPTIONS, KINDS, ObjectiveConfig, _values_of_rows
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -78,9 +79,12 @@ class SweepSpec:
             raise NonFiniteParameter(f"grid min, max and step must be finite, got {bounds!r}")
         if not self.grid_step > 0 or not self.grid_max > self.grid_min:
             raise InvalidSetting("grid needs grid_max > grid_min and grid_step > 0")
-        # in float, so a span that overflows to inf is too many points as well
-        if (self.grid_max - self.grid_min) / self.grid_step + 1 > MAX_GRID_POINTS:
+        count = _grid_count(self)
+        if count > MAX_GRID_POINTS:
             raise InvalidSetting(f"grid {bounds!r} has more than {MAX_GRID_POINTS} points")
+        # the rounded count can put the last point up to half a step past grid_max
+        if not math.isfinite(self.grid_min + (count - 1) * self.grid_step):
+            raise InvalidSetting(f"grid {bounds!r} ends beyond the float range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,10 +115,15 @@ class SweepReport:
     curves: tuple[SweepCurve, ...]
 
 
+def _grid_count(spec: SweepSpec) -> float:
+    """Points in the grid: the span in steps, rounded, plus one.  A float, so a
+    span that overflows counts inf points."""
+    return float(np.rint((spec.grid_max - spec.grid_min) / spec.grid_step)) + 1
+
+
 def theta_grid(spec: SweepSpec) -> np.ndarray:
     """Inclusive grid built as grid_min + i * grid_step; no cumulative drift."""
-    count = int(round((spec.grid_max - spec.grid_min) / spec.grid_step)) + 1
-    return spec.grid_min + np.arange(count) * spec.grid_step
+    return spec.grid_min + np.arange(int(_grid_count(spec))) * spec.grid_step
 
 
 def run_sweep(spec: SweepSpec) -> SweepReport:

@@ -42,7 +42,7 @@ from .distributions import (
     Refinement,
     SUM_REJECT_TOL,
     coarsen,
-    _require_same_range,
+    _require_ranges,
 )
 from .errors import (
     LabelOutOfRange,
@@ -98,7 +98,7 @@ def max_probability(prior: FiniteDistribution, conditional: FiniteDistribution) 
     itself must be null and the bound is -inf in log space.  Ties go to the
     lowest outcome index.
     """
-    _require_same_range(prior, conditional, "bound computations")
+    _require_ranges(prior.range, conditional)
     supp = conditional.support
     idx = np.flatnonzero(supp)
     ratios = prior.logp[idx] - conditional.logp[idx]  # -inf where prior mass is zero
@@ -116,7 +116,7 @@ def softmax_probability(prior: FiniteDistribution, conditional: FiniteDistributi
     at most log(support size) / alpha.
     """
     require_alpha(alpha)
-    _require_same_range(prior, conditional, "bound computations")
+    _require_ranges(prior.range, conditional)
     return float(_log_soft_bound(conditional.logp, conditional.support, prior.logp, alpha))
 
 

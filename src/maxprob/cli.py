@@ -168,8 +168,8 @@ def _cmd_objective(args: argparse.Namespace) -> int:
         "kind": args.kind,
         "assumption": args.assumption,
         "alpha": args.alpha,
-        "value": value.value,
-        "dropped_constant_terms": list(value.dropped_constant_terms),
+        "value": value,
+        "dropped_constant_terms": list(config.dropped_constant_terms),
         "gradient_logp": [float(g) for g in grad.d_logp],
     }, args.out)
     return 0

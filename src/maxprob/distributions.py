@@ -84,10 +84,12 @@ class OutcomeRange:
             raise LabelOutOfRange(f"label {label!r} not in range {self.labels!r}") from None
 
 
-def _require_same_range(a: "FiniteDistribution", b: "FiniteDistribution", what: str) -> None:
-    if a.range != b.range:
-        raise RangeMismatch(f"{what} require identical outcome ranges: "
-                            f"{a.range.labels!r} vs {b.range.labels!r}")
+def _require_ranges(rng: OutcomeRange, *dists: "FiniteDistribution") -> None:
+    """RangeMismatch unless every distribution in dists is over rng, label for label."""
+    for d in dists:
+        if d.range != rng:
+            raise RangeMismatch(f"operands require identical outcome ranges: "
+                                f"{rng.labels!r} vs {d.range.labels!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,17 +146,6 @@ class FiniteDistribution:
     def support(self) -> np.ndarray:
         """Boolean mask of outcomes with positive mass."""
         return self._logp > NEG_INF
-
-    def logprob(self, label: Label) -> float:
-        return float(self._logp[self.range.index(label)])
-
-    def prob(self, label: Label) -> float:
-        return float(np.exp(self.logprob(label)))
-
-    @property
-    def argmax_index(self) -> int:
-        """Index of the most probable outcome, ties broken by lowest index."""
-        return int(np.argmax(self._logp))
 
 
 def make_distribution(rng: OutcomeRange | Sequence[Label], probs: Sequence[float],
@@ -214,19 +205,6 @@ class Refinement:
         if set(self.targets) != coarse_set:
             missing = coarse_set - set(self.targets)
             raise NonSurjectiveProjection(f"coarse outcomes with empty preimage: {sorted(map(str, missing))}")
-
-    @staticmethod
-    def from_mapping(fine: OutcomeRange, coarse: OutcomeRange,
-                     mapping: Mapping[Label, Label]) -> "Refinement":
-        try:
-            targets = tuple(mapping[lab] for lab in fine.labels)
-        except KeyError as k:
-            raise DimensionMismatch(f"projection missing fine label {k.args[0]!r}") from None
-        return Refinement(fine, coarse, targets)
-
-    @staticmethod
-    def identity(rng: OutcomeRange) -> "Refinement":
-        return Refinement(rng, rng, rng.labels)
 
     def preimage_indices(self, coarse_label: Label) -> np.ndarray:
         return np.array([i for i, t in enumerate(self.targets) if t == coarse_label], dtype=int)

@@ -223,11 +223,6 @@ class ToyNet:
             return logits, (x, z1, a1, z2, a2)
         return logits
 
-    def head(self, x: np.ndarray, alpha: float) -> np.ndarray:
-        """Generalized-softmax outputs; for alpha != 1 a row sums to
-        sum exp(logits) / sum exp(alpha * logits), not 1."""
-        return hn_forward(self.forward(x), alpha)
-
     def digest(self) -> str:
         h = hashlib.sha256()
         for name in self.PARAM_ORDER:

@@ -22,7 +22,7 @@ penalty term, chosen by the kind
                     oracle-compatible and individually probable.
 
 Values are reported up to additive constants that do not depend on the
-model parameters; anything dropped is listed by name in
+model parameters; anything dropped is listed by name in the config's
 dropped_constant_terms so downstream comparisons stay honest.
 
 Gradients are taken with respect to the model's log-probabilities in the
@@ -58,11 +58,11 @@ import numpy as np
 
 from .distributions import (
     FiniteDistribution,
-    OutcomeRange,
     Parameterization,
     apply_parameterization,
     _check_thetas,
     _pullback,
+    _require_ranges,
     _theta_logp,
 )
 from .errors import (
@@ -70,7 +70,6 @@ from .errors import (
     InvalidSetting,
     NonFiniteEncountered,
     OracleSupportEscapesModel,
-    RangeMismatch,
     require_alpha,
 )
 from .logspace import NEG_INF, log_softmax, logsumexp, soft_min, _log_normalize
@@ -81,7 +80,6 @@ __all__ = [
     "ASSUMPTIONS",
     "ARGMAX_LOG_TOL",
     "ObjectiveConfig",
-    "ObjectiveValue",
     "GradientVector",
     "posterior_given_both",
     "likelihood_concentration_residual",
@@ -120,13 +118,10 @@ class ObjectiveConfig:
             raise InvalidSetting(f"assumption must be one of {ASSUMPTIONS}, got {self.assumption!r}")
         require_alpha(self.alpha)
 
-
-@dataclass(frozen=True)
-class ObjectiveValue:
-    """Objective value plus the names of any dropped additive constants."""
-
-    value: float
-    dropped_constant_terms: tuple[str, ...] = ()
+    @property
+    def dropped_constant_terms(self) -> tuple[str, ...]:
+        """Names of the additive constants left out of every value of this objective."""
+        return (_DROPPED_ORACLE_MASS,) if self.assumption == "cond-independent" else ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,14 +139,6 @@ class GradientVector:
             t = np.asarray(self.d_theta, dtype=float)
             t.setflags(write=False)
             object.__setattr__(self, "d_theta", t)
-
-
-def _require_ranges(rng: OutcomeRange, oracle: FiniteDistribution,
-                    prior: FiniteDistribution) -> None:
-    for other in (oracle, prior):
-        if other.range != rng:
-            raise RangeMismatch(f"objectives require identical outcome ranges: "
-                                f"{rng.labels!r} vs {other.range.labels!r}")
 
 
 def _require_joint_support(supp: np.ndarray, oracle: np.ndarray, prior: np.ndarray) -> None:
@@ -305,10 +292,10 @@ def _soft_bound_step(model: np.ndarray, supp: np.ndarray, prior: np.ndarray,
     return -lse / alpha, _on(supp, np.exp(logw))
 
 
-# (value kernel, step kernel) per term, and the constants a likelihood term drops
+# (value kernel, step kernel) per term
 _LIKELIHOOD_TERMS = {
-    "cond-independent": (_independent_value, _independent_step, (_DROPPED_ORACLE_MASS,)),
-    "oracle-subset": (_subset_value, _subset_step, ()),
+    "cond-independent": (_independent_value, _independent_step),
+    "oracle-subset": (_subset_value, _subset_step),
 }
 
 _PENALTY_TERMS = {
@@ -323,7 +310,7 @@ def _values(config: ObjectiveConfig, model: np.ndarray, supp: np.ndarray,
             oracle: np.ndarray) -> np.ndarray:
     """Objective value of each row of model (..., K), whose rows share supp."""
     _require_supports(config, supp, oracle, gradient=False)
-    lik_value, _, _ = _LIKELIHOOD_TERMS[config.assumption]
+    lik_value, _ = _LIKELIHOOD_TERMS[config.assumption]
     penalty_value, _ = _PENALTY_TERMS[config.kind]
     prior, alpha = config.prior.logp, config.alpha
     return lik_value(model, supp, oracle, prior, alpha) + penalty_value(model, supp, prior, alpha)
@@ -342,7 +329,7 @@ def _step(config: ObjectiveConfig, model: np.ndarray, supp: np.ndarray,
           oracle: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_values, attraction and repulsion of each row of model (..., K), whose rows share supp."""
     _require_supports(config, supp, oracle, gradient=True)  # includes the value's conditions
-    _, lik_step, _ = _LIKELIHOOD_TERMS[config.assumption]
+    _, lik_step = _LIKELIHOOD_TERMS[config.assumption]
     _, penalty_step = _PENALTY_TERMS[config.kind]
     prior, alpha = config.prior.logp, config.alpha
     lik, attraction = lik_step(model, supp, oracle, prior, alpha)
@@ -351,11 +338,11 @@ def _step(config: ObjectiveConfig, model: np.ndarray, supp: np.ndarray,
 
 
 def evaluate(config: ObjectiveConfig, model: FiniteDistribution,
-             oracle: FiniteDistribution) -> ObjectiveValue:
-    """Likelihood term for config.assumption plus penalty term for config.kind."""
+             oracle: FiniteDistribution) -> float:
+    """Likelihood term for config.assumption plus penalty term for config.kind, up to
+    config.dropped_constant_terms."""
     _require_ranges(model.range, oracle, config.prior)
-    value = _values(config, model.logp, model.support, oracle.logp)
-    return ObjectiveValue(float(value), _LIKELIHOOD_TERMS[config.assumption][2])
+    return float(_values(config, model.logp, model.support, oracle.logp))
 
 
 def values_at_thetas(config: ObjectiveConfig, oracle: FiniteDistribution,
@@ -393,7 +380,7 @@ def gradient_logp(config: ObjectiveConfig, model: FiniteDistribution,
 def value_at_theta(config: ObjectiveConfig, oracle: FiniteDistribution,
                    p: Parameterization, theta) -> float:
     """Objective value of the parameterized model at theta."""
-    return evaluate(config, apply_parameterization(p, theta), oracle).value
+    return evaluate(config, apply_parameterization(p, theta), oracle)
 
 
 def gradient_at_theta(config: ObjectiveConfig, oracle: FiniteDistribution,

@@ -22,11 +22,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import (FiniteDistribution, Parameterization, apply_parameterization,
-                            _check_theta, _pullback, _theta_logp)
+                            _check_theta, _pullback, _require_ranges, _theta_logp)
 from .errors import DimensionMismatch, InvalidSetting, NonFiniteParameter
 from .logspace import NEG_INF
 from .objectives import (GradientVector, ObjectiveConfig, gradient_at_theta, gradient_terms,
-                         value_at_theta, _require_ranges, _step)
+                         value_at_theta, _step)
 
 __all__ = [
     "DIVERGENCE_THETA_BOUND",

@@ -1,10 +1,9 @@
 """One test per acceptance criterion.
 
-Each test runs the corresponding criterion function from
-maxprob.acceptance at its stated tolerance and budget, prints the
-criterion's PASS/FAIL line, and asserts the result, so `pytest -v` on this
-file doubles as the release gate (the `maxprob check` subcommand runs the
-same functions).
+Each test runs its criterion through maxprob.acceptance.run_criterion at
+its stated tolerance and budget, prints the criterion's PASS/FAIL line,
+and asserts the result, so `pytest -v` on this file doubles as the release
+gate (the `maxprob check` subcommand runs the same CRITERIA table).
 """
 
 import reference

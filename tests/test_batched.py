@@ -174,7 +174,7 @@ class TestObjectMatchesTheReference:
                                     for _ in range(3))
             config = ObjectiveConfig(*CELLS[int(rng.integers(0, 4))],
                                      float(rng.choice(ALPHAS)), prior)
-            assert_same(outcome(lambda: evaluate(config, model, oracle).value),
+            assert_same(outcome(lambda: evaluate(config, model, oracle)),
                         outcome(lambda: reference.evaluate(config, model, oracle)))
             terms = outcome(lambda: gradient_terms(config, model, oracle))
             want = outcome(lambda: reference.gradient_terms(config, model, oracle))

@@ -65,9 +65,11 @@ class TestSweepSpec:
                                       dict(grid_min=4.0), dict(grid_step=1e-300),
                                       dict(grid_min=-1e308, grid_max=1e308),
                                       dict(grid_min=0.0, grid_max=float(MAX_GRID_POINTS),
-                                           grid_step=1.0)])
+                                           grid_step=1.0),
+                                      dict(grid_min=0.0, grid_max=1.7e308, grid_step=1e308)])
     def test_rejects_empty_or_oversized_grid(self, grid):
-        """The span of -1e308 to 1e308 overflows; the last grid has MAX_GRID_POINTS + 1."""
+        """The span of -1e308 to 1e308 overflows; the next grid has MAX_GRID_POINTS + 1;
+        the last rounds 1.7 steps to 2, so its last point 2e308 overflows."""
         with pytest.raises(InvalidSetting):
             small_spec(**grid)
 
@@ -140,7 +142,7 @@ class TestRunSweep:
         likelihood = ObjectiveConfig("likelihood", "cond-independent", 1.0, prior)
         for theta, value in zip(curve.thetas, curve.values):
             model = apply_parameterization(p, theta)
-            expected = (evaluate(likelihood, model, oracle).value
+            expected = (evaluate(likelihood, model, oracle)
                         + max_probability(prior, model).log_max_probability)
             assert abs(value - expected) <= np.log(2.0) / 50000.0 + 1e-12
 

@@ -602,3 +602,11 @@ class TestCheckCommand:
         results = json.loads(target.read_text())
         assert results[0]["number"] == 6
         assert results[0]["passed"] is True
+
+    @pytest.mark.parametrize("number", ["0", "13"])
+    def test_unknown_criterion_is_a_coded_error(self, number, capsys):
+        code, out, err = run(["check", "--only", number], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidSetting" and "1-12" in payload["detail"]

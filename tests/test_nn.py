@@ -194,13 +194,14 @@ class TestToyNet:
         net = ToyNet(seed=0)
         x = np.zeros((7, 2))
         assert net.forward(x).shape == (7, 3)
-        assert net.head(x, 2.0).shape == (7, 3)
+        assert hn_forward(net.forward(x), 2.0).shape == (7, 3)
 
     def test_head_rows_sum_to_head_mass(self):
-        net = ToyNet(seed=0)
-        x = np.random.default_rng(42).normal(size=(5, 2))
-        np.testing.assert_allclose(net.head(x, 4.0).sum(axis=1),
-                                   hn_forward(net.forward(x), 4.0).sum(axis=-1), rtol=1e-12)
+        """A head row sums to sum exp(logits) / sum exp(alpha * logits), not 1."""
+        logits = ToyNet(seed=0).forward(np.random.default_rng(42).normal(size=(5, 2)))
+        np.testing.assert_allclose(hn_forward(logits, 4.0).sum(axis=1),
+                                   np.exp(logits).sum(axis=1) / np.exp(4.0 * logits).sum(axis=1),
+                                   rtol=1e-12)
 
 
 class TestLossAndGrads:

@@ -86,8 +86,9 @@ class TestPosterior:
 class TestLikelihoodValue:
     def test_coin_hand_value(self):
         v = value(LIKELIHOOD, TILTED, SURE, UNIFORM2)
-        np.testing.assert_allclose(v.value, 0.5877866649021191, rtol=1e-15)
-        assert v.dropped_constant_terms == ("log_prob_oracle_event",)
+        np.testing.assert_allclose(v, 0.5877866649021191, rtol=1e-15)
+        config = ObjectiveConfig(*LIKELIHOOD, 1.0, UNIFORM2)
+        assert config.dropped_constant_terms == ("log_prob_oracle_event",)
 
     def test_value_is_capped_by_the_best_density_ratio(self):
         """The likelihood is linear in the model, so its supremum over the
@@ -97,10 +98,10 @@ class TestLikelihoodValue:
         cap = np.log(0.7 / 0.5)
         for p1 in (0.1, 0.4, 0.7, 0.9):
             other = make_distribution(COIN, [p1, 1.0 - p1])
-            assert value(LIKELIHOOD, other, oracle, UNIFORM2).value <= cap + 1e-12
+            assert value(LIKELIHOOD, other, oracle, UNIFORM2) <= cap + 1e-12
         nearly_degenerate = make_distribution(COIN, [1.0 - 1e-9, 1e-9])
         np.testing.assert_allclose(
-            value(LIKELIHOOD, nearly_degenerate, oracle, UNIFORM2).value, cap, rtol=1e-8)
+            value(LIKELIHOOD, nearly_degenerate, oracle, UNIFORM2), cap, rtol=1e-8)
 
     def test_gradient_is_posterior_minus_model(self):
         g = gradient_logp(ObjectiveConfig("likelihood", "cond-independent", 1.0, UNIFORM2),
@@ -112,19 +113,19 @@ class TestIntersectionValue:
     def test_tilted_coin_hand_value(self):
         # log 1.8 - (1/2) log((0.9/0.5)^2 + (0.1/0.5)^2)
         v = value(INTERSECTION, TILTED, SURE, UNIFORM2, 2.0)
-        np.testing.assert_allclose(v.value, -0.0061350462959071095, rtol=1e-12)
+        np.testing.assert_allclose(v, -0.0061350462959071095, rtol=1e-12)
 
     def test_all_uniform_collapses_to_support_penalty(self):
         u4 = uniform_distribution(OutcomeRange(tuple("abcd")))
         v = value(INTERSECTION, u4, u4, u4, 2.0)
-        np.testing.assert_allclose(v.value, -0.6931471805599453, rtol=1e-15)
+        np.testing.assert_allclose(v, -0.6931471805599453, rtol=1e-15)
 
     @given(distribution_triples(allow_zeros=(False, True, False)), alphas)
     def test_definitional_identity(self, triple, alpha):
         """Intersection = likelihood + the soft bound on the model event."""
         prior, oracle, model = triple
-        whole = value(INTERSECTION, model, oracle, prior, alpha).value
-        parts = (value(LIKELIHOOD, model, oracle, prior).value
+        whole = value(INTERSECTION, model, oracle, prior, alpha)
+        parts = (value(LIKELIHOOD, model, oracle, prior)
                  + softmax_probability(prior, model, alpha))
         np.testing.assert_allclose(whole, parts, rtol=1e-12, atol=1e-12)
 
@@ -137,10 +138,10 @@ class TestIntersectionValue:
         """At alpha = 2 with a uniform prior the intersection objective is
         stationary exactly at model = oracle (the recovery property)."""
         oracle = make_distribution(COIN, [0.7, 0.3])
-        at_oracle = value(INTERSECTION, oracle, oracle, UNIFORM2, 2.0).value
+        at_oracle = value(INTERSECTION, oracle, oracle, UNIFORM2, 2.0)
         for p1 in (0.1, 0.4, 0.9):
             other = make_distribution(COIN, [p1, 1.0 - p1])
-            assert value(INTERSECTION, other, oracle, UNIFORM2, 2.0).value \
+            assert value(INTERSECTION, other, oracle, UNIFORM2, 2.0) \
                 <= at_oracle + 1e-12
 
 
@@ -148,11 +149,11 @@ class TestSubsetLikelihood:
     def test_model_equal_oracle_closed_form(self):
         u3 = uniform_distribution(OutcomeRange(tuple("abc")))
         v = value(SUBSET_LIKELIHOOD, u3, u3, alpha=4.0)
-        np.testing.assert_allclose(v.value, -0.27465307216702745, rtol=1e-15)
+        np.testing.assert_allclose(v, -0.27465307216702745, rtol=1e-15)
 
     def test_degenerate_oracle_reads_off_model_mass(self):
         v = value(SUBSET_LIKELIHOOD, TILTED, SURE, alpha=8.0)
-        np.testing.assert_allclose(v.value, np.log(0.9), rtol=1e-15)
+        np.testing.assert_allclose(v, np.log(0.9), rtol=1e-15)
 
     def test_oracle_must_stay_inside_model_support(self):
         model = make_distribution(COIN, [1.0, 0.0])
@@ -163,14 +164,14 @@ class TestSubsetLikelihood:
     @given(distribution_triples(min_n=2, max_n=5, allow_zeros=(False, False, False)))
     def test_soft_min_below_worst_ratio(self, triple):
         _, oracle, model = triple
-        v = value(SUBSET_LIKELIHOOD, model, oracle, alpha=2.0).value
+        v = value(SUBSET_LIKELIHOOD, model, oracle, alpha=2.0)
         ratios = model.logp - oracle.logp
         assert v <= ratios[oracle.support].min() + 1e-12
 
     @given(distribution_triples(min_n=2, max_n=5, allow_zeros=(False, False, False)))
     def test_monotone_in_alpha(self, triple):
         _, oracle, model = triple
-        values = [value(SUBSET_LIKELIHOOD, model, oracle, alpha=a).value
+        values = [value(SUBSET_LIKELIHOOD, model, oracle, alpha=a)
                   for a in (0.5, 1.0, 2.0, 8.0, 64.0)]
         assert np.all(np.diff(values) >= -1e-12)
 
@@ -178,14 +179,14 @@ class TestSubsetLikelihood:
                                 allow_zeros=(False, False, False)), alphas)
     def test_subset_intersection_identity(self, triple, alpha):
         prior, oracle, model = triple
-        whole = value(SUBSET_INTERSECTION, model, oracle, prior, alpha).value
-        parts = (value(SUBSET_LIKELIHOOD, model, oracle, alpha=alpha).value
+        whole = value(SUBSET_INTERSECTION, model, oracle, prior, alpha)
+        parts = (value(SUBSET_LIKELIHOOD, model, oracle, alpha=alpha)
                  + softmax_probability(prior, model, alpha))
         np.testing.assert_allclose(whole, parts, rtol=1e-12, atol=1e-12)
 
     def test_all_uniform_hand_value(self):
         v = value(SUBSET_INTERSECTION, UNIFORM2, UNIFORM2, UNIFORM2, 2.0)
-        np.testing.assert_allclose(v.value, -0.6931471805599453, rtol=1e-15)
+        np.testing.assert_allclose(v, -0.6931471805599453, rtol=1e-15)
 
 
 class TestGradientStructure:
@@ -219,8 +220,8 @@ class TestAlphaOneEquivalence:
     def test_uniform_prior_offset_is_the_log_range_size(self, triple):
         _, oracle, model = triple
         prior = uniform_distribution(model.range)
-        lik = value(LIKELIHOOD, model, oracle, prior).value
-        inter = value(INTERSECTION, model, oracle, prior, 1.0).value
+        lik = value(LIKELIHOOD, model, oracle, prior)
+        inter = value(INTERSECTION, model, oracle, prior, 1.0)
         np.testing.assert_allclose(inter - lik, -np.log(len(model.range)), rtol=1e-12)
 
 
@@ -257,8 +258,8 @@ class TestEvaluateDispatch:
         dropped = ("log_prob_oracle_event",) if assumption == "cond-independent" else ()
 
         v = evaluate(config, TILTED, SURE)
-        np.testing.assert_allclose(v.value, lik + penalty, rtol=1e-12)
-        assert v.dropped_constant_terms == dropped
+        np.testing.assert_allclose(v, lik + penalty, rtol=1e-12)
+        assert config.dropped_constant_terms == dropped
         attract, rep = gradient_terms(config, TILTED, SURE)
         np.testing.assert_allclose(attract, [1.0, 0.0], rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(rep, repulse, rtol=1e-12, atol=1e-15)
