@@ -52,8 +52,6 @@ from .objectives import (
     gradient_at_theta,
     gradient_logp,
     gradient_terms,
-    likelihood_concentration_residual,
-    posterior_given_both,
     value_at_theta,
     values_at_thetas,
 )

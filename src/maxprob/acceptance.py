@@ -297,7 +297,7 @@ def criterion_08_likelihood_concentration() -> tuple[bool, str]:
     oracle = make_distribution(p.range, [1.0, 0.0])
     config = ObjectiveConfig("likelihood", "cond-independent", 1.0, prior)
     trace = ascend(config, oracle, p, 0.0, AscentConfig(step_size=0.2, max_iters=10000))
-    # likelihood_concentration_residual of every iterate, as one batch
+    # the model mass off the argmax set of oracle / prior at every iterate, as one batch
     outside = ~_ratio_argmax_set(oracle, prior)
     residuals = np.exp(_theta_logp(p, trace.thetas)).compress(outside, axis=-1).sum(axis=-1)
     final = float(residuals[-1])

@@ -18,7 +18,8 @@ one outcome v0) attains it at exactly P(v0).
 softmax_probability replaces the hard minimum with a smooth soft-minimum
 controlled by alpha > 0.  It never exceeds the hard bound, is non-decreasing
 in alpha, and converges to the hard bound as alpha grows, which makes it a
-differentiable surrogate suitable for gradient methods.
+differentiable surrogate suitable for gradient methods.  Its array kernel,
+_soft_bound_step, is also the intersection objective's penalty term.
 
 alpha_skeleton is the companion transform on distributions: raise mass to
 the alpha power and renormalize, sharpening (alpha > 1) or flattening
@@ -53,7 +54,7 @@ from .errors import (
     SumOutOfTolerance,
     require_alpha,
 )
-from .logspace import NEG_INF, soft_min
+from .logspace import NEG_INF, _soft_min_step
 
 __all__ = [
     "BoundResult",
@@ -117,21 +118,27 @@ def softmax_probability(prior: FiniteDistribution, conditional: FiniteDistributi
     """
     require_alpha(alpha)
     _require_ranges(prior.range, conditional)
-    return float(_log_soft_bound(conditional.logp, conditional.support, prior.logp, alpha))
+    supp = conditional.support
+    if (prior.logp[supp] == NEG_INF).any():
+        return NEG_INF  # the event must be null: zero prior mass on a supported outcome
+    return float(_soft_bound_step(conditional.logp, supp, prior.logp, alpha)[0])
 
 
-def _log_soft_bound(conditional: np.ndarray, supp: np.ndarray, prior: np.ndarray,
-                    alpha: float) -> np.ndarray:
-    """softmax_probability of each row of conditional (..., K) against prior (K,).
+def _soft_bound_step(conditional: np.ndarray, supp: np.ndarray, prior: np.ndarray,
+                     alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """softmax_probability of each row of conditional (..., K) against prior (K,), and its
+    gradient in the row's log-probabilities, (conditional / prior) ** alpha on supp, normalized.
+    The rows share supp (K,), where the prior must be positive; compress keeps them C-ordered
+    (see the objectives kernels)."""
+    value, w = _soft_min_step(prior[supp] - conditional.compress(supp, axis=-1), alpha)
+    return value, _on(supp, w)
 
-    The rows share the support mask supp (K,).  compress, not
-    conditional[..., supp], keeps the rows C-ordered, so each sums in the
-    order of a single row (see the objectives kernels).
-    """
-    if (prior[supp] == NEG_INF).any():
-        # event must be null: zero prior mass on a supported outcome
-        return np.full(conditional.shape[:-1], NEG_INF)
-    return soft_min(prior[supp] - conditional.compress(supp, axis=-1), alpha, axis=-1)
+
+def _on(mask: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w (..., mask.sum()) placed on the columns of mask, zero elsewhere."""
+    out = np.zeros(w.shape[:-1] + mask.shape)
+    out[..., mask] = w
+    return out
 
 
 def alpha_skeleton(dist: FiniteDistribution, alpha: float) -> FiniteDistribution:

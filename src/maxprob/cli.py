@@ -41,7 +41,7 @@ from .distributions import (
 from .errors import DimensionMismatch, DomainError, NonFiniteEncountered
 from .nn import ToyNet, make_toy_dataset, train
 from .nn import report_to_jsonable as train_report_to_jsonable
-from .objectives import ObjectiveConfig, evaluate, gradient_logp
+from .objectives import ASSUMPTIONS, KINDS, ObjectiveConfig, evaluate, gradient_logp
 from .optimize import AscentConfig, ascend
 
 __all__ = ["build_parser", "dispatch", "main"]
@@ -61,6 +61,11 @@ def _load_distribution(path: str) -> FiniteDistribution:
         with open(path, "r") as fh:
             text = fh.read()
     return distribution_from_jsonable(json.loads(text))
+
+
+def _load_prior(path: Optional[str], rng: OutcomeRange) -> FiniteDistribution:
+    """The --prior distribution, or the uniform one over rng when none is given."""
+    return _load_distribution(path) if path is not None else uniform_distribution(rng)
 
 
 def _write_text(text: str, out: Optional[str]) -> None:
@@ -159,8 +164,7 @@ def _cmd_skeleton(args: argparse.Namespace) -> int:
 def _cmd_objective(args: argparse.Namespace) -> int:
     model = _load_distribution(args.model)
     oracle = _load_distribution(args.oracle)
-    prior = (_load_distribution(args.prior) if args.prior is not None
-             else uniform_distribution(model.range))
+    prior = _load_prior(args.prior, model.range)
     config = ObjectiveConfig(args.kind, args.assumption, args.alpha, prior)
     value = evaluate(config, model, oracle)
     grad = gradient_logp(config, model, oracle)
@@ -188,8 +192,7 @@ def _make_parameterization(args: argparse.Namespace, rng: OutcomeRange) -> Param
 def _cmd_optimize(args: argparse.Namespace) -> int:
     oracle = _load_distribution(args.oracle)
     p = _make_parameterization(args, oracle.range)
-    prior = (_load_distribution(args.prior) if args.prior is not None
-             else uniform_distribution(p.range))
+    prior = _load_prior(args.prior, p.range)
     theta0 = np.zeros(p.dim) if args.theta0 is None else args.theta0
     config = ObjectiveConfig(args.kind, args.assumption, args.alpha, prior)
     ascent = AscentConfig(step_size=args.step, max_iters=args.max_iters,
@@ -209,7 +212,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_bernoulli(args: argparse.Namespace) -> int:
-    prior = _load_distribution(args.prior) if args.prior is not None else None
+    prior = _load_prior(args.prior, Parameterization.sigmoid_bernoulli().range)
     spec = SweepSpec(
         theta_star=args.theta_star,
         grid_min=args.grid_min,
@@ -276,9 +279,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_objective_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--kind", required=True, choices=("likelihood", "intersection"))
-    sub.add_argument("--assumption", default="cond-independent",
-                     choices=("cond-independent", "oracle-subset"))
+    sub.add_argument("--kind", required=True, choices=KINDS)
+    sub.add_argument("--assumption", default="cond-independent", choices=ASSUMPTIONS)
     sub.add_argument("--alpha", type=float, default=1.0,
                      help="sharpness of the soft minimum; must be positive")
 
@@ -294,20 +296,17 @@ def build_parser() -> argparse.ArgumentParser:
     bound = subs.add_parser("bound", help="hard upper bound on the model event probability")
     bound.add_argument("--prior", required=True, help="prior distribution JSON ('-' = stdin)")
     bound.add_argument("--conditional", required=True, help="conditional distribution JSON")
-    _add_common(bound)
     bound.set_defaults(func=_cmd_bound)
 
     soft = subs.add_parser("soft-bound", help="differentiable lower envelope of the bound")
     soft.add_argument("--alpha", type=float, required=True)
     soft.add_argument("--prior", required=True)
     soft.add_argument("--conditional", required=True)
-    _add_common(soft)
     soft.set_defaults(func=_cmd_soft_bound)
 
     skel = subs.add_parser("skeleton", help="renormalized alpha-power transform of a distribution")
     skel.add_argument("--alpha", type=float, required=True)
     skel.add_argument("--dist", required=True)
-    _add_common(skel)
     skel.set_defaults(func=_cmd_skeleton)
 
     obj = subs.add_parser("objective", help="objective value and log-space gradient")
@@ -316,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     obj.add_argument("--oracle", required=True)
     obj.add_argument("--prior", default=None,
                      help="prior distribution JSON (default: uniform over the model range)")
-    _add_common(obj)
     obj.set_defaults(func=_cmd_objective)
 
     opt = subs.add_parser("optimize", help="gradient ascent on an objective; emits the trace as CSV")
@@ -332,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--step", type=float, default=0.1)
     opt.add_argument("--max-iters", type=int, default=10000)
     opt.add_argument("--grad-tol", type=float, default=1e-8)
-    _add_common(opt)
     opt.set_defaults(func=_cmd_optimize)
 
     sweep = subs.add_parser("sweep-bernoulli",
@@ -343,13 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--grid-max", type=float, default=8.0)
     sweep.add_argument("--grid-step", type=float, default=0.01)
     sweep.add_argument("--alphas", type=_floats_csv, default=(1.0, 2.0, 4.0, 16.0, 256.0))
-    sweep.add_argument("--objectives", type=_names_csv, default=("likelihood", "intersection"))
-    sweep.add_argument("--assumption", default="cond-independent",
-                       choices=("cond-independent", "oracle-subset"))
+    sweep.add_argument("--objectives", type=_names_csv, default=KINDS)
+    sweep.add_argument("--assumption", default="cond-independent", choices=ASSUMPTIONS)
     sweep.add_argument("--prior", default=None, help="prior JSON (default: uniform)")
     sweep.add_argument("--summary-out", default=None,
                        help="also write per-curve argmax/shape summary JSON here")
-    _add_common(sweep)
     sweep.set_defaults(func=_cmd_sweep_bernoulli)
 
     toy = subs.add_parser("train-toy", help="train the toy classifier and emit a JSON report")
@@ -365,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     toy.add_argument("--seed", type=int, default=0, help="shuffle seed for minibatches")
     toy.add_argument("--net-seed", type=int, default=0)
     toy.add_argument("--data-seed", type=int, default=0)
-    _add_common(toy)
     toy.set_defaults(func=_cmd_train_toy)
 
     check = subs.add_parser("check", help="run the acceptance criteria and print a table")
@@ -373,8 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a single criterion by number")
     check.add_argument("--artifacts", default=None,
                        help="directory for training-curve artifacts")
-    _add_common(check)
     check.set_defaults(func=_cmd_check)
+
+    for sub in subs.choices.values():  # after each subcommand's own arguments
+        _add_common(sub)
 
     return parser
 

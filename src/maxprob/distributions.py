@@ -286,6 +286,11 @@ def _theta_logp(p: Parameterization, th: np.ndarray) -> np.ndarray:
     """
     logits = np.zeros((len(th), len(p.range)))
     logits[:, :p.dim] = th
+    if len(th) > 1 and abs(th).max() > 2.0 ** 1022:
+        # a batch's spread can pass finfo.max: the max-shift's -inf is the correct
+        # zero mass (logspace silences one row itself)
+        with np.errstate(over="ignore"):
+            return log_softmax(log_softmax(logits))
     return log_softmax(log_softmax(logits))
 
 

@@ -8,6 +8,8 @@ empty-sum convention (logsumexp([]) == -inf) are enforced centrally.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from .errors import require_alpha
@@ -25,6 +27,7 @@ _MIN_FLOAT = -np.finfo(float).max
 # slice (a 1-D input, one row).  A batch of rows would need one more
 # reduction to find its largest shift, so it keeps numpy's warning.
 _SHIFT_LIMIT = 2.0 ** 968
+_NO_ERRSTATE = contextlib.nullcontext()
 
 
 def _shift(a: np.ndarray, m, top: float) -> np.ndarray:
@@ -86,5 +89,18 @@ def soft_min(a, alpha: float, axis=None):
     """
     require_alpha(alpha)
     a = np.asarray(a, dtype=float)
-    return -logsumexp(-alpha * a, axis=axis) / alpha
+    return _soft_min_of(logsumexp(-alpha * a, axis=axis), alpha)
+
+
+def _soft_min_step(a: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """soft_min(a, alpha, axis=-1) and its gradient softmax(-alpha * a), from one logsumexp."""
+    logw, lse = _log_normalize(-alpha * a)
+    return _soft_min_of(lse, alpha), np.exp(logw)
+
+
+def _soft_min_of(lse, alpha: float):
+    """-lse / alpha for lse = logsumexp(-alpha * a); below alpha = 1 an overflow
+    is -inf, the correct limit, silently."""
+    with np.errstate(over="ignore") if alpha < 1.0 else _NO_ERRSTATE:
+        return -lse / alpha
 

@@ -35,18 +35,16 @@ parameterization pulls it back to the parameters by slicing (see
 distributions._pullback).  gradient_terms exposes the two vectors directly;
 the Monte Carlo estimator in optimize samples from them.
 
-Each term has two array kernels over raw log-probabilities: the model is
-(..., K), one row per model, and the oracle and the prior are (K,).  Its
-value kernel serves a whole grid of parameter rows (values_at_thetas) and
-builds no (N, K) vector.  Its step kernel gives the value and the term's
-vector from one logsumexp, bit for bit the same; one step dispatch runs
-them for each step of optimize.ascend and for gradient_terms.  The
-cond-independent step needs a second logsumexp when the joint support has
-holes: the posterior is normalized over the whole row, -inf padded, and
-numpy sums 8 or more entries in 8 partial sums, so the zeros the padding
-adds can move the last bit of that sum.  Validation lives in the entry
-points: outcome ranges and finite parameters are checked there, once per
-call, and the support conditions of each term before its kernels run.
+Each term has one array kernel, which gives its value and its vector from
+one logsumexp; the subset likelihood and the soft bound share one soft
+minimum (logspace._soft_min_step).  One dispatch, _step, runs a config's two
+kernels for evaluate, values_at_thetas, gradient_terms and each step of
+optimize.ascend; value-only callers drop the vectors.  The cond-independent
+kernel needs a second logsumexp when the joint support has holes: the
+posterior is normalized over the whole -inf padded row, and numpy sums 8 or
+more entries in 8 partial sums, so the padding's zeros can move the last bit
+of that sum.  The entry points validate: outcome ranges and finite
+parameters once per call, and the support conditions before the kernels run.
 """
 
 from __future__ import annotations
@@ -72,8 +70,8 @@ from .errors import (
     OracleSupportEscapesModel,
     require_alpha,
 )
-from .logspace import NEG_INF, log_softmax, logsumexp, soft_min, _log_normalize
-from .bounds import _log_soft_bound
+from .logspace import NEG_INF, logsumexp, softmax, _log_normalize, _soft_min_step
+from .bounds import _on, _soft_bound_step
 
 __all__ = [
     "KINDS",
@@ -81,8 +79,6 @@ __all__ = [
     "ARGMAX_LOG_TOL",
     "ObjectiveConfig",
     "GradientVector",
-    "posterior_given_both",
-    "likelihood_concentration_residual",
     "evaluate",
     "gradient_terms",
     "gradient_logp",
@@ -141,57 +137,31 @@ class GradientVector:
             object.__setattr__(self, "d_theta", t)
 
 
-def _require_joint_support(supp: np.ndarray, oracle: np.ndarray, prior: np.ndarray) -> None:
-    if not (supp & (oracle > NEG_INF) & (prior > NEG_INF)).any():
-        raise EmptyIntersectionSupport(
-            "model, oracle, and prior share no supported outcome; the joint event is null")
-
-
 def _require_supports(config: ObjectiveConfig, supp: np.ndarray, oracle: np.ndarray,
-                      gradient: bool) -> None:
+                      gradient: bool) -> bool:
     """The support conditions under which config's value (or gradient) is defined.
 
     supp is the model's support mask and oracle the oracle's log-probabilities,
-    both over the prior's range.
+    both over the prior's range.  Where the value is -inf and no gradient
+    exists (no joint support under cond-independent, model mass on a
+    zero-prior outcome under intersection), raises if gradient, else returns True.
     """
     prior = config.prior.logp
     if config.assumption == "oracle-subset":
         if ((oracle > NEG_INF) & ~supp).any():
             raise OracleSupportEscapesModel(
                 "subset assumption requires the model to support every oracle outcome")
-    elif gradient:
-        _require_joint_support(supp, oracle, prior)
-    if gradient and config.kind == "intersection" and (supp & (prior == NEG_INF)).any():
-        raise NonFiniteEncountered(
-            "model mass on a zero-prior outcome makes the soft bound -inf; gradient undefined")
-
-
-def posterior_given_both(model: FiniteDistribution, oracle: FiniteDistribution,
-                         prior: FiniteDistribution) -> FiniteDistribution:
-    """Distribution over outcomes given that both events occurred.
-
-    Proportional to model(v) * oracle(v) / prior(v) on the outcomes all
-    three support.  Outcomes outside the prior's support are almost-surely
-    absent and contribute nothing.
-    """
-    _require_ranges(model.range, oracle, prior)
-    _require_joint_support(model.support, oracle.logp, prior.logp)
-    return FiniteDistribution(
-        model.range, _log_posterior(*_joint_terms(model.logp, model.support, oracle.logp,
-                                                  prior.logp)))
-
-
-def likelihood_concentration_residual(model: FiniteDistribution, oracle: FiniteDistribution,
-                                      prior: FiniteDistribution) -> float:
-    """Model mass outside the argmax set of oracle(v) / prior(v).
-
-    Maximizing the likelihood concentrates the model on the outcomes where
-    the oracle most exceeds the prior; this residual is the mass not yet
-    concentrated there.  Ratio ties are collected within ARGMAX_LOG_TOL in
-    log space.
-    """
-    _require_ranges(model.range, oracle, prior)
-    return float(model.probs[~_ratio_argmax_set(oracle, prior)].sum())
+    elif not (supp & (oracle > NEG_INF) & (prior > NEG_INF)).any():
+        if gradient:
+            raise EmptyIntersectionSupport(
+                "model, oracle, and prior share no supported outcome; the joint event is null")
+        return True
+    if config.kind == "intersection" and (supp & (prior == NEG_INF)).any():
+        if gradient:
+            raise NonFiniteEncountered(
+                "model mass on a zero-prior outcome makes the soft bound -inf; gradient undefined")
+        return True
+    return False
 
 
 def _ratio_argmax_set(oracle: FiniteDistribution, prior: FiniteDistribution) -> np.ndarray:
@@ -206,9 +176,9 @@ def _ratio_argmax_set(oracle: FiniteDistribution, prior: FiniteDistribution) -> 
 
 # Term kernels.  Each takes the model's log-probabilities (..., K), whose rows
 # share the support mask supp (K,), plus the oracle's and the prior's
-# log-probabilities (K,) and alpha.  A value kernel returns (...), a step
-# kernel also the attraction or repulsion (..., K).  They trust their inputs:
-# the support conditions are checked by _require_supports before they run.
+# log-probabilities (K,) and alpha, and returns the term's value (...) and its
+# attraction or repulsion (..., K).  They trust their inputs: _require_supports
+# rules out an empty joint support and a zero-prior outcome the model supports.
 #
 # Columns are selected with compress, which keeps the rows C-ordered: each
 # row then sums in the same order as a single 1-D row, so a batch of models
@@ -216,125 +186,69 @@ def _ratio_argmax_set(oracle: FiniteDistribution, prior: FiniteDistribution) -> 
 # 2-D model gives a column-major copy whose row sums can differ in the last bit.
 
 
-def _joint_terms(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
-                 prior: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The joint support mask and log model + log oracle - log prior on it."""
-    joint = supp & (oracle > NEG_INF) & (prior > NEG_INF)
-    return joint, model.compress(joint, axis=-1) + oracle[joint] - prior[joint]
-
-
-def _on(mask: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w (..., mask.sum()) placed on the columns of mask, zero elsewhere."""
-    out = np.zeros(w.shape[:-1] + mask.shape)
-    out[..., mask] = w
-    return out
-
-
-def _independent_value(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
-                       prior: np.ndarray, alpha: float) -> np.ndarray:
-    """log P(M* | M) up to the constant log P(M*).
-
-    Equals log sum_v oracle(v) * model(v) / prior(v); -inf when the two
-    events share no prior-supported outcome.
-    """
-    joint, terms = _joint_terms(model, supp, oracle, prior)
-    if not joint.any():
-        return np.full(model.shape[:-1], NEG_INF)
-    return logsumexp(terms, axis=-1)
-
-
-def _log_posterior(joint: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Log of the posterior given both events, from a non-empty _joint_terms."""
-    logpost = np.full(terms.shape[:-1] + joint.shape, NEG_INF)
-    logpost[..., joint] = terms
-    return log_softmax(logpost)
-
-
 def _independent_step(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
                       prior: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """_independent_value and the posterior given both events; one logsumexp on a full joint."""
-    joint, terms = _joint_terms(model, supp, oracle, prior)
+    """log P(M* | M) up to the constant log P(M*), and the posterior given both events.
+
+    The value is log sum_v oracle(v) * model(v) / prior(v) over the joint
+    support; one logsumexp gives both when that is the whole range.
+    """
+    joint = supp & (oracle > NEG_INF) & (prior > NEG_INF)
+    terms = model.compress(joint, axis=-1) + oracle[joint] - prior[joint]
     if joint.all():
         logpost, value = _log_normalize(terms)
         return value, np.exp(logpost)
-    return logsumexp(terms, axis=-1), np.exp(_log_posterior(joint, terms))
+    logpost = np.full(terms.shape[:-1] + joint.shape, NEG_INF)
+    logpost[..., joint] = terms
+    return logsumexp(terms, axis=-1), softmax(logpost)
 
 
-def _subset_value(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
-                  prior: np.ndarray, alpha: float) -> np.ndarray:
-    """Soft minimum over the oracle's support of log model(v) - log oracle(v).
+def _subset_step(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
+                 prior: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Soft minimum over the oracle's support of log model(v) - log oracle(v), and the
+    attraction (oracle/model) ** alpha there, normalized.
 
     Under the subset assumption P(M* | M) is at most the smallest such
     ratio; the soft minimum keeps the objective differentiable and tends to
     the hard minimum as alpha grows.
     """
     osupp = oracle > NEG_INF
-    return soft_min(model.compress(osupp, axis=-1) - oracle[osupp], alpha, axis=-1)
+    value, w = _soft_min_step(model.compress(osupp, axis=-1) - oracle[osupp], alpha)
+    return value, _on(osupp, w)
 
 
-def _subset_step(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
-                 prior: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """_subset_value and the attraction (oracle/model) ** alpha on supp(oracle), normalized."""
-    osupp = oracle > NEG_INF
-    logw, lse = _log_normalize(-alpha * (model.compress(osupp, axis=-1) - oracle[osupp]))
-    return -lse / alpha, _on(osupp, np.exp(logw))
-
-
-def _soft_bound_step(model: np.ndarray, supp: np.ndarray, prior: np.ndarray,
-                     alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """_log_soft_bound and the repulsion (model/prior) ** alpha on supp(model), normalized.
-
-    The bound scales -alpha * (prior - model), this array up to the sign of
-    an exact zero, which moves no bit of the logsumexp.  For a uniform prior
-    the repulsion is alpha_skeleton(model, alpha).
-    """
-    logw, lse = _log_normalize(alpha * (model.compress(supp, axis=-1) - prior[supp]))
-    return -lse / alpha, _on(supp, np.exp(logw))
-
-
-# (value kernel, step kernel) per term
-_LIKELIHOOD_TERMS = {
-    "cond-independent": (_independent_value, _independent_step),
-    "oracle-subset": (_subset_value, _subset_step),
-}
+_LIKELIHOOD_TERMS = {"cond-independent": _independent_step, "oracle-subset": _subset_step}
 
 _PENALTY_TERMS = {
     # -0.0, not 0.0: x + -0.0 is x bit for bit, including x = -0.0; a scalar broadcasts
-    "likelihood": (lambda model, supp, prior, alpha: -0.0,
-                   lambda model, supp, prior, alpha: (-0.0, np.exp(model))),
-    "intersection": (_log_soft_bound, _soft_bound_step),
+    "likelihood": lambda model, supp, prior, alpha: (-0.0, np.exp(model)),
+    "intersection": _soft_bound_step,
 }
 
 
-def _values(config: ObjectiveConfig, model: np.ndarray, supp: np.ndarray,
-            oracle: np.ndarray) -> np.ndarray:
-    """Objective value of each row of model (..., K), whose rows share supp."""
-    _require_supports(config, supp, oracle, gradient=False)
-    lik_value, _ = _LIKELIHOOD_TERMS[config.assumption]
-    penalty_value, _ = _PENALTY_TERMS[config.kind]
+def _step(config: ObjectiveConfig, model: np.ndarray, supp: np.ndarray,
+          oracle: np.ndarray, gradient: bool = True
+          ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """Objective value, attraction and repulsion of each row of model (..., K), whose
+    rows share supp; with gradient false, the -inf values and no vectors where only
+    the value is defined (see _require_supports)."""
+    if _require_supports(config, supp, oracle, gradient):
+        return np.full(model.shape[:-1], NEG_INF), None, None
     prior, alpha = config.prior.logp, config.alpha
-    return lik_value(model, supp, oracle, prior, alpha) + penalty_value(model, supp, prior, alpha)
+    lik, attraction = _LIKELIHOOD_TERMS[config.assumption](model, supp, oracle, prior, alpha)
+    penalty, repulsion = _PENALTY_TERMS[config.kind](model, supp, prior, alpha)
+    return lik + penalty, attraction, repulsion
 
 
 def _values_of_rows(config: ObjectiveConfig, oracle: FiniteDistribution,
                     model: np.ndarray) -> np.ndarray:
     """Objective value of each model row (N, K), rows of any support."""
     if (model > NEG_INF).all():
-        return _values(config, model, np.ones(model.shape[-1], dtype=bool), oracle.logp)
+        return _step(config, model, np.ones(model.shape[-1], dtype=bool), oracle.logp,
+                     gradient=False)[0]
     # a logit gap beyond the float range zeroes an outcome: rows differ in support
-    return np.array([_values(config, row, row > NEG_INF, oracle.logp) for row in model])
-
-
-def _step(config: ObjectiveConfig, model: np.ndarray, supp: np.ndarray,
-          oracle: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_values, attraction and repulsion of each row of model (..., K), whose rows share supp."""
-    _require_supports(config, supp, oracle, gradient=True)  # includes the value's conditions
-    _, lik_step = _LIKELIHOOD_TERMS[config.assumption]
-    _, penalty_step = _PENALTY_TERMS[config.kind]
-    prior, alpha = config.prior.logp, config.alpha
-    lik, attraction = lik_step(model, supp, oracle, prior, alpha)
-    penalty, repulsion = penalty_step(model, supp, prior, alpha)
-    return lik + penalty, attraction, repulsion
+    return np.array([_step(config, row, row > NEG_INF, oracle.logp, gradient=False)[0]
+                     for row in model])
 
 
 def evaluate(config: ObjectiveConfig, model: FiniteDistribution,
@@ -342,7 +256,7 @@ def evaluate(config: ObjectiveConfig, model: FiniteDistribution,
     """Likelihood term for config.assumption plus penalty term for config.kind, up to
     config.dropped_constant_terms."""
     _require_ranges(model.range, oracle, config.prior)
-    return float(_values(config, model.logp, model.support, oracle.logp))
+    return float(_step(config, model.logp, model.support, oracle.logp, gradient=False)[0])
 
 
 def values_at_thetas(config: ObjectiveConfig, oracle: FiniteDistribution,

@@ -139,6 +139,12 @@ class TestSoftMinHelper:
         np.testing.assert_array_equal(soft_min(a, 2.0, axis=-1),
                                       [soft_min(row, 2.0) for row in a])
 
+    def test_tiny_alpha_gives_minus_inf_without_a_warning(self):
+        """-lse / alpha passes the float range; -inf is the correct limit."""
+        assert soft_min([0.0, 1.0], 1e-320) == NEG_INF
+        np.testing.assert_array_equal(soft_min([[0.0, 1.0]], 1e-320, axis=-1), [NEG_INF])
+        assert soft_min([], 1e-320) == np.inf
+
     @given(st.lists(st.floats(-20.0, 20.0, allow_nan=False), min_size=1, max_size=8),
            st.sampled_from([0.5, 1.0, 2.0, 8.0]))
     def test_sandwiched_around_true_min(self, values, alpha):

@@ -35,6 +35,16 @@ def coin_files(tmp_path):
 
 
 @pytest.fixture
+def tiny_alpha_files(tmp_path):
+    """A prior and a conditional whose soft minimum overflows -lse / alpha at alpha 1e-320."""
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps({"range": ["a", "b", "c"], "probs": [0.01, 0.49, 0.5]}))
+    cond = tmp_path / "cond.json"
+    cond.write_text(json.dumps({"range": ["a", "b", "c"], "probs": [0.9, 0.05, 0.05]}))
+    return str(prior), str(cond)
+
+
+@pytest.fixture
 def bernoulli_oracle(tmp_path):
     path = tmp_path / "oracle.json"
     path.write_text(json.dumps({"range": ["1", "0"], "probs": [0.9, 0.1]}))
@@ -196,6 +206,14 @@ class TestSoftBoundAndSkeleton:
         np.testing.assert_allclose(json.loads(out)["log_value"], np.log(5.0 / 9.0),
                                    rtol=1e-12)
 
+    def test_tiny_alpha_leaves_stderr_empty(self, tiny_alpha_files, capsys):
+        """-lse / alpha overflows to -inf, the correct limit; no warning."""
+        prior, cond = tiny_alpha_files
+        code, out, err = run(["soft-bound", "--alpha", "1e-320", "--prior", prior,
+                              "--conditional", cond], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["log_value"] == "-inf"
+
     def test_skeleton_emits_distribution_json(self, coin_files, capsys):
         _, cond = coin_files
         code, out, _ = run(["skeleton", "--alpha", "2", "--dist", cond], capsys)
@@ -241,6 +259,16 @@ class TestObjectiveCommand:
                               "--oracle", str(sure), "--prior", str(sure)], capsys)
         assert code == 0 and err == ""
         assert json.loads(out)["gradient_logp"] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("kind", ["likelihood", "intersection"])
+    @pytest.mark.parametrize("assumption", ["cond-independent", "oracle-subset"])
+    def test_tiny_alpha_leaves_stderr_empty(self, tiny_alpha_files, capsys, kind, assumption):
+        prior, cond = tiny_alpha_files
+        code, out, err = run(["objective", "--kind", kind, "--assumption", assumption,
+                              "--alpha", "1e-320", "--model", cond, "--oracle", prior,
+                              "--prior", prior], capsys)
+        assert code == 0 and err == ""
+        assert sum(json.loads(out)["gradient_logp"]) == pytest.approx(0.0, abs=1e-12)
 
     def test_subset_violation_reports_domain_code(self, tmp_path, coin_files, capsys):
         prior, _ = coin_files
