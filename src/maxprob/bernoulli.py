@@ -74,6 +74,8 @@ class SweepSpec:
                 raise InvalidSetting(f"objective must be one of {KINDS}, got {obj!r}")
         for a in self.alphas:
             require_alpha(a)
+        if not self.objectives or not self.alphas:
+            raise InvalidSetting("a sweep needs at least one objective and one alpha")
         bounds = (self.grid_min, self.grid_max, self.grid_step)
         if not all(map(math.isfinite, bounds)):
             raise NonFiniteParameter(f"grid min, max and step must be finite, got {bounds!r}")

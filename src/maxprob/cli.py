@@ -39,7 +39,7 @@ from .distributions import (
     uniform_distribution,
 )
 from .errors import DimensionMismatch, DomainError, NonFiniteEncountered
-from .nn import ToyNet, make_toy_dataset, train
+from .nn import LOSS_MODES, ToyNet, make_toy_dataset, train
 from .nn import report_to_jsonable as train_report_to_jsonable
 from .objectives import ASSUMPTIONS, KINDS, ObjectiveConfig, evaluate, gradient_logp
 from .optimize import AscentConfig, ascend
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=_cmd_sweep_bernoulli)
 
     toy = subs.add_parser("train-toy", help="train the toy classifier and emit a JSON report")
-    toy.add_argument("--loss", required=True, choices=("intersection", "ce-l2"))
+    toy.add_argument("--loss", required=True, choices=LOSS_MODES)
     toy.add_argument("--alpha", type=float, default=1.0)
     toy.add_argument("--lam", type=float, default=0.0, help="weight penalty for ce-l2")
     toy.add_argument("--epochs", type=int, default=200)

@@ -102,5 +102,5 @@ def _soft_min_of(lse, alpha: float):
     """-lse / alpha for lse = logsumexp(-alpha * a); below alpha = 1 an overflow
     is -inf, the correct limit, silently."""
     with np.errstate(over="ignore") if alpha < 1.0 else _NO_ERRSTATE:
-        return -lse / alpha
+        return lse / -alpha  # bit for bit -lse / alpha, one array operation fewer
 

@@ -1,31 +1,36 @@
-"""Small dense network exercising the soft-bound loss on synthetic blobs.
+"""Small dense network trained on the intersection objective, on synthetic blobs.
 
-The classifier head generalizes softmax: with logits x and sharpness alpha,
+Each example is one cell of the paper's objective (objectives): the model is
+p = softmax(x) of the example's logits x over the K classes, the oracle is
+one-hot at its label y, the prior is uniform, and the assumption is
+cond-independent.  The likelihood term is then log p[y] + log K and the soft
+bound -log K - (1/alpha) * log sum_c p_c ** alpha, so the intersection loss
+is exactly minus the objective:
 
-    head(x)_i = exp(x_i) / sum_j exp(alpha * x_j),
+    loss_i = -log p[y_i] + (1/alpha) * log sum_c p_c ** alpha = -objective_i.
 
-computed as exp(x_i - logsumexp(alpha * x)) so it never overflows.  At
-alpha = 1 this is exactly softmax (identical summation order, so agreement
-is bit-for-bit); for alpha != 1 the outputs are positive but sum to
-sum exp(x) / sum exp(alpha x) rather than 1, and the loss accounts for that
-explicitly instead of renormalizing.
+Its gradient in the logits is repulsion - attraction: the soft bound's ratio
+skeleton softmax(alpha * x) minus the oracle's posterior, onehot(y).  Both
+run on the package's one soft minimum, of -log p for the loss
+(logspace.soft_min) and of -x for the gradient (logspace._soft_min_step),
+which scale and guard alpha for the objectives too.
 
-The training loss couples the usual label term with a mass penalty:
+The recorded regularizer term -(1/alpha) * log sum_c p_c ** alpha lies
+between 0 (a one-hot prediction) and log(K) * (alpha - 1) / alpha (a uniform
+one, regularizer_bound); it enters the loss with a minus sign, so minimizing
+the loss trades label fit against spread-out predictions.  alpha = 1
+collapses to plain cross entropy.  Mode "ce-l2" is cross entropy plus lam
+times the squared weight-matrix entries.
 
-    loss_i = -log softmax(x_i)[y_i] + (1/alpha) * log sum_y softmax(x_i)[y] ** alpha.
-
-The recorded regularizer term -(1/alpha) * log sum_y p_y ** alpha is
-non-negative, zero exactly for a one-hot prediction, and at most
-log(K) * (alpha - 1) / alpha (attained at uniform predictions); it enters
-the loss with a minus sign, so minimizing the loss trades label fit against
-spread-out predictions.  alpha = 1 collapses to plain cross entropy.
-
-Training runs through one loss kernel (_loss: one log-softmax, plus one
-logsumexp for the intersection loss) and one hand-written backward pass
-(_backprop) on numpy arrays; there is no autodiff anywhere, which is what
-makes the finite-difference audit in the test suite meaningful.  train
+Training runs through one loss kernel (_loss) and one hand-written backward
+pass (_backprop) on numpy arrays; there is no autodiff anywhere, which is
+what makes the finite-difference audit in the test suite meaningful.  train
 checks every setting and both splits once; a minibatch then checks only
 that its logits are finite, which is how a diverging run is reported.
+
+hn_forward is the generalized softmax head exp(x_i) / sum_j exp(alpha * x_j),
+computed as exp(x_i - logsumexp(alpha * x)); at alpha = 1 it is softmax bit
+for bit.  Training does not call it.
 """
 
 from __future__ import annotations
@@ -47,9 +52,13 @@ from .errors import (
     NonFiniteParameter,
     require_alpha,
 )
-from .logspace import log_softmax, logsumexp, softmax
+from .logspace import log_softmax, logsumexp, soft_min, _soft_min_step
 
 __all__ = [
+    "LOSS_MODES",
+    "MAX_TOY_POINTS",
+    "MAX_TOY_CLASSES",
+    "MAX_TOY_HIDDEN",
     "hn_forward",
     "intersection_loss",
     "cross_entropy_loss",
@@ -67,6 +76,12 @@ __all__ = [
 
 LOSS_MODES = ("intersection", "ce-l2")
 WEIGHTS = ("W1", "W2", "W3")
+# Largest toy sizes, so that no array training makes holds more than 10**8 floats.
+MAX_TOY_POINTS = 10**5
+MAX_TOY_CLASSES = 10**3
+MAX_TOY_HIDDEN = 10**3
+_SIZE_LIMITS = {"n_train": MAX_TOY_POINTS, "n_test": MAX_TOY_POINTS, "k": MAX_TOY_CLASSES,
+                "hidden": MAX_TOY_HIDDEN}
 
 
 def _check_logits(logits) -> np.ndarray:
@@ -91,21 +106,28 @@ def _check_batch(rows, labels, k: Optional[int] = None,
     return x, y.astype(int)
 
 
-def _check_loss(mode: str, alpha: float, **finite: float) -> None:
-    """A known mode, a finite positive alpha, and finite lam (and step)."""
+def _check_loss(mode: str, alpha: float, lam: float, step: float = 1.0) -> None:
+    """A known mode, a finite positive alpha, a finite lam >= 0 and a finite step > 0."""
     if mode not in LOSS_MODES:
         raise InvalidSetting(f"mode must be one of {LOSS_MODES}, got {mode!r}")
     require_alpha(alpha)
-    for name, value in finite.items():
+    for name, value in (("lam", lam), ("step", step)):
         if not math.isfinite(value):
             raise NonFiniteParameter(f"{name} must be finite, got {value!r}")
+    if lam < 0:
+        raise InvalidSetting(f"lam must be non-negative, got {lam!r}")
+    if step <= 0:
+        raise InvalidSetting(f"step must be positive, got {step!r}")
 
 
 def _require_settings(*settings: tuple[str, int, int]) -> None:
-    """Raise InvalidSetting for the first (name, value, least) whose value is below least."""
+    """Raise InvalidSetting for the first (name, value, least) whose value is below least
+    or, for a size, above its MAX_TOY_ constant; callers check before they allocate."""
     for name, value, least in settings:
         if value < least:
             raise InvalidSetting(f"{name} must be at least {least}, got {value!r}")
+        if value > _SIZE_LIMITS.get(name, value):
+            raise InvalidSetting(f"{name} must be at most {_SIZE_LIMITS[name]}, got {value!r}")
 
 
 def hn_forward(logits, alpha: float) -> np.ndarray:
@@ -122,7 +144,7 @@ def _loss(x: np.ndarray, y: np.ndarray, mode: str, alpha: float,
     logp = log_softmax(x)
     label_logp = logp[np.arange(len(y)), y]
     if mode == "intersection":
-        mass = logsumexp(alpha * logp, axis=-1) / alpha
+        mass = -soft_min(-logp, alpha, axis=-1)
         return float((mass - label_logp).mean()), float(-mass.mean())
     return float(-label_logp.mean()) + penalty, penalty
 
@@ -147,10 +169,12 @@ def cross_entropy_loss(batch_logits, labels) -> float:
 
 
 def regularizer_bound(k: int, alpha: float) -> float:
-    """Largest possible regularizer term for k classes: log(k) * (alpha - 1) / alpha."""
+    """Regularizer term of a uniform prediction over k classes, log(k) * (alpha - 1) / alpha:
+    the largest the term can be for alpha >= 1, the smallest below.  -log p is log(k) for
+    every class, and a soft minimum of k equal entries lies log(k) / alpha below them."""
     require_alpha(alpha)
     _require_settings(("k", k, 1))
-    return float(np.log(k) * (alpha - 1.0) / alpha)
+    return float(np.log(k) + soft_min(np.zeros(k), alpha))
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,11 +256,11 @@ class ToyNet:
 
 def _backprop(net: ToyNet, x: np.ndarray, y: np.ndarray, mode: str, alpha: float,
               lam: float) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """(logits, mean-loss gradients) of checked examples; d loss_i / d logits is
-    softmax(a * logits) - onehot(y_i), a = alpha (intersection) or 1 (ce-l2)."""
+    """(logits, mean-loss gradients) of checked examples; d loss_i / d logits is the soft
+    minimum's weights softmax(a * logits) - onehot(y_i), a = alpha (intersection) or 1."""
     logits, (x0, z1, a1, z2, a2) = net.forward(x, want_cache=True)
     _check_logits(logits)
-    dlogits = softmax((alpha if mode == "intersection" else 1.0) * logits)
+    dlogits = _soft_min_step(-logits, alpha if mode == "intersection" else 1.0)[1]
     dlogits[np.arange(len(y)), y] -= 1.0
     dlogits /= len(y)
     p = net.params
@@ -261,7 +285,7 @@ def loss_and_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, mode: str,
     entries (biases are not penalized).  The logit gradient is
     skeleton_alpha(p) - onehot, which reduces to p - onehot at alpha = 1.
     """
-    _check_loss(mode, alpha, lam=lam)
+    _check_loss(mode, alpha, lam)
     x, y = _check_batch(x, y, net.k, width=2)
     logits, grads = _backprop(net, x, y, mode, alpha, lam)
     loss, reg = _loss(logits, y, mode, alpha, _penalty(net, lam))
@@ -317,7 +341,7 @@ def train(net: ToyNet, data: ToyDataset, mode: str = "intersection", alpha: floa
     training set once with a generator seeded from `seed`, so runs remain
     exactly reproducible.  Epoch 0 records the untouched initial network.
     """
-    _check_loss(mode, alpha, lam=lam, step=step)
+    _check_loss(mode, alpha, lam, step)
     _require_settings(("epochs", epochs, 0), ("seed", seed, 0),
                       ("batch_size", 1 if batch_size is None else batch_size, 1))
     splits = [_check_batch(data.train_x, data.train_y, net.k, width=2),

@@ -161,7 +161,11 @@ def mc_gradient(config: ObjectiveConfig, oracle: FiniteDistribution, p: Paramete
 
 
 def fd_gradient(value_fn: Callable[[np.ndarray], float], theta, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a scalar function of theta."""
+    """Central finite differences of a scalar function of theta; h may be negative."""
+    if not math.isfinite(h):
+        raise NonFiniteParameter(f"h must be finite, got {h!r}")
+    if h == 0:
+        raise InvalidSetting("h must be nonzero")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     out = np.empty_like(theta)
     for j in range(theta.size):

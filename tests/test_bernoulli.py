@@ -73,6 +73,13 @@ class TestSweepSpec:
         with pytest.raises(InvalidSetting):
             small_spec(**grid)
 
+    @pytest.mark.parametrize("empty", [dict(objectives=()), dict(alphas=())])
+    def test_rejects_no_curves(self, empty):
+        with pytest.raises(InvalidSetting):
+            small_spec(**empty)
+        with pytest.raises(InvalidSetting):
+            SweepSpec(theta_star=0.0, **empty)
+
     def test_accepts_the_largest_grid(self):
         spec = small_spec(grid_min=0.0, grid_max=MAX_GRID_POINTS - 1.0, grid_step=1.0)
         assert len(theta_grid(spec)) == MAX_GRID_POINTS
@@ -102,10 +109,10 @@ class TestRunSweep:
         assert rows[0][:4] == ["likelihood", "cond-independent", "1.0", "-4.0"]
         assert np.all(np.isfinite([float(row[4]) for row in rows]))
 
-    def test_prior_on_another_range_is_rejected_even_without_curves(self):
+    def test_prior_on_another_range_is_rejected_before_any_curve(self):
         """The grid's model and its checks come once per sweep, before any curve."""
         prior = make_distribution(OutcomeRange(("x", "y")), [0.5, 0.5])
-        for objectives in (("likelihood",), ()):
+        for objectives in (("likelihood",), ("intersection",)):
             with pytest.raises(RangeMismatch):
                 run_sweep(small_spec(objectives=objectives, prior=prior))
 

@@ -390,6 +390,8 @@ class TestSweepCommand:
         (["--grid-step", "nan"], "NonFiniteParameter"),
         (["--grid-step", "1e-300"], "InvalidSetting"),
         (["--objectives", "bogus"], "InvalidSetting"),
+        (["--objectives", ""], "InvalidSetting"),
+        (["--objectives", ","], "InvalidSetting"),
     ])
     def test_bad_settings_are_one_json_line(self, argv, error, capsys):
         code, out, err = run(["sweep-bernoulli", "--theta-star", "0", *argv], capsys)
@@ -443,10 +445,10 @@ class TestCsvEmitter:
              alphas=(0.5, 3.0, 1e5)),
         dict(theta_star=0.3, grid_step=0.5, alphas=(1.0, 2.0),
              prior=distribution_from_jsonable({"range": ["1", "0"], "probs": [1.0, 0.0]})),
-        dict(theta_star=0.3, objectives=()),
+        dict(theta_star=0.3, grid_step=0.25, objectives=("intersection",), alphas=(3.0,)),
     ])
     def test_sweep_matches_reference(self, spec, tmp_path, capsys):
-        """Default grid, a grid not landing on grid_max, -inf cells, and no curves."""
+        """Default grid, a grid not landing on grid_max, -inf cells, and one curve."""
         argv = ["sweep-bernoulli", "--theta-star", repr(spec["theta_star"])]
         for flag, key in (("--assumption", "assumption"), ("--grid-step", "grid_step")):
             if key in spec:
@@ -454,7 +456,7 @@ class TestCsvEmitter:
         if "alphas" in spec:
             argv += ["--alphas", ",".join(map(repr, spec["alphas"]))]
         if "objectives" in spec:
-            argv += ["--objectives", ","]
+            argv += ["--objectives", ",".join(spec["objectives"])]
         if "prior" in spec:
             prior = tmp_path / "prior.json"
             prior.write_text(json.dumps({"range": ["1", "0"], "probs": [1.0, 0.0]}))
@@ -600,12 +602,23 @@ class TestTrainToyCommand:
         (["--step", "nan"], "NonFiniteParameter"),
         (["--step", "inf"], "NonFiniteParameter"),
         (["--lam", "nan"], "NonFiniteParameter"),
+        (["--step", "0"], "InvalidSetting"),
+        (["--step", "-1"], "InvalidSetting"),
+        (["--lam", "-1"], "InvalidSetting"),
+        (["--classes", "100000000000"], "InvalidSetting"),
+        (["--hidden", "100000000000"], "InvalidSetting"),
     ])
     def test_settings_out_of_range_are_domain_errors(self, flags, error, capsys):
         code, out, err = run(["train-toy", "--loss", "ce-l2", "--epochs", "1", *flags], capsys)
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == error
+
+    def test_tiny_alpha_leaves_stderr_empty(self, capsys):
+        code, out, err = run(["train-toy", "--loss", "intersection", "--alpha", "1e-320",
+                              "--epochs", "1"], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["records"][0]["reg_term"] == "-inf"
 
     def test_repeated_runs_identical(self, tmp_path, capsys):
         args = ["train-toy", "--loss", "ce-l2", "--lam", "0.001", "--epochs", "2"]

@@ -13,15 +13,22 @@ from maxprob import (
     LabelOutOfRange,
     NonFiniteParameter,
     NonPositiveAlpha,
+    ObjectiveConfig,
+    Parameterization,
     ToyNet,
+    apply_parameterization,
     canonical_report_bytes,
     cross_entropy_loss,
+    evaluate,
+    gradient_terms,
     hn_forward,
     intersection_loss,
     loss_and_grads,
+    make_distribution,
     make_toy_dataset,
     regularizer_bound,
     train,
+    uniform_distribution,
 )
 from maxprob.errors import NonFiniteLogits
 from maxprob.nn import report_to_jsonable
@@ -119,6 +126,33 @@ class TestIntersectionLoss:
         with pytest.raises(DimensionMismatch):
             intersection_loss(np.zeros((2, 3)), np.array([0, 1, 2]), 1.0)
 
+    def test_tiny_alpha_overflows_to_inf_silently(self):
+        """-lse / alpha overflows at alpha 1e-320; the suite makes a RuntimeWarning an error."""
+        assert intersection_loss(np.array([[1.0, 2.0, 3.0]]), np.array([0]), 1e-320) == np.inf
+
+
+class TestPaperObjective:
+    """loss_i is minus the intersection objective of one cell: the model softmax(logits_i),
+    the oracle one-hot at y_i, a uniform prior, and the cond-independent assumption."""
+
+    @given(st.integers(2, 6), head_alphas, st.integers(1, 8), st.integers(0, 1000))
+    def test_loss_and_logit_gradient(self, k, alpha, n, seed):
+        data = make_toy_dataset(n_train=n, n_test=1, k=k, seed=seed)
+        net = ToyNet(k=k, seed=seed)
+        loss, grads, _ = loss_and_grads(net, data.train_x, data.train_y, "intersection", alpha)
+        p = Parameterization.softmax_logits(k)
+        config = ObjectiveConfig("intersection", "cond-independent", alpha,
+                                 uniform_distribution(p.range))
+        values, gradients = [], []
+        for logits, label in zip(net.forward(data.train_x), data.train_y):
+            model = apply_parameterization(p, logits)
+            oracle = make_distribution(p.range, np.eye(k)[label])
+            values.append(evaluate(config, model, oracle))
+            attraction, repulsion = gradient_terms(config, model, oracle)
+            gradients.append(repulsion - attraction)
+        np.testing.assert_allclose(loss, -np.mean(values), rtol=1e-12)
+        np.testing.assert_allclose(grads["b3"], np.mean(gradients, axis=0), rtol=0, atol=1e-12)
+
 
 class TestRegularizerBound:
     def test_degenerate_distribution_has_zero_penalty(self):
@@ -144,10 +178,20 @@ class TestRegularizerBound:
         with pytest.raises(InvalidSetting):
             regularizer_bound(0, 2.0)
 
+    def test_bound_rejects_too_many_classes(self):
+        with pytest.raises(InvalidSetting):
+            regularizer_bound(10**11, 2.0)
+
     def test_bound_values(self):
         assert regularizer_bound(3, 1.0) == 0.0
         np.testing.assert_allclose(regularizer_bound(3, 4.0),
                                    np.log(3.0) * 0.75, rtol=1e-15)
+        np.testing.assert_allclose(regularizer_bound(3, 0.5), -np.log(3.0), rtol=1e-15)
+
+    def test_bound_at_extreme_alphas(self):
+        """log(k) / alpha overflows at alpha 1e-320 to the correct limit, silently."""
+        assert regularizer_bound(3, 1e-320) == -np.inf
+        assert regularizer_bound(1000, 1e308) == np.log(1000.0)
 
 
 class TestToyDataset:
@@ -175,12 +219,15 @@ class TestToyDataset:
 
 
 class TestToyNet:
-    @pytest.mark.parametrize("kwargs", [dict(k=0), dict(hidden=0), dict(seed=-1)])
+    @pytest.mark.parametrize("kwargs", [dict(k=0), dict(hidden=0), dict(seed=-1),
+                                        dict(k=10**11), dict(hidden=10**11)])
     def test_rejects_settings_out_of_range(self, kwargs):
         with pytest.raises(InvalidSetting):
             ToyNet(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [dict(k=0), dict(n_train=0), dict(n_test=-1)])
+    @pytest.mark.parametrize("kwargs", [dict(k=0), dict(n_train=0), dict(n_test=-1),
+                                        dict(k=10**11), dict(n_train=10**13),
+                                        dict(n_test=10**13)])
     def test_dataset_rejects_settings_out_of_range(self, kwargs):
         with pytest.raises(InvalidSetting):
             make_toy_dataset(**kwargs)
@@ -215,6 +262,12 @@ class TestLossAndGrads:
         with pytest.raises(InvalidSetting):
             loss_and_grads(ToyNet(seed=0), data.train_x[:4], data.train_y[:4],
                            "banana", 1.0, 0.0)
+
+    @pytest.mark.parametrize("mode", ["intersection", "ce-l2"])
+    def test_negative_lam_rejected(self, mode):
+        data = make_toy_dataset(seed=11)
+        with pytest.raises(InvalidSetting):
+            loss_and_grads(ToyNet(seed=0), data.train_x[:4], data.train_y[:4], mode, 1.0, -1.0)
 
     def test_gradient_spot_check_against_finite_differences(self):
         data = make_toy_dataset(seed=11)
@@ -296,6 +349,9 @@ class TestTrain:
         (dict(batch_size=0), InvalidSetting),
         (dict(seed=-1), InvalidSetting),
         (dict(step=np.nan), NonFiniteParameter),
+        (dict(step=0.0), InvalidSetting),
+        (dict(step=-1.0), InvalidSetting),
+        (dict(mode="ce-l2", lam=-1.0), InvalidSetting),
         (dict(lam=np.inf), NonFiniteParameter),
         (dict(mode="ce-l2", alpha=0.0), NonPositiveAlpha),
         (dict(mode="banana"), InvalidSetting),

@@ -256,6 +256,22 @@ class TestFiniteDifferences:
                            np.array([0.5, 3.0]))
         np.testing.assert_allclose(grad, [3.0, -2.0], rtol=1e-8)
 
+    def test_negative_h_is_the_same_central_difference(self):
+        def f(t):
+            return float((t ** 3).sum())
+        np.testing.assert_array_equal(fd_gradient(f, [1.0, -2.0], -1e-5),
+                                      fd_gradient(f, [1.0, -2.0], 1e-5))
+
+    @pytest.mark.parametrize("h, error", [(0.0, InvalidSetting), (-0.0, InvalidSetting),
+                                          (np.nan, NonFiniteParameter),
+                                          (np.inf, NonFiniteParameter)])
+    def test_bad_h_rejected(self, h, error):
+        with pytest.raises(error):
+            fd_gradient(lambda t: float(t.sum()), [1.0], h)
+        config = ObjectiveConfig("intersection", "cond-independent", 2.0, UNIFORM2)
+        with pytest.raises(error):
+            finite_difference_check(config, UNIFORM2, SIGMOID, [0.5], h=h)
+
     @given(distribution_triples(allow_zeros=(False, False, False), max_n=2),
            st.sampled_from([0.5, 1.0, 2.0, 4.0]),
            st.floats(-2.0, 2.0, allow_nan=False))
