@@ -8,7 +8,8 @@ the full (theta, value) curve, its grid argmax, a flatness diagnostic, and
 a shape classification.  Absolute curve heights depend on which additive
 constants an objective drops, so cross-family comparisons should use argmax
 positions and shapes, not raw heights.  Each curve is one batched value
-call over the model of the whole grid, computed once per sweep.
+call over the model of the whole grid, computed once per sweep; a curve
+that does not read alpha is one call for all alphas.
 """
 
 from __future__ import annotations
@@ -131,9 +132,11 @@ def theta_grid(spec: SweepSpec) -> np.ndarray:
 def run_sweep(spec: SweepSpec) -> SweepReport:
     """Tabulate every configured (objective, alpha) curve over the grid.
 
-    The likelihood under conditional independence does not depend on alpha;
-    its curve is still emitted once per alpha so every row of the output
-    carries the same schema.  Grid argmax ties go to the lowest theta.
+    An objective that does not read alpha (ObjectiveConfig.reads_alpha), the
+    likelihood under conditional independence, is computed once: its curve
+    for every alpha shares that one read-only values array, so the output
+    still carries one curve per (objective, alpha).  Grid argmax ties go to
+    the lowest theta.
     """
     p = Parameterization.sigmoid_bernoulli()
     oracle = apply_parameterization(p, spec.theta_star)
@@ -147,9 +150,11 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     model = _theta_logp(p, th)
     curves = []
     for objective in spec.objectives:
+        values = None
         for alpha in spec.alphas:
             config = ObjectiveConfig(objective, spec.assumption, alpha, prior)
-            values = _values_of_rows(config, oracle, model)
+            if values is None or config.reads_alpha:
+                values = _values_of_rows(config, oracle, model)
             top, bottom = np.max(values[middle]), np.min(values[middle])
             curves.append(SweepCurve(
                 objective, alpha, grid, values,
@@ -167,11 +172,10 @@ def uniqueness_diagnostic(curve: SweepCurve) -> str:
     on its own (a flat curve's tie-broken argmax is an artifact).
     """
     near = curve.values >= curve.argmax_value - PLATEAU_TOL
-    run = 0
-    for flag in near:
-        run = run + 1 if flag else 0
-        if run >= PLATEAU_RUN:
-            return "plateau"
+    # a window of PLATEAU_RUN points is a run when its count of near points is full
+    counts = np.concatenate(([0], np.cumsum(near)))
+    if (counts[PLATEAU_RUN:] - counts[:-PLATEAU_RUN] == PLATEAU_RUN).any():
+        return "plateau"
     if curve.argmax_index in (0, len(curve.values) - 1):
         return "boundary-max"
     return "unique-interior-max"

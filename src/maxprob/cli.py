@@ -20,6 +20,7 @@ import functools
 import json
 import logging
 import math
+import re
 import sys
 from typing import Iterable, Optional, Sequence
 
@@ -106,10 +107,18 @@ def _csv_cells(table: np.ndarray) -> list[str]:
 
 def _emit_csv(header: Sequence[str], blocks: Iterable, out: Optional[str]) -> None:
     """Write the header, then per (prefix, keys, table) block a line prefix + key + row
-    per row of the float array table; prefix and keys are CSV text, each key ending in ","."""
+    per row of the float array table; prefix and keys are CSV text, each key ending in ",".
+
+    A block whose keys and table are the same objects as the previous block's reuses
+    that block's key + row text and prepends only its own prefix, so neither may change
+    in between: a sweep's alpha-free curve is formatted once for all its alphas."""
     lines = [",".join(header)]
+    last = None, None  # the previous block's keys and table
     for prefix, keys, table in blocks:
-        lines += [prefix + key + row for key, row in zip(keys, _csv_cells(table))]
+        if keys is not last[0] or table is not last[1]:
+            last = keys, table
+            rows = [key + row for key, row in zip(keys, _csv_cells(table))]
+        lines += [prefix + row for row in rows]
     _write_text("\n".join(lines) + "\n", out)
 
 
@@ -271,6 +280,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads an argument starting -<digit>, -.<digit>, -inf or -nan
+    as a value, so an option takes a negative float in any form repr prints (-2e-05,
+    -1e+300, -inf) and a comma list that starts with one (-1e-05,0).  argparse's own
+    pattern takes only -<digits> and -<digits>.<digits>: "-2e-05" is an unknown option."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)  # subparsers take this class too
+        self._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None,
                      help="write the primary output to this file instead of stdout")
@@ -286,7 +306,7 @@ def _add_objective_args(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maxprob",
         description="Probability bounds and model-fitting objectives over finite ranges.",
     )

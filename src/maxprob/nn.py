@@ -26,7 +26,8 @@ Training runs through one loss kernel (_loss) and one hand-written backward
 pass (_backprop) on numpy arrays; there is no autodiff anywhere, which is
 what makes the finite-difference audit in the test suite meaningful.  train
 checks every setting and both splits once; a minibatch then checks only
-that its logits are finite, which is how a diverging run is reported.
+that its logits are finite, which is how a diverging run is reported: numpy's
+overflow and invalid-value warnings are off for the whole run.
 
 hn_forward is the generalized softmax head exp(x_i) / sum_j exp(alpha * x_j),
 computed as exp(x_i - logsumexp(alpha * x)); at alpha = 1 it is softmax bit
@@ -349,14 +350,16 @@ def train(net: ToyNet, data: ToyDataset, mode: str = "intersection", alpha: floa
     train_x, train_y = splits[0]
     n = len(train_y)
     rng = np.random.default_rng(seed)
-    records = [_metrics(net, splits, mode, alpha, lam, 0)]
-    for epoch in range(1, epochs + 1):
-        for rows in ([slice(None)] if batch_size is None else
-                     np.split(rng.permutation(n), range(batch_size, n, batch_size))):
-            grads = _backprop(net, train_x[rows], train_y[rows], mode, alpha, lam)[1]
-            for name in net.PARAM_ORDER:
-                net.params[name] = net.params[name] - step * grads[name]
-        records.append(_metrics(net, splits, mode, alpha, lam, epoch))
+    # a diverging run overflows in forward's matmuls: its logits report it, not numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        records = [_metrics(net, splits, mode, alpha, lam, 0)]
+        for epoch in range(1, epochs + 1):
+            for rows in ([slice(None)] if batch_size is None else
+                         np.split(rng.permutation(n), range(batch_size, n, batch_size))):
+                grads = _backprop(net, train_x[rows], train_y[rows], mode, alpha, lam)[1]
+                for name in net.PARAM_ORDER:
+                    net.params[name] = net.params[name] - step * grads[name]
+            records.append(_metrics(net, splits, mode, alpha, lam, epoch))
     return TrainReport(mode, alpha, lam, epochs, step, seed, net_seed, data_seed,
                        data.k, net.hidden, net.digest(), tuple(records))
 

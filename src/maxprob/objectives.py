@@ -37,7 +37,8 @@ the Monte Carlo estimator in optimize samples from them.
 
 Each term has one array kernel, which gives its value and its vector from
 one logsumexp; the subset likelihood and the soft bound share one soft
-minimum (logspace._soft_min_step).  One dispatch, _step, runs a config's two
+minimum (logspace._soft_min_step), and only those two read alpha
+(ObjectiveConfig.reads_alpha).  One dispatch, _step, runs a config's two
 kernels for evaluate, values_at_thetas, gradient_terms and each step of
 optimize.ascend; value-only callers drop the vectors.  The cond-independent
 kernel needs a second logsumexp when the joint support has holes: the
@@ -118,6 +119,13 @@ class ObjectiveConfig:
     def dropped_constant_terms(self) -> tuple[str, ...]:
         """Names of the additive constants left out of every value of this objective."""
         return (_DROPPED_ORACLE_MASS,) if self.assumption == "cond-independent" else ()
+
+    @property
+    def reads_alpha(self) -> bool:
+        """Whether either term's kernel reads alpha; if not, every alpha gives the same
+        values bit for bit (see _ALPHA_TERMS)."""
+        return not {_LIKELIHOOD_TERMS[self.assumption],
+                    _PENALTY_TERMS[self.kind]}.isdisjoint(_ALPHA_TERMS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,6 +232,10 @@ _PENALTY_TERMS = {
     "likelihood": lambda model, supp, prior, alpha: (-0.0, np.exp(model)),
     "intersection": _soft_bound_step,
 }
+
+# The kernels that read alpha: both soft minima.  A config with neither term here,
+# the cond-independent likelihood, is alpha-free (ObjectiveConfig.reads_alpha).
+_ALPHA_TERMS = frozenset({_subset_step, _soft_bound_step})
 
 
 def _step(config: ObjectiveConfig, model: np.ndarray, supp: np.ndarray,

@@ -26,6 +26,10 @@ recomputed log-softmax on its own, and every minibatch evaluated the loss
 and regularizer that training then discarded.  They use the package only
 for ToyNet.forward and the report dataclasses, and skip its input checks.
 
+It keeps the per-point loop with which bernoulli.uniqueness_diagnostic
+looked for a run of PLATEAU_RUN near-maximal points, before it counted them
+in sliding windows.
+
 Last, it keeps the CLI's CSV emission as it was before the emitter worked on
 whole arrays: csv.writer over one Python row per line, a sweep row per
 (curve, theta), a trace row per ascent iteration and a training-curve row
@@ -50,6 +54,7 @@ from maxprob import (
     RangeMismatch,
     TrainReport,
 )
+from maxprob.bernoulli import PLATEAU_RUN, PLATEAU_TOL
 from maxprob.distributions import _check_theta
 from maxprob.nn import EpochRecord
 from maxprob.optimize import DIVERGENCE_THETA_BOUND
@@ -382,6 +387,22 @@ def report_to_jsonable(report) -> dict:
             for r in report.records
         ],
     }
+
+
+# ---------------------------------------------------------------------------
+# Sweep shape classification
+
+
+def uniqueness_diagnostic(curve) -> str:
+    near = curve.values >= curve.argmax_value - PLATEAU_TOL
+    run = 0
+    for flag in near:
+        run = run + 1 if flag else 0
+        if run >= PLATEAU_RUN:
+            return "plateau"
+    if curve.argmax_index in (0, len(curve.values) - 1):
+        return "boundary-max"
+    return "unique-interior-max"
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import reference
 from maxprob import (
     InvalidSetting,
     NonFiniteParameter,
@@ -23,7 +27,7 @@ from maxprob import (
     uniqueness_diagnostic,
 )
 from maxprob import cli
-from maxprob.bernoulli import MAX_GRID_POINTS, report_to_jsonable
+from maxprob.bernoulli import MAX_GRID_POINTS, PLATEAU_RUN, SweepCurve, report_to_jsonable
 
 LOG9 = 2.1972245773362196
 
@@ -159,6 +163,47 @@ class TestRunSweep:
         curve = report.curves[0]
         assert uniqueness_diagnostic(curve) == "plateau"
         assert curve.flatness <= 1e-12
+
+
+def curve_of(values: np.ndarray) -> SweepCurve:
+    return SweepCurve("likelihood", 1.0, np.arange(len(values), dtype=float), values,
+                      int(np.argmax(values)), 0.0)
+
+
+# Heights near one another, so that runs of near-maximal points are common.
+HEIGHTS = st.sampled_from([0.0, -5e-10, -1e-9, -2e-9, -1.0, -np.inf, np.inf, np.nan])
+
+
+class TestUniquenessDiagnostic:
+    RUN, SHORT = [0.0] * PLATEAU_RUN, [0.0] * (PLATEAU_RUN - 1)
+
+    @given(arrays(float, st.integers(1, 3 * PLATEAU_RUN),
+                  elements=HEIGHTS | st.floats(-3.0, 3.0)))
+    @example(np.array(RUN + [-1.0, 0.5]))  # a run at the start, below a later maximum
+    @example(np.array([-1.0, 0.5, -1.0] + [0.4] * PLATEAU_RUN))  # the same at the end
+    @example(np.array([-1.0] + RUN))
+    @example(np.array(RUN + [-1.0]))
+    @example(np.array(SHORT + [-1.0] + SHORT))
+    @example(np.array(SHORT))
+    @example(np.array([-1.0, 0.0, -1.0]))
+    @example(np.array([0.0]))
+    @example(np.full(3 * PLATEAU_RUN, -np.inf))
+    @example(np.full(PLATEAU_RUN - 1, -np.inf))
+    def test_matches_the_loop(self, values):
+        curve = curve_of(values)
+        assert uniqueness_diagnostic(curve) == reference.uniqueness_diagnostic(curve)
+
+    @pytest.mark.parametrize("values, shape", [
+        (RUN + [-1.0], "plateau"),
+        ([-1.0] + RUN, "plateau"),
+        (SHORT + [-1.0] + SHORT, "boundary-max"),
+        (SHORT, "boundary-max"),
+        ([-np.inf] * PLATEAU_RUN, "plateau"),
+        ([-np.inf] * (PLATEAU_RUN - 1), "boundary-max"),
+        ([-1.0, 0.0, -1.0], "unique-interior-max"),
+    ])
+    def test_shapes(self, values, shape):
+        assert uniqueness_diagnostic(curve_of(np.array(values))) == shape
 
 
 class TestSubsetArgmaxClosedForm:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -17,12 +18,16 @@ from maxprob import (
     ObjectiveConfig,
     Parameterization,
     SweepSpec,
+    apply_parameterization,
     ascend,
     distribution_from_jsonable,
     run_sweep,
     uniform_distribution,
+    values_at_thetas,
 )
 from maxprob import cli
+from maxprob.bernoulli import SweepCurve, SweepReport, report_to_jsonable, theta_grid
+from maxprob.objectives import ASSUMPTIONS, KINDS
 
 
 @pytest.fixture
@@ -429,6 +434,21 @@ class TestCsvEmitter:
         assert emitted(header, [(f"{name},{alpha!r},", [f"{i}," for i in range(len(table))],
                                  table) for name, alpha, table in blocks]) == expected
 
+    def test_blocks_sharing_a_table(self):
+        """Blocks that repeat the previous block's keys and table differ only in their
+        prefix; an equal-valued copy of the table, or other keys, are formatted anew."""
+        header = ["name", "alpha", "iter", "value"]
+        keys, other_keys = ["0,", "1,", "2,"], ["3,", "4,", "5,"]
+        table = np.array([0.1, -np.inf, 5e-324])
+        blocks = [("a,1.0,", keys, table), ("a,2.0,", keys, table),
+                  ("b,2.0,", keys, table.copy()), ("b,4.0,", keys, table),
+                  ("c,4.0,", other_keys, table), ("c,8.0,", other_keys, table)]
+        expected = reference.csv_text(header, [
+            [*prefix.split(",")[:2], int(key[:-1]), value]
+            for prefix, block_keys, block_table in blocks
+            for key, value in zip(block_keys, block_table.tolist())])
+        assert emitted(header, blocks) == expected
+
     @pytest.mark.parametrize("shape", [(3,), (2, 3)])
     def test_nan_raises_before_writing(self, shape):
         table = np.zeros(shape)
@@ -488,6 +508,36 @@ class TestCsvEmitter:
         assert out == reference.csv_text(header, reference.trace_rows(trace))
 
 
+class TestSweepCurvesOneCallEach:
+    """sweep-bernoulli's CSV and summary against curves computed one values_at_thetas
+    call per (objective, alpha), so no curve shares another's values."""
+
+    @pytest.mark.parametrize("assumption", ASSUMPTIONS)
+    @pytest.mark.parametrize("alphas", [(1.0, 2.0, 4.0, 16.0, 256.0), (2.0, 2.0)])
+    def test_byte_identical(self, assumption, alphas, tmp_path, capsys):
+        summary = tmp_path / "summary.json"
+        code, out, err = run(["sweep-bernoulli", "--theta-star", "0.7", "--grid-step", "0.25",
+                              "--assumption", assumption, "--alphas", ",".join(map(repr, alphas)),
+                              "--summary-out", str(summary)], capsys)
+        assert code == 0 and err == ""
+        spec = SweepSpec(0.7, grid_step=0.25, alphas=alphas, assumption=assumption)
+        p = Parameterization.sigmoid_bernoulli()
+        oracle, prior = apply_parameterization(p, 0.7), uniform_distribution(p.range)
+        grid = theta_grid(spec)
+        middle = slice(len(grid) // 4, len(grid) - len(grid) // 4)
+        curves = []
+        for objective in KINDS:
+            for alpha in alphas:
+                config = ObjectiveConfig(objective, assumption, alpha, prior)
+                values = values_at_thetas(config, oracle, p, grid[:, np.newaxis])
+                curves.append(SweepCurve(objective, alpha, grid, values, int(np.argmax(values)),
+                                         float(np.ptp(values[middle]))))
+        report = SweepReport(spec, tuple(curves))
+        assert out == reference.csv_text(["objective", "assumption", "alpha", "theta", "value"],
+                                         reference.sweep_rows(report))
+        assert summary.read_text() == json.dumps(report_to_jsonable(report)) + "\n"
+
+
 class TestCsvNaN:
     """A NaN reaching CSV output is NonFiniteEncountered with nothing written.
 
@@ -527,6 +577,51 @@ class TestCsvNaN:
     def test_optimize_with_out(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         self.check(self.optimize_argv(tmp_path) + ["--out", str(out)], capsys, (out,))
+
+
+# The arguments each subcommand with a float option requires; parsing opens no file, so
+# paths are placeholders.
+REQUIRED = {
+    "soft-bound": ["--alpha", "1", "--prior", "p", "--conditional", "c"],
+    "skeleton": ["--alpha", "1", "--dist", "d"],
+    "objective": ["--kind", "likelihood", "--model", "m", "--oracle", "o"],
+    "optimize": ["--kind", "likelihood", "--oracle", "o", "--param", "sigmoid"],
+    "sweep-bernoulli": ["--theta-star", "0"],
+    "train-toy": ["--loss", "ce-l2"],
+}
+
+
+def float_option_values() -> list[tuple[str, str, str, str]]:
+    """(subcommand, option, dest, text) for every option that takes a float, or a list of
+    them, and every negative text repr prints, plus a list starting with one."""
+    subs = next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    texts = ["-2e-05", "-1e+300", "-0.5", "-.5", "-3", "-inf"]
+    return [(name, action.option_strings[0], action.dest, text)
+            for name, sub in subs.choices.items() for action in sub._actions
+            if action.type in (float, cli._floats_csv)
+            for text in texts + (["-1e-05,0"] if action.type is cli._floats_csv else [])]
+
+
+class TestNegativeFloats:
+    """A negative float in any form repr prints is an option's value, not an unknown option."""
+
+    def test_finds_scalar_and_list_options(self):
+        found = {(name, option) for name, option, _, _ in float_option_values()}
+        assert {("sweep-bernoulli", "--theta-star"), ("optimize", "--theta0")} <= found
+
+    @pytest.mark.parametrize("name, option, dest, text", float_option_values())
+    def test_parses_as_the_value(self, name, option, dest, text):
+        args = cli.build_parser().parse_args([name, *REQUIRED[name], option, text])
+        want = (tuple(map(float, text.split(","))) if option in ("--theta0", "--alphas")
+                else float(text))
+        assert getattr(args, dest) == want
+
+    def test_space_and_equals_forms_agree(self, capsys):
+        argv = ["sweep-bernoulli", "--grid-step", "0.5", "--alphas", "2"]
+        spaced = run(argv + ["--theta-star", "-2e-05", "--grid-min", "-1e+01"], capsys)
+        joined = run(argv + ["--theta-star=-2e-05", "--grid-min=-1e+01"], capsys)
+        assert spaced[0] == 0 and spaced == joined
 
 
 class TestParserReuse:
@@ -613,6 +708,14 @@ class TestTrainToyCommand:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == error
+
+    def test_divergence_is_one_json_line(self, capsys):
+        """A run whose weights overflow reports NonFiniteLogits alone: no numpy warning
+        (an error under this suite's warning filter) reaches stderr before it."""
+        code, out, err = run(["train-toy", "--loss", "intersection", "--step", "1e200",
+                              "--epochs", "5"], capsys)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "NonFiniteLogits"
 
     def test_tiny_alpha_leaves_stderr_empty(self, capsys):
         code, out, err = run(["train-toy", "--loss", "intersection", "--alpha", "1e-320",

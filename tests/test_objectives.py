@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import distribution_triples
+from helpers import dist_from_weights, distribution_triples, weight_lists
 from maxprob import (
     EmptyIntersectionSupport,
     InvalidSetting,
@@ -20,9 +20,10 @@ from maxprob import (
     softmax_probability,
     uniform_distribution,
 )
-from maxprob.objectives import _ratio_argmax_set
+from maxprob.objectives import _ratio_argmax_set, _values_of_rows
 
 COIN = OutcomeRange(("1", "0"))
+TRIAD = OutcomeRange(("a", "b", "c"))
 UNIFORM2 = uniform_distribution(COIN)
 SURE = make_distribution(COIN, [1.0, 0.0])
 TILTED = make_distribution(COIN, [0.9, 0.1])
@@ -271,3 +272,38 @@ class TestEvaluateDispatch:
         attract, rep = gradient_terms(config, TILTED, SURE)
         np.testing.assert_allclose(attract, [1.0, 0.0], rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(rep, repulse, rtol=1e-12, atol=1e-15)
+
+
+class TestReadsAlpha:
+    """ObjectiveConfig.reads_alpha against the kernels that compute the values."""
+
+    CELLS = [LIKELIHOOD, INTERSECTION, SUBSET_LIKELIHOOD, SUBSET_INTERSECTION]
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+    @given(st.integers(2, 5).flatmap(lambda k: st.tuples(
+        st.lists(weight_lists(k, allow_zeros=True), min_size=1, max_size=4),
+        weight_lists(k, allow_zeros=True), weight_lists(k, allow_zeros=True))),
+        positive, positive)
+    def test_alpha_free_values_do_not_move_with_alpha(self, weights, alpha, other):
+        """Model rows of any support, a drawn oracle and prior: an alpha-free config
+        gives the same values bit for bit at both alphas."""
+        rows, oracle, prior = weights
+        model = np.array([dist_from_weights(w).logp for w in rows])
+        oracle, prior = dist_from_weights(oracle), dist_from_weights(prior)
+        free = [cell for cell in self.CELLS
+                if not ObjectiveConfig(*cell, alpha, prior).reads_alpha]
+        assert free == [LIKELIHOOD]
+        for cell in free:
+            got, want = (_values_of_rows(ObjectiveConfig(*cell, a, prior), oracle, model)
+                         for a in (alpha, other))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cell", [INTERSECTION, SUBSET_LIKELIHOOD, SUBSET_INTERSECTION])
+    def test_alpha_reading_values_move_with_alpha(self, cell):
+        model = np.array([make_distribution(TRIAD, [0.2, 0.3, 0.5]).logp])
+        oracle = make_distribution(TRIAD, [0.5, 0.3, 0.2])
+        prior = make_distribution(TRIAD, [0.25, 0.25, 0.5])
+        assert ObjectiveConfig(*cell, 1.0, prior).reads_alpha
+        values = [_values_of_rows(ObjectiveConfig(*cell, a, prior), oracle, model)
+                  for a in (1.0, 2.0)]
+        assert not np.array_equal(*values)
