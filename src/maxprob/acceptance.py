@@ -357,8 +357,7 @@ def criterion_11_toy_training(artifacts_dir: Optional[str] = None) -> tuple[bool
     reports = {}
     for alpha in (1.0, 2.0, 4.0):
         net = ToyNet(seed=5)
-        rep = train(net, data, "intersection", alpha=alpha, epochs=200, step=0.05,
-                    seed=0, net_seed=5, data_seed=11)
+        rep = train(net, data, "intersection", alpha=alpha, epochs=200, step=0.05, seed=0)
         reports[alpha] = rep
         if not rep.records[-1].train_loss < rep.records[0].train_loss:
             problems.append(f"alpha={alpha:g} loss did not decrease")
@@ -368,11 +367,10 @@ def criterion_11_toy_training(artifacts_dir: Optional[str] = None) -> tuple[bool
                 problems.append(f"alpha={alpha:g} reg {rec.reg_term!r} outside [0, {bound!r}]")
                 break
     rerun = train(ToyNet(seed=5), make_toy_dataset(seed=11), "intersection", alpha=2.0,
-                  epochs=200, step=0.05, seed=0, net_seed=5, data_seed=11)
+                  epochs=200, step=0.05, seed=0)
     if canonical_report_bytes(rerun) != canonical_report_bytes(reports[2.0]):
         problems.append("identical seeds produced different reports")
-    baseline = train(ToyNet(seed=5), data, "ce-l2", lam=1e-3, epochs=200, step=0.05,
-                     seed=0, net_seed=5, data_seed=11)
+    baseline = train(ToyNet(seed=5), data, "ce-l2", lam=1e-3, epochs=200, step=0.05, seed=0)
     if artifacts_dir is not None:
         from .cli import _emit_csv
         os.makedirs(artifacts_dir, exist_ok=True)

@@ -15,7 +15,7 @@ that does not read alpha is one call for all alphas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -25,12 +25,11 @@ from .distributions import (
     Parameterization,
     apply_parameterization,
     uniform_distribution,
-    _check_thetas,
     _require_ranges,
     _theta_logp,
 )
-from .errors import InvalidSetting, NonFiniteParameter, require_alpha
-from .objectives import ASSUMPTIONS, KINDS, ObjectiveConfig, _values_of_rows
+from .errors import InvalidSetting, NonFiniteParameter
+from .objectives import ObjectiveConfig, _values_of_rows
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -65,17 +64,16 @@ class SweepSpec:
     assumption: str = "cond-independent"
     objectives: tuple[str, ...] = ("likelihood", "intersection")
     prior: Optional[FiniteDistribution] = None  # None means uniform
+    # one checked config per (objective, alpha), objective by objective
+    _configs: tuple[ObjectiveConfig, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.assumption not in ASSUMPTIONS:
-            raise InvalidSetting(f"assumption must be one of {ASSUMPTIONS}, "
-                                 f"got {self.assumption!r}")
-        for obj in self.objectives:
-            if obj not in KINDS:
-                raise InvalidSetting(f"objective must be one of {KINDS}, got {obj!r}")
-        for a in self.alphas:
-            require_alpha(a)
-        if not self.objectives or not self.alphas:
+        prior = (self.prior if self.prior is not None
+                 else uniform_distribution(Parameterization.sigmoid_bernoulli().range))
+        object.__setattr__(self, "_configs", tuple(
+            ObjectiveConfig(kind, self.assumption, alpha, prior)
+            for kind in self.objectives for alpha in self.alphas))
+        if not self._configs:
             raise InvalidSetting("a sweep needs at least one objective and one alpha")
         bounds = (self.grid_min, self.grid_max, self.grid_step)
         if not all(map(math.isfinite, bounds)):
@@ -140,27 +138,22 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     """
     p = Parameterization.sigmoid_bernoulli()
     oracle = apply_parameterization(p, spec.theta_star)
-    prior = spec.prior if spec.prior is not None else uniform_distribution(p.range)
     grid = theta_grid(spec)
     quarter = len(grid) // 4
     middle = slice(quarter, max(quarter + 1, len(grid) - quarter))
-    # the checks and the model of values_at_thetas, once for the grid all curves share
-    th = _check_thetas(p, grid[:, np.newaxis])
-    _require_ranges(p.range, oracle, prior)
-    model = _theta_logp(p, th)
+    # values_at_thetas' range check and model, once; the spec's checks leave the grid finite
+    _require_ranges(p.range, oracle, spec._configs[0].prior)
+    model = _theta_logp(p, grid[:, np.newaxis])
     curves = []
-    for objective in spec.objectives:
-        values = None
-        for alpha in spec.alphas:
-            config = ObjectiveConfig(objective, spec.assumption, alpha, prior)
-            if values is None or config.reads_alpha:
-                values = _values_of_rows(config, oracle, model)
-            top, bottom = np.max(values[middle]), np.min(values[middle])
-            curves.append(SweepCurve(
-                objective, alpha, grid, values,
-                int(np.argmax(values)),
-                0.0 if top == bottom else float(top - bottom),  # all -inf is flat, not NaN
-            ))
+    for config in spec._configs:
+        if not curves or config.reads_alpha or curves[-1].objective != config.kind:
+            values = _values_of_rows(config, oracle, model)
+        top, bottom = np.max(values[middle]), np.min(values[middle])
+        curves.append(SweepCurve(
+            config.kind, config.alpha, grid, values,
+            int(np.argmax(values)),
+            0.0 if top == bottom else float(top - bottom),  # all -inf is flat, not NaN
+        ))
     return SweepReport(spec, tuple(curves))
 
 

@@ -247,8 +247,7 @@ def _cmd_train_toy(args: argparse.Namespace) -> int:
     net = ToyNet(k=args.classes, hidden=args.hidden, seed=args.net_seed)
     report = train(net, data, mode=args.loss, alpha=args.alpha, lam=args.lam,
                    epochs=args.epochs, step=args.step, seed=args.seed,
-                   batch_size=args.batch_size, net_seed=args.net_seed,
-                   data_seed=args.data_seed)
+                   batch_size=args.batch_size)
     _emit_json(train_report_to_jsonable(report), args.out)
     return 0
 

@@ -5,9 +5,10 @@ Representation contract
 A distribution over a finite outcome range is stored as a vector of natural
 log-probabilities with an exact -inf sentinel for zero mass.  The outcome
 ordering is part of the type: two distributions are comparable only when
-their ranges match label-for-label.  After construction the exponentiated
-vector sums to 1 within 1e-12; inputs whose linear-space sum is off by more
-than 1e-9 are rejected rather than silently rescaled.
+their ranges match label-for-label.  Every construction rejects a vector
+whose sum is off by more than 1e-9 rather than silently rescaling it, and
+one with a NaN or +inf entry; from_logp and make_distribution renormalize
+what they accept, so their vectors sum to 1 within 1e-12.
 
 All types here are immutable.  Operations return new objects.
 """
@@ -92,45 +93,47 @@ def _require_ranges(rng: OutcomeRange, *dists: "FiniteDistribution") -> None:
                                 f"{rng.labels!r} vs {d.range.labels!r}")
 
 
+def _check_logp(rng: OutcomeRange, logp) -> np.ndarray:
+    """logp as a float vector over rng, every entry in [-inf, finite]."""
+    lp = np.asarray(logp, dtype=float)
+    if lp.shape != (len(rng),):
+        raise DimensionMismatch(
+            f"log-probability vector has shape {lp.shape}, range has {len(rng)} outcomes")
+    if not (lp < np.inf).all():  # NaN compares false too
+        raise NonFiniteEncountered("log-probabilities must be in [-inf, finite]")
+    return lp
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteDistribution:
-    """Probability distribution over an OutcomeRange, held in log space."""
+    """Probability distribution over an OutcomeRange, held in log space as given, once
+    checked: see _check_logp, and the sum must be within SUM_REJECT_TOL of 1."""
 
     range: OutcomeRange
     _logp: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        lp = np.asarray(self._logp, dtype=float)
-        if lp.shape != (len(self.range),):
-            raise DimensionMismatch(
-                f"log-probability vector has shape {lp.shape}, range has {len(self.range)} outcomes")
-        lp = lp.copy()
+        lp = _check_logp(self.range, self._logp).copy()
+        total = logsumexp(lp)
+        if not abs(np.expm1(total)) <= SUM_REJECT_TOL:
+            raise SumOutOfTolerance(
+                f"probabilities sum to {float(np.exp(total))!r}, beyond tolerance {SUM_REJECT_TOL}")
         lp.setflags(write=False)
         object.__setattr__(self, "_logp", lp)
 
     @staticmethod
     def from_logp(rng: OutcomeRange, logp: Sequence[float], *, normalize: bool = False,
                   ) -> "FiniteDistribution":
-        """Build from log-probabilities.
+        """Build from log-probabilities, shifted by their logsumexp.
 
-        With normalize=False the exponentiated input must already sum to 1
-        within SUM_REJECT_TOL and is renormalized to the invariant tolerance.
-        With normalize=True the vector is shifted by its logsumexp regardless
-        (used by operations whose definition includes renormalization).
+        With normalize=False the input must pass the constructor as it is; the
+        shift then renormalizes it to the invariant tolerance.  With
+        normalize=True any input with mass is shifted (used by operations whose
+        definition includes renormalization); zero mass is SumOutOfTolerance.
         """
-        lp = np.asarray(logp, dtype=float)
-        if lp.shape != (len(rng),):
-            raise DimensionMismatch(
-                f"log-probability vector has shape {lp.shape}, range has {len(rng)} outcomes")
-        if np.any(np.isnan(lp)) or np.any(lp == np.inf):
-            raise NonFiniteEncountered("log-probabilities must be in [-inf, finite]")
-        total = logsumexp(lp)
-        if total == NEG_INF:
-            raise SumOutOfTolerance("all outcomes carry zero mass")
-        if not normalize and abs(np.expm1(total)) > SUM_REJECT_TOL:
-            raise SumOutOfTolerance(
-                f"probabilities sum to {float(np.exp(total))!r}, beyond tolerance {SUM_REJECT_TOL}")
-        return FiniteDistribution(rng, lp - total)
+        if not normalize:
+            logp = FiniteDistribution(rng, logp).logp
+        return FiniteDistribution(rng, log_softmax(_check_logp(rng, logp)))
 
     @property
     def logp(self) -> np.ndarray:

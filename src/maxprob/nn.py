@@ -27,7 +27,8 @@ pass (_backprop) on numpy arrays; there is no autodiff anywhere, which is
 what makes the finite-difference audit in the test suite meaningful.  train
 checks every setting and both splits once; a minibatch then checks only
 that its logits are finite, which is how a diverging run is reported: numpy's
-overflow and invalid-value warnings are off for the whole run.
+overflow and invalid-value warnings are off for the whole run.  The report
+reads its seeds from the network and the dataset, which record them.
 
 hn_forward is the generalized softmax head exp(x_i) / sum_j exp(alpha * x_j),
 computed as exp(x_i - logsumexp(alpha * x)); at alpha = 1 it is softmax bit
@@ -83,6 +84,8 @@ MAX_TOY_CLASSES = 10**3
 MAX_TOY_HIDDEN = 10**3
 _SIZE_LIMITS = {"n_train": MAX_TOY_POINTS, "n_test": MAX_TOY_POINTS, "k": MAX_TOY_CLASSES,
                 "hidden": MAX_TOY_HIDDEN}
+_RADIUS = 2.0  # the toy blobs' class centers lie on a circle of this radius
+_NOISE = 1.0  # standard deviation of each blob around its center
 
 
 def _check_logits(logits) -> np.ndarray:
@@ -187,6 +190,7 @@ class ToyDataset:
     test_x: np.ndarray
     test_y: np.ndarray
     k: int
+    seed: int
 
     def __post_init__(self) -> None:
         for name in ("train_x", "train_y", "test_x", "test_y"):
@@ -194,23 +198,23 @@ class ToyDataset:
 
 
 def make_toy_dataset(n_train: int = 512, n_test: int = 512, k: int = 3,
-                     radius: float = 2.0, noise: float = 1.0, seed: int = 0) -> ToyDataset:
+                     seed: int = 0) -> ToyDataset:
     """Classes are unit-variance Gaussians centered on a radius-2 circle.
 
     Class c sits at angle 2*pi*c/k starting from angle 0; labels cycle
     round-robin so counts differ by at most one when k does not divide the
-    sample count.  Everything is a pure function of the seed.
+    sample count.  Everything is a pure function of the seed it records.
     """
     _require_settings(("n_train", n_train, 1), ("n_test", n_test, 1), ("k", k, 1),
                       ("seed", seed, 0))
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(k) / k
-    centers = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    centers = _RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     total = n_train + n_test
     labels = np.arange(total) % k
-    points = centers[labels] + noise * rng.standard_normal((total, 2))
+    points = centers[labels] + _NOISE * rng.standard_normal((total, 2))
     return ToyDataset(points[:n_train], labels[:n_train],
-                      points[n_train:], labels[n_train:], k)
+                      points[n_train:], labels[n_train:], k, seed)
 
 
 class ToyNet:
@@ -226,8 +230,7 @@ class ToyNet:
     def __init__(self, k: int = 3, hidden: int = 16, seed: int = 0) -> None:
         _require_settings(("k", k, 1), ("hidden", hidden, 1), ("seed", seed, 0))
         rng = np.random.default_rng(seed)
-        self.k = k
-        self.hidden = hidden
+        self.k, self.hidden, self.seed = k, hidden, seed
         self.params: dict[str, np.ndarray] = {
             "W1": rng.standard_normal((2, hidden)) / np.sqrt(2.0),
             "b1": np.zeros(hidden),
@@ -334,8 +337,7 @@ def _metrics(net: ToyNet, splits, mode: str, alpha: float, lam: float,
 
 def train(net: ToyNet, data: ToyDataset, mode: str = "intersection", alpha: float = 1.0,
           lam: float = 0.0, epochs: int = 200, step: float = 0.05, seed: int = 0,
-          batch_size: Optional[int] = None, net_seed: int = 0, data_seed: int = 0,
-          ) -> TrainReport:
+          batch_size: Optional[int] = None) -> TrainReport:
     """Gradient descent on the chosen loss; mutates net, returns the full report.
 
     Full batch by default.  With batch_size set, each epoch shuffles the
@@ -360,7 +362,7 @@ def train(net: ToyNet, data: ToyDataset, mode: str = "intersection", alpha: floa
                 for name in net.PARAM_ORDER:
                     net.params[name] = net.params[name] - step * grads[name]
             records.append(_metrics(net, splits, mode, alpha, lam, epoch))
-    return TrainReport(mode, alpha, lam, epochs, step, seed, net_seed, data_seed,
+    return TrainReport(mode, alpha, lam, epochs, step, seed, net.seed, data.seed,
                        data.k, net.hidden, net.digest(), tuple(records))
 
 

@@ -1,5 +1,8 @@
 """Scalar reference for the objective kernels: one model at a time, no batching.
 
+Its logsumexp is the whole-array path logspace.logsumexp had beside its axis
+kernel, before axis=None ran that kernel on the raveled input.
+
 A copy of the per-object term bodies and the per-theta loop the package used
 before its terms became array kernels.  The tests require the kernels to
 agree with it bit for bit (np.array_equal), errors included.  It builds on

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import reference
 from helpers import dist_from_weights, distribution_pairs, distributions, labels_of
 from maxprob import (
     NegativeAlphaOnZeroMass,
@@ -12,6 +13,7 @@ from maxprob import (
     OutcomeRange,
     Refinement,
     SpaceTooLarge,
+    SumOutOfTolerance,
     alpha_skeleton,
     check_extension_monotonicity,
     exhaustive_bound_oracle,
@@ -20,7 +22,7 @@ from maxprob import (
     softmax_probability,
     uniform_distribution,
 )
-from maxprob.logspace import NEG_INF, log_softmax, logsumexp, soft_min
+from maxprob.logspace import NEG_INF, log_softmax, logsumexp, soft_min, softmax
 
 
 COIN = OutcomeRange(("H", "T"))
@@ -158,10 +160,18 @@ class TestLogsumexpAxis:
     @given(arrays(float, st.tuples(st.integers(1, 4), st.integers(0, 6)),
                   elements=st.sampled_from([NEG_INF, -3.5, 0.0, 1.25, 20.0])))
     def test_rows_match_the_scalar_path_bitwise(self, x):
-        """Including empty and all -inf rows, which reduce to -inf as the scalar path does."""
-        with np.errstate(divide="ignore"):
-            reduced = logsumexp(x, axis=-1)
+        """axis=None on each row, including empty and all -inf rows, which reduce to -inf
+        without a warning."""
+        reduced = logsumexp(x, axis=-1)
         np.testing.assert_array_equal(reduced, [logsumexp(row) for row in x])
+
+    @given(arrays(float, st.lists(st.integers(0, 4), max_size=3).map(tuple),
+                  elements=st.one_of(st.just(NEG_INF), st.floats(-1e300, 1e300))))
+    def test_whole_array_matches_the_scalar_reference_bitwise(self, a):
+        """axis=None runs the axis kernel on the raveled input; the scalar path it
+        replaced is reference.logsumexp."""
+        got = logsumexp(a)
+        assert type(got) is float and repr(got) == repr(reference.logsumexp(a))
 
     @pytest.mark.parametrize("row,want", [([1e308, -1e308], [0.0, NEG_INF]),
                                           ([-1e308, 0.5, 1e308], [NEG_INF, -1e308, 0.0])])
@@ -173,6 +183,29 @@ class TestLogsumexpAxis:
         np.testing.assert_array_equal(logsumexp(np.array([row]), axis=-1), [top])
         np.testing.assert_array_equal(log_softmax(row), want)
         np.testing.assert_array_equal(log_softmax([row]), [want])
+
+
+class TestZeroMass:
+    """A slice with no mass: its log-sum-exp is -inf without a warning, and normalizing
+    it raises SumOutOfTolerance."""
+
+    def test_logsumexp_is_minus_inf(self):
+        for a in ([], [NEG_INF, NEG_INF], np.empty((2, 0))):
+            assert logsumexp(a) == NEG_INF
+            np.testing.assert_array_equal(logsumexp(a, axis=-1),
+                                          np.full(np.shape(a)[:-1], NEG_INF))
+        np.testing.assert_array_equal(logsumexp([[NEG_INF, NEG_INF], [0.0, 0.0]], axis=-1),
+                                      [NEG_INF, np.log(2.0)])
+
+    @pytest.mark.parametrize("normalize", [log_softmax, softmax])
+    @pytest.mark.parametrize("x", [[NEG_INF, NEG_INF], [[NEG_INF, NEG_INF]],
+                                   [[0.0, 1.0], [NEG_INF, NEG_INF]]])
+    def test_normalizing_raises(self, normalize, x):
+        with pytest.raises(SumOutOfTolerance):
+            normalize(x)
+
+    def test_soft_min_of_infinite_entries_is_inf(self):
+        np.testing.assert_array_equal(soft_min([[np.inf, np.inf]], 1.0, axis=-1), [np.inf])
 
 
 class TestAlphaSkeleton:

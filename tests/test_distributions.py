@@ -13,6 +13,7 @@ from maxprob import (
     LabelOutOfRange,
     MalformedDistribution,
     NegativeMass,
+    NonFiniteEncountered,
     NonFiniteParameter,
     ObjectiveConfig,
     OutcomeRange,
@@ -82,6 +83,21 @@ class TestMakeDistribution:
     def test_off_total_rejected_without_normalize(self):
         with pytest.raises(SumOutOfTolerance):
             FiniteDistribution.from_logp(OutcomeRange(("a", "b")), np.log([2.0, 6.0]))
+
+    @pytest.mark.parametrize("build", [FiniteDistribution, FiniteDistribution.from_logp])
+    @pytest.mark.parametrize("logp, error", [
+        ([np.nan, 0.0], NonFiniteEncountered),
+        ([np.inf, NEG_INF], NonFiniteEncountered),
+        ([0.0, 0.0], SumOutOfTolerance),
+        ([NEG_INF, NEG_INF], SumOutOfTolerance),
+    ])
+    def test_constructors_check_log_probabilities(self, build, logp, error):
+        with pytest.raises(error):
+            build(OutcomeRange(("a", "b")), logp)
+
+    def test_constructor_keeps_the_bits_it_accepts(self):
+        logp = np.log([0.25, 0.75]) + 1e-10  # sums to 1 + 1e-10, within SUM_REJECT_TOL
+        assert_array_bits(FiniteDistribution(OutcomeRange(("a", "b")), logp).logp, logp)
 
     def test_argmax_index_first_on_ties(self):
         d = make_distribution(OutcomeRange(("a", "b", "c")), [0.4, 0.4, 0.2])

@@ -306,12 +306,13 @@ class TestLossAndGrads:
 
 class TestTrain:
     def small_run(self, **overrides):
-        args = dict(mode="intersection", alpha=2.0, epochs=12, step=0.05,
-                    seed=0, net_seed=5, data_seed=11)
+        args = dict(mode="intersection", alpha=2.0, epochs=12, step=0.05, seed=0)
         args.update(overrides)
-        data = make_toy_dataset(seed=args["data_seed"])
-        net = ToyNet(seed=args["net_seed"])
-        return train(net, data, **args)
+        return train(ToyNet(seed=5), make_toy_dataset(seed=11), **args)
+
+    def test_report_reads_the_seeds_of_the_net_and_data(self):
+        report = train(ToyNet(seed=5), make_toy_dataset(seed=11), epochs=1)
+        assert (report.net_seed, report.data_seed) == (5, 11)
 
     def test_epoch_zero_records_the_untrained_network(self):
         report = self.small_run(epochs=3)
@@ -425,9 +426,10 @@ class TestMatchesReference:
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_training_reports(self, mode, alpha, lam, batch_size):
         args = dict(mode=mode, alpha=alpha, lam=lam, epochs=3, step=0.05, seed=4,
-                    batch_size=batch_size, net_seed=5, data_seed=11)
+                    batch_size=batch_size)
         report = train(ToyNet(seed=5), make_toy_dataset(seed=11), **args)
-        ref = reference.train(ToyNet(seed=5), make_toy_dataset(seed=11), **args)
+        ref = reference.train(ToyNet(seed=5), make_toy_dataset(seed=11), net_seed=5,
+                              data_seed=11, **args)
         assert canonical_report_bytes(report) == canonical_report_bytes(ref)
         # the CLI writes the report without sorting keys, so their order is output too
         assert json.dumps(report_to_jsonable(report)) == \
