@@ -163,7 +163,7 @@ def alpha_skeleton(dist: FiniteDistribution, alpha: float) -> FiniteDistribution
         scaled = np.where(dist.support, 0.0, NEG_INF)
     else:
         scaled = alpha * logp
-    return FiniteDistribution.from_logp(dist.range, scaled, normalize=True)
+    return FiniteDistribution.from_logp(dist.range, scaled)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,11 @@ A distribution over a finite outcome range is stored as a vector of natural
 log-probabilities with an exact -inf sentinel for zero mass.  The outcome
 ordering is part of the type: two distributions are comparable only when
 their ranges match label-for-label.  Every construction rejects a vector
-whose sum is off by more than 1e-9 rather than silently rescaling it, and
-one with a NaN or +inf entry; from_logp and make_distribution renormalize
-what they accept, so their vectors sum to 1 within 1e-12.
+with a NaN or +inf entry.  The constructor and make_distribution also reject
+one whose sum is off by more than 1e-9 rather than silently rescaling it;
+from_logp renormalizes any vector with mass, for the operations whose
+definition includes renormalization.  make_distribution and from_logp
+return vectors that sum to 1 within 1e-12.
 
 All types here are immutable.  Operations return new objects.
 """
@@ -122,17 +124,10 @@ class FiniteDistribution:
         object.__setattr__(self, "_logp", lp)
 
     @staticmethod
-    def from_logp(rng: OutcomeRange, logp: Sequence[float], *, normalize: bool = False,
-                  ) -> "FiniteDistribution":
-        """Build from log-probabilities, shifted by their logsumexp.
-
-        With normalize=False the input must pass the constructor as it is; the
-        shift then renormalizes it to the invariant tolerance.  With
-        normalize=True any input with mass is shifted (used by operations whose
-        definition includes renormalization); zero mass is SumOutOfTolerance.
-        """
-        if not normalize:
-            logp = FiniteDistribution(rng, logp).logp
+    def from_logp(rng: OutcomeRange, logp: Sequence[float]) -> "FiniteDistribution":
+        """Build from log-probabilities with mass, shifted by their logsumexp: the
+        renormalization of operations whose definition includes it.  Zero mass is
+        SumOutOfTolerance; the constructor is the strict check."""
         return FiniteDistribution(rng, log_softmax(_check_logp(rng, logp)))
 
     @property
@@ -155,9 +150,10 @@ def make_distribution(rng: OutcomeRange | Sequence[Label], probs: Sequence[float
                       ) -> FiniteDistribution:
     """Construct a distribution from linear-space probabilities.
 
-    The sum may deviate from 1 by at most SUM_REJECT_TOL; within that the
-    vector is renormalized so the stored invariant holds exactly enough
-    (SUM_INVARIANT_TOL) for downstream log-space arithmetic.
+    Every entry must be finite and non-negative.  The sum may deviate from 1
+    by at most SUM_REJECT_TOL; within that the vector is renormalized so the
+    stored invariant holds exactly enough (SUM_INVARIANT_TOL) for downstream
+    log-space arithmetic.
     """
     if not isinstance(rng, OutcomeRange):
         rng = OutcomeRange(tuple(rng))
@@ -165,6 +161,8 @@ def make_distribution(rng: OutcomeRange | Sequence[Label], probs: Sequence[float
     if p.shape != (len(rng),):
         raise DimensionMismatch(
             f"probability vector has shape {p.shape}, range has {len(rng)} outcomes")
+    if not np.isfinite(p).all():
+        raise NonFiniteEncountered(f"non-finite probability entries: {p[~np.isfinite(p)]!r}")
     if np.any(p < 0):
         raise NegativeMass(f"negative probability entries: {p[p < 0]!r}")
     total = float(p.sum())
@@ -222,7 +220,7 @@ def coarsen(dist: FiniteDistribution, r: Refinement) -> FiniteDistribution:
     if dist.range != r.fine:
         raise RangeMismatch("distribution range does not match the refinement's fine range")
     logp = np.array([logsumexp(dist.logp[r.preimage_indices(c)]) for c in r.coarse.labels])
-    return FiniteDistribution.from_logp(r.coarse, logp, normalize=True)
+    return FiniteDistribution.from_logp(r.coarse, logp)
 
 
 # Sigmoid convention: the range lists the success outcome first, so
@@ -285,15 +283,12 @@ def _theta_logp(p: Parameterization, th: np.ndarray) -> np.ndarray:
     log-softmax of them is renormalized by a second one, so any finite theta
     yields a valid distribution, however extreme.  One pass alone misses
     SUM_INVARIANT_TOL at large logits: |sum p - 1| reached 7.3e-12 at K = 64
-    with logits near 1e5.
+    with logits near 1e5.  A row whose spread passes finfo.max shifts its
+    smaller logits to -inf, their correct zero mass; logspace keeps that
+    overflow silent, in a batch as in one row.
     """
     logits = np.zeros((len(th), len(p.range)))
     logits[:, :p.dim] = th
-    if len(th) > 1 and abs(th).max() > 2.0 ** 1022:
-        # a batch's spread can pass finfo.max: the max-shift's -inf is the correct
-        # zero mass (logspace silences one row itself)
-        with np.errstate(over="ignore"):
-            return log_softmax(log_softmax(logits))
     return log_softmax(log_softmax(logits))
 
 

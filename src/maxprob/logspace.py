@@ -3,40 +3,32 @@
 All probability mass in this package lives in natural-log space with an
 exact -inf sentinel for zero mass.  These helpers are the only place the
 package exponentiates or sums mass, all through one reduction (_logsumexp),
-so the max-shift and the zero-mass rule hold centrally: a slice with no mass
-(empty or all -inf) has log-sum-exp -inf, silently, and normalizing it
-raises SumOutOfTolerance."""
+which alone decides a slice's float edges.  A slice with no mass (empty or
+all -inf) has log-sum-exp -inf, and one with a +inf entry has +inf, both
+silently; a NaN entry raises NonFiniteEncountered.  Normalizing a slice
+raises SumOutOfTolerance for no mass and NonFiniteEncountered for a +inf one."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SumOutOfTolerance, require_alpha
+from .errors import NonFiniteEncountered, SumOutOfTolerance, require_alpha
 
 __all__ = ["NEG_INF", "logsumexp", "log_softmax", "softmax", "soft_min"]
 
 NEG_INF = float("-inf")
 _MIN_FLOAT = -np.finfo(float).max
-# The max-shift a - m (m = max(a), every finite a >= -finfo.max) overflows
-# only when m > 2**969: a result below -finfo.max rounds back to it unless it
-# is past by half an ulp, 2**970.  The -inf an overflow gives has the correct
-# exp, 0, so only numpy's warning is wrong.  np.errstate costs about as much
-# as the shift, but a float compare on one slice's shift costs nothing, so the
-# warning is silenced where the reduction has one slice; a batch of rows would
-# need one more reduction to find its largest shift, so it keeps the warning.
-_SHIFT_LIMIT = 2.0 ** 968
-
-
-def _shift(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """a - m for a max-shift m; where m is one value, an overflow is -inf, silently."""
-    if m.size == 1 and m.item() > _SHIFT_LIMIT:
-        with np.errstate(over="ignore"):
-            return a - m
-    return a - m
+# A slice is calm when its max m lies within +-2**968, and then no float op of
+# its reduction can warn: the shift a - m of a finite a >= -finfo.max overflows
+# only past m = 2**969 (a result below -finfo.max rounds back to it unless past
+# it by half an ulp, 2**970).  A max below -2**968 (the floor, for no mass), past
+# 2**968, +inf or NaN runs under np.errstate, which costs about as much as the shift.
+_CALM = 2.0 ** 968
 
 
 def logsumexp(a, axis=None):
-    """log(sum(exp(a))) with max-shift; a slice with no mass (empty or all -inf) gives -inf.
+    """log(sum(exp(a))) with max-shift; a slice with no mass (empty or all -inf) gives
+    -inf, one with a +inf entry +inf, and a NaN entry raises NonFiniteEncountered.
 
     axis=None reduces the raveled input to a float; an axis reduces each slice
     along it, with its own max-shift, to an array.
@@ -48,17 +40,19 @@ def logsumexp(a, axis=None):
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> tuple[np.ndarray, bool]:
-    """logsumexp along axis, kept as a length-1 axis, and whether a slice may carry no
-    mass: the max, floored at -finfo.max, shifts such a slice to a sum of 0, whose log
-    is its -inf, but a real max can sit at the floor too.  A batch reads its least max."""
+    """logsumexp along axis, kept as a length-1 axis, and whether every slice is calm
+    (see _CALM).  A slice that is not: with no mass, the max floored at -finfo.max
+    shifts it to a sum of 0, whose log is its -inf; a +inf max, capped at finfo.max,
+    shifts it to a sum of +inf; a NaN max, from a NaN entry, raises."""
     # ndarray methods, not np.max / np.sum: the same reductions at half the call cost
     m = a.max(axis=axis, keepdims=True, initial=_MIN_FLOAT)
-    low = m.item() if m.size == 1 else m.min(initial=np.inf)  # +inf: no slices
-    s = np.exp(_shift(a, m)).sum(axis=axis, keepdims=True)
-    if low > _MIN_FLOAT:
-        return m + np.log(s), False
-    with np.errstate(divide="ignore"):
-        return m + np.log(s), True
+    if (abs(m.item()) if m.size == 1 else abs(m).max(initial=0.0)) <= _CALM:
+        return m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True)), True
+    if np.isnan(m).any():
+        raise NonFiniteEncountered("log-sum-exp of a NaN entry")
+    m = m.clip(max=-_MIN_FLOAT)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True)), False
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
@@ -68,13 +62,18 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
 
 def _log_normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log_softmax(x) and the logsumexp along the last axis it subtracted; a slice
-    with no mass raises SumOutOfTolerance."""
+    with no mass raises SumOutOfTolerance, and one with a +inf entry NonFiniteEncountered."""
     x = np.asarray(x, dtype=float)
-    top, floored = _logsumexp(x, -1)
-    if floored and (top == NEG_INF).any():
-        raise SumOutOfTolerance("all outcomes carry zero mass")
+    top, calm = _logsumexp(x, -1)
     # top exceeds its row's max by at most log(K), far below an ulp at the limit
-    return _shift(x, top), top.squeeze(-1)
+    if calm:
+        return x - top, top.squeeze(-1)
+    if (top == NEG_INF).any():
+        raise SumOutOfTolerance("all outcomes carry zero mass")
+    if (top == np.inf).any():
+        raise NonFiniteEncountered("an outcome carries infinite mass")
+    with np.errstate(over="ignore"):
+        return x - top, top.squeeze(-1)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

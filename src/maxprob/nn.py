@@ -58,7 +58,6 @@ from .logspace import log_softmax, logsumexp, soft_min, _soft_min_step
 
 __all__ = [
     "LOSS_MODES",
-    "MAX_TOY_POINTS",
     "MAX_TOY_CLASSES",
     "MAX_TOY_HIDDEN",
     "hn_forward",
@@ -79,11 +78,10 @@ __all__ = [
 LOSS_MODES = ("intersection", "ce-l2")
 WEIGHTS = ("W1", "W2", "W3")
 # Largest toy sizes, so that no array training makes holds more than 10**8 floats.
-MAX_TOY_POINTS = 10**5
 MAX_TOY_CLASSES = 10**3
 MAX_TOY_HIDDEN = 10**3
-_SIZE_LIMITS = {"n_train": MAX_TOY_POINTS, "n_test": MAX_TOY_POINTS, "k": MAX_TOY_CLASSES,
-                "hidden": MAX_TOY_HIDDEN}
+_SIZE_LIMITS = {"k": MAX_TOY_CLASSES, "hidden": MAX_TOY_HIDDEN}
+_N_TRAIN = _N_TEST = 512  # the toy dataset's split sizes
 _RADIUS = 2.0  # the toy blobs' class centers lie on a circle of this radius
 _NOISE = 1.0  # standard deviation of each blob around its center
 
@@ -197,24 +195,22 @@ class ToyDataset:
             getattr(self, name).setflags(write=False)
 
 
-def make_toy_dataset(n_train: int = 512, n_test: int = 512, k: int = 3,
-                     seed: int = 0) -> ToyDataset:
-    """Classes are unit-variance Gaussians centered on a radius-2 circle.
+def make_toy_dataset(k: int = 3, seed: int = 0) -> ToyDataset:
+    """_N_TRAIN training and _N_TEST test points in k unit-variance Gaussian classes
+    centered on a radius-2 circle.
 
     Class c sits at angle 2*pi*c/k starting from angle 0; labels cycle
     round-robin so counts differ by at most one when k does not divide the
     sample count.  Everything is a pure function of the seed it records.
     """
-    _require_settings(("n_train", n_train, 1), ("n_test", n_test, 1), ("k", k, 1),
-                      ("seed", seed, 0))
+    _require_settings(("k", k, 1), ("seed", seed, 0))
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(k) / k
     centers = _RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    total = n_train + n_test
-    labels = np.arange(total) % k
-    points = centers[labels] + _NOISE * rng.standard_normal((total, 2))
-    return ToyDataset(points[:n_train], labels[:n_train],
-                      points[n_train:], labels[n_train:], k, seed)
+    labels = np.arange(_N_TRAIN + _N_TEST) % k
+    points = centers[labels] + _NOISE * rng.standard_normal((len(labels), 2))
+    return ToyDataset(points[:_N_TRAIN], labels[:_N_TRAIN],
+                      points[_N_TRAIN:], labels[_N_TRAIN:], k, seed)
 
 
 class ToyNet:

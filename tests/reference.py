@@ -1,7 +1,10 @@
 """Scalar reference for the objective kernels: one model at a time, no batching.
 
 Its logsumexp is the whole-array path logspace.logsumexp had beside its axis
-kernel, before axis=None ran that kernel on the raveled input.
+kernel, before axis=None ran that kernel on the raveled input.  _logsumexp,
+_shift and _log_normalize are that axis kernel and its normalization as they
+were before one calm test decided every slice's float edges: only a single
+slice's overflowing shift was silent, and a +inf or NaN entry gave NaN.
 
 A copy of the per-object term bodies and the per-theta loop the package used
 before its terms became array kernels.  The tests require the kernels to
@@ -55,6 +58,7 @@ from maxprob import (
     OutcomeRange,
     OracleSupportEscapesModel,
     RangeMismatch,
+    SumOutOfTolerance,
     TrainReport,
 )
 from maxprob.bernoulli import PLATEAU_RUN, PLATEAU_TOL
@@ -76,6 +80,35 @@ def logsumexp(a) -> float:
     return m + float(np.log(np.sum(np.exp(a - m))))
 
 
+_MIN_FLOAT = -np.finfo(float).max
+_SHIFT_LIMIT = 2.0 ** 968
+
+
+def _shift(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    if m.size == 1 and m.item() > _SHIFT_LIMIT:
+        with np.errstate(over="ignore"):
+            return a - m
+    return a - m
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> tuple[np.ndarray, bool]:
+    m = a.max(axis=axis, keepdims=True, initial=_MIN_FLOAT)
+    low = m.item() if m.size == 1 else m.min(initial=np.inf)
+    s = np.exp(_shift(a, m)).sum(axis=axis, keepdims=True)
+    if low > _MIN_FLOAT:
+        return m + np.log(s), False
+    with np.errstate(divide="ignore"):
+        return m + np.log(s), True
+
+
+def _log_normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=float)
+    top, floored = _logsumexp(x, -1)
+    if floored and (top == NEG_INF).any():
+        raise SumOutOfTolerance("all outcomes carry zero mass")
+    return _shift(x, top), top.squeeze(-1)
+
+
 def soft_min(a, alpha: float) -> float:
     return -logsumexp(-alpha * np.asarray(a, dtype=float)) / alpha
 
@@ -89,7 +122,7 @@ def log_sigmoid(x: float) -> float:
 def sigmoid_logp(theta: float) -> np.ndarray:
     """The sigmoid family's own map: (log sigma(theta), log sigma(-theta)), renormalized."""
     logp = np.array([log_sigmoid(theta), log_sigmoid(-theta)])
-    return FiniteDistribution.from_logp(COIN, logp, normalize=True).logp
+    return FiniteDistribution.from_logp(COIN, logp).logp
 
 
 def apply_parameterization(p, theta) -> FiniteDistribution:
@@ -97,7 +130,7 @@ def apply_parameterization(p, theta) -> FiniteDistribution:
     th = _check_theta(p, theta)
     logits = np.zeros(len(p.range))
     logits[:p.dim] = th
-    return FiniteDistribution.from_logp(p.range, logits - logsumexp(logits), normalize=True)
+    return FiniteDistribution.from_logp(p.range, logits - logsumexp(logits))
 
 
 def _same_range(a, b) -> None:
@@ -117,7 +150,7 @@ def posterior_given_both(model, oracle, prior) -> FiniteDistribution:
         raise EmptyIntersectionSupport("no joint support")
     with np.errstate(invalid="ignore"):
         logpost = np.where(supp, model.logp + oracle.logp - prior.logp, NEG_INF)
-    return FiniteDistribution.from_logp(model.range, logpost, normalize=True)
+    return FiniteDistribution.from_logp(model.range, logpost)
 
 
 def _independent_value(model, oracle, prior, alpha) -> float:

@@ -8,6 +8,7 @@ import reference
 from helpers import dist_from_weights, distribution_pairs, distributions, labels_of
 from maxprob import (
     NegativeAlphaOnZeroMass,
+    NonFiniteEncountered,
     NonFiniteParameter,
     NonPositiveAlpha,
     OutcomeRange,
@@ -22,6 +23,7 @@ from maxprob import (
     softmax_probability,
     uniform_distribution,
 )
+from maxprob import logspace
 from maxprob.logspace import NEG_INF, log_softmax, logsumexp, soft_min, softmax
 
 
@@ -206,6 +208,63 @@ class TestZeroMass:
 
     def test_soft_min_of_infinite_entries_is_inf(self):
         np.testing.assert_array_equal(soft_min([[np.inf, np.inf]], 1.0, axis=-1), [np.inf])
+
+
+def assert_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (got, want)
+
+
+class TestFloatEdges:
+    """+inf and NaN entries, and a batch whose shift overflows; the suite makes a
+    RuntimeWarning an error."""
+
+    def test_plus_inf_entry_has_infinite_log_sum_exp(self):
+        assert logsumexp([np.inf, 0.0]) == np.inf
+        np.testing.assert_array_equal(logsumexp([[np.inf, 0.0], [0.0, 0.0]], axis=-1),
+                                      [np.inf, np.log(2.0)])
+
+    def test_soft_min_of_minus_inf_entry_is_minus_inf(self):
+        assert soft_min([NEG_INF, 0.0], 1.0) == NEG_INF
+        np.testing.assert_array_equal(soft_min([[NEG_INF, 0.0], [0.0, 0.0]], 1.0, axis=-1),
+                                      [NEG_INF, -np.log(2.0)])
+
+    @pytest.mark.parametrize("normalize", [log_softmax, softmax])
+    @pytest.mark.parametrize("x", [[np.inf, 0.0], [[np.inf, 0.0], [0.0, 0.0]],
+                                   [np.nan, 0.0], [[0.0, 0.0], [0.0, np.nan]]])
+    def test_normalizing_raises(self, normalize, x):
+        with pytest.raises(NonFiniteEncountered):
+            normalize(x)
+
+    @pytest.mark.parametrize("reduce", [logsumexp, lambda a, axis=None: soft_min(a, 1.0, axis)],
+                             ids=["logsumexp", "soft_min"])
+    @pytest.mark.parametrize("a", [[np.nan, 0.0], [np.nan, np.inf], [NEG_INF, np.nan]])
+    def test_nan_entry_raises(self, reduce, a):
+        with pytest.raises(NonFiniteEncountered):
+            reduce(a)
+        with pytest.raises(NonFiniteEncountered):
+            reduce([[0.0, 0.0], a], axis=-1)
+
+    def test_overflowing_shift_of_a_batch_is_zero_mass_without_a_warning(self):
+        rows = [[1e308, -1e308], [0.0, 0.0]]
+        np.testing.assert_array_equal(logsumexp(rows, axis=-1), [1e308, np.log(2.0)])
+        np.testing.assert_array_equal(log_softmax(rows),
+                                      [[0.0, NEG_INF], [-np.log(2.0), -np.log(2.0)]])
+
+    @given(arrays(float, st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple),
+                  elements=st.one_of(st.just(NEG_INF), st.floats(-1e300, 1e300))),
+           st.integers(-3, 2))
+    def test_calm_inputs_match_the_reference_bitwise(self, a, axis):
+        """Finite entries within +-1e300 and -inf: the kernel before the calm test."""
+        axis %= a.ndim
+        assert_bits(logspace._logsumexp(a, axis)[0], reference._logsumexp(a, axis)[0])
+        try:
+            want = reference._log_normalize(a)
+        except SumOutOfTolerance:
+            with pytest.raises(SumOutOfTolerance):
+                logspace._log_normalize(a)
+            return
+        for got_part, want_part in zip(logspace._log_normalize(a), want):
+            assert_bits(got_part, want_part)
 
 
 class TestAlphaSkeleton:

@@ -111,6 +111,17 @@ class TestBoundCommand:
         assert code == 1
         assert json.loads(err)["error"] == "SumOutOfTolerance"
 
+    @pytest.mark.parametrize("probs", ["[NaN, 1]", "[Infinity, 0]", "[-Infinity, 1]"])
+    def test_non_finite_probability_is_non_finite(self, probs, tmp_path, coin_files, capsys):
+        """Python's json reads NaN and Infinity; they are not a sum out of tolerance."""
+        prior, _ = coin_files
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"range": ["a", "b"], "probs": %s}' % probs)
+        code, out, err = run(["bound", "--prior", prior, "--conditional", str(bad)], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "NonFiniteEncountered"
+
     @pytest.mark.parametrize("payload", [
         {"range": ["H", "T"], "probs": ["a", "b"]},
         {"range": 5, "probs": [0.5, 0.5]},
@@ -539,10 +550,13 @@ class TestSweepCurvesOneCallEach:
 
 
 class TestCsvNaN:
-    """A NaN reaching CSV output is NonFiniteEncountered with nothing written.
+    """A run that would have reached a NaN at its CSV output is NonFiniteEncountered
+    with nothing written.
 
-    Both commands reach a NaN through the overflow of alpha * x at alpha
-    1e308, which also warns; the warnings are silenced here."""
+    Both commands overflow alpha * x at alpha 1e308, which warns; that warning is
+    silenced here.  The log-sum-exp of the overflowed entries then raises at the
+    NaN itself, with no invalid-value warning, before any CSV is formatted;
+    test_nan_raises_before_writing covers the CSV guard."""
 
     SWEEP = ["sweep-bernoulli", "--theta-star", "1", "--alphas", "1e308", "--grid-step", "4",
              "--assumption", "oracle-subset"]
@@ -550,7 +564,7 @@ class TestCsvNaN:
                 "--alpha", "1e308", "--param", "sigmoid", "--theta0", "3"]
 
     def check(self, argv, capsys, written=()):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             code, out, err = run(argv, capsys)
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1

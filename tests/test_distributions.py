@@ -75,20 +75,26 @@ class TestMakeDistribution:
         assert d.probs[1] == 0.0
         np.testing.assert_array_equal(d.support, [True, False])
 
-    def test_normalize_flag_rescales(self):
-        logp = np.log([2.0, 6.0])
-        d = FiniteDistribution.from_logp(OutcomeRange(("a", "b")), logp, normalize=True)
-        np.testing.assert_allclose(d.probs, [0.25, 0.75], rtol=1e-15)
+    @pytest.mark.parametrize("probs", [[np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0]])
+    def test_rejects_non_finite_entries(self, probs):
+        with pytest.raises(NonFiniteEncountered):
+            make_distribution(OutcomeRange(("a", "b")), probs)
 
-    def test_off_total_rejected_without_normalize(self):
-        with pytest.raises(SumOutOfTolerance):
-            FiniteDistribution.from_logp(OutcomeRange(("a", "b")), np.log([2.0, 6.0]))
+    @pytest.mark.parametrize("logp, probs", [(np.log([2.0, 6.0]), [0.25, 0.75]),
+                                             ([0.0, 0.0], [0.5, 0.5])])
+    def test_from_logp_renormalizes(self, logp, probs):
+        d = FiniteDistribution.from_logp(OutcomeRange(("a", "b")), logp)
+        np.testing.assert_allclose(d.probs, probs, rtol=1e-15)
+
+    def test_constructor_rejects_an_off_total(self):
+        for logp in (np.log([2.0, 6.0]), [0.0, 0.0]):
+            with pytest.raises(SumOutOfTolerance):
+                FiniteDistribution(OutcomeRange(("a", "b")), logp)
 
     @pytest.mark.parametrize("build", [FiniteDistribution, FiniteDistribution.from_logp])
     @pytest.mark.parametrize("logp, error", [
         ([np.nan, 0.0], NonFiniteEncountered),
         ([np.inf, NEG_INF], NonFiniteEncountered),
-        ([0.0, 0.0], SumOutOfTolerance),
         ([NEG_INF, NEG_INF], SumOutOfTolerance),
     ])
     def test_constructors_check_log_probabilities(self, build, logp, error):
