@@ -54,7 +54,7 @@ from .errors import (
     SumOutOfTolerance,
     require_alpha,
 )
-from .logspace import NEG_INF, _soft_min_step
+from .logspace import NEG_INF, _log_normalize, _soft_min_step
 
 __all__ = [
     "BoundResult",
@@ -154,16 +154,13 @@ def alpha_skeleton(dist: FiniteDistribution, alpha: float) -> FiniteDistribution
         raise NonFiniteParameter(f"alpha must be finite, got {alpha!r}")
     if alpha == 1.0:
         return dist
-    logp = dist.logp
     if alpha < 0 and not np.all(dist.support):
         raise NegativeAlphaOnZeroMass(
             "negative alpha would assign infinite mass to zero-probability outcomes")
     if alpha == 0.0:
         # one-sided limit from alpha -> 0+: uniform over the support
-        scaled = np.where(dist.support, 0.0, NEG_INF)
-    else:
-        scaled = alpha * logp
-    return FiniteDistribution.from_logp(dist.range, scaled)
+        return FiniteDistribution.from_logp(dist.range, np.where(dist.support, 0.0, NEG_INF))
+    return FiniteDistribution(dist.range, _log_normalize(dist.logp, alpha)[0])
 
 
 @dataclass(frozen=True)

@@ -279,17 +279,14 @@ def _check_thetas(p: Parameterization, thetas) -> np.ndarray:
 def _theta_logp(p: Parameterization, th: np.ndarray) -> np.ndarray:
     """Log-probabilities (N, K) of checked parameter rows (N, dim).
 
-    The logits are the rows padded with K - dim zeros.  A max-shifted
-    log-softmax of them is renormalized by a second one, so any finite theta
-    yields a valid distribution, however extreme.  One pass alone misses
-    SUM_INVARIANT_TOL at large logits: |sum p - 1| reached 7.3e-12 at K = 64
-    with logits near 1e5.  A row whose spread passes finfo.max shifts its
-    smaller logits to -inf, their correct zero mass; logspace keeps that
-    overflow silent, in a batch as in one row.
+    The logits are the rows padded with K - dim zeros.  One log-softmax, (x - m) -
+    log sum exp(x - m), meets SUM_INVARIANT_TOL at any finite theta; x - (m + log sum
+    exp(x - m)) would lose eps |m|.  A row whose spread passes finfo.max shifts its smaller
+    logits to -inf, their correct zero mass, silently in a batch as in one row.
     """
     logits = np.zeros((len(th), len(p.range)))
     logits[:, :p.dim] = th
-    return log_softmax(log_softmax(logits))
+    return log_softmax(logits)
 
 
 def apply_parameterization(p: Parameterization, theta) -> FiniteDistribution:

@@ -2,13 +2,20 @@
 
 All probability mass in this package lives in natural-log space with an
 exact -inf sentinel for zero mass.  These helpers are the only place the
-package exponentiates or sums mass, all through one reduction (_logsumexp),
-which alone decides a slice's float edges.  A slice with no mass (empty or
-all -inf) has log-sum-exp -inf, and one with a +inf entry has +inf, both
-silently; a NaN entry raises NonFiniteEncountered.  Normalizing a slice
-raises SumOutOfTolerance for no mass and NonFiniteEncountered for a +inf one."""
+package exponentiates, sums or scales mass by a sharpness alpha, all through
+one reduction (_shifted), which shifts before it scales: per slice it takes
+the entry m where alpha * a is largest and forms s = alpha * (a - m) <= 0,
+so lse = log(sum(exp(s))) lies in [0, log K].  logsumexp is m + lse, a
+normalized row s - lse, and a soft minimum m - lse / alpha, so that no
+finite alpha overflows it.  The reduction alone decides a slice's float
+edges.  A slice with no mass (empty or all -inf) has log-sum-exp -inf, and
+one with a +inf entry has +inf, both silently; a NaN entry raises
+NonFiniteEncountered.  Normalizing a slice raises SumOutOfTolerance for no
+mass and NonFiniteEncountered for infinite mass."""
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -17,63 +24,75 @@ from .errors import NonFiniteEncountered, SumOutOfTolerance, require_alpha
 __all__ = ["NEG_INF", "logsumexp", "log_softmax", "softmax", "soft_min"]
 
 NEG_INF = float("-inf")
-_MIN_FLOAT = -np.finfo(float).max
-# A slice is calm when its max m lies within +-2**968, and then no float op of
-# its reduction can warn: the shift a - m of a finite a >= -finfo.max overflows
-# only past m = 2**969 (a result below -finfo.max rounds back to it unless past
-# it by half an ulp, 2**970).  A max below -2**968 (the floor, for no mass), past
-# 2**968, +inf or NaN runs under np.errstate, which costs about as much as the shift.
+_MAX_FLOAT = float(np.finfo(float).max)
+# A reduction is calm when no float op of it or of its kernel can warn: at
+# 2**-1000 <= |alpha| <= 1 (below, lse / alpha can overflow), when each slice's m
+# lies within +-2**968, as a - m of a finite a overflows only past 2**969 (past
+# -finfo.max by less than half an ulp, 2**970, rounds back to it); above |alpha| = 1,
+# when every entry lies within finfo.max / (4 |alpha|) too, so that neither alpha *
+# (a - m) nor alpha * m overflows.  Others run under np.errstate, costing a shift.
 _CALM = 2.0 ** 968
+_CALM_CONTEXT = contextlib.nullcontext()
+
+
+def _shifted(a: np.ndarray, alpha: float, axis: int, normalize: bool = False):
+    """(s, lse, m, quiet) along axis, reductions kept as a length-1 axis: m is each
+    slice's entry where alpha * a is largest, s = alpha * (a - m), lse = log(sum(exp(s))),
+    and quiet the context for a kernel's arithmetic on them: none when calm (see _CALM),
+    else np.errstate, where an overflow is the correct infinite limit.  Not calm, a NaN
+    entry raises, and an infinite m is capped at +-finfo.max: no mass then sums to 0,
+    whose log is -inf, and infinite mass to +inf; with normalize, either raises."""
+    # ndarray methods, not np.max / np.sum: the same reductions at half the call cost
+    m = (a.max(axis=axis, keepdims=True, initial=-_MAX_FLOAT) if alpha > 0
+         else a.min(axis=axis, keepdims=True, initial=_MAX_FLOAT))
+    reach = abs(m.item()) if m.size == 1 else abs(m).max(initial=0.0)
+    if abs(alpha) > 1.0:
+        far = a.min(initial=_MAX_FLOAT) if alpha > 0 else a.max(initial=-_MAX_FLOAT)
+        calm = max(reach, abs(far)) <= min(_CALM, _MAX_FLOAT / (4.0 * abs(alpha)))
+    else:
+        calm = reach <= _CALM and abs(alpha) >= 2.0 ** -1000
+    if calm:
+        s = a - m
+        if alpha != 1.0:
+            s *= alpha
+        return s, np.log(np.exp(s).sum(axis=axis, keepdims=True)), m, _CALM_CONTEXT
+    if np.isnan(m).any():
+        raise NonFiniteEncountered("log-sum-exp of a NaN entry")
+    m = m.clip(-_MAX_FLOAT, _MAX_FLOAT)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = (a - m) * alpha
+        lse = np.log(np.exp(s).sum(axis=axis, keepdims=True))
+    if normalize and (lse == NEG_INF).any():
+        raise SumOutOfTolerance("all outcomes carry zero mass")
+    if normalize and (lse == np.inf).any():
+        raise NonFiniteEncountered("an outcome carries infinite mass")
+    return s, lse, m, np.errstate(over="ignore")
 
 
 def logsumexp(a, axis=None):
-    """log(sum(exp(a))) with max-shift; a slice with no mass (empty or all -inf) gives
-    -inf, one with a +inf entry +inf, and a NaN entry raises NonFiniteEncountered.
-
+    """log(sum(exp(a))) with max-shift (see the module docstring for float edges).
     axis=None reduces the raveled input to a float; an axis reduces each slice
-    along it, with its own max-shift, to an array.
-    """
+    along it, with its own max-shift, to an array."""
     a = np.asarray(a, dtype=float)
     if axis is None:
-        return _logsumexp(a.ravel(), 0)[0].item()
-    return _logsumexp(a, axis)[0].squeeze(axis)
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> tuple[np.ndarray, bool]:
-    """logsumexp along axis, kept as a length-1 axis, and whether every slice is calm
-    (see _CALM).  A slice that is not: with no mass, the max floored at -finfo.max
-    shifts it to a sum of 0, whose log is its -inf; a +inf max, capped at finfo.max,
-    shifts it to a sum of +inf; a NaN max, from a NaN entry, raises."""
-    # ndarray methods, not np.max / np.sum: the same reductions at half the call cost
-    m = a.max(axis=axis, keepdims=True, initial=_MIN_FLOAT)
-    if (abs(m.item()) if m.size == 1 else abs(m).max(initial=0.0)) <= _CALM:
-        return m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True)), True
-    if np.isnan(m).any():
-        raise NonFiniteEncountered("log-sum-exp of a NaN entry")
-    m = m.clip(max=-_MIN_FLOAT)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True)), False
+        return logsumexp(a.ravel(), 0).item()
+    _, lse, m, _ = _shifted(a, 1.0, axis)
+    return (m + lse).squeeze(axis)  # m is finite, so this never overflows
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
-    """Log of the softmax of x along its last axis, stabilized by a max-shift per slice."""
-    return _log_normalize(x)[0]
+    """Log of the softmax of x along its last axis, stabilized by a max-shift per slice;
+    raises as _log_normalize does."""
+    s, lse, _, _ = _shifted(np.asarray(x, dtype=float), 1.0, -1, normalize=True)
+    return s - lse  # s <= 0 and, normalized, 0 <= lse <= log K: this never warns
 
 
-def _log_normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log_softmax(x) and the logsumexp along the last axis it subtracted; a slice
-    with no mass raises SumOutOfTolerance, and one with a +inf entry NonFiniteEncountered."""
-    x = np.asarray(x, dtype=float)
-    top, calm = _logsumexp(x, -1)
-    # top exceeds its row's max by at most log(K), far below an ulp at the limit
-    if calm:
-        return x - top, top.squeeze(-1)
-    if (top == NEG_INF).any():
-        raise SumOutOfTolerance("all outcomes carry zero mass")
-    if (top == np.inf).any():
-        raise NonFiniteEncountered("an outcome carries infinite mass")
-    with np.errstate(over="ignore"):
-        return x - top, top.squeeze(-1)
+def _log_normalize(x: np.ndarray, alpha: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """log_softmax(alpha * x) and logsumexp(alpha * x) along the last axis; a slice with
+    no mass raises SumOutOfTolerance, and one with infinite mass NonFiniteEncountered."""
+    s, lse, m, quiet = _shifted(np.asarray(x, dtype=float), alpha, -1, normalize=True)
+    with quiet:
+        return s - lse, (alpha * m + lse).squeeze(-1)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -83,28 +102,20 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 
 def soft_min(a, alpha: float, axis=None):
-    """Smooth lower envelope -(1/alpha) * log(sum(exp(-alpha * a))).
-
-    Never exceeds min(a) and converges to it from below as alpha grows; the
-    gap is at most log(len(a)) / alpha.  alpha must be finite and positive.
-    axis reduces each slice along it, as logsumexp does.
-    """
+    """Smooth lower envelope -(1/alpha) * log(sum(exp(-alpha * a))): never above min(a),
+    it converges to it from below as alpha grows, within log(len(a)) / alpha.  alpha
+    must be finite and positive; axis reduces each slice along it, as logsumexp does."""
     require_alpha(alpha)
     a = np.asarray(a, dtype=float)
-    return _soft_min_of(logsumexp(-alpha * a, axis=axis), alpha)
+    if axis is None:
+        return soft_min(a.ravel(), alpha, 0).item()
+    _, lse, m, quiet = _shifted(a, -alpha, axis)
+    with quiet:
+        return (m - lse / alpha).squeeze(axis)
 
 
 def _soft_min_step(a: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """soft_min(a, alpha, axis=-1) and its gradient softmax(-alpha * a), from one logsumexp."""
-    logw, lse = _log_normalize(-alpha * a)
-    return _soft_min_of(lse, alpha), np.exp(logw)
-
-
-def _soft_min_of(lse, alpha: float):
-    """-lse / alpha for lse = logsumexp(-alpha * a); below alpha = 1 an overflow
-    is -inf, the correct limit, silently."""
-    if alpha < 1.0:
-        with np.errstate(over="ignore"):
-            return lse / -alpha
-    return lse / -alpha  # bit for bit -lse / alpha, one array operation fewer
-
+    """soft_min(a, alpha, axis=-1) and its gradient softmax(-alpha * a), from one shifted array."""
+    s, lse, m, quiet = _shifted(a, -alpha, -1, normalize=True)
+    with quiet:
+        return (m - lse / alpha).squeeze(-1), np.exp(s - lse)

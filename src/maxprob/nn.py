@@ -13,7 +13,7 @@ Its gradient in the logits is repulsion - attraction: the soft bound's ratio
 skeleton softmax(alpha * x) minus the oracle's posterior, onehot(y).  Both
 run on the package's one soft minimum, of -log p for the loss
 (logspace.soft_min) and of -x for the gradient (logspace._soft_min_step),
-which scale and guard alpha for the objectives too.
+which shift before they scale by alpha, for the objectives too.
 
 The recorded regularizer term -(1/alpha) * log sum_c p_c ** alpha lies
 between 0 (a one-hot prediction) and log(K) * (alpha - 1) / alpha (a uniform
@@ -31,8 +31,8 @@ overflow and invalid-value warnings are off for the whole run.  The report
 reads its seeds from the network and the dataset, which record them.
 
 hn_forward is the generalized softmax head exp(x_i) / sum_j exp(alpha * x_j),
-computed as exp(x_i - logsumexp(alpha * x)); at alpha = 1 it is softmax bit
-for bit.  Training does not call it.
+exp(x_i - logsumexp(alpha * x)); at alpha = 1 it is softmax bit for bit.
+Training does not call it.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .errors import (
     NonFiniteParameter,
     require_alpha,
 )
-from .logspace import log_softmax, logsumexp, soft_min, _soft_min_step
+from .logspace import log_softmax, soft_min, _log_normalize, _soft_min_step
 
 __all__ = [
     "LOSS_MODES",
@@ -136,7 +136,9 @@ def hn_forward(logits, alpha: float) -> np.ndarray:
     """Generalized softmax head: exp(x_i - logsumexp(alpha * x)) along the last axis."""
     require_alpha(alpha)
     x = _check_logits(logits)
-    return np.exp(x - logsumexp(alpha * x, axis=-1)[..., np.newaxis])
+    logw, top = _log_normalize(x, alpha)
+    # at alpha = 1 the head is softmax, and logw is log_softmax bit for bit
+    return np.exp(logw if alpha == 1.0 else x - top[..., np.newaxis])
 
 
 def _loss(x: np.ndarray, y: np.ndarray, mode: str, alpha: float,

@@ -36,16 +36,13 @@ distributions._pullback).  gradient_terms exposes the two vectors directly;
 the Monte Carlo estimator in optimize samples from them.
 
 Each term has one array kernel, which gives its value and its vector from
-one logsumexp; the subset likelihood and the soft bound share one soft
-minimum (logspace._soft_min_step), and only those two read alpha
-(ObjectiveConfig.reads_alpha).  One dispatch, _step, runs a config's two
-kernels for evaluate, values_at_thetas, gradient_terms and each step of
-optimize.ascend; value-only callers drop the vectors.  The cond-independent
-kernel needs a second logsumexp when the joint support has holes: the
-posterior is normalized over the whole -inf padded row, and numpy sums 8 or
-more entries in 8 partial sums, so the padding's zeros can move the last bit
-of that sum.  The entry points validate: outcome ranges and finite
-parameters once per call, and the support conditions before the kernels run.
+one shifted array (see logspace); the subset likelihood and the soft bound
+share one soft minimum (logspace._soft_min_step), and only those two read
+alpha (ObjectiveConfig.reads_alpha).  One dispatch, _step, runs a config's
+two kernels for evaluate, values_at_thetas, gradient_terms and each step of
+optimize.ascend; value-only callers drop the vectors.  The entry points
+validate: outcome ranges and finite parameters once per call, and the
+support conditions before the kernels run.
 """
 
 from __future__ import annotations
@@ -71,7 +68,7 @@ from .errors import (
     OracleSupportEscapesModel,
     require_alpha,
 )
-from .logspace import NEG_INF, logsumexp, softmax, _log_normalize, _soft_min_step
+from .logspace import NEG_INF, _log_normalize, _soft_min_step
 from .bounds import _on, _soft_bound_step
 
 __all__ = [
@@ -199,16 +196,11 @@ def _independent_step(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
     """log P(M* | M) up to the constant log P(M*), and the posterior given both events.
 
     The value is log sum_v oracle(v) * model(v) / prior(v) over the joint
-    support; one logsumexp gives both when that is the whole range.
+    support, and the posterior is those terms normalized, zero off it.
     """
     joint = supp & (oracle > NEG_INF) & (prior > NEG_INF)
-    terms = model.compress(joint, axis=-1) + oracle[joint] - prior[joint]
-    if joint.all():
-        logpost, value = _log_normalize(terms)
-        return value, np.exp(logpost)
-    logpost = np.full(terms.shape[:-1] + joint.shape, NEG_INF)
-    logpost[..., joint] = terms
-    return logsumexp(terms, axis=-1), softmax(logpost)
+    logpost, value = _log_normalize(model.compress(joint, axis=-1) + oracle[joint] - prior[joint])
+    return value, _on(joint, np.exp(logpost))
 
 
 def _subset_step(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,

@@ -13,6 +13,37 @@ from hypothesis import strategies as st
 from maxprob import FiniteDistribution, OutcomeRange, make_distribution
 
 MAX_WEIGHT = 20
+EPS = np.finfo(float).eps
+
+
+def log_scale(*arrays) -> float:
+    """The largest finite magnitude among the entries of arrays."""
+    a = np.concatenate([np.ravel(np.asarray(x, dtype=float)) for x in arrays])
+    return float(np.abs(a[np.isfinite(a)]).max(initial=0.0))
+
+
+def rounding_bound(scale):
+    """16 eps (1 + scale): the error model of a log-space kernel whose inputs have
+    magnitude up to scale.
+
+    Rounding an input of size |a| moves a log-domain value by about eps |a|, and a
+    weight exp(alpha a - lse) by about eps |alpha| |a|; so a value takes the scale
+    max|a|, and a weight vector max(1, |alpha|) max|a|.  The kernels in
+    tests/reference.py scale before they shift, so their own error grows the same way.
+    """
+    return 16 * EPS * (1.0 + np.asarray(scale, dtype=float))
+
+
+def assert_within_rounding(got, want, scale):
+    """The same dtype, shape and non-finite entries, and finite entries within
+    rounding_bound(scale) of each other; scale broadcasts against want."""
+    got, want = np.asarray(got), np.asarray(want, dtype=float)
+    assert got.dtype == want.dtype and got.shape == want.shape, (got, want)
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite], equal_nan=True), (got, want)
+    err = np.abs(got[finite] - want[finite])
+    bound = np.broadcast_to(rounding_bound(scale), want.shape)[finite]
+    assert (err <= bound).all(), (got, want, err / EPS)
 
 
 def labels_of(n: int) -> tuple[str, ...]:

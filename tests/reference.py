@@ -7,8 +7,9 @@ were before one calm test decided every slice's float edges: only a single
 slice's overflowing shift was silent, and a +inf or NaN entry gave NaN.
 
 A copy of the per-object term bodies and the per-theta loop the package used
-before its terms became array kernels.  The tests require the kernels to
-agree with it bit for bit (np.array_equal), errors included.  It builds on
+before its terms became array kernels, and before logspace shifted before it
+scaled.  The tests require the kernels to agree with it within rounding
+(helpers.rounding_bound), and to raise the same errors.  It builds on
 nothing but FiniteDistribution, OutcomeRange, AscentTrace and the error
 classes, so a change to a kernel can not change the reference with it.
 
@@ -16,7 +17,8 @@ It also keeps the explicit parameterization Jacobian and the ascent loop
 that pulled each gradient back through it: the package slices instead
 (distributions._pullback), and the tests require the two to agree.  The
 same loop with the slice pullback, over evaluate and gradient_terms here,
-is the bitwise oracle for optimize.ascend.  Its
+is the oracle for optimize.ascend; over the package's own, it is ascend bit
+for bit.  Its
 apply_parameterization is a scalar softmax over theta padded with zero
 logits, one family for both constructors.  sigmoid_logp keeps the map the
 sigmoid family had before it became the softmax over (theta, 0): log_sigmoid

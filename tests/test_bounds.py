@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,7 +7,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reference
-from helpers import dist_from_weights, distribution_pairs, distributions, labels_of
+from helpers import (
+    EPS,
+    assert_within_rounding,
+    dist_from_weights,
+    distribution_pairs,
+    distributions,
+    labels_of,
+    log_scale,
+)
 from maxprob import (
     NegativeAlphaOnZeroMass,
     NonFiniteEncountered,
@@ -24,7 +34,7 @@ from maxprob import (
     uniform_distribution,
 )
 from maxprob import logspace
-from maxprob.logspace import NEG_INF, log_softmax, logsumexp, soft_min, softmax
+from maxprob.logspace import NEG_INF, log_softmax, logsumexp, soft_min, softmax, _soft_min_step
 
 
 COIN = OutcomeRange(("H", "T"))
@@ -253,18 +263,70 @@ class TestFloatEdges:
     @given(arrays(float, st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple),
                   elements=st.one_of(st.just(NEG_INF), st.floats(-1e300, 1e300))),
            st.integers(-3, 2))
-    def test_calm_inputs_match_the_reference_bitwise(self, a, axis):
-        """Finite entries within +-1e300 and -inf: the kernel before the calm test."""
+    def test_calm_inputs_match_the_reference(self, a, axis):
+        """Finite entries within +-1e300 and -inf, against the kernel before the calm
+        test: log-sum-exp bit for bit, and log-probabilities, which this kernel takes
+        from the shifted array and that one from the log-sum-exp, within rounding."""
         axis %= a.ndim
-        assert_bits(logspace._logsumexp(a, axis)[0], reference._logsumexp(a, axis)[0])
+        assert_bits(logsumexp(a, axis), reference._logsumexp(a, axis)[0].squeeze(axis))
         try:
             want = reference._log_normalize(a)
         except SumOutOfTolerance:
             with pytest.raises(SumOutOfTolerance):
                 logspace._log_normalize(a)
             return
-        for got_part, want_part in zip(logspace._log_normalize(a), want):
-            assert_bits(got_part, want_part)
+        logp, top = logspace._log_normalize(a)
+        assert_within_rounding(logp, want[0], log_scale(a))
+        assert_bits(top, want[1])
+
+
+def decimal_soft_min(a, alpha):
+    """soft_min(a, alpha) and its weights softmax(-alpha * a), to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = [Decimal(float(x)) for x in a]
+        m, scale = min(exact), Decimal(alpha)
+        terms = [(-scale * (x - m)).exp() for x in exact]
+        total = sum(terms)
+        return float(m - total.ln() / scale), [float(t / total) for t in terms]
+
+
+def decimal_log_softmax(x):
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = [Decimal(float(v)) for v in x]
+        m = max(exact)
+        lse = m + sum((v - m).exp() for v in exact).ln()
+        return [float(v - lse) for v in exact]
+
+
+class TestAccuracy:
+    """The kernels against a 50-digit reference: a value within 4 eps (1 + |value|), a
+    weight within 4 eps.  Scaling after the shift keeps alpha out of the error; scaling
+    first cost each weight about eps alpha max|a|, up to 2.6e8 eps at alpha 1e6 here."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 256.0, 1e6])
+    def test_soft_min_and_its_weights(self, alpha):
+        rng = np.random.default_rng(int(alpha))
+        for k in (2, 3, 8, 64):
+            for center in (0.0, 1.0, -30.0, 700.0):
+                for _ in range(5):
+                    # entries within 10 / alpha of each other, so every weight counts
+                    a = center + rng.uniform(0.0, 10.0, size=k) / alpha
+                    value, weights = decimal_soft_min(a, alpha)
+                    got, got_weights = _soft_min_step(a, alpha)
+                    for v in (got, soft_min(a, alpha)):
+                        assert abs(v - value) <= 4 * EPS * (1 + abs(value)), (a, v, value)
+                    assert np.abs(got_weights - weights).max() <= 4 * EPS, (a, alpha)
+
+    def test_log_softmax(self):
+        rng = np.random.default_rng(1)
+        for k in (2, 3, 8, 64):
+            for center in (0.0, 1.0, -30.0, 700.0, 1e5):
+                for _ in range(5):
+                    x = center + rng.normal(scale=5.0, size=k)
+                    want = np.array(decimal_log_softmax(x))
+                    assert (np.abs(log_softmax(x) - want) <= 4 * EPS * (1 + np.abs(want))).all()
 
 
 class TestAlphaSkeleton:
@@ -305,6 +367,12 @@ class TestAlphaSkeleton:
         chained = alpha_skeleton(alpha_skeleton(d, a), b)
         direct = alpha_skeleton(d, a * b)
         np.testing.assert_allclose(chained.probs, direct.probs, rtol=1e-12, atol=1e-15)
+
+    def test_huge_alpha_keeps_a_uniform_distribution(self):
+        """The shift leaves every entry of a uniform distribution at 0, whatever the alpha."""
+        u = uniform_distribution(OutcomeRange(labels_of(10)))
+        for alpha in (1e308, -1e308):
+            assert_within_rounding(alpha_skeleton(u, alpha).logp, u.logp, np.log(10.0))
 
     @given(distributions(allow_zeros=True), st.sampled_from([0.5, 1.0, 2.0, 16.0]))
     def test_positive_alpha_preserves_argmax(self, d, alpha):

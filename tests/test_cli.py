@@ -7,11 +7,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reference
+from helpers import assert_within_rounding
 from maxprob import (
     AscentConfig,
     NonFiniteEncountered,
@@ -21,6 +22,9 @@ from maxprob import (
     apply_parameterization,
     ascend,
     distribution_from_jsonable,
+    evaluate,
+    max_probability,
+    regularizer_bound,
     run_sweep,
     uniform_distribution,
     values_at_thetas,
@@ -41,7 +45,8 @@ def coin_files(tmp_path):
 
 @pytest.fixture
 def tiny_alpha_files(tmp_path):
-    """A prior and a conditional whose soft minimum overflows -lse / alpha at alpha 1e-320."""
+    """A prior and a conditional whose soft minimum overflowed -lse / alpha at alpha 1e-320,
+    and alpha * (a - m) at 1e308, before the shift came first."""
     prior = tmp_path / "prior.json"
     prior.write_text(json.dumps({"range": ["a", "b", "c"], "probs": [0.01, 0.49, 0.5]}))
     cond = tmp_path / "cond.json"
@@ -549,48 +554,207 @@ class TestSweepCurvesOneCallEach:
         assert summary.read_text() == json.dumps(report_to_jsonable(report)) + "\n"
 
 
-class TestCsvNaN:
-    """A run that would have reached a NaN at its CSV output is NonFiniteEncountered
-    with nothing written.
+def hard_limit(kind, assumption, theta, oracle, prior):
+    """An objective at alpha -> inf for the sigmoid model at theta and a fully supported
+    oracle: each soft minimum is the hard one."""
+    model = apply_parameterization(Parameterization.sigmoid_bernoulli(oracle.range), theta)
+    if assumption == "oracle-subset":
+        likelihood = float(np.min(model.logp - oracle.logp))
+    else:  # the cond-independent likelihood does not read alpha
+        likelihood = evaluate(ObjectiveConfig("likelihood", assumption, 1.0, prior),
+                              model, oracle)
+    if kind == "likelihood":
+        return likelihood
+    return likelihood + max_probability(prior, model).log_max_probability
 
-    Both commands overflow alpha * x at alpha 1e308, which warns; that warning is
-    silenced here.  The log-sum-exp of the overflowed entries then raises at the
-    NaN itself, with no invalid-value warning, before any CSV is formatted;
-    test_nan_raises_before_writing covers the CSV guard."""
 
-    SWEEP = ["sweep-bernoulli", "--theta-star", "1", "--alphas", "1e308", "--grid-step", "4",
-             "--assumption", "oracle-subset"]
+class TestHugeAlpha:
+    """alpha 1e308 gives each command its alpha -> inf limit, with stderr empty: a soft
+    minimum is the hard one, and a skeleton is uniform over the most likely outcomes
+    (the least likely at -1e308)."""
+
+    SWEEP = ["sweep-bernoulli", "--theta-star", "1", "--alphas", "1e308", "--grid-step", "4"]
     OPTIMIZE = ["optimize", "--kind", "likelihood", "--assumption", "oracle-subset",
                 "--alpha", "1e308", "--param", "sigmoid", "--theta0", "3"]
 
-    def check(self, argv, capsys, written=()):
-        with np.errstate(over="ignore"):
-            code, out, err = run(argv, capsys)
-        assert code == 1 and out == ""
-        assert len(err.splitlines()) == 1
-        assert json.loads(err)["error"] == "NonFiniteEncountered"
-        for path in written:
-            assert not path.exists()
+    def test_soft_bound_is_the_bound(self, tiny_alpha_files, capsys):
+        prior, cond = tiny_alpha_files
+        code, out, err = run(["soft-bound", "--alpha", "1e308", "--prior", prior,
+                              "--conditional", cond], capsys)
+        assert code == 0 and err == ""
+        _, hard, _ = run(["bound", "--prior", prior, "--conditional", cond], capsys)
+        assert json.loads(out)["log_value"] == json.loads(hard)["log_value"]
 
-    def test_sweep(self, capsys):
-        self.check(self.SWEEP, capsys)
+    @pytest.mark.parametrize("assumption", ASSUMPTIONS)
+    def test_intersection_adds_the_bound_to_the_likelihood(self, tiny_alpha_files, capsys,
+                                                          assumption):
+        prior, cond = tiny_alpha_files
+        values = {}
+        for kind in KINDS:
+            code, out, err = run(["objective", "--kind", kind, "--assumption", assumption,
+                                  "--alpha", "1e308", "--model", cond, "--oracle", prior,
+                                  "--prior", prior], capsys)
+            assert code == 0 and err == ""
+            values[kind] = json.loads(out)["value"]
+        _, hard, _ = run(["bound", "--prior", prior, "--conditional", cond], capsys)
+        assert values["intersection"] == values["likelihood"] + json.loads(hard)["log_value"]
 
-    def test_sweep_with_out(self, tmp_path, capsys):
-        out, summary = tmp_path / "sweep.csv", tmp_path / "summary.json"
-        self.check(self.SWEEP + ["--out", str(out), "--summary-out", str(summary)], capsys,
-                   (out, summary))
+    @pytest.mark.parametrize("alpha, probs", [("1e308", [1.0, 0, 0]),
+                                              ("-1e308", [0, 0.5, 0.5])])
+    def test_skeleton_is_uniform_over_the_extreme_outcomes(self, tiny_alpha_files, capsys,
+                                                           alpha, probs):
+        _, cond = tiny_alpha_files
+        code, out, err = run(["skeleton", "--alpha", alpha, "--dist", cond], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["probs"] == probs
 
-    def optimize_argv(self, tmp_path):
-        oracle = tmp_path / "oracle.json"
-        oracle.write_text(json.dumps({"range": ["1", "0"], "probs": [0.7, 0.3]}))
-        return self.OPTIMIZE + ["--oracle", str(oracle)]
+    @pytest.mark.parametrize("assumption", ASSUMPTIONS)
+    def test_sweep(self, tmp_path, capsys, assumption):
+        argv = self.SWEEP + ["--assumption", assumption]
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        p = Parameterization.sigmoid_bernoulli()
+        oracle, prior = apply_parameterization(p, 1.0), uniform_distribution(p.range)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert {row["objective"] for row in rows} == set(KINDS)
+        for row in rows:
+            theta = float(row["theta"])
+            assert_within_rounding(float(row["value"]),
+                                   hard_limit(row["objective"], assumption, theta, oracle, prior),
+                                   abs(theta) + 1.0)
+        written, summary = tmp_path / "sweep.csv", tmp_path / "summary.json"
+        assert run(argv + ["--out", str(written), "--summary-out", str(summary)],
+                   capsys) == (0, "", "")
+        assert written.read_text() == out
+        assert len(json.loads(summary.read_text())["curves"]) == len(KINDS)
 
     def test_optimize(self, tmp_path, capsys):
-        self.check(self.optimize_argv(tmp_path), capsys)
+        oracle_path = tmp_path / "oracle.json"
+        oracle_path.write_text(json.dumps({"range": ["1", "0"], "probs": [0.7, 0.3]}))
+        argv = self.OPTIMIZE + ["--oracle", str(oracle_path), "--max-iters", "50"]
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        oracle = distribution_from_jsonable(json.loads(oracle_path.read_text()))
+        prior = uniform_distribution(oracle.range)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 50
+        for row in rows:
+            theta = float(row["theta_0"])
+            assert_within_rounding(float(row["value"]), hard_limit(
+                "likelihood", "oracle-subset", theta, oracle, prior), abs(theta) + 1.0)
+        written = tmp_path / "trace.csv"
+        code, summary, err = run(argv + ["--out", str(written)], capsys)
+        assert code == 0 and err == "" and written.read_text() == out
+        assert json.loads(summary)["status"] == "max_iters"
 
-    def test_optimize_with_out(self, tmp_path, capsys):
-        out = tmp_path / "trace.csv"
-        self.check(self.optimize_argv(tmp_path) + ["--out", str(out)], capsys, (out,))
+    def test_train_toy_keeps_the_regularizer_in_its_bound(self, capsys):
+        code, out, err = run(["train-toy", "--loss", "intersection", "--alpha", "1e308",
+                              "--epochs", "3"], capsys)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        bound = regularizer_bound(report["k"], 1e308)
+        assert all(0.0 <= r["reg_term"] <= bound for r in report["records"])
+
+
+# Payloads for the fuzz test: distributions over two or three outcomes, with zeros,
+# and malformed ones.
+PAYLOADS = [
+    {"range": ["1", "0"], "probs": [0.7, 0.3]},
+    {"range": ["1", "0"], "probs": [1.0, 0]},
+    {"range": ["a", "b", "c"], "probs": [0.01, 0.49, 0.5]},
+    {"range": ["a", "b", "c"], "probs": [0.9, 0.05, 0.05]},
+    {"range": ["a", "b", "c"], "probs": [0, 0, 1]},
+    {"range": ["a", "b"], "probs": [0.5, 0.6]},
+    {"range": ["a", "b"], "probs": [-0.5, 1.5]},
+    {"range": ["a", "a"], "probs": [0.5, 0.5]},
+    {"range": [], "probs": []},
+    {"range": ["a"], "probs": ["1"]},
+    {"probs": [1.0]},
+    [0.5, 0.5],
+    "1e400",
+    "{",
+    "",
+    '{"range": ["a", "b"], "probs": [NaN, 1]}',
+    '{"range": ["a", "b"], "probs": [1e400, 0]}',
+]
+
+alpha_texts = st.builds(lambda sign, magnitude: repr(sign * magnitude),
+                        st.sampled_from([1.0, -1.0]),
+                        st.one_of(st.floats(1e-320, 1e308),
+                                  st.sampled_from([1e-320, 1e-300, 1.0, 1e300, 1e308])))
+count_texts = st.sampled_from(["0", "-1", "-9223372036854775809", "1", "2",
+                               "100000000000", "9223372036854775808"])
+
+
+@st.composite
+def cli_argv(draw, paths):
+    """A subcommand with drawn alphas, counts and payload paths, half of them to the
+    valid payloads; the counts that set the work done (epochs, iterations) stay small,
+    so that every run is quick."""
+    def path():
+        return draw(st.one_of(st.sampled_from(paths[:5]), st.sampled_from(paths)))
+
+    def prior():
+        return draw(st.sampled_from([[], ["--prior", path()]]))
+
+    alpha = draw(alpha_texts)
+    objective = ["--kind", draw(st.sampled_from(KINDS)),
+                 "--assumption", draw(st.sampled_from(ASSUMPTIONS)), "--alpha", alpha]
+    command = draw(st.sampled_from(["bound", "soft-bound", "skeleton", "objective",
+                                    "optimize", "sweep-bernoulli", "train-toy"]))
+    if command == "bound":
+        return [command, "--prior", path(), "--conditional", path()]
+    if command == "soft-bound":
+        return [command, "--alpha", alpha, "--prior", path(), "--conditional", path()]
+    if command == "skeleton":
+        return [command, "--alpha", alpha, "--dist", path()]
+    if command == "objective":
+        return [command, *objective, "--model", path(), "--oracle", path(), *prior()]
+    if command == "optimize":
+        return [command, *objective, "--oracle", path(), *prior(),
+                "--param", draw(st.sampled_from(["sigmoid", "softmax"])),
+                "--max-iters", draw(st.sampled_from(["0", "-1", "3"])),
+                *draw(st.sampled_from([[], ["--dim", draw(count_texts)]]))]
+    if command == "sweep-bernoulli":
+        return [command, *objective[2:], "--theta-star", draw(alpha_texts),
+                "--alphas", f"{alpha},{draw(alpha_texts)}", *prior(),
+                "--grid-step", draw(st.sampled_from(["4", "0", "-1", "1e-300"]))]
+    return [command, "--loss", "intersection", "--alpha", alpha,
+            "--epochs", draw(st.sampled_from(["0", "-1", "1"])),
+            *draw(st.sampled_from([[], ["--classes", draw(count_texts)]])),
+            *draw(st.sampled_from([[], ["--hidden", draw(count_texts)]])),
+            *draw(st.sampled_from([[], ["--batch-size", draw(count_texts)]]))]
+
+
+class TestFuzz:
+    """Every argv ends in exit 0 with stderr empty, exit 1 with one JSON error line on
+    stderr, or exit 2 for a usage error; never in a traceback or a numpy warning (an
+    error under this suite's warning filter)."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("payloads")
+        paths = []
+        for i, payload in enumerate(PAYLOADS):
+            path = folder / f"{i}.json"
+            path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+            paths.append(str(path))
+        return paths
+
+    def test_exit_codes_and_stderr(self, paths):
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(cli_argv(paths))
+        def check(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.dispatch(argv)
+            assert code in (0, 1, 2)
+            if code == 0:
+                assert err.getvalue() == ""
+            elif code == 1:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "detail"}
+        check()
 
 
 # The arguments each subcommand with a float option requires; parsing opens no file, so

@@ -284,11 +284,25 @@ class TestSoftmaxParameterization:
                                                  [0.7, -2.0, 0.0]).logp)
 
     def test_sum_invariant_at_large_logits(self):
-        """The second log-softmax pass keeps |sum p - 1| within SUM_INVARIANT_TOL."""
+        """One log-softmax pass keeps |sum p - 1| within SUM_INVARIANT_TOL: it subtracts
+        log sum exp(x - m) from the shifted x - m, not m + log sum exp(x - m) from x, which
+        lost eps m and reached 7.3e-12 here."""
         p = Parameterization.softmax_logits(64)
-        thetas = 1e5 + np.random.default_rng(3).normal(scale=2.0, size=(200, 64))
+        thetas = 1e5 + np.random.default_rng(3).normal(scale=2.0, size=(2000, 64))
         total = np.exp(_theta_logp(p, thetas)).sum(axis=-1)
         assert np.abs(total - 1.0).max() <= SUM_INVARIANT_TOL
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 64, 512, 2048])
+    def test_sum_invariant_at_every_scale(self, k):
+        """Logits spread across +-scale, and clustered within a few units of +-scale."""
+        rng = np.random.default_rng(k)
+        p = Parameterization.softmax_logits(k)
+        for scale in (1.0, 1e2, 1e5, 1e10, 1e100, 1e300):
+            for sign in (1.0, -1.0):
+                thetas = np.concatenate([scale * rng.uniform(-1.0, 1.0, size=(10, k)),
+                                         sign * scale + rng.normal(scale=3.0, size=(10, k))])
+                total = np.exp(_theta_logp(p, thetas)).sum(axis=-1)
+                assert np.abs(total - 1.0).max() <= SUM_INVARIANT_TOL, (scale, sign)
 
 
 theta_vectors = st.lists(

@@ -9,20 +9,44 @@ import maxprob
 ALLOWED = {("logspace", None), ("nn", "train"), ("distributions", "make_distribution")}
 
 
-def errstate_sites():
-    """(module, enclosing top-level function or None) of every np.errstate in the package."""
+def package_nodes():
+    """(module, enclosing top-level function or None, node) of every node in the package."""
     for path in sorted(Path(maxprob.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             name = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
             for sub in ast.walk(node):
-                if (isinstance(sub, ast.Attribute) and sub.attr == "errstate"
-                        and isinstance(sub.value, ast.Name) and sub.value.id == "np"):
-                    yield path.stem, name
+                yield path.stem, name, sub
+
+
+def errstate_sites():
+    """(module, enclosing top-level function or None) of every np.errstate in the package."""
+    for module, name, node in package_nodes():
+        if (isinstance(node, ast.Attribute) and node.attr == "errstate"
+                and isinstance(node.value, ast.Name) and node.value.id == "np"):
+            yield module, name
+
+
+def is_alpha(node) -> bool:
+    """alpha, x.alpha, or either negated."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return ((isinstance(node, ast.Name) and node.id == "alpha")
+            or (isinstance(node, ast.Attribute) and node.attr == "alpha"))
 
 
 def test_errstate_only_where_allowed():
     sites = set(errstate_sites())
-    assert ("logspace", "_logsumexp") in sites, "no np.errstate found; update this test"
+    assert ("logspace", "_shifted") in sites, "no np.errstate found; update this test"
     stray = sorted(site for site in sites
                    if site not in ALLOWED and (site[0], None) not in ALLOWED)
     assert not stray, f"np.errstate outside logspace, nn.train and make_distribution: {stray}"
+
+
+def test_alpha_scales_mass_only_in_logspace():
+    """logspace shifts before it scales, so that no alpha overflows a product; a product
+    with alpha elsewhere would scale first."""
+    products = sorted((module, name) for module, name, node in package_nodes()
+                      if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                      and (is_alpha(node.left) or is_alpha(node.right)))
+    assert ("logspace", "_shifted") in products, "no alpha product found; update this test"
+    assert {module for module, _ in products} == {"logspace"}, products
