@@ -18,8 +18,8 @@ one outcome v0) attains it at exactly P(v0).
 softmax_probability replaces the hard minimum with a smooth soft-minimum
 controlled by alpha > 0.  It never exceeds the hard bound, is non-decreasing
 in alpha, and converges to the hard bound as alpha grows, which makes it a
-differentiable surrogate suitable for gradient methods.  Its array kernel,
-_soft_bound_step, is also the intersection objective's penalty term.
+differentiable surrogate suitable for gradient methods.  Its term builder,
+_soft_bound_term, is also the intersection objective's penalty term.
 
 alpha_skeleton is the companion transform on distributions: raise mass to
 the alpha power and renormalize, sharpening (alpha > 1) or flattening
@@ -121,24 +121,39 @@ def softmax_probability(prior: FiniteDistribution, conditional: FiniteDistributi
     supp = conditional.support
     if (prior.logp[supp] == NEG_INF).any():
         return NEG_INF  # the event must be null: zero prior mass on a supported outcome
-    return float(_soft_bound_step(conditional.logp, supp, prior.logp, alpha)[0])
+    return float(_soft_bound_term(supp, prior.logp, alpha, gradient=False)(conditional.logp)[0])
 
 
-def _soft_bound_step(conditional: np.ndarray, supp: np.ndarray, prior: np.ndarray,
-                     alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """softmax_probability of each row of conditional (..., K) against prior (K,), and its
-    gradient in the row's log-probabilities, (conditional / prior) ** alpha on supp, normalized.
-    The rows share supp (K,), where the prior must be positive; compress keeps them C-ordered
-    (see the objectives kernels)."""
-    value, w = _soft_min_step(prior[supp] - conditional.compress(supp, axis=-1), alpha)
-    return value, _on(supp, w)
+def _soft_bound_term(supp: np.ndarray, prior: np.ndarray, alpha: float, gradient: bool = True):
+    """The soft bound for conditionals with support mask supp (K,), where the prior must be
+    positive: a kernel giving softmax_probability of each row of a conditional (..., K) and,
+    with gradient, its gradient in the row's log-probabilities, (conditional / prior) **
+    alpha on supp, normalized (else None).  See the objectives term builders."""
+    pick, place = _columns(supp)
+    prior_on = prior[supp]
+
+    def term(conditional: np.ndarray):
+        value, w = _soft_min_step(prior_on - pick(conditional), alpha, gradient)
+        return value, (place(w) if gradient else None)
+    return term
 
 
-def _on(mask: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w (..., mask.sum()) placed on the columns of mask, zero elsewhere."""
-    out = np.zeros(w.shape[:-1] + mask.shape)
-    out[..., mask] = w
-    return out
+def _same(a: np.ndarray) -> np.ndarray:
+    return a
+
+
+def _columns(mask: np.ndarray):
+    """(pick, place) for the columns of mask (K,): pick takes them from rows (..., K) with
+    compress, which keeps the rows C-ordered, and place puts rows (..., mask.sum()) back on
+    them, zero elsewhere.  For a full mask both are the identity."""
+    if mask.all():
+        return _same, _same
+
+    def place(w: np.ndarray) -> np.ndarray:
+        out = np.zeros(w.shape[:-1] + mask.shape)
+        out[..., mask] = w
+        return out
+    return (lambda a: a.compress(mask, axis=-1)), place
 
 
 def alpha_skeleton(dist: FiniteDistribution, alpha: float) -> FiniteDistribution:

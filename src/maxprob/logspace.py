@@ -114,8 +114,9 @@ def soft_min(a, alpha: float, axis=None):
         return (m - lse / alpha).squeeze(axis)
 
 
-def _soft_min_step(a: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """soft_min(a, alpha, axis=-1) and its gradient softmax(-alpha * a), from one shifted array."""
+def _soft_min_step(a: np.ndarray, alpha: float, weights: bool = True):
+    """soft_min(a, alpha, axis=-1) and, with weights, its gradient softmax(-alpha * a) (else
+    None), from one shifted array."""
     s, lse, m, quiet = _shifted(a, -alpha, -1, normalize=True)
     with quiet:
-        return (m - lse / alpha).squeeze(-1), np.exp(s - lse)
+        return (m - lse / alpha).squeeze(-1), (np.exp(s - lse) if weights else None)

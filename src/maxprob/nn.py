@@ -84,6 +84,7 @@ _SIZE_LIMITS = {"k": MAX_TOY_CLASSES, "hidden": MAX_TOY_HIDDEN}
 _N_TRAIN = _N_TEST = 512  # the toy dataset's split sizes
 _RADIUS = 2.0  # the toy blobs' class centers lie on a circle of this radius
 _NOISE = 1.0  # standard deviation of each blob around its center
+_LOG_MAX = float(np.log(np.finfo(float).max))  # the largest x whose exp is finite
 
 
 def _check_logits(logits) -> np.ndarray:
@@ -137,8 +138,11 @@ def hn_forward(logits, alpha: float) -> np.ndarray:
     require_alpha(alpha)
     x = _check_logits(logits)
     logw, top = _log_normalize(x, alpha)
-    # at alpha = 1 the head is softmax, and logw is log_softmax bit for bit
-    return np.exp(logw if alpha == 1.0 else x - top[..., np.newaxis])
+    if alpha == 1.0:
+        return np.exp(logw)  # the head is softmax, and logw is log_softmax bit for bit
+    d = x - top[..., np.newaxis]
+    # below alpha = 1 a head value can pass finfo.max: exp would warn on its limit, inf
+    return np.exp(d, out=np.full(d.shape, np.inf), where=d <= _LOG_MAX)
 
 
 def _loss(x: np.ndarray, y: np.ndarray, mode: str, alpha: float,

@@ -35,14 +35,17 @@ parameterization pulls it back to the parameters by slicing (see
 distributions._pullback).  gradient_terms exposes the two vectors directly;
 the Monte Carlo estimator in optimize samples from them.
 
-Each term has one array kernel, which gives its value and its vector from
+Each term has one builder, which binds the term to the model's support
+mask once, and one kernel, which gives the term's value and its vector from
 one shifted array (see logspace); the subset likelihood and the soft bound
 share one soft minimum (logspace._soft_min_step), and only those two read
-alpha (ObjectiveConfig.reads_alpha).  One dispatch, _step, runs a config's
-two kernels for evaluate, values_at_thetas, gradient_terms and each step of
-optimize.ascend; value-only callers drop the vectors.  The entry points
-validate: outcome ranges and finite parameters once per call, and the
-support conditions before the kernels run.
+alpha (ObjectiveConfig.reads_alpha).  One dispatch, _bind, checks a config's
+support conditions, builds its two terms' masks and constant columns, and
+returns one kernel that does only the arithmetic on the model rows: for
+evaluate, values_at_thetas, gradient_terms, and optimize.ascend, which binds
+again only when the support changes.  Bound for the value alone, the kernel
+builds no vectors.  The entry points validate: outcome ranges and finite
+parameters once per call, and the support conditions when they bind.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from .errors import (
     require_alpha,
 )
 from .logspace import NEG_INF, _log_normalize, _soft_min_step
-from .bounds import _on, _soft_bound_step
+from .bounds import _columns, _soft_bound_term
 
 __all__ = [
     "KINDS",
@@ -119,7 +122,7 @@ class ObjectiveConfig:
 
     @property
     def reads_alpha(self) -> bool:
-        """Whether either term's kernel reads alpha; if not, every alpha gives the same
+        """Whether either term's builder reads alpha; if not, every alpha gives the same
         values bit for bit (see _ALPHA_TERMS)."""
         return not {_LIKELIHOOD_TERMS[self.assumption],
                     _PENALTY_TERMS[self.kind]}.isdisjoint(_ALPHA_TERMS)
@@ -179,32 +182,43 @@ def _ratio_argmax_set(oracle: FiniteDistribution, prior: FiniteDistribution) -> 
     return ratios == np.inf if top == np.inf else ratios >= top - ARGMAX_LOG_TOL
 
 
-# Term kernels.  Each takes the model's log-probabilities (..., K), whose rows
-# share the support mask supp (K,), plus the oracle's and the prior's
-# log-probabilities (K,) and alpha, and returns the term's value (...) and its
-# attraction or repulsion (..., K).  They trust their inputs: _require_supports
-# rules out an empty joint support and a zero-prior outcome the model supports.
+# Term builders.  Each binds one term to the model's support mask supp (K,), the
+# oracle's and the prior's log-probabilities (K,) and alpha: it builds the term's
+# column masks and constant columns once, and returns a kernel that maps the
+# model's log-probabilities (..., K), whose rows share supp, to the term's value
+# (...) and, with gradient, its attraction or repulsion (..., K) (else None).
+# They trust their inputs: _require_supports rules out an empty joint support
+# and a zero-prior outcome the model supports.
 #
-# Columns are selected with compress, which keeps the rows C-ordered: each
-# row then sums in the same order as a single 1-D row, so a batch of models
-# gives bit for bit the values of one model at a time.  model[..., supp] on a
-# 2-D model gives a column-major copy whose row sums can differ in the last bit.
+# A kernel picks its columns with compress (bounds._columns), which keeps the rows
+# C-ordered: each row then sums in the same order as a single 1-D row, so a batch
+# of models gives bit for bit the values of one model at a time.  model[..., supp]
+# on a 2-D model gives a column-major copy whose row sums can differ in the last
+# bit.  Where a mask is full, the pick and the placement of the vector are the
+# identity, decided at bind time: every caller's model is C-ordered already.  A
+# kernel adds its constant columns one at a time, pick(model) + oracle - prior:
+# folding them into one column at bind time would round differently.
 
 
-def _independent_step(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
-                      prior: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def _independent_term(supp: np.ndarray, oracle: np.ndarray, prior: np.ndarray,
+                      alpha: float, gradient: bool = True):
     """log P(M* | M) up to the constant log P(M*), and the posterior given both events.
 
     The value is log sum_v oracle(v) * model(v) / prior(v) over the joint
     support, and the posterior is those terms normalized, zero off it.
     """
     joint = supp & (oracle > NEG_INF) & (prior > NEG_INF)
-    logpost, value = _log_normalize(model.compress(joint, axis=-1) + oracle[joint] - prior[joint])
-    return value, _on(joint, np.exp(logpost))
+    pick, place = _columns(joint)
+    oracle_on, prior_on = oracle[joint], prior[joint]
+
+    def term(model: np.ndarray):
+        logpost, value = _log_normalize(pick(model) + oracle_on - prior_on)
+        return value, (place(np.exp(logpost)) if gradient else None)
+    return term
 
 
-def _subset_step(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
-                 prior: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def _subset_term(supp: np.ndarray, oracle: np.ndarray, prior: np.ndarray,
+                 alpha: float, gradient: bool = True):
     """Soft minimum over the oracle's support of log model(v) - log oracle(v), and the
     attraction (oracle/model) ** alpha there, normalized.
 
@@ -213,45 +227,57 @@ def _subset_step(model: np.ndarray, supp: np.ndarray, oracle: np.ndarray,
     the hard minimum as alpha grows.
     """
     osupp = oracle > NEG_INF
-    value, w = _soft_min_step(model.compress(osupp, axis=-1) - oracle[osupp], alpha)
-    return value, _on(osupp, w)
+    pick, place = _columns(osupp)
+    oracle_on = oracle[osupp]
+
+    def term(model: np.ndarray):
+        value, w = _soft_min_step(pick(model) - oracle_on, alpha, gradient)
+        return value, (place(w) if gradient else None)
+    return term
 
 
-_LIKELIHOOD_TERMS = {"cond-independent": _independent_step, "oracle-subset": _subset_step}
-
-_PENALTY_TERMS = {
+def _no_penalty(supp: np.ndarray, prior: np.ndarray, alpha: float, gradient: bool = True):
+    """The likelihood kind's penalty: none, and the model itself as the repulsion."""
     # -0.0, not 0.0: x + -0.0 is x bit for bit, including x = -0.0; a scalar broadcasts
-    "likelihood": lambda model, supp, prior, alpha: (-0.0, np.exp(model)),
-    "intersection": _soft_bound_step,
-}
+    return lambda model: (-0.0, np.exp(model) if gradient else None)
 
-# The kernels that read alpha: both soft minima.  A config with neither term here,
+
+_LIKELIHOOD_TERMS = {"cond-independent": _independent_term, "oracle-subset": _subset_term}
+
+_PENALTY_TERMS = {"likelihood": _no_penalty, "intersection": _soft_bound_term}
+
+# The builders that read alpha: both soft minima.  A config with neither term here,
 # the cond-independent likelihood, is alpha-free (ObjectiveConfig.reads_alpha).
-_ALPHA_TERMS = frozenset({_subset_step, _soft_bound_step})
+_ALPHA_TERMS = frozenset({_subset_term, _soft_bound_term})
 
 
-def _step(config: ObjectiveConfig, model: np.ndarray, supp: np.ndarray,
-          oracle: np.ndarray, gradient: bool = True
-          ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-    """Objective value, attraction and repulsion of each row of model (..., K), whose
-    rows share supp; with gradient false, the -inf values and no vectors where only
-    the value is defined (see _require_supports)."""
+def _bind(config: ObjectiveConfig, supp: np.ndarray, oracle: np.ndarray,
+          gradient: bool = True):
+    """config's kernel for models whose rows share the support mask supp, against the
+    oracle's log-probabilities: model (..., K) -> (value, attraction, repulsion), the
+    vectors None without gradient.  The support conditions are checked here, once (see
+    _require_supports); where only the value is defined, the kernel gives -inf values."""
     if _require_supports(config, supp, oracle, gradient):
-        return np.full(model.shape[:-1], NEG_INF), None, None
+        return lambda model: (np.full(model.shape[:-1], NEG_INF), None, None)
     prior, alpha = config.prior.logp, config.alpha
-    lik, attraction = _LIKELIHOOD_TERMS[config.assumption](model, supp, oracle, prior, alpha)
-    penalty, repulsion = _PENALTY_TERMS[config.kind](model, supp, prior, alpha)
-    return lik + penalty, attraction, repulsion
+    likelihood = _LIKELIHOOD_TERMS[config.assumption](supp, oracle, prior, alpha, gradient)
+    penalty = _PENALTY_TERMS[config.kind](supp, prior, alpha, gradient)
+
+    def kernel(model: np.ndarray):
+        lik, attraction = likelihood(model)
+        pen, repulsion = penalty(model)
+        return lik + pen, attraction, repulsion
+    return kernel
 
 
 def _values_of_rows(config: ObjectiveConfig, oracle: FiniteDistribution,
                     model: np.ndarray) -> np.ndarray:
     """Objective value of each model row (N, K), rows of any support."""
     if (model > NEG_INF).all():
-        return _step(config, model, np.ones(model.shape[-1], dtype=bool), oracle.logp,
-                     gradient=False)[0]
+        return _bind(config, np.ones(model.shape[-1], dtype=bool), oracle.logp,
+                     gradient=False)(model)[0]
     # a logit gap beyond the float range zeroes an outcome: rows differ in support
-    return np.array([_step(config, row, row > NEG_INF, oracle.logp, gradient=False)[0]
+    return np.array([_bind(config, row > NEG_INF, oracle.logp, gradient=False)(row)[0]
                      for row in model])
 
 
@@ -260,7 +286,7 @@ def evaluate(config: ObjectiveConfig, model: FiniteDistribution,
     """Likelihood term for config.assumption plus penalty term for config.kind, up to
     config.dropped_constant_terms."""
     _require_ranges(model.range, oracle, config.prior)
-    return float(_step(config, model.logp, model.support, oracle.logp, gradient=False)[0])
+    return float(_bind(config, model.support, oracle.logp, gradient=False)(model.logp)[0])
 
 
 def values_at_thetas(config: ObjectiveConfig, oracle: FiniteDistribution,
@@ -284,7 +310,7 @@ def gradient_terms(config: ObjectiveConfig, model: FiniteDistribution,
     estimator samples one empirical distribution from each.
     """
     _require_ranges(model.range, oracle, config.prior)
-    _, attraction, repulsion = _step(config, model.logp, model.support, oracle.logp)
+    _, attraction, repulsion = _bind(config, model.support, oracle.logp)(model.logp)
     return attraction, repulsion
 
 

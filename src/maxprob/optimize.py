@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .distributions import (FiniteDistribution, Parameterization, apply_paramete
 from .errors import DimensionMismatch, InvalidSetting, NonFiniteParameter
 from .logspace import NEG_INF
 from .objectives import (GradientVector, ObjectiveConfig, gradient_at_theta, gradient_terms,
-                         value_at_theta, _step)
+                         values_at_thetas, _bind)
 
 __all__ = [
     "DIVERGENCE_THETA_BOUND",
@@ -103,21 +103,27 @@ def ascend(config: ObjectiveConfig, oracle: FiniteDistribution, p: Parameterizat
 
     theta0 and the outcome ranges are checked once, with the errors
     value_at_theta raises.  Each iteration then maps theta to
-    log-probabilities once and makes one call to the objective's step
-    dispatch on that row for the value and both gradient vectors; the
-    support conditions are checked on every iteration, since a logit gap
-    that overflows can zero an outcome.  Each iteration records value and
-    gradient norm before deciding to stop, so the trace always contains the
-    final iterate.  A point already at grad_tol converges on the first
-    iteration without stepping.
+    log-probabilities once and makes one call to the objective's kernel on
+    that row for the value and both gradient vectors.  The kernel is bound
+    to the row's support mask (objectives._bind, which checks the support
+    conditions) on the first iteration, and again only on an iteration
+    whose mask differs from the last one bound: a logit gap that overflows
+    can zero an outcome.  Each iteration records value and gradient norm
+    before deciding to stop, so the trace always contains the final
+    iterate.  A point already at grad_tol converges on the first iteration
+    without stepping.
     """
     theta = _check_theta(p, theta0)
     _require_ranges(p.range, oracle, config.prior)
     thetas, values, norms = [], [], []
     status = "max_iters"
+    bound_supp = None
     for _ in range(cfg.max_iters):
         logp = _theta_logp(p, theta[np.newaxis])[0]
-        value, attract, repulse = _step(config, logp, logp > NEG_INF, oracle.logp)
+        supp = logp > NEG_INF
+        if supp.tobytes() != bound_supp:
+            kernel, bound_supp = _bind(config, supp, oracle.logp), supp.tobytes()
+        value, attract, repulse = kernel(logp)
         value = float(value)
         d_theta = _pullback(p, attract - repulse)
         gnorm = float(abs(d_theta).max())
@@ -161,20 +167,34 @@ def mc_gradient(config: ObjectiveConfig, oracle: FiniteDistribution, p: Paramete
 
 
 def fd_gradient(value_fn: Callable[[np.ndarray], float], theta, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a scalar function of theta; h may be negative."""
+    """Central finite differences of a scalar function of theta; h may be negative.
+    value_fn is called on one stencil row at a time (see _central_differences)."""
+    return _central_differences(lambda rows: [value_fn(row) for row in rows], theta, h)
+
+
+def _central_differences(values_fn: Callable[[Iterator[np.ndarray]], Sequence[float]], theta,
+                         h: float) -> np.ndarray:
+    """Central finite differences from one call of values_fn, which gives the values of
+    the 2 * dim stencil rows, theta + h e_j and then theta - h e_j for each j in turn.
+    The rows come one fresh array at a time, so a caller that takes them one by one
+    holds O(dim) floats, not the whole stencil."""
     if not math.isfinite(h):
         raise NonFiniteParameter(f"h must be finite, got {h!r}")
     if h == 0:
         raise InvalidSetting("h must be nonzero")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    out = np.empty_like(theta)
-    for j in range(theta.size):
-        up = theta.copy()
-        dn = theta.copy()
-        up[j] += h
-        dn[j] -= h
-        out[j] = (value_fn(up) - value_fn(dn)) / (2.0 * h)
-    return out
+
+    def rows():
+        for j in range(theta.size):
+            for step in (h, -h):  # x + -h is x - h bit for bit
+                row = theta.copy()
+                row[j] += step
+                yield row
+    values = values_fn(rows())
+    # one entry at a time, in the values' own type: Python floats overflow to inf, and
+    # subtract inf from inf, without numpy's warnings, as the per-coordinate loop did
+    return np.array([(up - dn) / (2.0 * h) for up, dn in zip(values[0::2], values[1::2])],
+                    dtype=float)
 
 
 def finite_difference_check(config: ObjectiveConfig, oracle: FiniteDistribution,
@@ -183,10 +203,11 @@ def finite_difference_check(config: ObjectiveConfig, oracle: FiniteDistribution,
 
     Per coordinate the error is |fd - analytic| / max(1e-12, |analytic|, |fd|),
     so a uniformly zero gradient compares at absolute scale instead of blowing
-    up the ratio.
+    up the ratio.  The stencil's values come from one values_at_thetas call.
     """
     analytic = gradient_at_theta(config, oracle, p, theta).d_theta
-    fd = fd_gradient(lambda t: value_at_theta(config, oracle, p, t), theta, h)
+    fd = _central_differences(lambda rows: values_at_thetas(config, oracle, p, list(rows)),
+                              theta, h)
     denom = np.maximum(1e-12, np.maximum(np.abs(analytic), np.abs(fd)))
     return float(np.max(np.abs(fd - analytic) / denom))
 

@@ -24,6 +24,16 @@ logits, one family for both constructors.  sigmoid_logp keeps the map the
 sigmoid family had before it became the softmax over (theta, 0): log_sigmoid
 of theta and of -theta.  The tests hold the two within one ulp.
 
+It keeps optimize.ascend as it was before the objective was bound to a
+support once: ascend_stepwise calls _step on every iteration, which checks
+the support conditions and rebuilds every mask and constant column from the
+model's support.  Unlike the scalar reference above it runs on the
+package's logspace kernels, _theta_logp and _pullback, so the tests require
+ascend to match it bit for bit.  fd_gradient keeps the finite-difference
+loop that made two value calls per coordinate, before one call of a rows
+function took the whole stencil; the tests require the two to agree bit for
+bit.
+
 The old bodies computed log model + log oracle - log prior before masking;
 on an outcome none of the three supports that is -inf - -inf, so they run
 under np.errstate(invalid="ignore") here.
@@ -49,6 +59,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 
 import numpy as np
 
@@ -64,7 +75,8 @@ from maxprob import (
     TrainReport,
 )
 from maxprob.bernoulli import PLATEAU_RUN, PLATEAU_TOL
-from maxprob.distributions import _check_theta
+from maxprob import logspace
+from maxprob.distributions import _check_theta, _pullback, _require_ranges, _theta_logp
 from maxprob.nn import EpochRecord
 from maxprob.optimize import DIVERGENCE_THETA_BOUND
 
@@ -297,6 +309,109 @@ def ascend_sliced(config, oracle, p, theta0, cfg) -> AscentTrace:
         attract, repulse = gradient_terms(config, model, oracle)
         return value, (attract - repulse)[:p.dim]
     return _ascent_loop(step, theta0, cfg)
+
+
+def fd_gradient(value_fn, theta, h=1e-5) -> np.ndarray:
+    """Central differences, coordinate by coordinate: value_fn(theta + h e_j), then
+    value_fn(theta - h e_j)."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    out = np.empty_like(theta)
+    for j in range(theta.size):
+        up = theta.copy()
+        dn = theta.copy()
+        up[j] += h
+        dn[j] -= h
+        out[j] = (value_fn(up) - value_fn(dn)) / (2.0 * h)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The per-step objective dispatch
+
+
+def _require_supports(config, supp, oracle, gradient) -> bool:
+    prior = config.prior.logp
+    if config.assumption == "oracle-subset":
+        if ((oracle > NEG_INF) & ~supp).any():
+            raise OracleSupportEscapesModel(
+                "subset assumption requires the model to support every oracle outcome")
+    elif not (supp & (oracle > NEG_INF) & (prior > NEG_INF)).any():
+        if gradient:
+            raise EmptyIntersectionSupport(
+                "model, oracle, and prior share no supported outcome; the joint event is null")
+        return True
+    if config.kind == "intersection" and (supp & (prior == NEG_INF)).any():
+        if gradient:
+            raise NonFiniteEncountered(
+                "model mass on a zero-prior outcome makes the soft bound -inf; gradient undefined")
+        return True
+    return False
+
+
+def _on(mask, w) -> np.ndarray:
+    out = np.zeros(w.shape[:-1] + mask.shape)
+    out[..., mask] = w
+    return out
+
+
+def _independent_step(model, supp, oracle, prior, alpha):
+    joint = supp & (oracle > NEG_INF) & (prior > NEG_INF)
+    logpost, value = logspace._log_normalize(
+        model.compress(joint, axis=-1) + oracle[joint] - prior[joint])
+    return value, _on(joint, np.exp(logpost))
+
+
+def _subset_step(model, supp, oracle, prior, alpha):
+    osupp = oracle > NEG_INF
+    value, w = logspace._soft_min_step(model.compress(osupp, axis=-1) - oracle[osupp], alpha)
+    return value, _on(osupp, w)
+
+
+def _soft_bound_step(conditional, supp, prior, alpha):
+    value, w = logspace._soft_min_step(prior[supp] - conditional.compress(supp, axis=-1), alpha)
+    return value, _on(supp, w)
+
+
+_STEP_LIKELIHOOD = {"cond-independent": _independent_step, "oracle-subset": _subset_step}
+
+_STEP_PENALTY = {
+    "likelihood": lambda model, supp, prior, alpha: (-0.0, np.exp(model)),
+    "intersection": _soft_bound_step,
+}
+
+
+def _step(config, model, supp, oracle, gradient=True):
+    if _require_supports(config, supp, oracle, gradient):
+        return np.full(model.shape[:-1], NEG_INF), None, None
+    prior, alpha = config.prior.logp, config.alpha
+    lik, attraction = _STEP_LIKELIHOOD[config.assumption](model, supp, oracle, prior, alpha)
+    penalty, repulsion = _STEP_PENALTY[config.kind](model, supp, prior, alpha)
+    return lik + penalty, attraction, repulsion
+
+
+def ascend_stepwise(config, oracle, p, theta0, cfg) -> AscentTrace:
+    """optimize.ascend with one _step call, support checks included, per iteration."""
+    theta = _check_theta(p, theta0)
+    _require_ranges(p.range, oracle, config.prior)
+    thetas, values, norms = [], [], []
+    status = "max_iters"
+    for _ in range(cfg.max_iters):
+        logp = _theta_logp(p, theta[np.newaxis])[0]
+        value, attract, repulse = _step(config, logp, logp > NEG_INF, oracle.logp)
+        value = float(value)
+        d_theta = _pullback(p, attract - repulse)
+        gnorm = float(abs(d_theta).max())
+        thetas.append(theta)
+        values.append(value)
+        norms.append(gnorm)
+        if math.isnan(value) or math.isnan(gnorm) or abs(theta).max() > DIVERGENCE_THETA_BOUND:
+            status = "diverged"
+            break
+        if gnorm <= cfg.grad_tol:
+            status = "converged"
+            break
+        theta = theta + cfg.step_size * d_theta
+    return AscentTrace(np.array(thetas), np.array(values), np.array(norms), status)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,11 @@ class TestHnForward:
         """exp(x_i) / sum_j exp(alpha x_j) tends to 0 for logits above 0."""
         np.testing.assert_array_equal(hn_forward([[1.0, 2.0, 3.0]], 1e308), [[0.0, 0.0, 0.0]])
 
+    def test_overflowing_head_value_is_inf_without_a_warning(self):
+        """At alpha 0.5, exp(2000) / exp(1000) passes finfo.max; its limit is inf."""
+        np.testing.assert_array_equal(hn_forward([[2000.0, 0.0]], 0.5), [[np.inf, 0.0]])
+        assert hn_forward([[1400.0, 0.0]], 0.5)[0, 0] == np.exp(700.0)  # finite, still exp
+
     def test_rejects_non_finite_logits(self):
         with pytest.raises(NonFiniteLogits):
             hn_forward(np.array([1.0, np.nan]), 2.0)

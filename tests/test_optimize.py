@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import reference
-from helpers import distribution_triples, labels_of, rounding_bound
+from helpers import (alphas, dist_from_weights, distribution_triples, labels_of,
+                     rounding_bound, weight_lists)
 from maxprob import (
     AscentConfig,
     DimensionMismatch,
+    DomainError,
     InvalidSetting,
     NonFiniteParameter,
     ObjectiveConfig,
@@ -26,7 +30,9 @@ from maxprob import (
     make_distribution,
     mc_gradient,
     uniform_distribution,
+    value_at_theta,
 )
+from maxprob import optimize
 from maxprob.objectives import ASSUMPTIONS, KINDS
 
 SIGMOID = Parameterization.sigmoid_bernoulli()
@@ -245,6 +251,106 @@ class TestAscendValidation:
             ascend(config, oracle, p, [1e308, -1e308])
 
 
+def run_or_error(run, *args):
+    """run's trace, or the class of the DomainError it raised."""
+    try:
+        return run(*args)
+    except DomainError as exc:
+        return type(exc)
+
+
+def count_binds(monkeypatch) -> list:
+    """The support mask of every objective bind that ascend makes from now on."""
+    masks = []
+    bind = optimize._bind
+
+    def counting(config, supp, *args, **kwargs):
+        masks.append(supp.copy())
+        return bind(config, supp, *args, **kwargs)
+    monkeypatch.setattr(optimize, "_bind", counting)
+    return masks
+
+
+THETA_ENTRIES = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([1e308, -1e308, 3e307]))
+
+
+@st.composite
+def ascent_cases(draw):
+    """(config, oracle, p, theta0, cfg) over every cell, a sigmoid or a softmax at K in
+    {2, 3, 16}, exact zeros in the oracle and the prior, and steps up to 1.5e308."""
+    k = draw(st.sampled_from([2, 3, 16]))
+    p = (Parameterization.sigmoid_bernoulli(OutcomeRange(labels_of(2)))
+         if k == 2 and draw(st.booleans()) else Parameterization.softmax_logits(k))
+    prior = dist_from_weights(draw(weight_lists(k, allow_zeros=draw(st.booleans()))))
+    oracle = dist_from_weights(draw(weight_lists(k, allow_zeros=True)))
+    alpha = draw(st.one_of(alphas, st.sampled_from([1e-3, 256.0, 1e308])))
+    config = ObjectiveConfig(draw(st.sampled_from(KINDS)), draw(st.sampled_from(ASSUMPTIONS)),
+                             alpha, prior)
+    theta0 = draw(st.lists(THETA_ENTRIES, min_size=p.dim, max_size=p.dim))
+    step = draw(st.sampled_from([0.1, 1.0, 3.0, 1e3, 1.5e308]))
+    return config, oracle, p, theta0, AscentConfig(step_size=step, max_iters=25)
+
+
+class TestAscendMatchesStepwise:
+    """ascend binds the objective once per support; reference.ascend_stepwise runs the
+    per-step dispatch that checked and masked on every iteration.  Bit for bit, or the
+    same error."""
+
+    @given(ascent_cases())
+    def test_drawn_runs(self, case):
+        got = run_or_error(ascend, *case)
+        want = run_or_error(reference.ascend_stepwise, *case)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert_bitwise_run(got, want)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("assumption", ASSUMPTIONS)
+    def test_support_changes_mid_run(self, kind, assumption, monkeypatch):
+        """The second iterate's logit gap passes finfo.max: the support goes 111 -> 101."""
+        p = Parameterization.softmax_logits(3)
+        oracle = make_distribution(p.range, [0.98, 0.01, 0.01])
+        case = (ObjectiveConfig(kind, assumption, 2.0, uniform_distribution(p.range)),
+                oracle, p, [0.0, 3.0, 0.0], AscentConfig(step_size=1.5e308, max_iters=20))
+        masks = count_binds(monkeypatch)
+        got = run_or_error(ascend, *case)
+        assert [m.tolist() for m in masks] == [[True, True, True], [True, False, True]]
+        want = run_or_error(reference.ascend_stepwise, *case)
+        if assumption == "oracle-subset":
+            assert got is want is OracleSupportEscapesModel
+        else:
+            assert got.status == "diverged" and got.iterations == 2
+            assert_bitwise_run(got, want)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("assumption", ASSUMPTIONS)
+    def test_holed_support_from_the_start(self, kind, assumption):
+        p = Parameterization.softmax_logits(3)
+        oracle = make_distribution(p.range, [0.98, 0.01, 0.01])
+        case = (ObjectiveConfig(kind, assumption, 2.0, uniform_distribution(p.range)),
+                oracle, p, [1e308, -1e308, 0.0], AscentConfig(step_size=1.0, max_iters=20))
+        got = run_or_error(ascend, *case)
+        want = run_or_error(reference.ascend_stepwise, *case)
+        if assumption == "oracle-subset":
+            assert got is want is OracleSupportEscapesModel
+        else:
+            assert_bitwise_run(got, want)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("assumption", ASSUMPTIONS)
+    def test_a_fit_binds_once(self, kind, assumption, monkeypatch):
+        """A fit-small ascent (sigmoid, step 1, 400 steps) keeps its support: one bind."""
+        oracle = apply_parameterization(SIGMOID, 1.25)
+        config = ObjectiveConfig(kind, assumption, 2.0, UNIFORM2)
+        cfg = AscentConfig(step_size=1.0, max_iters=400, grad_tol=1e-10)
+        masks = count_binds(monkeypatch)
+        trace = ascend(config, oracle, SIGMOID, 0.0, cfg)
+        assert len(masks) == 1
+        if (kind, assumption) == ("likelihood", "cond-independent"):
+            assert trace.iterations == 400
+
+
 class TestMCGradient:
     def setup_method(self):
         self.config = ObjectiveConfig("intersection", "cond-independent", 2.0, UNIFORM2)
@@ -287,6 +393,21 @@ class TestFiniteDifferences:
         np.testing.assert_array_equal(fd_gradient(f, [1.0, -2.0], -1e-5),
                                       fd_gradient(f, [1.0, -2.0], 1e-5))
 
+    def test_infinite_values_difference_silently(self):
+        """Python floats subtract inf from inf, and overflow, without a warning."""
+        assert np.isnan(fd_gradient(lambda t: float("-inf"), [0.0])).all()
+        assert fd_gradient(lambda t: float(t[0]) * 1e298, [0.0], 1e10)[0] == np.inf
+
+    def test_scalar_form_holds_one_stencil_row_at_a_time(self):
+        """At dim 2048 the whole stencil is 4096 x 2048 floats (64 MiB)."""
+        tracemalloc.start()
+        try:
+            fd_gradient(lambda t: float(t.sum()), np.zeros(2048))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     @pytest.mark.parametrize("h, error", [(0.0, InvalidSetting), (-0.0, InvalidSetting),
                                           (np.nan, NonFiniteParameter),
                                           (np.inf, NonFiniteParameter)])
@@ -311,6 +432,34 @@ class TestFiniteDifferences:
                 # points; formula correctness there is covered by continuity
                 continue
             assert finite_difference_check(config, oracle, p, theta) <= 1e-6
+
+
+    @given(st.sampled_from(KINDS), st.sampled_from(ASSUMPTIONS), alphas,
+           st.integers(1, 6), st.lists(st.floats(-4.0, 4.0), min_size=6, max_size=6),
+           st.sampled_from([1e-5, -1e-5, 1e-3, 0.5]))
+    def test_stencil_matches_the_coordinate_loop(self, kind, assumption, alpha, k, theta, h):
+        """One values_at_thetas call on the stencil gives the loop's differences bit for
+        bit, and the scalar form calls value_fn in the loop's order."""
+        p = SIGMOID if k == 1 else Parameterization.softmax_logits(k)
+        theta = np.array(theta[:p.dim])
+        oracle = apply_parameterization(p, -theta[::-1])
+        config = ObjectiveConfig(kind, assumption, alpha, uniform_distribution(p.range))
+        calls = []
+
+        def value_fn(t):
+            calls.append(t.copy())
+            return value_at_theta(config, oracle, p, t)
+        want = reference.fd_gradient(value_fn, theta, h)
+        want_calls, calls[:] = list(calls), []
+        assert fd_gradient(value_fn, theta, h).tobytes() == want.tobytes()
+        assert np.array_equal(calls, want_calls)
+        got = optimize._central_differences(
+            lambda rows: optimize.values_at_thetas(config, oracle, p, list(rows)), theta, h)
+        assert got.tobytes() == want.tobytes()
+        analytic = gradient_at_theta(config, oracle, p, theta).d_theta
+        worst = np.max(np.abs(want - analytic)
+                       / np.maximum(1e-12, np.maximum(np.abs(analytic), np.abs(want))))
+        assert finite_difference_check(config, oracle, p, theta, h) == worst
 
 
 class TestGridArgmax:
