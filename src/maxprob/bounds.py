@@ -41,17 +41,16 @@ from .distributions import (
     FiniteDistribution,
     Label,
     Refinement,
-    SUM_REJECT_TOL,
     coarsen,
+    _check_probs,
     _require_ranges,
 )
 from .errors import (
     LabelOutOfRange,
     NegativeAlphaOnZeroMass,
-    NegativeMass,
+    NonFiniteEncountered,
     NonFiniteParameter,
     SpaceTooLarge,
-    SumOutOfTolerance,
     require_alpha,
 )
 from .logspace import NEG_INF, _log_normalize, _soft_min_step
@@ -118,19 +117,23 @@ def softmax_probability(prior: FiniteDistribution, conditional: FiniteDistributi
     """
     require_alpha(alpha)
     _require_ranges(prior.range, conditional)
-    supp = conditional.support
-    if (prior.logp[supp] == NEG_INF).any():
-        return NEG_INF  # the event must be null: zero prior mass on a supported outcome
-    return float(_soft_bound_term(supp, prior.logp, alpha, gradient=False)(conditional.logp)[0])
+    term = _soft_bound_term(conditional.support, prior.logp, alpha, gradient=False)
+    return NEG_INF if term is None else float(term(conditional.logp)[0])
 
 
 def _soft_bound_term(supp: np.ndarray, prior: np.ndarray, alpha: float, gradient: bool = True):
-    """The soft bound for conditionals with support mask supp (K,), where the prior must be
-    positive: a kernel giving softmax_probability of each row of a conditional (..., K) and,
-    with gradient, its gradient in the row's log-probabilities, (conditional / prior) **
-    alpha on supp, normalized (else None).  See the objectives term builders."""
-    pick, place = _columns(supp)
+    """The soft bound for conditionals with support mask supp (K,): a kernel giving
+    softmax_probability of each row of a conditional (..., K) and, with gradient, its
+    gradient in the row's log-probabilities, (conditional / prior) ** alpha on supp,
+    normalized (else None).  Zero prior mass on supp makes the event null and the bound
+    -inf: NonFiniteEncountered with gradient, else None.  See the objectives term builders."""
     prior_on = prior[supp]
+    if (prior_on == NEG_INF).any():
+        if gradient:
+            raise NonFiniteEncountered(
+                "model mass on a zero-prior outcome makes the soft bound -inf; gradient undefined")
+        return None
+    pick, place = _columns(supp)
 
     def term(conditional: np.ndarray):
         value, w = _soft_min_step(prior_on - pick(conditional), alpha, gradient)
@@ -219,10 +222,7 @@ def exhaustive_bound_oracle(atom_probs: Sequence[float], variable_map: Sequence[
     n = p.size
     if n > MAX_ORACLE_ATOMS:
         raise SpaceTooLarge(f"{n} atoms would need 2**{n} subsets; cap is {MAX_ORACLE_ATOMS}")
-    if np.any(p < 0):
-        raise NegativeMass("atom probabilities must be non-negative")
-    if abs(float(p.sum()) - 1.0) > SUM_REJECT_TOL:
-        raise SumOutOfTolerance(f"atom probabilities sum to {float(p.sum())!r}")
+    _check_probs(p)
     if len(variable_map) != n:
         raise LabelOutOfRange("variable_map must assign an outcome to every atom")
     cols = np.array([conditional.range.index(lab) for lab in variable_map], dtype=int)

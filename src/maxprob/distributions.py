@@ -146,6 +146,19 @@ class FiniteDistribution:
         return self._logp > NEG_INF
 
 
+def _check_probs(p: np.ndarray) -> float:
+    """The sum of the linear probabilities p, once every entry is finite and non-negative
+    and the sum lies within SUM_REJECT_TOL of 1."""
+    if not np.isfinite(p).all():
+        raise NonFiniteEncountered(f"non-finite probability entries: {p[~np.isfinite(p)]!r}")
+    if np.any(p < 0):
+        raise NegativeMass(f"negative probability entries: {p[p < 0]!r}")
+    total = float(p.sum())
+    if not abs(total - 1.0) <= SUM_REJECT_TOL:
+        raise SumOutOfTolerance(f"probabilities sum to {total!r}, beyond tolerance {SUM_REJECT_TOL}")
+    return total
+
+
 def make_distribution(rng: OutcomeRange | Sequence[Label], probs: Sequence[float],
                       ) -> FiniteDistribution:
     """Construct a distribution from linear-space probabilities.
@@ -161,13 +174,7 @@ def make_distribution(rng: OutcomeRange | Sequence[Label], probs: Sequence[float
     if p.shape != (len(rng),):
         raise DimensionMismatch(
             f"probability vector has shape {p.shape}, range has {len(rng)} outcomes")
-    if not np.isfinite(p).all():
-        raise NonFiniteEncountered(f"non-finite probability entries: {p[~np.isfinite(p)]!r}")
-    if np.any(p < 0):
-        raise NegativeMass(f"negative probability entries: {p[p < 0]!r}")
-    total = float(p.sum())
-    if not abs(total - 1.0) <= SUM_REJECT_TOL:
-        raise SumOutOfTolerance(f"probabilities sum to {total!r}, beyond tolerance {SUM_REJECT_TOL}")
+    total = _check_probs(p)
     with np.errstate(divide="ignore"):
         logp = np.log(p)  # exact -inf sentinel for zero entries
     return FiniteDistribution(rng, logp - np.log(total))

@@ -95,6 +95,15 @@ def _log_normalize(x: np.ndarray, alpha: float = 1.0) -> tuple[np.ndarray, np.nd
         return s - lse, (alpha * m + lse).squeeze(-1)
 
 
+def _minus_logsumexp(x: np.ndarray, alpha: float) -> np.ndarray:
+    """x - logsumexp(alpha * x) along the last axis, raising as _log_normalize does; at
+    alpha = 1 it is log_softmax(x) bit for bit.  An entry past the float range is
+    its infinite limit, silently."""
+    s, lse, m, quiet = _shifted(x, alpha, -1, normalize=True)
+    with quiet:
+        return s - lse if alpha == 1.0 else x - (alpha * m + lse)
+
+
 def softmax(x: np.ndarray) -> np.ndarray:
     """exp(log_softmax(x)); computed through the identical summation order
     as log_softmax so callers can rely on bit-for-bit agreement."""

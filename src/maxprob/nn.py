@@ -54,7 +54,7 @@ from .errors import (
     NonFiniteParameter,
     require_alpha,
 )
-from .logspace import log_softmax, soft_min, _log_normalize, _soft_min_step
+from .logspace import log_softmax, soft_min, _minus_logsumexp, _soft_min_step
 
 __all__ = [
     "LOSS_MODES",
@@ -137,10 +137,7 @@ def hn_forward(logits, alpha: float) -> np.ndarray:
     """Generalized softmax head: exp(x_i - logsumexp(alpha * x)) along the last axis."""
     require_alpha(alpha)
     x = _check_logits(logits)
-    logw, top = _log_normalize(x, alpha)
-    if alpha == 1.0:
-        return np.exp(logw)  # the head is softmax, and logw is log_softmax bit for bit
-    d = x - top[..., np.newaxis]
+    d = _minus_logsumexp(x, alpha)
     # below alpha = 1 a head value can pass finfo.max: exp would warn on its limit, inf
     return np.exp(d, out=np.full(d.shape, np.inf), where=d <= _LOG_MAX)
 

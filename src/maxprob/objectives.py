@@ -36,16 +36,16 @@ distributions._pullback).  gradient_terms exposes the two vectors directly;
 the Monte Carlo estimator in optimize samples from them.
 
 Each term has one builder, which binds the term to the model's support
-mask once, and one kernel, which gives the term's value and its vector from
-one shifted array (see logspace); the subset likelihood and the soft bound
-share one soft minimum (logspace._soft_min_step), and only those two read
-alpha (ObjectiveConfig.reads_alpha).  One dispatch, _bind, checks a config's
-support conditions, builds its two terms' masks and constant columns, and
-returns one kernel that does only the arithmetic on the model rows: for
-evaluate, values_at_thetas, gradient_terms, and optimize.ascend, which binds
-again only when the support changes.  Bound for the value alone, the kernel
-builds no vectors.  The entry points validate: outcome ranges and finite
-parameters once per call, and the support conditions when they bind.
+mask once and checks the support the term is defined on, and one kernel,
+which gives the term's value and its vector from one shifted array (see
+logspace); the subset likelihood and the soft bound share one soft minimum
+(logspace._soft_min_step), and only those two read alpha
+(ObjectiveConfig.reads_alpha).  One dispatch, _bind, binds a config's two
+terms and returns one kernel that does only the arithmetic on the model
+rows: for evaluate, values_at_thetas, gradient_terms, and optimize.ascend,
+which binds again only when the support changes.  Bound for the value
+alone, the kernel builds no vectors.  The entry points validate outcome
+ranges and finite parameters once per call.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from .distributions import (
 from .errors import (
     EmptyIntersectionSupport,
     InvalidSetting,
-    NonFiniteEncountered,
     OracleSupportEscapesModel,
     require_alpha,
 )
@@ -145,33 +144,6 @@ class GradientVector:
             object.__setattr__(self, "d_theta", t)
 
 
-def _require_supports(config: ObjectiveConfig, supp: np.ndarray, oracle: np.ndarray,
-                      gradient: bool) -> bool:
-    """The support conditions under which config's value (or gradient) is defined.
-
-    supp is the model's support mask and oracle the oracle's log-probabilities,
-    both over the prior's range.  Where the value is -inf and no gradient
-    exists (no joint support under cond-independent, model mass on a
-    zero-prior outcome under intersection), raises if gradient, else returns True.
-    """
-    prior = config.prior.logp
-    if config.assumption == "oracle-subset":
-        if ((oracle > NEG_INF) & ~supp).any():
-            raise OracleSupportEscapesModel(
-                "subset assumption requires the model to support every oracle outcome")
-    elif not (supp & (oracle > NEG_INF) & (prior > NEG_INF)).any():
-        if gradient:
-            raise EmptyIntersectionSupport(
-                "model, oracle, and prior share no supported outcome; the joint event is null")
-        return True
-    if config.kind == "intersection" and (supp & (prior == NEG_INF)).any():
-        if gradient:
-            raise NonFiniteEncountered(
-                "model mass on a zero-prior outcome makes the soft bound -inf; gradient undefined")
-        return True
-    return False
-
-
 def _ratio_argmax_set(oracle: FiniteDistribution, prior: FiniteDistribution) -> np.ndarray:
     """Mask of the outcomes where oracle(v) / prior(v) is largest, within ARGMAX_LOG_TOL."""
     # oracle mass 0 never binds; positive oracle mass on a zero-prior outcome dominates all
@@ -187,8 +159,9 @@ def _ratio_argmax_set(oracle: FiniteDistribution, prior: FiniteDistribution) -> 
 # column masks and constant columns once, and returns a kernel that maps the
 # model's log-probabilities (..., K), whose rows share supp, to the term's value
 # (...) and, with gradient, its attraction or repulsion (..., K) (else None).
-# They trust their inputs: _require_supports rules out an empty joint support
-# and a zero-prior outcome the model supports.
+# Each checks the support its term is defined on, once, as it binds: where the
+# term's value is -inf and it has no vector, a builder bound for the gradient
+# raises, and one bound for the value alone returns None in place of a kernel.
 #
 # A kernel picks its columns with compress (bounds._columns), which keeps the rows
 # C-ordered: each row then sums in the same order as a single 1-D row, so a batch
@@ -205,9 +178,15 @@ def _independent_term(supp: np.ndarray, oracle: np.ndarray, prior: np.ndarray,
     """log P(M* | M) up to the constant log P(M*), and the posterior given both events.
 
     The value is log sum_v oracle(v) * model(v) / prior(v) over the joint
-    support, and the posterior is those terms normalized, zero off it.
+    support, and the posterior is those terms normalized, zero off it.  With no
+    joint support the value is -inf: EmptyIntersectionSupport with gradient.
     """
     joint = supp & (oracle > NEG_INF) & (prior > NEG_INF)
+    if not joint.any():
+        if gradient:
+            raise EmptyIntersectionSupport(
+                "model, oracle, and prior share no supported outcome; the joint event is null")
+        return None
     pick, place = _columns(joint)
     oracle_on, prior_on = oracle[joint], prior[joint]
 
@@ -224,9 +203,13 @@ def _subset_term(supp: np.ndarray, oracle: np.ndarray, prior: np.ndarray,
 
     Under the subset assumption P(M* | M) is at most the smallest such
     ratio; the soft minimum keeps the objective differentiable and tends to
-    the hard minimum as alpha grows.
+    the hard minimum as alpha grows.  An oracle outcome the model rules out
+    breaks the assumption: OracleSupportEscapesModel, with or without gradient.
     """
     osupp = oracle > NEG_INF
+    if (osupp & ~supp).any():
+        raise OracleSupportEscapesModel(
+            "subset assumption requires the model to support every oracle outcome")
     pick, place = _columns(osupp)
     oracle_on = oracle[osupp]
 
@@ -255,13 +238,13 @@ def _bind(config: ObjectiveConfig, supp: np.ndarray, oracle: np.ndarray,
           gradient: bool = True):
     """config's kernel for models whose rows share the support mask supp, against the
     oracle's log-probabilities: model (..., K) -> (value, attraction, repulsion), the
-    vectors None without gradient.  The support conditions are checked here, once (see
-    _require_supports); where only the value is defined, the kernel gives -inf values."""
-    if _require_supports(config, supp, oracle, gradient):
-        return lambda model: (np.full(model.shape[:-1], NEG_INF), None, None)
+    vectors None without gradient.  Each term checks its support as it binds, the
+    likelihood first; where a term's value is -inf, the kernel gives -inf values."""
     prior, alpha = config.prior.logp, config.alpha
     likelihood = _LIKELIHOOD_TERMS[config.assumption](supp, oracle, prior, alpha, gradient)
     penalty = _PENALTY_TERMS[config.kind](supp, prior, alpha, gradient)
+    if likelihood is None or penalty is None:
+        return lambda model: (np.full(model.shape[:-1], NEG_INF), None, None)
 
     def kernel(model: np.ndarray):
         lik, attraction = likelihood(model)

@@ -105,8 +105,8 @@ def ascend(config: ObjectiveConfig, oracle: FiniteDistribution, p: Parameterizat
     value_at_theta raises.  Each iteration then maps theta to
     log-probabilities once and makes one call to the objective's kernel on
     that row for the value and both gradient vectors.  The kernel is bound
-    to the row's support mask (objectives._bind, which checks the support
-    conditions) on the first iteration, and again only on an iteration
+    to the row's support mask (objectives._bind, whose terms check their
+    supports) on the first iteration, and again only on an iteration
     whose mask differs from the last one bound: a logit gap that overflows
     can zero an outcome.  Each iteration records value and gradient norm
     before deciding to stop, so the trace always contains the final

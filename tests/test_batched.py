@@ -10,6 +10,8 @@ from helpers import assert_within_rounding, log_scale
 from maxprob import (
     DimensionMismatch,
     DomainError,
+    EmptyIntersectionSupport,
+    NonFiniteEncountered,
     NonFiniteParameter,
     ObjectiveConfig,
     OracleSupportEscapesModel,
@@ -27,6 +29,7 @@ from maxprob import (
     values_at_thetas,
 )
 from maxprob.bernoulli import theta_grid
+from maxprob.logspace import NEG_INF
 from maxprob.objectives import ASSUMPTIONS, KINDS
 
 SIGMOID = Parameterization.sigmoid_bernoulli()
@@ -201,16 +204,25 @@ class TestObjectMatchesTheReference:
                                        reference.apply_parameterization(p, theta).logp,
                                        log_scale(theta))
 
+    # (model, oracle, prior) over three outcomes, two support rules failing at once or one
+    # alone, and the intersection cells' (value, gradient) outcome by assumption: the
+    # likelihood term's error wins over the soft bound's.
+    CORNERS = [
+        # the oracle escapes the model (v2), and the model has mass on a zero prior (v0)
+        (([0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]),
+         {"oracle-subset": (OracleSupportEscapesModel, OracleSupportEscapesModel)}),
+        # no joint support, and the model has mass on a zero prior (v0)
+        (([0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5]),
+         {"cond-independent": (NEG_INF, EmptyIntersectionSupport)}),
+        # the model has mass on a zero prior (v0), and nothing else fails
+        (([0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]),
+         dict.fromkeys(ASSUMPTIONS, (NEG_INF, NonFiniteEncountered))),
+    ]
+
     def test_evaluate_and_gradient_terms_on_random_cells(self):
-        """Values and both gradient vectors, errors included."""
-        rng = np.random.default_rng(2024)
-        for _ in range(400):
-            labels = tuple(f"v{i}" for i in range(int(rng.integers(2, 12))))
-            model, oracle, prior = (random_distribution(rng, labels, zero_share=0.25)
-                                    for _ in range(3))
-            config = ObjectiveConfig(*CELLS[int(rng.integers(0, 4))],
-                                     float(rng.choice(ALPHAS)), prior)
-            scale = log_scale(model.logp, oracle.logp, prior.logp)
+        """Values and both gradient vectors, errors included; then each corner in every cell."""
+        def check(config, model, oracle):
+            scale = log_scale(model.logp, oracle.logp, config.prior.logp)
             value = outcome(lambda: evaluate(config, model, oracle))
             want = outcome(lambda: reference.evaluate(config, model, oracle))
             if isinstance(want, type):
@@ -224,6 +236,23 @@ class TestObjectMatchesTheReference:
             else:
                 for got_term, want_term in zip(terms, want):
                     assert_within_rounding(got_term, want_term, max(1.0, config.alpha) * scale)
+            return value, terms
+
+        rng = np.random.default_rng(2024)
+        for _ in range(400):
+            labels = tuple(f"v{i}" for i in range(int(rng.integers(2, 12))))
+            model, oracle, prior = (random_distribution(rng, labels, zero_share=0.25)
+                                    for _ in range(3))
+            config = ObjectiveConfig(*CELLS[int(rng.integers(0, 4))],
+                                     float(rng.choice(ALPHAS)), prior)
+            check(config, model, oracle)
+        labels = OutcomeRange(("v0", "v1", "v2"))
+        for probs, intersection in self.CORNERS:
+            model, oracle, prior = (make_distribution(labels, p) for p in probs)
+            for cell in CELLS:
+                got = check(ObjectiveConfig(*cell, 2.0, prior), model, oracle)
+                if cell[0] == "intersection" and cell[1] in intersection:
+                    assert got == intersection[cell[1]], (probs, cell)
 
     def test_softmax_probability_on_random_pairs(self):
         """Zeros in both distributions, zero prior mass on the conditional's support included."""
@@ -236,3 +265,7 @@ class TestObjectMatchesTheReference:
                 assert_within_rounding(softmax_probability(prior, conditional, alpha),
                                        reference.softmax_probability(prior, conditional, alpha),
                                        log_scale(prior.logp, conditional.logp))
+        prior, conditional = (make_distribution(("v0", "v1"), p) for p in ([0.0, 1.0], [0.5, 0.5]))
+        for alpha in ALPHAS:
+            assert softmax_probability(prior, conditional, alpha) == NEG_INF
+            assert reference.softmax_probability(prior, conditional, alpha) == NEG_INF

@@ -434,6 +434,13 @@ class TestExhaustiveOracle:
         with pytest.raises(SpaceTooLarge):
             exhaustive_bound_oracle(atoms, vmap, conditional)
 
+    def test_non_finite_atoms_are_rejected(self):
+        """As make_distribution rejects them; unchecked, a NaN atom matches no event."""
+        conditional = make_distribution(self.RANGE, [0.5, 0.5])
+        for atoms in ([np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [-np.inf, 0.5, 0.5]):
+            with pytest.raises(NonFiniteEncountered):
+                exhaustive_bound_oracle(atoms, ["A", "B", "A"], conditional)
+
     @given(st.integers(0, 10_000))
     def test_random_spaces_never_beat_the_bound(self, seed):
         rng = np.random.default_rng(seed)

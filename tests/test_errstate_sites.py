@@ -50,3 +50,18 @@ def test_alpha_scales_mass_only_in_logspace():
                       and (is_alpha(node.left) or is_alpha(node.right)))
     assert ("logspace", "_shifted") in products, "no alpha product found; update this test"
     assert {module for module, _ in products} == {"logspace"}, products
+
+
+def raise_sites(error: str):
+    """(module, enclosing top-level function or None) of every `raise error(...)` in the package."""
+    for module, name, node in package_nodes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == error:
+                yield module, name
+
+
+def test_each_likelihood_support_rule_is_checked_by_its_own_term():
+    """The term builder that a support rule guards is the one place that raises for it."""
+    assert sorted(raise_sites("EmptyIntersectionSupport")) == [("objectives", "_independent_term")]
+    assert sorted(raise_sites("OracleSupportEscapesModel")) == [("objectives", "_subset_term")]

@@ -68,12 +68,16 @@ class TestHnForward:
         np.testing.assert_allclose(hn_forward(x, 1.0).sum(axis=-1), 1.0, rtol=1e-12)
 
     def test_huge_alpha_is_zero_without_a_warning(self):
-        """exp(x_i) / sum_j exp(alpha x_j) tends to 0 for logits above 0."""
+        """exp(x_i) / sum_j exp(alpha x_j) tends to 0 for logits above 0, and for any
+        logits once x_i - logsumexp(alpha x) passes -finfo.max."""
         np.testing.assert_array_equal(hn_forward([[1.0, 2.0, 3.0]], 1e308), [[0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(hn_forward([[-1.7e308, 1e307]], 1.5), [[0.0, 0.0]])
 
     def test_overflowing_head_value_is_inf_without_a_warning(self):
-        """At alpha 0.5, exp(2000) / exp(1000) passes finfo.max; its limit is inf."""
+        """At alpha 0.5, exp(2000) / exp(1000) passes finfo.max; its limit is inf.  Past
+        the float range, x_i - logsumexp(alpha x) itself overflows to its limit."""
         np.testing.assert_array_equal(hn_forward([[2000.0, 0.0]], 0.5), [[np.inf, 0.0]])
+        np.testing.assert_array_equal(hn_forward([[1.7e308, -1.7e308]], 0.25), [[np.inf, 0.0]])
         assert hn_forward([[1400.0, 0.0]], 0.5)[0, 0] == np.exp(700.0)  # finite, still exp
 
     def test_rejects_non_finite_logits(self):
