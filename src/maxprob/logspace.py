@@ -33,6 +33,20 @@ _MAX_FLOAT = float(np.finfo(float).max)
 # (a - m) nor alpha * m overflows.  Others run under np.errstate, costing a shift.
 _CALM = 2.0 ** 968
 _CALM_CONTEXT = contextlib.nullcontext()
+# A batch reduces along short rows column by column (_by_columns) from this many rows per
+# column: each column costs a ufunc call, and reducing a row costs about 1/16 of one.
+_ROWS_PER_COLUMN = 16
+
+
+def _by_columns(ufunc, a: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(a, -1, keepdims=True) of a batch of 2 to 7 entries a row, from first,
+    its first column (ufunc'd with the reduction's initial value, if any), one column at a
+    time.  Numpy reduces a short last axis one row at a time, and below 8 entries each row
+    one entry after another: the columns in that order are the same reduction bit for bit,
+    signed zeros and NaN included, and several times faster on a few hundred rows."""
+    for j in range(1, a.shape[1]):
+        first = ufunc(first, a[:, j])
+    return first[:, np.newaxis]
 
 
 def _shifted(a: np.ndarray, alpha: float, axis: int, normalize: bool = False):
@@ -42,12 +56,16 @@ def _shifted(a: np.ndarray, alpha: float, axis: int, normalize: bool = False):
     else np.errstate, where an overflow is the correct infinite limit.  Not calm, a NaN
     entry raises, and an infinite m is capped at +-finfo.max: no mass then sums to 0,
     whose log is -inf, and infinite mass to +inf; with normalize, either raises."""
-    # ndarray methods, not np.max / np.sum: the same reductions at half the call cost
-    m = (a.max(axis=axis, keepdims=True, initial=-_MAX_FLOAT) if alpha > 0
-         else a.min(axis=axis, keepdims=True, initial=_MAX_FLOAT))
-    reach = abs(m.item()) if m.size == 1 else abs(m).max(initial=0.0)
+    # the ufuncs' own reduce, not the ndarray methods, which wrap it in Python; and never
+    # add.reduce(..., initial=None), which sums in another order
+    columns = (a.ndim == 2 and len(a) >= _ROWS_PER_COLUMN * a.shape[1] and 1 < a.shape[1] < 8
+               and axis in (1, -1))
+    top, bound = (np.maximum, -_MAX_FLOAT) if alpha > 0 else (np.minimum, _MAX_FLOAT)
+    m = (_by_columns(top, a, top(a[:, 0], bound)) if columns
+         else top.reduce(a, axis, keepdims=True, initial=bound))
+    reach = abs(m.item()) if m.size == 1 else np.maximum.reduce(abs(m), None, initial=0.0)
     if abs(alpha) > 1.0:
-        far = a.min(initial=_MAX_FLOAT) if alpha > 0 else a.max(initial=-_MAX_FLOAT)
+        far = (np.minimum if alpha > 0 else np.maximum).reduce(a, None, initial=-bound)
         calm = max(reach, abs(far)) <= min(_CALM, _MAX_FLOAT / (4.0 * abs(alpha)))
     else:
         calm = reach <= _CALM and abs(alpha) >= 2.0 ** -1000
@@ -55,13 +73,17 @@ def _shifted(a: np.ndarray, alpha: float, axis: int, normalize: bool = False):
         s = a - m
         if alpha != 1.0:
             s *= alpha
-        return s, np.log(np.exp(s).sum(axis=axis, keepdims=True)), m, _CALM_CONTEXT
+        e = np.exp(s)
+        return s, np.log(_by_columns(np.add, e, e[:, 0]) if columns
+                         else np.add.reduce(e, axis, keepdims=True)), m, _CALM_CONTEXT
     if np.isnan(m).any():
         raise NonFiniteEncountered("log-sum-exp of a NaN entry")
     m = m.clip(-_MAX_FLOAT, _MAX_FLOAT)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         s = (a - m) * alpha
-        lse = np.log(np.exp(s).sum(axis=axis, keepdims=True))
+        e = np.exp(s)
+        lse = np.log(_by_columns(np.add, e, e[:, 0]) if columns
+                     else np.add.reduce(e, axis, keepdims=True))
     if normalize and (lse == NEG_INF).any():
         raise SumOutOfTolerance("all outcomes carry zero mass")
     if normalize and (lse == np.inf).any():

@@ -29,6 +29,10 @@ checks every setting and both splits once; a minibatch then checks only
 that its logits are finite, which is how a diverging run is reported: numpy's
 overflow and invalid-value warnings are off for the whole run.  The report
 reads its seeds from the network and the dataset, which record them.
+train concatenates the six tensors into one flat weight vector, and after it
+net.params holds views into that vector: _backprop writes each minibatch's
+gradients into views of a second one, and one subtraction updates them all.
+Each epoch permutes the training set once and steps through slices of it.
 
 hn_forward is the generalized softmax head exp(x_i) / sum_j exp(alpha * x_j),
 exp(x_i - logsumexp(alpha * x)); at alpha = 1 it is softmax bit for bit.
@@ -96,7 +100,7 @@ def _check_logits(logits) -> np.ndarray:
 
 def _check_batch(rows, labels, k: Optional[int] = None,
                  width: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, labels as ints) for n >= 1 rows (of the given width) and n labels
+    """(rows, labels as ints) for n >= 1 rows (of the given width) and n integer labels
     in [0, k); k defaults to the rows' width, as it is for logits."""
     x = np.asarray(rows, dtype=float)
     y = np.asarray(labels)
@@ -104,6 +108,8 @@ def _check_batch(rows, labels, k: Optional[int] = None,
         raise DimensionMismatch(f"expected n >= 1 rows of width {width or 'k'} and n labels, "
                                 f"got shapes {x.shape} and {y.shape}")
     k = x.shape[1] if k is None else k
+    if y.dtype.kind not in "iu":
+        raise LabelOutOfRange(f"labels must be integers, got dtype {y.dtype}")
     if np.any(y < 0) or np.any(y >= k):
         raise LabelOutOfRange(f"labels must lie in [0, {k})")
     return x, y.astype(int)
@@ -154,8 +160,11 @@ def _loss(x: np.ndarray, y: np.ndarray, mode: str, alpha: float,
     return float(-label_logp.mean()) + penalty, penalty
 
 
-def _penalty(net: "ToyNet", lam: float) -> float:
-    """lam times the sum of squared weight-matrix entries; biases are not penalized."""
+def _penalty(net: "ToyNet", mode: str, lam: float) -> float:
+    """ce-l2's regularizer, lam times the sum of squared weight-matrix entries (biases are
+    not penalized); intersection has none, and _loss ignores it there."""
+    if mode != "ce-l2":
+        return 0.0
     return lam * sum(float(np.sum(net.params[w] ** 2)) for w in WEIGHTS)
 
 
@@ -258,23 +267,28 @@ class ToyNet:
 
 
 def _backprop(net: ToyNet, x: np.ndarray, y: np.ndarray, mode: str, alpha: float,
-              lam: float) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """(logits, mean-loss gradients) of checked examples; d loss_i / d logits is the soft
-    minimum's weights softmax(a * logits) - onehot(y_i), a = alpha (intersection) or 1."""
+              lam: float, out: Optional[dict[str, np.ndarray]] = None,
+              ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """(logits, mean-loss gradients) of checked examples, the gradients written into out's
+    arrays if given, else fresh; d loss_i / d logits is the soft minimum's weights
+    softmax(a * logits) - onehot(y_i), a = alpha (intersection) or 1."""
     logits, (x0, z1, a1, z2, a2) = net.forward(x, want_cache=True)
     _check_logits(logits)
     dlogits = _soft_min_step(-logits, alpha if mode == "intersection" else 1.0)[1]
     dlogits[np.arange(len(y)), y] -= 1.0
     dlogits /= len(y)
-    p = net.params
-    grads = {"W3": a2.T @ dlogits, "b3": dlogits.sum(axis=0)}
+    p, out = net.params, out or {}
+    grads = {"W3": np.matmul(a2.T, dlogits, out=out.get("W3")),
+             "b3": np.add.reduce(dlogits, 0, out=out.get("b3"))}
     dz2 = (dlogits @ p["W3"].T) * (z2 > 0)
-    grads["W2"], grads["b2"] = a1.T @ dz2, dz2.sum(axis=0)
+    grads["W2"] = np.matmul(a1.T, dz2, out=out.get("W2"))
+    grads["b2"] = np.add.reduce(dz2, 0, out=out.get("b2"))
     dz1 = (dz2 @ p["W2"].T) * (z1 > 0)
-    grads["W1"], grads["b1"] = x0.T @ dz1, dz1.sum(axis=0)
+    grads["W1"] = np.matmul(x0.T, dz1, out=out.get("W1"))
+    grads["b1"] = np.add.reduce(dz1, 0, out=out.get("b1"))
     if mode == "ce-l2":
         for w in WEIGHTS:
-            grads[w] = grads[w] + 2.0 * lam * p[w]
+            grads[w] += 2.0 * lam * p[w]
     return logits, grads
 
 
@@ -291,7 +305,7 @@ def loss_and_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, mode: str,
     _check_loss(mode, alpha, lam)
     x, y = _check_batch(x, y, net.k, width=2)
     logits, grads = _backprop(net, x, y, mode, alpha, lam)
-    loss, reg = _loss(logits, y, mode, alpha, _penalty(net, lam))
+    loss, reg = _loss(logits, y, mode, alpha, _penalty(net, mode, lam))
     return loss, grads, reg
 
 
@@ -326,12 +340,21 @@ def _metrics(net: ToyNet, splits, mode: str, alpha: float, lam: float,
     (x_tr, y_tr), (x_te, y_te) = splits
     logits_tr = _check_logits(net.forward(x_tr))
     logits_te = _check_logits(net.forward(x_te))
-    penalty = _penalty(net, lam)
+    penalty = _penalty(net, mode, lam)
     tr, reg = _loss(logits_tr, y_tr, mode, alpha, penalty)
     te, _ = _loss(logits_te, y_te, mode, alpha, penalty)
     acc_tr = float((logits_tr.argmax(axis=1) == y_tr).mean())
     acc_te = float((logits_te.argmax(axis=1) == y_te).mean())
     return EpochRecord(epoch, tr, te, acc_tr, acc_te, reg)
+
+
+def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """name -> the stretch of flat shaped as like[name], laid out in ToyNet.PARAM_ORDER."""
+    views, start = {}, 0
+    for name in ToyNet.PARAM_ORDER:
+        views[name] = flat[start:start + like[name].size].reshape(like[name].shape)
+        start += like[name].size
+    return views
 
 
 def train(net: ToyNet, data: ToyDataset, mode: str = "intersection", alpha: float = 1.0,
@@ -350,16 +373,24 @@ def train(net: ToyNet, data: ToyDataset, mode: str = "intersection", alpha: floa
               _check_batch(data.test_x, data.test_y, net.k, width=2)]
     train_x, train_y = splits[0]
     n = len(train_y)
+    size = batch_size or n
     rng = np.random.default_rng(seed)
+    weights = np.concatenate([net.params[name].ravel() for name in net.PARAM_ORDER])
+    net.params.update(_views(weights, net.params))
+    flat_grads = np.empty_like(weights)
+    grads = _views(flat_grads, net.params)
     # a diverging run overflows in forward's matmuls: its logits report it, not numpy
     with np.errstate(over="ignore", invalid="ignore"):
         records = [_metrics(net, splits, mode, alpha, lam, 0)]
         for epoch in range(1, epochs + 1):
-            for rows in ([slice(None)] if batch_size is None else
-                         np.split(rng.permutation(n), range(batch_size, n, batch_size))):
-                grads = _backprop(net, train_x[rows], train_y[rows], mode, alpha, lam)[1]
-                for name in net.PARAM_ORDER:
-                    net.params[name] = net.params[name] - step * grads[name]
+            xs, ys = train_x, train_y
+            if batch_size is not None:
+                order = rng.permutation(n)
+                xs, ys = train_x[order], train_y[order]
+            for start in range(0, n, size):
+                _backprop(net, xs[start:start + size], ys[start:start + size], mode, alpha,
+                          lam, grads)
+                weights -= step * flat_grads
             records.append(_metrics(net, splits, mode, alpha, lam, epoch))
     return TrainReport(mode, alpha, lam, epochs, step, seed, net.seed, data.seed,
                        data.k, net.hidden, net.digest(), tuple(records))

@@ -43,6 +43,12 @@ were before one loss kernel and one backward pass served them: each loss
 recomputed log-softmax on its own, and every minibatch evaluated the loss
 and regularizer that training then discarded.  They use the package only
 for ToyNet.forward and the report dataclasses, and skip its input checks.
+train_per_tensor keeps nn.train as it was before it updated one flat weight
+vector in place: over the package's own _backprop and _loss, it replaces
+each tensor by p - step * g, fancy-indexes each minibatch, and computes the
+weight penalty every epoch; the tests require train to match it bit for bit.
+soft_min_rows is logspace.soft_min along the last axis on the ndarray min
+and sum methods, before short rows were reduced column by column.
 
 It keeps the per-point loop with which bernoulli.uniqueness_diagnostic
 looked for a run of PLATEAU_RUN near-maximal points, before it counted them
@@ -75,7 +81,7 @@ from maxprob import (
     TrainReport,
 )
 from maxprob.bernoulli import PLATEAU_RUN, PLATEAU_TOL
-from maxprob import logspace
+from maxprob import logspace, nn
 from maxprob.distributions import _check_theta, _pullback, _require_ranges, _theta_logp
 from maxprob.nn import EpochRecord
 from maxprob.optimize import DIVERGENCE_THETA_BOUND
@@ -125,6 +131,16 @@ def _log_normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def soft_min(a, alpha: float) -> float:
     return -logsumexp(-alpha * np.asarray(a, dtype=float)) / alpha
+
+
+def soft_min_rows(a: np.ndarray, alpha: float) -> np.ndarray:
+    """logspace.soft_min(a, alpha, axis=-1) on the ndarray min and sum methods, as it was
+    before logspace reduced short rows column by column: capping the min at +-finfo.max
+    changes no slice that logspace finds calm, and np.errstate no value."""
+    m = a.min(axis=-1, keepdims=True, initial=-_MIN_FLOAT).clip(_MIN_FLOAT, -_MIN_FLOAT)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = (a - m) * -alpha
+        return (m - np.log(np.exp(s).sum(axis=-1, keepdims=True)) / alpha).squeeze(-1)
 
 
 def log_sigmoid(x: float) -> float:
@@ -512,6 +528,40 @@ def train(net, data, mode="intersection", alpha=1.0, lam=0.0, epochs=200, step=0
     return TrainReport(mode=mode, alpha=alpha, lam=lam, epochs=epochs, step=step, seed=seed,
                        net_seed=net_seed, data_seed=data_seed, k=data.k, hidden=net.hidden,
                        final_digest=net.digest(), records=tuple(records))
+
+
+def _per_tensor_metrics(net, splits, mode, alpha, lam, epoch) -> EpochRecord:
+    (x_tr, y_tr), (x_te, y_te) = splits
+    logits_tr = nn._check_logits(net.forward(x_tr))
+    logits_te = nn._check_logits(net.forward(x_te))
+    penalty = lam * sum(float(np.sum(net.params[w] ** 2)) for w in nn.WEIGHTS)
+    tr, reg = nn._loss(logits_tr, y_tr, mode, alpha, penalty)
+    te, _ = nn._loss(logits_te, y_te, mode, alpha, penalty)
+    acc_tr = float((logits_tr.argmax(axis=1) == y_tr).mean())
+    acc_te = float((logits_te.argmax(axis=1) == y_te).mean())
+    return EpochRecord(epoch, tr, te, acc_tr, acc_te, reg)
+
+
+def train_per_tensor(net, data, mode="intersection", alpha=1.0, lam=0.0, epochs=200,
+                     step=0.05, seed=0, batch_size=None) -> TrainReport:
+    """nn.train over fresh gradients from the package's _backprop, each tensor replaced
+    by p - step * g, and minibatches fancy-indexed from np.split of the permutation."""
+    splits = [nn._check_batch(data.train_x, data.train_y, net.k, width=2),
+              nn._check_batch(data.test_x, data.test_y, net.k, width=2)]
+    train_x, train_y = splits[0]
+    n = len(train_y)
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        records = [_per_tensor_metrics(net, splits, mode, alpha, lam, 0)]
+        for epoch in range(1, epochs + 1):
+            for rows in ([slice(None)] if batch_size is None else
+                         np.split(rng.permutation(n), range(batch_size, n, batch_size))):
+                grads = nn._backprop(net, train_x[rows], train_y[rows], mode, alpha, lam)[1]
+                for name in net.PARAM_ORDER:
+                    net.params[name] = net.params[name] - step * grads[name]
+            records.append(_per_tensor_metrics(net, splits, mode, alpha, lam, epoch))
+    return TrainReport(mode, alpha, lam, epochs, step, seed, net.seed, data.seed,
+                       data.k, net.hidden, net.digest(), tuple(records))
 
 
 def report_to_jsonable(report) -> dict:

@@ -1,4 +1,5 @@
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -260,15 +261,28 @@ class TestFloatEdges:
         np.testing.assert_array_equal(log_softmax(rows),
                                       [[0.0, NEG_INF], [-np.log(2.0), -np.log(2.0)]])
 
-    @given(arrays(float, st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple),
-                  elements=st.one_of(st.just(NEG_INF), st.floats(-1e300, 1e300))),
+    @given(arrays(float, st.one_of(st.lists(st.integers(0, 4), min_size=1, max_size=3)
+                                   .map(tuple),
+                                   st.tuples(st.integers(1, 40), st.integers(1, 9))),
+                  elements=st.one_of(st.just(NEG_INF), st.sampled_from([0.0, -0.0]),
+                                     st.floats(-4.0, 4.0), st.floats(-1e300, 1e300)),
+                  fill=st.nothing()),
            st.integers(-3, 2))
     def test_calm_inputs_match_the_reference(self, a, axis):
-        """Finite entries within +-1e300 and -inf, against the kernel before the calm
-        test: log-sum-exp bit for bit, and log-probabilities, which this kernel takes
-        from the shifted array and that one from the log-sum-exp, within rounding."""
+        """Finite entries within +-1e300, -inf and signed zeros, against the kernel before
+        the calm test: log-sum-exp bit for bit, and log-probabilities, which this kernel
+        takes from the shifted array and that one from the log-sum-exp, within rounding.
+        Batches of 1 to 40 rows of 1 to 9 entries lie on both sides of the short rows
+        that logspace reduces column by column, which every batch of 2 to 7 entries a row
+        takes with _ROWS_PER_COLUMN at 0; entries within +-4, whose exponentials are of
+        one size, show the order of a sum.  The soft minimum along the last axis is held
+        bit for bit, sign of zero included, to its form on the ndarray methods."""
         axis %= a.ndim
-        assert_bits(logsumexp(a, axis), reference._logsumexp(a, axis)[0].squeeze(axis))
+        for rows_per_column in (logspace._ROWS_PER_COLUMN, 0):
+            with mock.patch.object(logspace, "_ROWS_PER_COLUMN", rows_per_column):
+                for alpha in (0.5, 2.0, 256.0):
+                    assert_bits(soft_min(a, alpha, axis=-1), reference.soft_min_rows(a, alpha))
+                assert_bits(logsumexp(a, axis), reference._logsumexp(a, axis)[0].squeeze(axis))
         try:
             want = reference._log_normalize(a)
         except SumOutOfTolerance:

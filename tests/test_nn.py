@@ -131,8 +131,13 @@ class TestIntersectionLoss:
         assert -regularizer_bound(5, alpha) - 1e-12 <= gap <= 1e-12
 
     def test_label_bounds_checked(self):
+        """Out of range, or not integers: fractions were truncated to a class, NaN
+        warned and raised an IndexError, and strings a numpy UFuncTypeError."""
         with pytest.raises(LabelOutOfRange):
             intersection_loss(np.zeros((2, 3)), np.array([0, 3]), 1.0)
+        for labels in ([0.5, 1.7], [np.nan, 1.0], ["0", "1"]):
+            with pytest.raises(LabelOutOfRange):
+                intersection_loss([[1, 2, 0], [0, 1, 2]], labels, 2.0)
 
     def test_batch_shape_checked(self):
         with pytest.raises(DimensionMismatch):
@@ -270,6 +275,22 @@ class TestLossAndGrads:
             loss_and_grads(ToyNet(seed=0), np.zeros((4, 3)), np.zeros(4, dtype=int),
                            "intersection", 2.0)
 
+    def test_labels_must_be_integers(self):
+        data = make_toy_dataset(seed=11)
+        with pytest.raises(LabelOutOfRange):
+            loss_and_grads(ToyNet(seed=0), data.train_x[:2], [0.0, 1.0], "intersection", 2.0)
+
+    def test_gradients_are_fresh_arrays(self):
+        """A second call leaves the first call's gradients as they were."""
+        data = make_toy_dataset(seed=11)
+        net = ToyNet(seed=3)
+        for mode, lam in (("intersection", 0.0), ("ce-l2", 0.01)):
+            grads = loss_and_grads(net, data.train_x[:4], data.train_y[:4], mode, 2.0, lam)[1]
+            kept = {name: g.copy() for name, g in grads.items()}
+            loss_and_grads(net, data.train_x[4:9], data.train_y[4:9], mode, 2.0, lam)
+            for name, g in grads.items():
+                assert g.tobytes() == kept[name].tobytes(), name
+
     def test_unknown_mode_rejected(self):
         data = make_toy_dataset(seed=11)
         with pytest.raises(InvalidSetting):
@@ -397,6 +418,35 @@ def float_bytes(value) -> bytes:
 LOSS_SETTINGS = [("intersection", alpha, 0.0) for alpha in (0.5, 1.0, 2.0, 4.0)] + \
     [("ce-l2", 1.0, lam) for lam in (0.0, 0.01)]
 BATCH_SIZES = (None, 1, 7, 64)
+
+
+class TestFlatTraining:
+    """train updates one flat weight vector in place and steps through one permuted copy
+    of the training set; the per-tensor loop over fancy-indexed minibatches it replaced
+    (tests/reference.py) must give the same report and weights bit for bit.  Nine
+    classes take logspace's reduction across a row, three its column by column one."""
+
+    @pytest.mark.parametrize("k", [3, 9])
+    @pytest.mark.parametrize("mode, alpha, lam", LOSS_SETTINGS)
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_matches_the_per_tensor_loop(self, k, mode, alpha, lam, batch_size):
+        args = dict(mode=mode, alpha=alpha, lam=lam, epochs=3, step=0.05, seed=4,
+                    batch_size=batch_size)
+        net, ref_net = ToyNet(k=k, seed=5), ToyNet(k=k, seed=5)
+        data = make_toy_dataset(k=k, seed=11)
+        got = train(net, data, **args)
+        want = reference.train_per_tensor(ref_net, data, **args)
+        assert got.final_digest == want.final_digest == ref_net.digest()
+        assert canonical_report_bytes(got) == canonical_report_bytes(want)
+        for name in net.PARAM_ORDER:
+            assert net.params[name].tobytes() == ref_net.params[name].tobytes(), name
+
+    def test_params_are_views_of_one_vector(self):
+        """After train, net.params are views into one flat weight vector."""
+        net, data = ToyNet(seed=5), make_toy_dataset(seed=11)
+        train(net, data, epochs=1)
+        base = net.params["W1"].base
+        assert base is not None and all(p.base is base for p in net.params.values())
 
 
 class TestMatchesReference:
