@@ -51,6 +51,7 @@ from .errors import (
     NonFiniteEncountered,
     NonFiniteParameter,
     SpaceTooLarge,
+    as_array,
     require_alpha,
 )
 from .logspace import NEG_INF, _log_normalize, _soft_min_step
@@ -218,7 +219,7 @@ def exhaustive_bound_oracle(atom_probs: Sequence[float], variable_map: Sequence[
     This is deliberately independent of max_probability so it can serve as a
     test oracle: enumeration only, no ratio arithmetic.
     """
-    p = np.asarray(atom_probs, dtype=float)
+    p = as_array(atom_probs)
     n = p.size
     if n > MAX_ORACLE_ATOMS:
         raise SpaceTooLarge(f"{n} atoms would need 2**{n} subsets; cap is {MAX_ORACLE_ATOMS}")

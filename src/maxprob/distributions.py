@@ -34,6 +34,8 @@ from .errors import (
     NonSurjectiveProjection,
     RangeMismatch,
     SumOutOfTolerance,
+    as_array,
+    require_integer,
 )
 from .logspace import NEG_INF, log_softmax, logsumexp
 
@@ -97,7 +99,7 @@ def _require_ranges(rng: OutcomeRange, *dists: "FiniteDistribution") -> None:
 
 def _check_logp(rng: OutcomeRange, logp) -> np.ndarray:
     """logp as a float vector over rng, every entry in [-inf, finite]."""
-    lp = np.asarray(logp, dtype=float)
+    lp = as_array(logp)
     if lp.shape != (len(rng),):
         raise DimensionMismatch(
             f"log-probability vector has shape {lp.shape}, range has {len(rng)} outcomes")
@@ -170,7 +172,7 @@ def make_distribution(rng: OutcomeRange | Sequence[Label], probs: Sequence[float
     """
     if not isinstance(rng, OutcomeRange):
         rng = OutcomeRange(tuple(rng))
-    p = np.asarray(probs, dtype=float)
+    p = as_array(probs)
     if p.shape != (len(rng),):
         raise DimensionMismatch(
             f"probability vector has shape {p.shape}, range has {len(rng)} outcomes")
@@ -248,6 +250,7 @@ class Parameterization:
     range: OutcomeRange
 
     def __post_init__(self) -> None:
+        require_integer("dim", self.dim, DimensionMismatch)
         if not 1 <= self.dim <= len(self.range):
             raise DimensionMismatch(f"{len(self.range)} outcomes take 1 to {len(self.range)} "
                                     f"parameters, got {self.dim}")
@@ -261,13 +264,14 @@ class Parameterization:
 
     @staticmethod
     def softmax_logits(rng: OutcomeRange | int) -> "Parameterization":
-        if isinstance(rng, int):
+        if not isinstance(rng, OutcomeRange):
+            require_integer("outcome count", rng, DimensionMismatch)
             rng = OutcomeRange(tuple(f"v{i}" for i in range(rng)))
         return Parameterization(len(rng), rng)
 
 
 def _check_theta(p: Parameterization, theta) -> np.ndarray:
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    th = np.atleast_1d(as_array(theta))
     if th.shape != (p.dim,):
         raise DimensionMismatch(f"parameter vector has shape {th.shape}, expected ({p.dim},)")
     return _check_thetas(p, th[np.newaxis])[0]
@@ -275,7 +279,7 @@ def _check_theta(p: Parameterization, theta) -> np.ndarray:
 
 def _check_thetas(p: Parameterization, thetas) -> np.ndarray:
     """Parameter rows (N, dim) as a C-ordered float array, every entry finite."""
-    th = np.ascontiguousarray(thetas, dtype=float)
+    th = np.ascontiguousarray(as_array(thetas))
     if th.ndim != 2 or th.shape[1] != p.dim:
         raise DimensionMismatch(f"parameter rows have shape {th.shape}, expected (N, {p.dim})")
     if not np.isfinite(th).all():
@@ -284,22 +288,22 @@ def _check_thetas(p: Parameterization, thetas) -> np.ndarray:
 
 
 def _theta_logp(p: Parameterization, th: np.ndarray) -> np.ndarray:
-    """Log-probabilities (N, K) of checked parameter rows (N, dim).
+    """Log-probabilities (K,) of one checked parameter row (dim,), or (N, K) of rows
+    (N, dim); a row gives the same bits alone as in a batch.
 
     The logits are the rows padded with K - dim zeros.  One log-softmax, (x - m) -
     log sum exp(x - m), meets SUM_INVARIANT_TOL at any finite theta; x - (m + log sum
     exp(x - m)) would lose eps |m|.  A row whose spread passes finfo.max shifts its smaller
     logits to -inf, their correct zero mass, silently in a batch as in one row.
     """
-    logits = np.zeros((len(th), len(p.range)))
-    logits[:, :p.dim] = th
+    logits = np.zeros(th.shape[:-1] + (len(p.range),))
+    logits[..., :p.dim] = th
     return log_softmax(logits)
 
 
 def apply_parameterization(p: Parameterization, theta) -> FiniteDistribution:
     """Map a parameter vector to its distribution (see _theta_logp)."""
-    th = _check_theta(p, theta)
-    return FiniteDistribution(p.range, _theta_logp(p, th[np.newaxis])[0])
+    return FiniteDistribution(p.range, _theta_logp(p, _check_theta(p, theta)))
 
 
 def _pullback(p: Parameterization, d_logp: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = [
     "DomainError",
     "NegativeMass",
@@ -31,6 +33,8 @@ __all__ = [
     "InvalidSetting",
     "MalformedDistribution",
     "require_alpha",
+    "require_integer",
+    "as_array",
 ]
 
 
@@ -124,3 +128,21 @@ def require_alpha(alpha: float) -> None:
         raise NonFiniteParameter(f"alpha must be finite, got {alpha!r}")
     if alpha <= 0:
         raise NonPositiveAlpha(f"alpha must be positive, got {alpha!r}")
+
+
+def require_integer(name: str, value, error: type = InvalidSetting) -> None:
+    """Raise error unless value is an int or a numpy integer; a bool is neither here.  The
+    callers check the value's range after it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
+def as_array(values, dtype=float) -> np.ndarray:
+    """np.asarray(values, dtype), with DimensionMismatch for ragged nesting, which numpy
+    rejects with a bare ValueError."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except ValueError as exc:
+        if "inhomogeneous" not in str(exc):
+            raise
+        raise DimensionMismatch("nested sequences have unequal lengths") from None

@@ -19,7 +19,7 @@ import contextlib
 
 import numpy as np
 
-from .errors import NonFiniteEncountered, SumOutOfTolerance, require_alpha
+from .errors import NonFiniteEncountered, SumOutOfTolerance, as_array, require_alpha
 
 __all__ = ["NEG_INF", "logsumexp", "log_softmax", "softmax", "soft_min"]
 
@@ -95,7 +95,7 @@ def logsumexp(a, axis=None):
     """log(sum(exp(a))) with max-shift (see the module docstring for float edges).
     axis=None reduces the raveled input to a float; an axis reduces each slice
     along it, with its own max-shift, to an array."""
-    a = np.asarray(a, dtype=float)
+    a = as_array(a)
     if axis is None:
         return logsumexp(a.ravel(), 0).item()
     _, lse, m, _ = _shifted(a, 1.0, axis)
@@ -105,16 +105,17 @@ def logsumexp(a, axis=None):
 def log_softmax(x: np.ndarray) -> np.ndarray:
     """Log of the softmax of x along its last axis, stabilized by a max-shift per slice;
     raises as _log_normalize does."""
-    s, lse, _, _ = _shifted(np.asarray(x, dtype=float), 1.0, -1, normalize=True)
+    s, lse, _, _ = _shifted(as_array(x), 1.0, -1, normalize=True)
     return s - lse  # s <= 0 and, normalized, 0 <= lse <= log K: this never warns
 
 
 def _log_normalize(x: np.ndarray, alpha: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """log_softmax(alpha * x) and logsumexp(alpha * x) along the last axis; a slice with
-    no mass raises SumOutOfTolerance, and one with infinite mass NonFiniteEncountered."""
+    """log_softmax(alpha * x) and logsumexp(alpha * x) along the last axis, the latter
+    m + lse at alpha 1, where alpha * m is m; a slice with no mass raises
+    SumOutOfTolerance, and one with infinite mass NonFiniteEncountered."""
     s, lse, m, quiet = _shifted(np.asarray(x, dtype=float), alpha, -1, normalize=True)
     with quiet:
-        return s - lse, (alpha * m + lse).squeeze(-1)
+        return s - lse, ((m if alpha == 1.0 else alpha * m) + lse).squeeze(-1)
 
 
 def _minus_logsumexp(x: np.ndarray, alpha: float) -> np.ndarray:
@@ -137,7 +138,7 @@ def soft_min(a, alpha: float, axis=None):
     it converges to it from below as alpha grows, within log(len(a)) / alpha.  alpha
     must be finite and positive; axis reduces each slice along it, as logsumexp does."""
     require_alpha(alpha)
-    a = np.asarray(a, dtype=float)
+    a = as_array(a)
     if axis is None:
         return soft_min(a.ravel(), alpha, 0).item()
     _, lse, m, quiet = _shifted(a, -alpha, axis)

@@ -56,7 +56,9 @@ from .errors import (
     LabelOutOfRange,
     NonFiniteLogits,
     NonFiniteParameter,
+    as_array,
     require_alpha,
+    require_integer,
 )
 from .logspace import log_softmax, soft_min, _minus_logsumexp, _soft_min_step
 
@@ -92,7 +94,7 @@ _LOG_MAX = float(np.log(np.finfo(float).max))  # the largest x whose exp is fini
 
 
 def _check_logits(logits) -> np.ndarray:
-    x = np.asarray(logits, dtype=float)
+    x = as_array(logits)
     if not np.isfinite(x).all():
         raise NonFiniteLogits("logits must be finite")
     return x
@@ -102,8 +104,8 @@ def _check_batch(rows, labels, k: Optional[int] = None,
                  width: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
     """(rows, labels as ints) for n >= 1 rows (of the given width) and n integer labels
     in [0, k); k defaults to the rows' width, as it is for logits."""
-    x = np.asarray(rows, dtype=float)
-    y = np.asarray(labels)
+    x = as_array(rows)
+    y = as_array(labels, None)
     if x.ndim != 2 or len(x) == 0 or width not in (None, x.shape[1]) or y.shape != (len(x),):
         raise DimensionMismatch(f"expected n >= 1 rows of width {width or 'k'} and n labels, "
                                 f"got shapes {x.shape} and {y.shape}")
@@ -129,14 +131,18 @@ def _check_loss(mode: str, alpha: float, lam: float, step: float = 1.0) -> None:
         raise InvalidSetting(f"step must be positive, got {step!r}")
 
 
-def _require_settings(*settings: tuple[str, int, int]) -> None:
-    """Raise InvalidSetting for the first (name, value, least) whose value is below least
-    or, for a size, above its MAX_TOY_ constant; callers check before they allocate."""
+def _require_settings(*settings: tuple[str, int, int]) -> list[int]:
+    """The values of settings (name, value, least) as Python ints, so that a narrow numpy
+    integer neither wraps nor reaches a report; InvalidSetting for the first value that is
+    not an integer, is below least or, for a size, above its MAX_TOY_ constant.  Callers
+    check before they allocate."""
     for name, value, least in settings:
+        require_integer(name, value)
         if value < least:
             raise InvalidSetting(f"{name} must be at least {least}, got {value!r}")
         if value > _SIZE_LIMITS.get(name, value):
             raise InvalidSetting(f"{name} must be at most {_SIZE_LIMITS[name]}, got {value!r}")
+    return [int(value) for _, value, _ in settings]
 
 
 def hn_forward(logits, alpha: float) -> np.ndarray:
@@ -187,7 +193,7 @@ def regularizer_bound(k: int, alpha: float) -> float:
     the largest the term can be for alpha >= 1, the smallest below.  -log p is log(k) for
     every class, and a soft minimum of k equal entries lies log(k) / alpha below them."""
     require_alpha(alpha)
-    _require_settings(("k", k, 1))
+    k, = _require_settings(("k", k, 1))
     return float(np.log(k) + soft_min(np.zeros(k), alpha))
 
 
@@ -215,7 +221,7 @@ def make_toy_dataset(k: int = 3, seed: int = 0) -> ToyDataset:
     round-robin so counts differ by at most one when k does not divide the
     sample count.  Everything is a pure function of the seed it records.
     """
-    _require_settings(("k", k, 1), ("seed", seed, 0))
+    k, seed = _require_settings(("k", k, 1), ("seed", seed, 0))
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(k) / k
     centers = _RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -236,7 +242,8 @@ class ToyNet:
     PARAM_ORDER = ("W1", "b1", "W2", "b2", "W3", "b3")
 
     def __init__(self, k: int = 3, hidden: int = 16, seed: int = 0) -> None:
-        _require_settings(("k", k, 1), ("hidden", hidden, 1), ("seed", seed, 0))
+        k, hidden, seed = _require_settings(("k", k, 1), ("hidden", hidden, 1),
+                                            ("seed", seed, 0))
         rng = np.random.default_rng(seed)
         self.k, self.hidden, self.seed = k, hidden, seed
         self.params: dict[str, np.ndarray] = {
@@ -367,13 +374,14 @@ def train(net: ToyNet, data: ToyDataset, mode: str = "intersection", alpha: floa
     exactly reproducible.  Epoch 0 records the untouched initial network.
     """
     _check_loss(mode, alpha, lam, step)
-    _require_settings(("epochs", epochs, 0), ("seed", seed, 0),
-                      ("batch_size", 1 if batch_size is None else batch_size, 1))
+    epochs, seed, size = _require_settings(
+        ("epochs", epochs, 0), ("seed", seed, 0),
+        ("batch_size", 1 if batch_size is None else batch_size, 1))
     splits = [_check_batch(data.train_x, data.train_y, net.k, width=2),
               _check_batch(data.test_x, data.test_y, net.k, width=2)]
     train_x, train_y = splits[0]
     n = len(train_y)
-    size = batch_size or n
+    size = n if batch_size is None else size
     rng = np.random.default_rng(seed)
     weights = np.concatenate([net.params[name].ravel() for name in net.PARAM_ORDER])
     net.params.update(_views(weights, net.params))

@@ -40,10 +40,11 @@ mask once and checks the support the term is defined on, and one kernel,
 which gives the term's value and its vector from one shifted array (see
 logspace); the subset likelihood and the soft bound share one soft minimum
 (logspace._soft_min_step), and only those two read alpha
-(ObjectiveConfig.reads_alpha).  One dispatch, _bind, binds a config's two
+(ObjectiveConfig.reads_alpha).  One dispatch, _bind, binds a config's
 terms and returns one kernel that does only the arithmetic on the model
 rows: for evaluate, values_at_thetas, gradient_terms, and optimize.ascend,
-which binds again only when the support changes.  Bound for the value
+which binds the full support once and binds again only for an iterate
+past its divergence bound whose support differs.  Bound for the value
 alone, the kernel builds no vectors.  The entry points validate outcome
 ranges and finite parameters once per call.
 """
@@ -162,6 +163,8 @@ def _ratio_argmax_set(oracle: FiniteDistribution, prior: FiniteDistribution) -> 
 # Each checks the support its term is defined on, once, as it binds: where the
 # term's value is -inf and it has no vector, a builder bound for the gradient
 # raises, and one bound for the value alone returns None in place of a kernel.
+# The likelihood kind has no penalty builder: _bind itself gives exp(model) as its
+# repulsion and adds nothing to the likelihood term's value.
 #
 # A kernel picks its columns with compress (bounds._columns), which keeps the rows
 # C-ordered: each row then sums in the same order as a single 1-D row, so a batch
@@ -219,15 +222,9 @@ def _subset_term(supp: np.ndarray, oracle: np.ndarray, prior: np.ndarray,
     return term
 
 
-def _no_penalty(supp: np.ndarray, prior: np.ndarray, alpha: float, gradient: bool = True):
-    """The likelihood kind's penalty: none, and the model itself as the repulsion."""
-    # -0.0, not 0.0: x + -0.0 is x bit for bit, including x = -0.0; a scalar broadcasts
-    return lambda model: (-0.0, np.exp(model) if gradient else None)
-
-
 _LIKELIHOOD_TERMS = {"cond-independent": _independent_term, "oracle-subset": _subset_term}
 
-_PENALTY_TERMS = {"likelihood": _no_penalty, "intersection": _soft_bound_term}
+_PENALTY_TERMS = {"likelihood": None, "intersection": _soft_bound_term}
 
 # The builders that read alpha: both soft minima.  A config with neither term here,
 # the cond-independent likelihood, is alpha-free (ObjectiveConfig.reads_alpha).
@@ -239,12 +236,17 @@ def _bind(config: ObjectiveConfig, supp: np.ndarray, oracle: np.ndarray,
     """config's kernel for models whose rows share the support mask supp, against the
     oracle's log-probabilities: model (..., K) -> (value, attraction, repulsion), the
     vectors None without gradient.  Each term checks its support as it binds, the
-    likelihood first; where a term's value is -inf, the kernel gives -inf values."""
+    likelihood first; where a term's value is -inf, the kernel gives -inf values.  The
+    likelihood kind's kernel gives the likelihood term's value as it is, and the model
+    itself, exp(model), as the repulsion."""
     prior, alpha = config.prior.logp, config.alpha
     likelihood = _LIKELIHOOD_TERMS[config.assumption](supp, oracle, prior, alpha, gradient)
-    penalty = _PENALTY_TERMS[config.kind](supp, prior, alpha, gradient)
-    if likelihood is None or penalty is None:
+    builder = _PENALTY_TERMS[config.kind]
+    penalty = builder and builder(supp, prior, alpha, gradient)
+    if likelihood is None or (builder and penalty is None):
         return lambda model: (np.full(model.shape[:-1], NEG_INF), None, None)
+    if builder is None:
+        return lambda model: likelihood(model) + ((np.exp(model) if gradient else None),)
 
     def kernel(model: np.ndarray):
         lik, attraction = likelihood(model)

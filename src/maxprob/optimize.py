@@ -23,7 +23,8 @@ import numpy as np
 
 from .distributions import (FiniteDistribution, Parameterization, apply_parameterization,
                             _check_theta, _pullback, _require_ranges, _theta_logp)
-from .errors import DimensionMismatch, InvalidSetting, NonFiniteParameter
+from .errors import (DimensionMismatch, InvalidSetting, NonFiniteParameter, as_array,
+                     require_integer)
 from .logspace import NEG_INF
 from .objectives import (GradientVector, ObjectiveConfig, gradient_at_theta, gradient_terms,
                          values_at_thetas, _bind)
@@ -58,6 +59,7 @@ class AscentConfig:
                 raise NonFiniteParameter(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.step_size > 0:
             raise InvalidSetting(f"step_size must be positive, got {self.step_size!r}")
+        require_integer("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise InvalidSetting(f"max_iters must be at least 1, got {self.max_iters!r}")
         if self.grad_tol < 0:
@@ -104,33 +106,36 @@ def ascend(config: ObjectiveConfig, oracle: FiniteDistribution, p: Parameterizat
     theta0 and the outcome ranges are checked once, with the errors
     value_at_theta raises.  Each iteration then maps theta to
     log-probabilities once and makes one call to the objective's kernel on
-    that row for the value and both gradient vectors.  The kernel is bound
-    to the row's support mask (objectives._bind, whose terms check their
-    supports) on the first iteration, and again only on an iteration
-    whose mask differs from the last one bound: a logit gap that overflows
-    can zero an outcome.  Each iteration records value and gradient norm
-    before deciding to stop, so the trace always contains the final
-    iterate.  A point already at grad_tol converges on the first iteration
-    without stepping.
+    that row for the value and both gradient vectors.  Within
+    DIVERGENCE_THETA_BOUND the logits spread by at most twice the bound, so
+    every outcome keeps its mass: the kernel is bound to the full support
+    (objectives._bind, whose terms check their supports) once.  Only an
+    iterate past the bound, the last of a diverging run or a huge theta0,
+    builds its support mask, which an overflowing logit gap can thin, and
+    binds again if the mask differs from the last one bound.  Each iteration
+    records value and gradient norm before deciding to stop, so the trace
+    always contains the final iterate.  A point already at grad_tol
+    converges on the first iteration without stepping.
     """
     theta = _check_theta(p, theta0)
     _require_ranges(p.range, oracle, config.prior)
     thetas, values, norms = [], [], []
     status = "max_iters"
-    bound_supp = None
+    full, bound = np.ones(len(p.range), dtype=bool), None
     for _ in range(cfg.max_iters):
-        logp = _theta_logp(p, theta[np.newaxis])[0]
-        supp = logp > NEG_INF
-        if supp.tobytes() != bound_supp:
-            kernel, bound_supp = _bind(config, supp, oracle.logp), supp.tobytes()
+        reach = np.maximum.reduce(abs(theta))
+        logp = _theta_logp(p, theta)
+        supp = full if reach <= DIVERGENCE_THETA_BOUND else logp > NEG_INF
+        if supp is not bound and (bound is None or supp.tobytes() != bound.tobytes()):
+            kernel, bound = _bind(config, supp, oracle.logp), supp
         value, attract, repulse = kernel(logp)
         value = float(value)
         d_theta = _pullback(p, attract - repulse)
-        gnorm = float(abs(d_theta).max())
+        gnorm = float(np.maximum.reduce(abs(d_theta)))
         thetas.append(theta)
         values.append(value)
         norms.append(gnorm)
-        if math.isnan(value) or math.isnan(gnorm) or abs(theta).max() > DIVERGENCE_THETA_BOUND:
+        if math.isnan(value) or math.isnan(gnorm) or reach > DIVERGENCE_THETA_BOUND:
             status = "diverged"
             break
         if gnorm <= cfg.grad_tol:
@@ -151,8 +156,12 @@ def mc_gradient(config: ObjectiveConfig, oracle: FiniteDistribution, p: Paramete
     vectors estimates d_logp; it sums to zero (up to rounding) like the exact
     gradient, so it is pulled back to d_theta the same way.
     """
+    require_integer("n_samples", n_samples)
     if n_samples < 1:
         raise InvalidSetting(f"n_samples must be at least 1, got {n_samples!r}")
+    require_integer("seed", seed)
+    if seed < 0:
+        raise InvalidSetting(f"seed must be non-negative, got {seed!r}")
     model = apply_parameterization(p, theta)
     attract, repulse = gradient_terms(config, model, oracle)
     rng = np.random.default_rng(seed)
@@ -182,7 +191,7 @@ def _central_differences(values_fn: Callable[[Iterator[np.ndarray]], Sequence[fl
         raise NonFiniteParameter(f"h must be finite, got {h!r}")
     if h == 0:
         raise InvalidSetting("h must be nonzero")
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    theta = np.atleast_1d(as_array(theta))
 
     def rows():
         for j in range(theta.size):
@@ -227,10 +236,10 @@ def grid_argmax(values_fn: Callable[[np.ndarray], np.ndarray], theta_grid: Seque
     value never wins; when no value beats -inf the first point is reported
     with value -inf.
     """
-    grid = np.asarray(theta_grid, dtype=float)
+    grid = as_array(theta_grid)
     if grid.size == 0:
         raise DimensionMismatch("theta_grid must contain at least one point")
-    values = np.asarray(values_fn(grid), dtype=float)
+    values = as_array(values_fn(grid))
     if values.shape != grid.shape:
         raise DimensionMismatch(f"values_fn gave shape {values.shape} for a grid of {grid.shape}")
     values = np.where(np.isnan(values), -np.inf, values)

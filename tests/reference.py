@@ -50,6 +50,12 @@ weight penalty every epoch; the tests require train to match it bit for bit.
 soft_min_rows is logspace.soft_min along the last axis on the ndarray min
 and sum methods, before short rows were reduced column by column.
 
+likelihood_kind_kernel is objectives._bind for the likelihood kind as it was
+while that kind had a penalty term that was none: over the package's own
+likelihood term builders, it adds that term's -0.0 to the likelihood value
+on every call; the tests require the kernel without the addition to match
+it bit for bit.
+
 It keeps the per-point loop with which bernoulli.uniqueness_diagnostic
 looked for a run of PLATEAU_RUN near-maximal points, before it counted them
 in sliding windows.
@@ -81,7 +87,7 @@ from maxprob import (
     TrainReport,
 )
 from maxprob.bernoulli import PLATEAU_RUN, PLATEAU_TOL
-from maxprob import logspace, nn
+from maxprob import logspace, nn, objectives
 from maxprob.distributions import _check_theta, _pullback, _require_ranges, _theta_logp
 from maxprob.nn import EpochRecord
 from maxprob.optimize import DIVERGENCE_THETA_BOUND
@@ -428,6 +434,28 @@ def ascend_stepwise(config, oracle, p, theta0, cfg) -> AscentTrace:
             break
         theta = theta + cfg.step_size * d_theta
     return AscentTrace(np.array(thetas), np.array(values), np.array(norms), status)
+
+
+def likelihood_kind_kernel(config, supp, oracle, gradient=True):
+    """objectives._bind for the likelihood kind, which added its penalty's -0.0."""
+    likelihood = objectives._LIKELIHOOD_TERMS[config.assumption](
+        supp, oracle, config.prior.logp, config.alpha, gradient)
+    if likelihood is None:
+        return lambda model: (np.full(model.shape[:-1], NEG_INF), None, None)
+
+    def kernel(model):
+        lik, attraction = likelihood(model)
+        return lik + -0.0, attraction, (np.exp(model) if gradient else None)
+    return kernel
+
+
+def likelihood_kind_values(config, oracle, model) -> np.ndarray:
+    """objectives._values_of_rows over likelihood_kind_kernel."""
+    if (model > NEG_INF).all():
+        return likelihood_kind_kernel(config, np.ones(model.shape[-1], dtype=bool),
+                                      oracle.logp, gradient=False)(model)[0]
+    return np.array([likelihood_kind_kernel(config, row > NEG_INF, oracle.logp,
+                                            gradient=False)(row)[0] for row in model])
 
 
 # ---------------------------------------------------------------------------

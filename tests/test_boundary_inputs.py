@@ -1,0 +1,174 @@
+"""Ragged input and non-integer settings end in a DomainError at every entry point.
+
+numpy rejects nested sequences of unequal lengths with a bare ValueError
+("inhomogeneous shape"); the package's array boundaries raise
+DimensionMismatch instead (errors.as_array).  A count, size or seed is
+checked when it is set, as an int or a numpy integer (errors.require_integer).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from maxprob import (
+    AscentConfig,
+    DimensionMismatch,
+    FiniteDistribution,
+    InvalidSetting,
+    ObjectiveConfig,
+    OutcomeRange,
+    Parameterization,
+    ToyNet,
+    apply_parameterization,
+    ascend,
+    cross_entropy_loss,
+    exhaustive_bound_oracle,
+    fd_gradient,
+    gradient_at_theta,
+    grid_argmax,
+    hn_forward,
+    intersection_loss,
+    log_softmax,
+    logsumexp,
+    loss_and_grads,
+    make_distribution,
+    make_toy_dataset,
+    mc_gradient,
+    regularizer_bound,
+    soft_min,
+    train,
+    uniform_distribution,
+    value_at_theta,
+    values_at_thetas,
+)
+
+COIN = OutcomeRange(("1", "0"))
+UNIFORM2 = uniform_distribution(COIN)
+CONFIG = ObjectiveConfig("intersection", "cond-independent", 2.0, UNIFORM2)
+SIGMOID = Parameterization.sigmoid_bernoulli()
+SOFTMAX2 = Parameterization.softmax_logits(COIN)
+DATA = make_toy_dataset(k=3, seed=0)
+
+entries = st.floats(-5.0, 5.0)
+counts = st.integers(0, 2)
+
+
+@st.composite
+def ragged(draw, entry=entries):
+    """A list whose items nest to unequal depths or lengths: [[a], b], [a, [b]] or rows of
+    two different lengths."""
+    short = draw(st.lists(entry, min_size=1, max_size=3))
+    longer = draw(st.lists(entry, min_size=len(short) + 1, max_size=len(short) + 2))
+    item = draw(entry)
+    pair = draw(st.sampled_from([(short, item), (item, short), (short, longer),
+                                 (longer, short)]))
+    return list(pair)
+
+
+# Each entry point with one array argument replaced by the drawn ragged list.
+RAGGED_CALLS = {
+    "intersection_loss rows": lambda r, labels: intersection_loss(r, [0, 1], 2.0),
+    "intersection_loss labels": lambda r, labels: intersection_loss([[1.0, 2.0, 0.0],
+                                                                    [0.0, 1.0, 2.0]],
+                                                                   labels, 2.0),
+    "cross_entropy_loss rows": lambda r, labels: cross_entropy_loss(r, [0, 1]),
+    "cross_entropy_loss labels": lambda r, labels: cross_entropy_loss([[1.0, 2.0],
+                                                                      [0.0, 1.0]], labels),
+    "hn_forward": lambda r, labels: hn_forward(r, 2.0),
+    "loss_and_grads rows": lambda r, labels: loss_and_grads(ToyNet(seed=0), r, [0, 1],
+                                                            "intersection"),
+    "loss_and_grads labels": lambda r, labels: loss_and_grads(
+        ToyNet(seed=0), [[1.0, 2.0], [0.0, 1.0]], labels, "intersection"),
+    "apply_parameterization": lambda r, labels: apply_parameterization(SOFTMAX2, r),
+    "value_at_theta": lambda r, labels: value_at_theta(CONFIG, UNIFORM2, SOFTMAX2, r),
+    "gradient_at_theta": lambda r, labels: gradient_at_theta(CONFIG, UNIFORM2, SOFTMAX2, r),
+    "values_at_thetas": lambda r, labels: values_at_thetas(CONFIG, UNIFORM2, SOFTMAX2, r),
+    "ascend": lambda r, labels: ascend(CONFIG, UNIFORM2, SOFTMAX2, r,
+                                       AscentConfig(max_iters=2)),
+    "mc_gradient": lambda r, labels: mc_gradient(CONFIG, UNIFORM2, SOFTMAX2, r, 10, 0),
+    "logsumexp": lambda r, labels: logsumexp(r),
+    "logsumexp axis": lambda r, labels: logsumexp(r, axis=-1),
+    "soft_min": lambda r, labels: soft_min(r, 2.0),
+    "log_softmax": lambda r, labels: log_softmax(r),
+    "make_distribution": lambda r, labels: make_distribution(COIN, r),
+    "FiniteDistribution": lambda r, labels: FiniteDistribution(COIN, r),
+    "from_logp": lambda r, labels: FiniteDistribution.from_logp(COIN, r),
+    "fd_gradient": lambda r, labels: fd_gradient(lambda theta: 0.0, r),
+    "grid_argmax grid": lambda r, labels: grid_argmax(lambda grid: grid, r),
+    "grid_argmax values": lambda r, labels: grid_argmax(lambda grid: r, [0.0, 1.0]),
+    "exhaustive_bound_oracle": lambda r, labels: exhaustive_bound_oracle(
+        r, ["1", "0"], UNIFORM2),
+}
+
+
+class TestRaggedInput:
+    @given(st.sampled_from(sorted(RAGGED_CALLS)), ragged(), ragged(counts))
+    def test_is_a_dimension_mismatch(self, name, rows, labels):
+        with pytest.raises(DimensionMismatch):
+            RAGGED_CALLS[name](rows, labels)
+
+
+# Each integer setting, set to the drawn value with every other argument valid.
+SETTINGS = {
+    "AscentConfig max_iters": lambda v: AscentConfig(max_iters=v),
+    "Parameterization dim": lambda v: Parameterization(v, COIN),
+    "softmax_logits outcome count": lambda v: Parameterization.softmax_logits(v),
+    "mc_gradient n_samples": lambda v: mc_gradient(CONFIG, UNIFORM2, SIGMOID, 0.0, v, 0),
+    "mc_gradient seed": lambda v: mc_gradient(CONFIG, UNIFORM2, SIGMOID, 0.0, 10, v),
+    "train epochs": lambda v: train(ToyNet(seed=0), DATA, epochs=v),
+    "train batch_size": lambda v: train(ToyNet(seed=0), DATA, epochs=1, batch_size=v),
+    "train seed": lambda v: train(ToyNet(seed=0), DATA, epochs=1, seed=v),
+    "ToyNet k": lambda v: ToyNet(k=v),
+    "ToyNet hidden": lambda v: ToyNet(hidden=v),
+    "ToyNet seed": lambda v: ToyNet(seed=v),
+    "make_toy_dataset k": lambda v: make_toy_dataset(k=v),
+    "make_toy_dataset seed": lambda v: make_toy_dataset(seed=v),
+    "regularizer_bound k": lambda v: regularizer_bound(v, 2.0),
+}
+
+non_integers = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.integers(1, 5).map(float),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+    st.integers(1, 5).map(lambda n: [n]),
+    st.integers(1, 5).map(np.array),  # a 0-d array is no integer either
+)
+
+
+class TestIntegerSettings:
+    @given(st.sampled_from(sorted(SETTINGS)), non_integers)
+    def test_non_integer_is_a_domain_error(self, name, value):
+        """InvalidSetting, or DimensionMismatch for a parameterization's size."""
+        assume(value is not None or name != "train batch_size")  # None is the full batch
+        error = DimensionMismatch if name.startswith(("Param", "softmax")) else InvalidSetting
+        with pytest.raises(error):
+            SETTINGS[name](value)
+
+    @pytest.mark.parametrize("name", ["mc_gradient seed", "ToyNet seed", "train seed",
+                                      "make_toy_dataset seed"])
+    def test_negative_seed_is_invalid(self, name):
+        with pytest.raises(InvalidSetting):
+            SETTINGS[name](-1)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+    def test_numpy_integers_give_what_ints_give(self, integer):
+        assert ascend(CONFIG, UNIFORM2, SIGMOID, 0.3,
+                      AscentConfig(max_iters=integer(3))).iterations == 3
+        assert Parameterization(integer(1), COIN) == Parameterization(1, COIN)
+        assert Parameterization.softmax_logits(integer(3)) == Parameterization.softmax_logits(3)
+        want = mc_gradient(CONFIG, UNIFORM2, SIGMOID, 0.3, 50, 7).d_logp
+        got = mc_gradient(CONFIG, UNIFORM2, SIGMOID, 0.3, integer(50), integer(7)).d_logp
+        assert got.tobytes() == want.tobytes()
+        assert (make_toy_dataset(k=integer(3), seed=integer(2)).train_x.tobytes()
+                == make_toy_dataset(k=3, seed=2).train_x.tobytes())
+        net, same = ToyNet(k=integer(3), hidden=integer(4), seed=integer(1)), ToyNet(3, 4, 1)
+        assert net.digest() == same.digest()
+        reports = [train(n, DATA, epochs=e, batch_size=b, seed=s)
+                   for n, e, b, s in ((net, integer(2), integer(64), integer(3)),
+                                      (same, 2, 64, 3))]
+        assert reports[0].final_digest == reports[1].final_digest
+        assert regularizer_bound(integer(3), 2.0) == regularizer_bound(3, 2.0)

@@ -304,6 +304,22 @@ class TestSoftmaxParameterization:
                 total = np.exp(_theta_logp(p, thetas)).sum(axis=-1)
                 assert np.abs(total - 1.0).max() <= SUM_INVARIANT_TOL, (scale, sign)
 
+    @pytest.mark.parametrize("k", [2, 3, 8, 64, 2048])
+    def test_one_row_alone_is_its_batch_row(self, k):
+        """A 1-D parameter row maps to the bits of the same row in a (1, dim) batch, and in
+        a larger one, at every scale up to logit gaps past finfo.max, which zero outcomes."""
+        rng = np.random.default_rng(k + 1)
+        for p in (Parameterization(1, OutcomeRange(labels_of(k))),
+                  Parameterization.softmax_logits(k)):
+            rows = np.concatenate([scale * rng.uniform(-1.0, 1.0, size=(6, p.dim))
+                                   for scale in (1.0, 1e5, 1e300, 1.7e308)])
+            rows[-1, :2] = [1.7e308, -1.7e308][:p.dim]  # a gap past finfo.max at dim > 1
+            batch = _theta_logp(p, rows)
+            for row, want in zip(rows, batch):
+                assert_array_bits(_theta_logp(p, row), want)
+                assert_array_bits(_theta_logp(p, row[np.newaxis]), want[np.newaxis])
+            assert (batch[-1] == NEG_INF).any() == (p.dim > 1)
+
 
 theta_vectors = st.lists(
     st.floats(-5.0, 5.0, allow_nan=False), min_size=1, max_size=6,

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import dist_from_weights, distribution_triples, weight_lists
+import reference
+from helpers import dist_from_weights, distribution_triples, labels_of, weight_lists
 from maxprob import (
+    DomainError,
     EmptyIntersectionSupport,
     InvalidSetting,
     NonFiniteParameter,
@@ -12,6 +14,7 @@ from maxprob import (
     ObjectiveConfig,
     OracleSupportEscapesModel,
     OutcomeRange,
+    Parameterization,
     alpha_skeleton,
     evaluate,
     gradient_logp,
@@ -19,8 +22,10 @@ from maxprob import (
     make_distribution,
     softmax_probability,
     uniform_distribution,
+    values_at_thetas,
 )
-from maxprob.objectives import _ratio_argmax_set, _values_of_rows
+from maxprob.distributions import _theta_logp
+from maxprob.objectives import ASSUMPTIONS, _ratio_argmax_set, _values_of_rows
 
 COIN = OutcomeRange(("1", "0"))
 TRIAD = OutcomeRange(("a", "b", "c"))
@@ -307,3 +312,61 @@ class TestReadsAlpha:
         values = [_values_of_rows(ObjectiveConfig(*cell, a, prior), oracle, model)
                   for a in (1.0, 2.0)]
         assert not np.array_equal(*values)
+
+
+THETA_ENTRIES = st.one_of(st.floats(-30.0, 30.0), st.sampled_from([1e308, -1e308, 0.0, -0.0]))
+
+
+def result_or_error(run):
+    """run()'s result, or the class of the DomainError it raised."""
+    try:
+        return run()
+    except DomainError as exc:
+        return type(exc)
+
+
+def same_bits(got, want) -> bool:
+    if isinstance(want, type) or isinstance(got, type):
+        return got is want
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestLikelihoodKindKernel:
+    """The likelihood kind has no penalty term: its value is the likelihood term's, bit for
+    bit the kernel that added that term's -0.0 (reference.likelihood_kind_kernel)."""
+
+    triples = st.integers(2, 6).flatmap(lambda k: st.tuples(
+        *(weight_lists(k, allow_zeros=True) for _ in range(3))))
+
+    @given(triples, st.sampled_from(ASSUMPTIONS), alphas)
+    def test_evaluate_and_gradient_terms(self, weights, assumption, alpha):
+        model, oracle, prior = (dist_from_weights(w) for w in weights)
+        config = ObjectiveConfig("likelihood", assumption, alpha, prior)
+
+        def want(gradient):
+            return result_or_error(lambda: reference.likelihood_kind_kernel(
+                config, model.support, oracle.logp, gradient)(model.logp))
+        value, terms = want(False), want(True)
+        assert same_bits(result_or_error(lambda: evaluate(config, model, oracle)),
+                         value if isinstance(value, type) else float(value[0]))
+        got = result_or_error(lambda: gradient_terms(config, model, oracle))
+        if isinstance(terms, type):
+            assert got is terms
+        else:
+            assert all(same_bits(g, w) for g, w in zip(got, terms[1:]))
+
+    @given(st.integers(2, 6).flatmap(lambda k: st.tuples(
+        st.lists(st.lists(THETA_ENTRIES, min_size=k, max_size=k),
+                 min_size=1, max_size=5),
+        weight_lists(k, allow_zeros=True), weight_lists(k, allow_zeros=True))),
+        st.sampled_from(ASSUMPTIONS), alphas)
+    def test_values_at_thetas(self, case, assumption, alpha):
+        """Softmax rows of any support, logit gaps past finfo.max included."""
+        rows, oracle, prior = case
+        oracle, prior = dist_from_weights(oracle), dist_from_weights(prior)
+        p = Parameterization.softmax_logits(OutcomeRange(labels_of(len(rows[0]))))
+        config = ObjectiveConfig("likelihood", assumption, alpha, prior)
+        want = result_or_error(lambda: reference.likelihood_kind_values(
+            config, oracle, _theta_logp(p, np.array(rows))))
+        assert same_bits(result_or_error(lambda: values_at_thetas(config, oracle, p, rows)),
+                         want)

@@ -33,6 +33,7 @@ from maxprob import (
     value_at_theta,
 )
 from maxprob import optimize
+from maxprob.logspace import NEG_INF
 from maxprob.objectives import ASSUMPTIONS, KINDS
 
 SIGMOID = Parameterization.sigmoid_bernoulli()
@@ -271,6 +272,20 @@ def count_binds(monkeypatch) -> list:
     return masks
 
 
+def count_masks(monkeypatch) -> list:
+    """Every support mask, logp > NEG_INF, that ascend builds from now on."""
+    masks = []
+
+    class CountingNegInf:
+        __array_ufunc__ = None  # so that logp > this calls this < logp
+
+        def __lt__(self, logp):
+            masks.append(logp > NEG_INF)
+            return masks[-1]
+    monkeypatch.setattr(optimize, "NEG_INF", CountingNegInf())
+    return masks
+
+
 THETA_ENTRIES = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([1e308, -1e308, 3e307]))
 
 
@@ -349,6 +364,30 @@ class TestAscendMatchesStepwise:
         assert len(masks) == 1
         if (kind, assumption) == ("likelihood", "cond-independent"):
             assert trace.iterations == 400
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("assumption", ASSUMPTIONS)
+    def test_only_an_iterate_past_the_bound_builds_a_mask(self, kind, assumption,
+                                                          monkeypatch):
+        """Inside DIVERGENCE_THETA_BOUND every outcome keeps its mass: a fit-small ascent
+        builds no mask, and a diverging one only for its last iterate, or a huge theta0."""
+        config = ObjectiveConfig(kind, assumption, 2.0, UNIFORM2)
+        cfg = AscentConfig(step_size=1.0, max_iters=400, grad_tol=1e-10)
+        masks, binds = count_masks(monkeypatch), count_binds(monkeypatch)
+        ascend(config, apply_parameterization(SIGMOID, 1.25), SIGMOID, 0.0, cfg)
+        assert (len(masks), len(binds)) == (0, 1)
+        trace = ascend(config, apply_parameterization(SIGMOID, 1.25), SIGMOID, 0.0,
+                       AscentConfig(step_size=1e8, max_iters=50))
+        assert trace.status == "diverged" and abs(trace.thetas[:-1]).max() <= 1e6
+        assert [m.tolist() for m in masks] == [[True, True]]
+        assert [m.tolist() for m in binds[1:]] == [[True, True]]
+
+        p = Parameterization.softmax_logits(3)
+        config = ObjectiveConfig(kind, assumption, 2.0, uniform_distribution(p.range))
+        del masks[:]
+        run_or_error(ascend, config, make_distribution(p.range, [0.98, 0.01, 0.01]), p,
+                     [1e308, -1e308, 0.0], AscentConfig(max_iters=20))
+        assert [m.tolist() for m in masks] == [[True, False, True]]
 
 
 class TestMCGradient:
