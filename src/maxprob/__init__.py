@@ -16,6 +16,7 @@ from .errors import (
     NonFiniteEncountered,
     NonFiniteLogits,
     NonFiniteParameter,
+    NonNumericEntry,
     NonPositiveAlpha,
     NonSurjectiveProjection,
     OracleSupportEscapesModel,

@@ -11,6 +11,10 @@ output to a file instead of stdout (the path "-" also means stdout).
 An infinite float, such as the log value of a model event ruled out by the
 prior, is the CSV cell inf or -inf and the JSON string "-inf" or "inf" (not
 an illegal JSON token); a NaN is a NonFiniteEncountered domain error in both.
+
+`optimize --out FILE` writes the trace CSV to FILE and a one-line JSON summary
+to stdout, whose final_theta is the text of the CSV's last row, each float
+formatted once for both.
 """
 
 from __future__ import annotations
@@ -105,21 +109,24 @@ def _csv_cells(table: np.ndarray) -> list[str]:
     return [",".join(map(repr, row)) for row in table.tolist()]
 
 
-def _emit_csv(header: Sequence[str], blocks: Iterable, out: Optional[str]) -> None:
+def _emit_csv(header: Sequence[str], blocks: Iterable, out: Optional[str]) -> list[str]:
     """Write the header, then per (prefix, keys, table) block a line prefix + key + row
     per row of the float array table; prefix and keys are CSV text, each key ending in ",".
+    Returns the last block's rows as _csv_cells formatted them.
 
     A block whose keys and table are the same objects as the previous block's reuses
     that block's key + row text and prepends only its own prefix, so neither may change
     in between: a sweep's alpha-free curve is formatted once for all its alphas."""
-    lines = [",".join(header)]
+    lines, cells = [",".join(header)], []
     last = None, None  # the previous block's keys and table
     for prefix, keys, table in blocks:
         if keys is not last[0] or table is not last[1]:
             last = keys, table
-            rows = [key + row for key, row in zip(keys, _csv_cells(table))]
+            cells = _csv_cells(table)
+            rows = [key + row for key, row in zip(keys, cells)]
         lines += [prefix + row for row in rows]
     _write_text("\n".join(lines) + "\n", out)
+    return cells
 
 
 def _floats_csv(text: str) -> tuple[float, ...]:
@@ -209,14 +216,15 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     trace = ascend(config, oracle, p, theta0, ascent)
     header = ["iter"] + [f"theta_{i}" for i in range(p.dim)] + ["value", "grad_norm"]
     table = np.column_stack((trace.thetas, trace.values, trace.grad_norms))
-    _emit_csv(header, [("", [f"{i}," for i in range(len(table))], table)], args.out)
+    cells = _emit_csv(header, [("", [f"{i}," for i in range(len(table))], table)], args.out)
     if args.out not in (None, "-"):
-        _emit_json({
-            "status": trace.status,
-            "iterations": trace.iterations,
-            "final_theta": [float(t) for t in trace.final_theta],
-            "final_value": trace.final_value,
-        }, None)
+        # final_theta is the last row's theta cells, as json would format those floats
+        theta = "[" + ", ".join(cells[-1].split(",", p.dim)[:p.dim]) + "]"
+        if np.isinf(trace.final_theta).any():
+            theta = re.sub(r"-?inf", r'"\g<0>"', theta)
+        _write_text(f'{{"status": {json.dumps(trace.status)}, '
+                    f'"iterations": {json.dumps(trace.iterations)}, "final_theta": {theta}, '
+                    f'"final_value": {json.dumps(_json_safe(trace.final_value))}}}\n', None)
     return 0
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "LabelOutOfRange",
     "InvalidSetting",
     "MalformedDistribution",
+    "NonNumericEntry",
     "require_alpha",
     "require_integer",
     "as_array",
@@ -118,6 +119,10 @@ class MalformedDistribution(DomainError):
     """A serialized distribution is not a {"range": [labels], "probs": [numbers]} object."""
 
 
+class NonNumericEntry(DomainError):
+    """An array entry is not a real number: a string, a complex number or another object."""
+
+
 def require_alpha(alpha: float) -> None:
     """Raise unless alpha is a finite positive sharpness.
 
@@ -138,11 +143,16 @@ def require_integer(name: str, value, error: type = InvalidSetting) -> None:
 
 
 def as_array(values, dtype=float) -> np.ndarray:
-    """np.asarray(values, dtype), with DimensionMismatch for ragged nesting, which numpy
-    rejects with a bare ValueError."""
+    """np.asarray(values, dtype), with DimensionMismatch for ragged nesting and
+    NonNumericEntry for an entry that does not convert to dtype, which numpy rejects
+    with a bare ValueError (a string) or TypeError (a complex number, a dict)."""
     try:
         return np.asarray(values, dtype=dtype)
     except ValueError as exc:
-        if "inhomogeneous" not in str(exc):
+        if "inhomogeneous" in str(exc):
+            raise DimensionMismatch("nested sequences have unequal lengths") from None
+        if "could not convert" not in str(exc):
             raise
-        raise DimensionMismatch("nested sequences have unequal lengths") from None
+        raise NonNumericEntry(f"array entries must be real numbers: {exc}") from None
+    except TypeError as exc:
+        raise NonNumericEntry(f"array entries must be real numbers: {exc}") from None

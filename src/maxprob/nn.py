@@ -374,6 +374,8 @@ def train(net: ToyNet, data: ToyDataset, mode: str = "intersection", alpha: floa
     exactly reproducible.  Epoch 0 records the untouched initial network.
     """
     _check_loss(mode, alpha, lam, step)
+    if data.k != net.k:
+        raise DimensionMismatch(f"the data has {data.k} classes, the net {net.k}")
     epochs, seed, size = _require_settings(
         ("epochs", epochs, 0), ("seed", seed, 0),
         ("batch_size", 1 if batch_size is None else batch_size, 1))

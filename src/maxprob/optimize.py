@@ -237,8 +237,9 @@ def grid_argmax(values_fn: Callable[[np.ndarray], np.ndarray], theta_grid: Seque
     with value -inf.
     """
     grid = as_array(theta_grid)
-    if grid.size == 0:
-        raise DimensionMismatch("theta_grid must contain at least one point")
+    if grid.ndim != 1 or grid.size == 0:
+        raise DimensionMismatch(f"theta_grid must be a 1-D grid of at least one point, "
+                                f"got shape {grid.shape}")
     values = as_array(values_fn(grid))
     if values.shape != grid.shape:
         raise DimensionMismatch(f"values_fn gave shape {values.shape} for a grid of {grid.shape}")

@@ -64,13 +64,17 @@ Last, it keeps the CLI's CSV emission as it was before the emitter worked on
 whole arrays: csv.writer over one Python row per line, a sweep row per
 (curve, theta), a trace row per ascent iteration and a training-curve row
 per epoch record.  csv.writer formats a float, numpy float64 scalars
-included, with float.__repr__.
+included, with float.__repr__.  optimize_summary is the stdout summary of
+`maxprob optimize --out FILE` as it was before the CLI took final_theta from
+the text of the CSV's last row: one json.dumps of the whole dict, with
+final_theta a list of floats and every infinite float made a string.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -664,3 +668,24 @@ def training_curve_rows(reports):
         for r in rep.records:
             yield [rep.mode, rep.alpha, r.epoch, r.train_loss, r.test_loss,
                    r.train_acc, r.test_acc, r.reg_term]
+
+
+def _json_safe(obj):
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            raise NonFiniteEncountered("a NaN reached the JSON output")
+        return repr(float(obj)) if math.isinf(obj) else obj
+    if isinstance(obj, dict):
+        return {key: _json_safe(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(value) for value in obj]
+    return obj
+
+
+def optimize_summary(trace) -> str:
+    return json.dumps(_json_safe({
+        "status": trace.status,
+        "iterations": trace.iterations,
+        "final_theta": [float(t) for t in trace.final_theta],
+        "final_value": trace.final_value,
+    }), allow_nan=False) + "\n"

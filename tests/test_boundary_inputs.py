@@ -1,8 +1,11 @@
-"""Ragged input and non-integer settings end in a DomainError at every entry point.
+"""Ragged input, non-numeric entries and non-integer settings end in a DomainError at
+every entry point.
 
 numpy rejects nested sequences of unequal lengths with a bare ValueError
 ("inhomogeneous shape"); the package's array boundaries raise
-DimensionMismatch instead (errors.as_array).  A count, size or seed is
+DimensionMismatch instead (errors.as_array).  numpy rejects a string entry
+with a bare ValueError and a complex or dict entry with a bare TypeError;
+the same boundaries raise NonNumericEntry.  A count, size or seed is
 checked when it is set, as an int or a numpy integer (errors.require_integer).
 """
 
@@ -16,6 +19,7 @@ from maxprob import (
     DimensionMismatch,
     FiniteDistribution,
     InvalidSetting,
+    NonNumericEntry,
     ObjectiveConfig,
     OutcomeRange,
     Parameterization,
@@ -107,6 +111,41 @@ class TestRaggedInput:
     def test_is_a_dimension_mismatch(self, name, rows, labels):
         with pytest.raises(DimensionMismatch):
             RAGGED_CALLS[name](rows, labels)
+
+
+# Arrays with one entry that is no real number: a string, a complex number, a dict.
+NON_NUMERIC = [["a", "b"], [1j, 2.0], [[1.0, "x"], [0.0, 1.0]], [[0.5, 0.5], [{"a": 1}, 0.0]]]
+
+
+class TestNonNumericEntries:
+    @pytest.mark.parametrize("rows", NON_NUMERIC, ids=repr)
+    @pytest.mark.parametrize("name", [name for name in sorted(RAGGED_CALLS)
+                                      if not name.endswith("labels")])
+    def test_is_a_non_numeric_entry(self, name, rows):
+        """Labels are read as given, so a non-numeric one is a LabelOutOfRange (nn)."""
+        with pytest.raises(NonNumericEntry):
+            RAGGED_CALLS[name](rows, [0, 1])
+
+    @pytest.mark.parametrize("call", [lambda: logsumexp(["a", "b"]),
+                                      lambda: make_distribution(["x", "y"], ["a", "b"]),
+                                      lambda: logsumexp([1j, 2])])
+    def test_code_names_the_problem(self, call):
+        with pytest.raises(NonNumericEntry) as info:
+            call()
+        assert info.value.code == "NonNumericEntry"
+        assert "must be real numbers" in str(info.value)
+
+
+class TestShapes:
+    @pytest.mark.parametrize("grid", [[[0.0, 1.0]], [[0.0], [1.0]], 0.5, []], ids=repr)
+    def test_grid_argmax_takes_a_1d_grid(self, grid):
+        with pytest.raises(DimensionMismatch):
+            grid_argmax(lambda g: np.zeros_like(g), grid)
+
+    @pytest.mark.parametrize("net_k, data_k", [(3, 2), (2, 3)])
+    def test_train_needs_the_nets_class_count(self, net_k, data_k):
+        with pytest.raises(DimensionMismatch):
+            train(ToyNet(k=net_k, seed=0), make_toy_dataset(k=data_k, seed=0), epochs=1)
 
 
 # Each integer setting, set to the drawn value with every other argument valid.

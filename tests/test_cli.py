@@ -15,6 +15,7 @@ import reference
 from helpers import assert_within_rounding
 from maxprob import (
     AscentConfig,
+    AscentTrace,
     NonFiniteEncountered,
     ObjectiveConfig,
     Parameterization,
@@ -522,6 +523,91 @@ class TestCsvEmitter:
                        AscentConfig(step_size=0.5, max_iters=40, grad_tol=1e-8))
         header = ["iter"] + [f"theta_{i}" for i in range(p.dim)] + ["value", "grad_norm"]
         assert out == reference.csv_text(header, reference.trace_rows(trace))
+
+
+# (param, oracle probs, prior probs or None for uniform, kind, alpha, step, max_iters,
+# theta0 or None for zeros, the status the run ends in)
+OPTIMIZE_CASES = {
+    "sigmoid converged": ("sigmoid", [0.9, 0.1], None, "intersection", 2.0, 1.0, 10000, None,
+                          "converged"),
+    "softmax max_iters": ("softmax", [0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4], "likelihood",
+                          2.0, 1.0, 5, None, "max_iters"),
+    "sigmoid diverged": ("sigmoid", [0.9, 0.1], None, "likelihood", 2.0, 1e300, 10000, None,
+                         "diverged"),
+    "softmax diverged": ("softmax", [0.5, 0.25, 0.25], None, "intersection", 0.5, 1.7e308, 3,
+                         None, "diverged"),
+    # -lse / alpha at alpha 1e-320 is the soft bound's -inf limit, so every value is -inf
+    "-inf final_value": ("sigmoid", [0.9, 0.1], None, "intersection", 1e-320, 0.1, 2, None,
+                         "max_iters"),
+    "zero prior outcome": ("softmax", [0.5, 0.5, 0.0], [0.5, 0.5, 0.0], "likelihood", 2.0,
+                           0.5, 4, None, "max_iters"),
+    "special cells": ("softmax", [0.4, 0.3, 0.2, 0.1], None, "intersection", 2.0, 0.1, 1,
+                      [-0.0, 5e-324, 1e+16, 1e-05], "diverged"),
+    # the model sits on one outcome, where the gradient is 0
+    "special cells converged": ("softmax", [0.4, 0.3, 0.2, 0.1], None, "intersection", 2.0,
+                                0.1, 2, [-0.0, 5e-324, 1e+5, 1e-05], "converged"),
+}
+
+
+class TestOptimizeSummary:
+    """`maxprob optimize --out FILE` writes the trace CSV to FILE and prints the summary the
+    old construction (reference.optimize_summary) printed, byte for byte; its final_theta is
+    the text of the CSV's last row."""
+
+    @staticmethod
+    def run_case(case, tmp_path, capsys, out):
+        param, probs, prior_probs, kind, alpha, step, max_iters, theta0, _ = case
+        labels = [f"v{i}" for i in range(len(probs))]
+        oracle_path = tmp_path / "oracle.json"
+        oracle_path.write_text(json.dumps({"range": labels, "probs": probs}))
+        argv = ["optimize", "--kind", kind, "--alpha", repr(alpha), "--oracle",
+                str(oracle_path), "--param", param, "--step", repr(step),
+                "--max-iters", str(max_iters), "--out", out]
+        if prior_probs is not None:
+            prior_path = tmp_path / "prior.json"
+            prior_path.write_text(json.dumps({"range": labels, "probs": prior_probs}))
+            argv += ["--prior", str(prior_path)]
+        if theta0 is not None:
+            argv += ["--theta0=" + ",".join(map(repr, theta0))]
+        return run(argv, capsys)
+
+    @pytest.mark.parametrize("name", OPTIMIZE_CASES)
+    def test_matches_reference(self, name, tmp_path, capsys):
+        case = OPTIMIZE_CASES[name]
+        param, probs, prior_probs, kind, alpha, step, max_iters, theta0, status = case
+        written = tmp_path / "trace.csv"
+        code, out, err = self.run_case(case, tmp_path, capsys, str(written))
+        assert code == 0 and err == ""
+        oracle = distribution_from_jsonable({"range": [f"v{i}" for i in range(len(probs))],
+                                             "probs": probs})
+        prior = (uniform_distribution(oracle.range) if prior_probs is None else
+                 distribution_from_jsonable({"range": list(oracle.range.labels),
+                                             "probs": prior_probs}))
+        p = (Parameterization.sigmoid_bernoulli(oracle.range) if param == "sigmoid"
+             else Parameterization.softmax_logits(oracle.range))
+        trace = ascend(ObjectiveConfig(kind, "cond-independent", alpha, prior), oracle, p,
+                       np.zeros(p.dim) if theta0 is None else theta0,
+                       AscentConfig(step_size=step, max_iters=max_iters))
+        assert trace.status == status
+        header = ["iter"] + [f"theta_{i}" for i in range(p.dim)] + ["value", "grad_norm"]
+        assert written.read_text() == reference.csv_text(header, reference.trace_rows(trace))
+        assert out == reference.optimize_summary(trace)
+        # --out - prints the CSV alone: no summary follows it
+        code, out, err = self.run_case(case, tmp_path, capsys, "-")
+        assert code == 0 and err == "" and out == written.read_text()
+
+    def test_infinite_theta_cells_are_strings(self, monkeypatch, tmp_path, capsys):
+        """An infinite theta cell is the JSON string "inf" or "-inf", as in any JSON output;
+        no ascent reaches one, so a stand-in ascent returns it."""
+        trace = AscentTrace(np.array([[0.0, 1.0, -0.0], [np.inf, -np.inf, 5e-324]]),
+                            np.array([-1.0, -np.inf]), np.array([1.0, 0.0]), "diverged")
+        monkeypatch.setattr(cli, "ascend", lambda *args: trace)
+        written = tmp_path / "trace.csv"
+        case = ("softmax", [0.5, 0.25, 0.25], None, "likelihood", 2.0, 0.1, 2, None, None)
+        code, out, err = self.run_case(case, tmp_path, capsys, str(written))
+        assert code == 0 and err == ""
+        assert out == reference.optimize_summary(trace)
+        assert json.loads(out)["final_theta"] == ["inf", "-inf", 5e-324]
 
 
 class TestSweepCurvesOneCallEach:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -396,8 +398,14 @@ class TestTrain:
             self.small_run(**overrides)
 
     def test_labels_checked_against_the_network(self):
-        with pytest.raises(LabelOutOfRange):
+        """A dataset of another class count is a DimensionMismatch; a label outside the
+        net's classes in a dataset of its count is a LabelOutOfRange."""
+        with pytest.raises(DimensionMismatch):
             train(ToyNet(k=2), make_toy_dataset(k=3), epochs=1)
+        data = make_toy_dataset(k=2)
+        bad = dataclasses.replace(data, train_y=np.where(data.train_y == 1, 2, data.train_y))
+        with pytest.raises(LabelOutOfRange):
+            train(ToyNet(k=2), bad, epochs=1)
 
     def test_divergence_reports_non_finite_logits(self):
         with pytest.raises(NonFiniteLogits):
