@@ -31,7 +31,6 @@ only at the reporting boundary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -49,10 +48,10 @@ from .errors import (
     LabelOutOfRange,
     NegativeAlphaOnZeroMass,
     NonFiniteEncountered,
-    NonFiniteParameter,
     SpaceTooLarge,
     as_array,
     require_alpha,
+    require_real,
 )
 from .logspace import NEG_INF, _log_normalize, _soft_min_step
 
@@ -169,8 +168,7 @@ def alpha_skeleton(dist: FiniteDistribution, alpha: float) -> FiniteDistribution
     alpha inverts the ordering and therefore requires full support.
     Composing skeletons multiplies their exponents.  alpha must be finite.
     """
-    if not math.isfinite(alpha):
-        raise NonFiniteParameter(f"alpha must be finite, got {alpha!r}")
+    require_real("alpha", alpha)
     if alpha == 1.0:
         return dist
     if alpha < 0 and not np.all(dist.support):

@@ -9,6 +9,7 @@ library callers can catch either the base class or a specific subclass.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "NonNumericEntry",
     "require_alpha",
     "require_integer",
+    "require_real",
     "as_array",
 ]
 
@@ -123,16 +125,27 @@ class NonNumericEntry(DomainError):
     """An array entry is not a real number: a string, a complex number or another object."""
 
 
+def require_real(name: str, value, sign: Optional[str] = None,
+                 error: type = InvalidSetting) -> None:
+    """Raise InvalidSetting unless value is a real number, an int, a float or a numpy
+    integer or float scalar (a bool, a str, None, a complex number or an array is none);
+    NonFiniteParameter unless it is finite; and error unless it has the sign asked for,
+    "positive" or "non-negative"."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidSetting(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise NonFiniteParameter(f"{name} must be finite, got {value!r}")
+    if sign is not None and not (value > 0 if sign == "positive" else value >= 0):
+        raise error(f"{name} must be {sign}, got {value!r}")
+
+
 def require_alpha(alpha: float) -> None:
     """Raise unless alpha is a finite positive sharpness.
 
     The package's one alpha check: public entry points call it, and the code
     behind them trusts the alpha they accepted.
     """
-    if not math.isfinite(alpha):
-        raise NonFiniteParameter(f"alpha must be finite, got {alpha!r}")
-    if alpha <= 0:
-        raise NonPositiveAlpha(f"alpha must be positive, got {alpha!r}")
+    require_real("alpha", alpha, "positive", NonPositiveAlpha)
 
 
 def require_integer(name: str, value, error: type = InvalidSetting) -> None:
@@ -145,9 +158,10 @@ def require_integer(name: str, value, error: type = InvalidSetting) -> None:
 def as_array(values, dtype=float) -> np.ndarray:
     """np.asarray(values, dtype), with DimensionMismatch for ragged nesting and
     NonNumericEntry for an entry that does not convert to dtype, which numpy rejects
-    with a bare ValueError (a string) or TypeError (a complex number, a dict)."""
+    with a bare ValueError (a string) or TypeError (a complex number, a dict), or turns
+    into NaN (None).  An array of dtype comes back as it is, unlooked at."""
     try:
-        return np.asarray(values, dtype=dtype)
+        x = np.asarray(values, dtype=dtype)
     except ValueError as exc:
         if "inhomogeneous" in str(exc):
             raise DimensionMismatch("nested sequences have unequal lengths") from None
@@ -156,3 +170,7 @@ def as_array(values, dtype=float) -> np.ndarray:
         raise NonNumericEntry(f"array entries must be real numbers: {exc}") from None
     except TypeError as exc:
         raise NonNumericEntry(f"array entries must be real numbers: {exc}") from None
+    if (x is not values and x.dtype.kind == "f" and np.isnan(x).any()
+            and np.equal(np.asarray(values, dtype=object), None).any()):
+        raise NonNumericEntry("array entries must be real numbers, got None")
+    return x

@@ -11,9 +11,10 @@ is exactly minus the objective:
 
 Its gradient in the logits is repulsion - attraction: the soft bound's ratio
 skeleton softmax(alpha * x) minus the oracle's posterior, onehot(y).  Both
-run on the package's one soft minimum, of -log p for the loss
-(logspace.soft_min) and of -x for the gradient (logspace._soft_min_step),
-which shift before they scale by alpha, for the objectives too.
+run on the package's one reduction, which shifts before it scales by alpha,
+for the objectives too: the loss on the soft minimum of -log p
+(logspace.soft_min), the gradient on the weights of the soft minimum of -x,
+which _soft_min_weights takes from x with sharpness +alpha, without negating.
 
 The recorded regularizer term -(1/alpha) * log sum_c p_c ** alpha lies
 between 0 (a one-hot prediction) and log(K) * (alpha - 1) / alpha (a uniform
@@ -32,7 +33,13 @@ reads its seeds from the network and the dataset, which record them.
 train concatenates the six tensors into one flat weight vector, and after it
 net.params holds views into that vector: _backprop writes each minibatch's
 gradients into views of a second one, and one subtraction updates them all.
-Each epoch permutes the training set once and steps through slices of it.
+Each epoch permutes the training set and its one-hot label rows once and
+steps through slices of both; a minibatch subtracts its label rows from the
+weights.  Each epoch's record takes a forward pass per split, then one loss
+pass over both splits' logits concatenated, and each split's means from its
+half.  (A forward pass over both splits at once allocates 128 KiB arrays,
+which glibc's malloc can return to the system and fault in again each epoch.)
+loss_and_grads runs the same _backprop on the one-hot rows of its labels.
 
 hn_forward is the generalized softmax head exp(x_i) / sum_j exp(alpha * x_j),
 exp(x_i - logsumexp(alpha * x)); at alpha = 1 it is softmax bit for bit.
@@ -44,7 +51,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,12 +61,12 @@ from .errors import (
     InvalidSetting,
     LabelOutOfRange,
     NonFiniteLogits,
-    NonFiniteParameter,
     as_array,
     require_alpha,
     require_integer,
+    require_real,
 )
-from .logspace import log_softmax, soft_min, _minus_logsumexp, _soft_min_step
+from .logspace import log_softmax, soft_min, _minus_logsumexp, _shifted
 
 __all__ = [
     "LOSS_MODES",
@@ -93,11 +99,15 @@ _NOISE = 1.0  # standard deviation of each blob around its center
 _LOG_MAX = float(np.log(np.finfo(float).max))  # the largest x whose exp is finite
 
 
-def _check_logits(logits) -> np.ndarray:
-    x = as_array(logits)
-    if not np.isfinite(x).all():
+def _finite(logits: np.ndarray) -> np.ndarray:
+    """The logits array, unless an entry is NaN or infinite."""
+    if not np.isfinite(logits).all():
         raise NonFiniteLogits("logits must be finite")
-    return x
+    return logits
+
+
+def _check_logits(logits) -> np.ndarray:
+    return _finite(as_array(logits))
 
 
 def _check_batch(rows, labels, k: Optional[int] = None,
@@ -122,13 +132,8 @@ def _check_loss(mode: str, alpha: float, lam: float, step: float = 1.0) -> None:
     if mode not in LOSS_MODES:
         raise InvalidSetting(f"mode must be one of {LOSS_MODES}, got {mode!r}")
     require_alpha(alpha)
-    for name, value in (("lam", lam), ("step", step)):
-        if not math.isfinite(value):
-            raise NonFiniteParameter(f"{name} must be finite, got {value!r}")
-    if lam < 0:
-        raise InvalidSetting(f"lam must be non-negative, got {lam!r}")
-    if step <= 0:
-        raise InvalidSetting(f"step must be positive, got {step!r}")
+    require_real("lam", lam, "non-negative")
+    require_real("step", step, "positive")
 
 
 def _require_settings(*settings: tuple[str, int, int]) -> list[int]:
@@ -154,16 +159,19 @@ def hn_forward(logits, alpha: float) -> np.ndarray:
     return np.exp(d, out=np.full(d.shape, np.inf), where=d <= _LOG_MAX)
 
 
-def _loss(x: np.ndarray, y: np.ndarray, mode: str, alpha: float,
-          penalty: float) -> tuple[float, float]:
-    """(mean loss, regularizer term) of checked logits x against labels y; the
-    penalty, ce-l2's regularizer, is ignored by intersection."""
+def _loss(x: np.ndarray, y: np.ndarray, mode: str, alpha: float, penalty: float,
+          parts: tuple[slice, ...] = (slice(None),)) -> list[tuple[float, float]]:
+    """(mean loss, regularizer term) of each stretch of rows in parts (slices) of checked
+    logits x against labels y; the penalty, ce-l2's regularizer, is ignored by
+    intersection.  Every row is reduced on its own, so a stretch's means are those of its
+    rows alone, bit for bit."""
     logp = log_softmax(x)
     label_logp = logp[np.arange(len(y)), y]
     if mode == "intersection":
         mass = -soft_min(-logp, alpha, axis=-1)
-        return float((mass - label_logp).mean()), float(-mass.mean())
-    return float(-label_logp.mean()) + penalty, penalty
+        losses = mass - label_logp
+        return [(float(losses[rows].mean()), float(-mass[rows].mean())) for rows in parts]
+    return [(float(-label_logp[rows].mean()) + penalty, penalty) for rows in parts]
 
 
 def _penalty(net: "ToyNet", mode: str, lam: float) -> float:
@@ -178,14 +186,14 @@ def intersection_loss(batch_logits, labels, alpha: float) -> float:
     """Mean of -log p[y] + (1/alpha) * log sum_y p_y ** alpha over the batch."""
     require_alpha(alpha)
     x, y = _check_batch(_check_logits(batch_logits), labels)
-    return _loss(x, y, "intersection", alpha, 0.0)[0]
+    return _loss(x, y, "intersection", alpha, 0.0)[0][0]
 
 
 def cross_entropy_loss(batch_logits, labels) -> float:
     """Mean negative log softmax probability of the true labels."""
     x, y = _check_batch(_check_logits(batch_logits), labels)
     # -0.0 is the exact additive identity: a saturated batch keeps its -0.0 loss
-    return _loss(x, y, "ce-l2", 1.0, -0.0)[0]
+    return _loss(x, y, "ce-l2", 1.0, -0.0)[0][0]
 
 
 def regularizer_bound(k: int, alpha: float) -> float:
@@ -273,24 +281,37 @@ class ToyNet:
         return h.hexdigest()
 
 
-def _backprop(net: ToyNet, x: np.ndarray, y: np.ndarray, mode: str, alpha: float,
+def _soft_min_weights(logits: np.ndarray, a: float) -> np.ndarray:
+    """softmax(a * logits) along the last axis, a > 0: the weights of the soft minimum of
+    -logits, _soft_min_step(-logits, a)[1] bit for bit, from logspace's one reduction with
+    sharpness +a.  Negation is exact and flips the sign of m, of each a - m and of the
+    sharpness alike, so s and lse are the same floats, without the negation or the
+    soft-min value."""
+    s, lse, _, quiet = _shifted(logits, a, -1, normalize=True)
+    with quiet:
+        return np.exp(s - lse)
+
+
+def _backprop(net: ToyNet, x: np.ndarray, hot: np.ndarray, mode: str, alpha: float,
               lam: float, out: Optional[dict[str, np.ndarray]] = None,
               ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """(logits, mean-loss gradients) of checked examples, the gradients written into out's
-    arrays if given, else fresh; d loss_i / d logits is the soft minimum's weights
-    softmax(a * logits) - onehot(y_i), a = alpha (intersection) or 1."""
+    """(logits, mean-loss gradients) of checked examples x with one-hot label rows hot,
+    the gradients written into out's arrays if given, else fresh; d loss_i / d logits is
+    the soft minimum's weights softmax(a * logits) - hot_i, a = alpha (intersection) or 1.
+    A weight w >= 0 less 0.0 is w, so subtracting hot changes only the label entries."""
     logits, (x0, z1, a1, z2, a2) = net.forward(x, want_cache=True)
-    _check_logits(logits)
-    dlogits = _soft_min_step(-logits, alpha if mode == "intersection" else 1.0)[1]
-    dlogits[np.arange(len(y)), y] -= 1.0
-    dlogits /= len(y)
+    dlogits = _soft_min_weights(_finite(logits), alpha if mode == "intersection" else 1.0)
+    dlogits -= hot
+    dlogits /= len(hot)
     p, out = net.params, out or {}
     grads = {"W3": np.matmul(a2.T, dlogits, out=out.get("W3")),
              "b3": np.add.reduce(dlogits, 0, out=out.get("b3"))}
-    dz2 = (dlogits @ p["W3"].T) * (z2 > 0)
+    dz2 = dlogits @ p["W3"].T
+    dz2 *= z2 > 0
     grads["W2"] = np.matmul(a1.T, dz2, out=out.get("W2"))
     grads["b2"] = np.add.reduce(dz2, 0, out=out.get("b2"))
-    dz1 = (dz2 @ p["W2"].T) * (z1 > 0)
+    dz1 = dz2 @ p["W2"].T
+    dz1 *= z1 > 0
     grads["W1"] = np.matmul(x0.T, dz1, out=out.get("W1"))
     grads["b1"] = np.add.reduce(dz1, 0, out=out.get("b1"))
     if mode == "ce-l2":
@@ -311,8 +332,8 @@ def loss_and_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, mode: str,
     """
     _check_loss(mode, alpha, lam)
     x, y = _check_batch(x, y, net.k, width=2)
-    logits, grads = _backprop(net, x, y, mode, alpha, lam)
-    loss, reg = _loss(logits, y, mode, alpha, _penalty(net, mode, lam))
+    logits, grads = _backprop(net, x, np.eye(net.k)[y], mode, alpha, lam)
+    loss, reg = _loss(logits, y, mode, alpha, _penalty(net, mode, lam))[0]
     return loss, grads, reg
 
 
@@ -342,17 +363,16 @@ class TrainReport:
     records: tuple[EpochRecord, ...]
 
 
-def _metrics(net: ToyNet, splits, mode: str, alpha: float, lam: float,
-             epoch: int) -> EpochRecord:
-    (x_tr, y_tr), (x_te, y_te) = splits
-    logits_tr = _check_logits(net.forward(x_tr))
-    logits_te = _check_logits(net.forward(x_te))
-    penalty = _penalty(net, mode, lam)
-    tr, reg = _loss(logits_tr, y_tr, mode, alpha, penalty)
-    te, _ = _loss(logits_te, y_te, mode, alpha, penalty)
-    acc_tr = float((logits_tr.argmax(axis=1) == y_tr).mean())
-    acc_te = float((logits_te.argmax(axis=1) == y_te).mean())
-    return EpochRecord(epoch, tr, te, acc_tr, acc_te, reg)
+def _metrics(net: ToyNet, xs: tuple[np.ndarray, np.ndarray], y: np.ndarray, mode: str,
+             alpha: float, lam: float, epoch: int) -> EpochRecord:
+    """The record of one epoch from the checked training and test rows xs and their labels
+    y, concatenated: a forward pass per split, then one loss pass over both."""
+    cut = len(xs[0])
+    logits = _finite(np.concatenate([net.forward(x) for x in xs]))
+    splits = (slice(None, cut), slice(cut, None))
+    (tr, reg), (te, _) = _loss(logits, y, mode, alpha, _penalty(net, mode, lam), splits)
+    hits = logits.argmax(axis=1) == y
+    return EpochRecord(epoch, tr, te, float(hits[:cut].mean()), float(hits[cut:].mean()), reg)
 
 
 def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -379,11 +399,12 @@ def train(net: ToyNet, data: ToyDataset, mode: str = "intersection", alpha: floa
     epochs, seed, size = _require_settings(
         ("epochs", epochs, 0), ("seed", seed, 0),
         ("batch_size", 1 if batch_size is None else batch_size, 1))
-    splits = [_check_batch(data.train_x, data.train_y, net.k, width=2),
-              _check_batch(data.test_x, data.test_y, net.k, width=2)]
-    train_x, train_y = splits[0]
+    train_x, train_y = _check_batch(data.train_x, data.train_y, net.k, width=2)
+    test_x, test_y = _check_batch(data.test_x, data.test_y, net.k, width=2)
     n = len(train_y)
     size = n if batch_size is None else size
+    both_y = np.concatenate([train_y, test_y])
+    train_hot = np.eye(net.k)[train_y]
     rng = np.random.default_rng(seed)
     weights = np.concatenate([net.params[name].ravel() for name in net.PARAM_ORDER])
     net.params.update(_views(weights, net.params))
@@ -391,17 +412,17 @@ def train(net: ToyNet, data: ToyDataset, mode: str = "intersection", alpha: floa
     grads = _views(flat_grads, net.params)
     # a diverging run overflows in forward's matmuls: its logits report it, not numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        records = [_metrics(net, splits, mode, alpha, lam, 0)]
+        records = [_metrics(net, (train_x, test_x), both_y, mode, alpha, lam, 0)]
         for epoch in range(1, epochs + 1):
-            xs, ys = train_x, train_y
+            xs, hot = train_x, train_hot
             if batch_size is not None:
                 order = rng.permutation(n)
-                xs, ys = train_x[order], train_y[order]
+                xs, hot = train_x[order], train_hot[order]
             for start in range(0, n, size):
-                _backprop(net, xs[start:start + size], ys[start:start + size], mode, alpha,
+                _backprop(net, xs[start:start + size], hot[start:start + size], mode, alpha,
                           lam, grads)
                 weights -= step * flat_grads
-            records.append(_metrics(net, splits, mode, alpha, lam, epoch))
+            records.append(_metrics(net, (train_x, test_x), both_y, mode, alpha, lam, epoch))
     return TrainReport(mode, alpha, lam, epochs, step, seed, net.seed, data.seed,
                        data.k, net.hidden, net.digest(), tuple(records))
 

@@ -44,9 +44,13 @@ recomputed log-softmax on its own, and every minibatch evaluated the loss
 and regularizer that training then discarded.  They use the package only
 for ToyNet.forward and the report dataclasses, and skip its input checks.
 train_per_tensor keeps nn.train as it was before it updated one flat weight
-vector in place: over the package's own _backprop and _loss, it replaces
-each tensor by p - step * g, fancy-indexes each minibatch, and computes the
-weight penalty every epoch; the tests require train to match it bit for bit.
+vector in place: it replaces each tensor by p - step * g and fancy-indexes
+each minibatch.  It runs on the backward pass, the loss kernel and the
+epoch metrics as they were before training subtracted one-hot label rows
+and took the soft minimum's weights straight from the logits, and before
+one forward and one loss pass over both splits gave an epoch's record:
+backprop_by_label_index, split_loss and split_metrics.  The tests require
+train, and loss_and_grads over the first two, to match them bit for bit.
 soft_min_rows is logspace.soft_min along the last axis on the ndarray min
 and sum methods, before short rows were reduced column by column.
 
@@ -84,6 +88,7 @@ from maxprob import (
     EmptyIntersectionSupport,
     FiniteDistribution,
     NonFiniteEncountered,
+    NonFiniteLogits,
     OutcomeRange,
     OracleSupportEscapesModel,
     RangeMismatch,
@@ -562,13 +567,65 @@ def train(net, data, mode="intersection", alpha=1.0, lam=0.0, epochs=200, step=0
                        final_digest=net.digest(), records=tuple(records))
 
 
-def _per_tensor_metrics(net, splits, mode, alpha, lam, epoch) -> EpochRecord:
+def split_loss(x, y, mode, alpha, penalty) -> tuple[float, float]:
+    """nn._loss on one split: (mean loss, regularizer term)."""
+    logp = logspace.log_softmax(x)
+    label_logp = logp[np.arange(len(y)), y]
+    if mode == "intersection":
+        mass = -logspace.soft_min(-logp, alpha, axis=-1)
+        return float((mass - label_logp).mean()), float(-mass.mean())
+    return float(-label_logp.mean()) + penalty, penalty
+
+
+def _penalty(net, mode, lam) -> float:
+    if mode != "ce-l2":
+        return 0.0
+    return lam * sum(float(np.sum(net.params[w] ** 2)) for w in nn.WEIGHTS)
+
+
+def _finite_logits(logits) -> np.ndarray:
+    if not np.isfinite(logits).all():
+        raise NonFiniteLogits("logits must be finite")
+    return logits
+
+
+def backprop_by_label_index(net, x, y, mode, alpha, lam):
+    """nn._backprop on fresh gradients, before it took one-hot label rows: the soft
+    minimum's weights of -logits, less 1.0 at each label by fancy index."""
+    logits, (x0, z1, a1, z2, a2) = net.forward(x, want_cache=True)
+    _finite_logits(logits)
+    dlogits = logspace._soft_min_step(-logits, alpha if mode == "intersection" else 1.0)[1]
+    dlogits[np.arange(len(y)), y] -= 1.0
+    dlogits /= len(y)
+    p = net.params
+    grads = {"W3": a2.T @ dlogits, "b3": np.add.reduce(dlogits, 0)}
+    dz2 = (dlogits @ p["W3"].T) * (z2 > 0)
+    grads["W2"] = a1.T @ dz2
+    grads["b2"] = np.add.reduce(dz2, 0)
+    dz1 = (dz2 @ p["W2"].T) * (z1 > 0)
+    grads["W1"] = x0.T @ dz1
+    grads["b1"] = np.add.reduce(dz1, 0)
+    if mode == "ce-l2":
+        for w in nn.WEIGHTS:
+            grads[w] += 2.0 * lam * p[w]
+    return logits, grads
+
+
+def loss_and_grads_by_label_index(net, x, y, mode, alpha=1.0, lam=0.0):
+    """nn.loss_and_grads over backprop_by_label_index and split_loss, inputs unchecked."""
+    logits, grads = backprop_by_label_index(net, x, y, mode, alpha, lam)
+    loss, reg = split_loss(logits, y, mode, alpha, _penalty(net, mode, lam))
+    return loss, grads, reg
+
+
+def split_metrics(net, splits, mode, alpha, lam, epoch) -> EpochRecord:
+    """nn._metrics with a forward pass and a loss pass per split."""
     (x_tr, y_tr), (x_te, y_te) = splits
-    logits_tr = nn._check_logits(net.forward(x_tr))
-    logits_te = nn._check_logits(net.forward(x_te))
-    penalty = lam * sum(float(np.sum(net.params[w] ** 2)) for w in nn.WEIGHTS)
-    tr, reg = nn._loss(logits_tr, y_tr, mode, alpha, penalty)
-    te, _ = nn._loss(logits_te, y_te, mode, alpha, penalty)
+    logits_tr = _finite_logits(net.forward(x_tr))
+    logits_te = _finite_logits(net.forward(x_te))
+    penalty = _penalty(net, mode, lam)
+    tr, reg = split_loss(logits_tr, y_tr, mode, alpha, penalty)
+    te, _ = split_loss(logits_te, y_te, mode, alpha, penalty)
     acc_tr = float((logits_tr.argmax(axis=1) == y_tr).mean())
     acc_te = float((logits_te.argmax(axis=1) == y_te).mean())
     return EpochRecord(epoch, tr, te, acc_tr, acc_te, reg)
@@ -576,22 +633,24 @@ def _per_tensor_metrics(net, splits, mode, alpha, lam, epoch) -> EpochRecord:
 
 def train_per_tensor(net, data, mode="intersection", alpha=1.0, lam=0.0, epochs=200,
                      step=0.05, seed=0, batch_size=None) -> TrainReport:
-    """nn.train over fresh gradients from the package's _backprop, each tensor replaced
-    by p - step * g, and minibatches fancy-indexed from np.split of the permutation."""
+    """nn.train over fresh gradients from backprop_by_label_index, each tensor replaced
+    by p - step * g, minibatches fancy-indexed from np.split of the permutation, and
+    split_metrics each epoch."""
     splits = [nn._check_batch(data.train_x, data.train_y, net.k, width=2),
               nn._check_batch(data.test_x, data.test_y, net.k, width=2)]
     train_x, train_y = splits[0]
     n = len(train_y)
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
-        records = [_per_tensor_metrics(net, splits, mode, alpha, lam, 0)]
+        records = [split_metrics(net, splits, mode, alpha, lam, 0)]
         for epoch in range(1, epochs + 1):
             for rows in ([slice(None)] if batch_size is None else
                          np.split(rng.permutation(n), range(batch_size, n, batch_size))):
-                grads = nn._backprop(net, train_x[rows], train_y[rows], mode, alpha, lam)[1]
+                grads = backprop_by_label_index(net, train_x[rows], train_y[rows], mode,
+                                                alpha, lam)[1]
                 for name in net.PARAM_ORDER:
                     net.params[name] = net.params[name] - step * grads[name]
-            records.append(_per_tensor_metrics(net, splits, mode, alpha, lam, epoch))
+            records.append(split_metrics(net, splits, mode, alpha, lam, epoch))
     return TrainReport(mode, alpha, lam, epochs, step, seed, net.seed, data.seed,
                        data.k, net.hidden, net.digest(), tuple(records))
 

@@ -5,8 +5,10 @@ numpy rejects nested sequences of unequal lengths with a bare ValueError
 ("inhomogeneous shape"); the package's array boundaries raise
 DimensionMismatch instead (errors.as_array).  numpy rejects a string entry
 with a bare ValueError and a complex or dict entry with a bare TypeError;
-the same boundaries raise NonNumericEntry.  A count, size or seed is
-checked when it is set, as an int or a numpy integer (errors.require_integer).
+the same boundaries raise NonNumericEntry, and so for a None entry, which numpy
+turns into NaN.  A count, size or seed is checked when it is set, as an int or
+a numpy integer (errors.require_integer), and a sharpness, step or penalty
+weight as a real number (errors.require_real).
 """
 
 import numpy as np
@@ -19,11 +21,13 @@ from maxprob import (
     DimensionMismatch,
     FiniteDistribution,
     InvalidSetting,
+    NonFiniteEncountered,
     NonNumericEntry,
     ObjectiveConfig,
     OutcomeRange,
     Parameterization,
     ToyNet,
+    alpha_skeleton,
     apply_parameterization,
     ascend,
     cross_entropy_loss,
@@ -46,6 +50,7 @@ from maxprob import (
     value_at_theta,
     values_at_thetas,
 )
+from maxprob.errors import as_array
 
 COIN = OutcomeRange(("1", "0"))
 UNIFORM2 = uniform_distribution(COIN)
@@ -113,8 +118,9 @@ class TestRaggedInput:
             RAGGED_CALLS[name](rows, labels)
 
 
-# Arrays with one entry that is no real number: a string, a complex number, a dict.
-NON_NUMERIC = [["a", "b"], [1j, 2.0], [[1.0, "x"], [0.0, 1.0]], [[0.5, 0.5], [{"a": 1}, 0.0]]]
+# Arrays with one entry that is no real number: a string, a complex number, a dict, None.
+NON_NUMERIC = [["a", "b"], [1j, 2.0], [[1.0, "x"], [0.0, 1.0]], [[0.5, 0.5], [{"a": 1}, 0.0]],
+               [None, 1.0], [[0.5, 0.5], [None, 0.0]]]
 
 
 class TestNonNumericEntries:
@@ -134,6 +140,26 @@ class TestNonNumericEntries:
             call()
         assert info.value.code == "NonNumericEntry"
         assert "must be real numbers" in str(info.value)
+
+    @pytest.mark.parametrize("call", [lambda: logsumexp([None, 1.0]),
+                                      lambda: log_softmax([None, 0.0]),
+                                      lambda: make_distribution(OutcomeRange(("a", "b")),
+                                                                [None, 1.0]),
+                                      lambda: logsumexp(None),
+                                      lambda: logsumexp(np.array([None, 1.0], dtype=object))])
+    def test_none_is_no_real_number(self, call):
+        """numpy turns None into NaN, which was a NonFiniteEncountered."""
+        with pytest.raises(NonNumericEntry):
+            call()
+
+    def test_nan_entry_is_still_non_finite(self):
+        for entries in ([np.nan, 1.0], np.array([np.nan, 1.0], dtype=np.float32)):
+            with pytest.raises(NonFiniteEncountered):
+                logsumexp(entries)
+
+    def test_float_array_passes_unlooked_at(self):
+        x = np.array([np.nan, 1.0])
+        assert as_array(x) is x
 
 
 class TestShapes:
@@ -211,3 +237,49 @@ class TestIntegerSettings:
                                       (same, 2, 64, 3))]
         assert reports[0].final_digest == reports[1].final_digest
         assert regularizer_bound(integer(3), 2.0) == regularizer_bound(3, 2.0)
+
+
+# Each real setting, set to the drawn value with every other argument valid.
+REAL_SETTINGS = {
+    "train alpha": lambda v: train(ToyNet(seed=0), DATA, epochs=1, alpha=v),
+    "train step": lambda v: train(ToyNet(seed=0), DATA, epochs=1, step=v),
+    "train lam": lambda v: train(ToyNet(seed=0), DATA, mode="ce-l2", epochs=1, lam=v),
+    "loss_and_grads alpha": lambda v: loss_and_grads(ToyNet(seed=0), DATA.train_x[:2],
+                                                     DATA.train_y[:2], "intersection", v),
+    "loss_and_grads lam": lambda v: loss_and_grads(ToyNet(seed=0), DATA.train_x[:2],
+                                                   DATA.train_y[:2], "ce-l2", 1.0, v),
+    "intersection_loss alpha": lambda v: intersection_loss([[1.0, 0.0]], [0], v),
+    "hn_forward alpha": lambda v: hn_forward([1.0, 0.0], v),
+    "regularizer_bound alpha": lambda v: regularizer_bound(3, v),
+    "soft_min alpha": lambda v: soft_min([1.0, 0.0], v),
+    "ObjectiveConfig alpha": lambda v: ObjectiveConfig("intersection", "cond-independent", v,
+                                                       UNIFORM2),
+    "alpha_skeleton alpha": lambda v: alpha_skeleton(UNIFORM2, v),
+}
+
+non_reals = st.one_of(
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.none(),
+    st.text(max_size=2),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.floats(0.5, 4.0).map(lambda x: np.array([x])),
+    st.floats(0.5, 4.0).map(np.array),  # a 0-d array is no scalar either
+    st.floats(0.5, 4.0).map(lambda x: [x]),
+)
+
+
+class TestRealSettings:
+    """A str, None, complex or array setting ended in a raw TypeError from math.isfinite,
+    and True trained and reported "alpha": true."""
+
+    @given(st.sampled_from(sorted(REAL_SETTINGS)), non_reals)
+    def test_non_real_is_an_invalid_setting(self, name, value):
+        with pytest.raises(InvalidSetting, match="must be a real number"):
+            REAL_SETTINGS[name](value)
+
+    @pytest.mark.parametrize("name", sorted(REAL_SETTINGS))
+    @pytest.mark.parametrize("value", [1, 0.5, np.int64(1), np.float64(0.5), np.float32(0.5)],
+                             ids=repr)
+    def test_ints_floats_and_numpy_scalars_are_real(self, name, value):
+        REAL_SETTINGS[name](value)

@@ -36,9 +36,11 @@ from maxprob import (
 )
 from maxprob import logspace
 from maxprob.logspace import NEG_INF, log_softmax, logsumexp, soft_min, softmax, _soft_min_step
+from maxprob.nn import _soft_min_weights
 
 
 COIN = OutcomeRange(("H", "T"))
+MAX = float(np.finfo(float).max)
 BAD_ALPHAS = ((0.0, NonPositiveAlpha), (np.inf, NonFiniteParameter),
               (-np.inf, NonFiniteParameter), (np.nan, NonFiniteParameter))
 
@@ -187,15 +189,24 @@ class TestLogsumexpAxis:
         assert type(got) is float and repr(got) == repr(reference.logsumexp(a))
 
     @pytest.mark.parametrize("row,want", [([1e308, -1e308], [0.0, NEG_INF]),
-                                          ([-1e308, 0.5, 1e308], [NEG_INF, -1e308, 0.0])])
+                                          ([-1e308, 0.5, 1e308], [NEG_INF, -1e308, 0.0]),
+                                          ([MAX, -MAX, 0.0], [0.0, NEG_INF, -MAX]),
+                                          ([-MAX, 1e307, -1e307], [NEG_INF, 0.0, -2e307])])
     def test_overflowing_shift_of_one_slice_is_zero_mass_without_a_warning(self, row, want):
-        """The shift overflows to -inf, whose exp is the correct 0."""
+        """The shift overflows to -inf, whose exp is the correct 0.  The toy network takes
+        the soft minimum's weights of -logits with sharpness +alpha from the logits: bit
+        for bit _soft_min_step of the negated logits, on these rows that are not calm, at
+        sharpnesses far from 1 and in a batch tall enough to reduce column by column."""
         top = max(row)
         assert logsumexp(row) == top
         np.testing.assert_array_equal(logsumexp(np.array(row), axis=-1), top)
         np.testing.assert_array_equal(logsumexp(np.array([row]), axis=-1), [top])
         np.testing.assert_array_equal(log_softmax(row), want)
         np.testing.assert_array_equal(log_softmax([row]), [want])
+        for x in (np.array([row]), np.tile(row, (64, 1))):
+            for alpha in (1e-320, 1e-300, 1e-3, 0.5, 1.0, 2.0, 256.0, 1e6, 1e300):
+                got = _soft_min_weights(x, alpha)
+                assert got.tobytes() == _soft_min_step(-x, alpha)[1].tobytes(), alpha
 
 
 class TestZeroMass:

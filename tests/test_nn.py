@@ -429,10 +429,12 @@ BATCH_SIZES = (None, 1, 7, 64)
 
 
 class TestFlatTraining:
-    """train updates one flat weight vector in place and steps through one permuted copy
-    of the training set; the per-tensor loop over fancy-indexed minibatches it replaced
-    (tests/reference.py) must give the same report and weights bit for bit.  Nine
-    classes take logspace's reduction across a row, three its column by column one."""
+    """train updates one flat weight vector in place, steps through one permuted copy of
+    the training set and its one-hot label rows, and records each epoch from one loss
+    pass over both splits.  The per-tensor loop over fancy-indexed minibatches it
+    replaced, on the backward pass and epoch metrics it replaced (tests/reference.py),
+    must give the same report and weights bit for bit.  Nine classes take logspace's
+    reduction across a row, three its column by column one."""
 
     @pytest.mark.parametrize("k", [3, 9])
     @pytest.mark.parametrize("mode, alpha, lam", LOSS_SETTINGS)
@@ -448,6 +450,21 @@ class TestFlatTraining:
         assert canonical_report_bytes(got) == canonical_report_bytes(want)
         for name in net.PARAM_ORDER:
             assert net.params[name].tobytes() == ref_net.params[name].tobytes(), name
+
+    @pytest.mark.parametrize("k", [3, 9])
+    @pytest.mark.parametrize("mode, alpha, lam", LOSS_SETTINGS)
+    @pytest.mark.parametrize("size", [1, 7, 64, 512])
+    def test_loss_and_grads_match_the_label_index_pass(self, k, mode, alpha, lam, size):
+        """Loss, regularizer and every gradient, bit for bit."""
+        data = make_toy_dataset(k=k, seed=11)
+        x, y = data.train_x[:size], data.train_y[:size]
+        loss, grads, reg = loss_and_grads(ToyNet(k=k, seed=3), x, y, mode, alpha, lam)
+        want = reference.loss_and_grads_by_label_index(ToyNet(k=k, seed=3), x, y, mode,
+                                                       alpha, lam)
+        assert float_bytes([loss, reg]) == float_bytes([want[0], want[2]])
+        assert sorted(grads) == sorted(want[1])
+        for name, g in grads.items():
+            assert g.tobytes() == want[1][name].tobytes(), name
 
     def test_params_are_views_of_one_vector(self):
         """After train, net.params are views into one flat weight vector."""
