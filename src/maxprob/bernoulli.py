@@ -28,7 +28,7 @@ from .distributions import (
     _require_ranges,
     _theta_logp,
 )
-from .errors import InvalidSetting, NonFiniteParameter
+from .errors import InvalidSetting, require_real
 from .objectives import ObjectiveConfig, _values_of_rows
 
 __all__ = [
@@ -75,11 +75,12 @@ class SweepSpec:
             for kind in self.objectives for alpha in self.alphas))
         if not self._configs:
             raise InvalidSetting("a sweep needs at least one objective and one alpha")
+        for name in ("theta_star", "grid_min", "grid_max"):
+            require_real(name, getattr(self, name))
+        require_real("grid_step", self.grid_step, "positive")
+        if not self.grid_max > self.grid_min:
+            raise InvalidSetting("grid needs grid_max > grid_min")
         bounds = (self.grid_min, self.grid_max, self.grid_step)
-        if not all(map(math.isfinite, bounds)):
-            raise NonFiniteParameter(f"grid min, max and step must be finite, got {bounds!r}")
-        if not self.grid_step > 0 or not self.grid_max > self.grid_min:
-            raise InvalidSetting("grid needs grid_max > grid_min and grid_step > 0")
         count = _grid_count(self)
         if count > MAX_GRID_POINTS:
             raise InvalidSetting(f"grid {bounds!r} has more than {MAX_GRID_POINTS} points")

@@ -111,21 +111,23 @@ def _csv_cells(table: np.ndarray) -> list[str]:
 
 def _emit_csv(header: Sequence[str], blocks: Iterable, out: Optional[str]) -> list[str]:
     """Write the header, then per (prefix, keys, table) block a line prefix + key + row
-    per row of the float array table; prefix and keys are CSV text, each key ending in ",".
-    Returns the last block's rows as _csv_cells formatted them.
+    per row of the float array table; prefix and keys are CSV text, each key ending in ",",
+    and keys holds one key per row.  Returns the last block's rows as _csv_cells formatted
+    them.
 
-    A block whose keys and table are the same objects as the previous block's reuses
-    that block's key + row text and prepends only its own prefix, so neither may change
-    in between: a sweep's alpha-free curve is formatted once for all its alphas."""
-    lines, cells = [",".join(header)], []
-    last = None, None  # the previous block's keys and table
+    Each block is one join over a list of slots ("\\n" + prefix, key, row per row), and
+    the whole text is written once, after every block is formatted, so a NaN anywhere
+    writes nothing.  A block whose table is the same object as the previous block's
+    reuses its row text, so the table may not change in between: a sweep's alpha-free
+    curve is formatted once for all its alphas."""
+    texts, cells, last = [",".join(header)], [], None
     for prefix, keys, table in blocks:
-        if keys is not last[0] or table is not last[1]:
-            last = keys, table
-            cells = _csv_cells(table)
-            rows = [key + row for key, row in zip(keys, cells)]
-        lines += [prefix + row for row in rows]
-    _write_text("\n".join(lines) + "\n", out)
+        if table is not last:
+            last, cells = table, _csv_cells(table)
+        slots = ["\n" + prefix] * (3 * len(cells))
+        slots[1::3], slots[2::3] = keys, cells
+        texts.append("".join(slots))
+    _write_text("".join(texts) + "\n", out)
     return cells
 
 

@@ -127,13 +127,17 @@ def _check_batch(rows, labels, k: Optional[int] = None,
     return x, y.astype(int)
 
 
-def _check_loss(mode: str, alpha: float, lam: float, step: float = 1.0) -> None:
-    """A known mode, a finite positive alpha, a finite lam >= 0 and a finite step > 0."""
+def _check_loss(mode: str, alpha: float, lam: float,
+                step: float = 1.0) -> tuple[float, float, float]:
+    """alpha, lam and step as Python floats, so that a numpy scalar does not reach a
+    report, after checking a known mode, a finite positive alpha, a finite lam >= 0 and
+    a finite step > 0."""
     if mode not in LOSS_MODES:
         raise InvalidSetting(f"mode must be one of {LOSS_MODES}, got {mode!r}")
     require_alpha(alpha)
     require_real("lam", lam, "non-negative")
     require_real("step", step, "positive")
+    return float(alpha), float(lam), float(step)
 
 
 def _require_settings(*settings: tuple[str, int, int]) -> list[int]:
@@ -330,7 +334,7 @@ def loss_and_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, mode: str,
     entries (biases are not penalized).  The logit gradient is
     skeleton_alpha(p) - onehot, which reduces to p - onehot at alpha = 1.
     """
-    _check_loss(mode, alpha, lam)
+    alpha, lam, _ = _check_loss(mode, alpha, lam)
     x, y = _check_batch(x, y, net.k, width=2)
     logits, grads = _backprop(net, x, np.eye(net.k)[y], mode, alpha, lam)
     loss, reg = _loss(logits, y, mode, alpha, _penalty(net, mode, lam))[0]
@@ -393,7 +397,7 @@ def train(net: ToyNet, data: ToyDataset, mode: str = "intersection", alpha: floa
     training set once with a generator seeded from `seed`, so runs remain
     exactly reproducible.  Epoch 0 records the untouched initial network.
     """
-    _check_loss(mode, alpha, lam, step)
+    alpha, lam, step = _check_loss(mode, alpha, lam, step)
     if data.k != net.k:
         raise DimensionMismatch(f"the data has {data.k} classes, the net {net.k}")
     epochs, seed, size = _require_settings(

@@ -23,8 +23,7 @@ import numpy as np
 
 from .distributions import (FiniteDistribution, Parameterization, apply_parameterization,
                             _check_theta, _pullback, _require_ranges, _theta_logp)
-from .errors import (DimensionMismatch, InvalidSetting, NonFiniteParameter, as_array,
-                     require_integer)
+from .errors import DimensionMismatch, InvalidSetting, as_array, require_integer, require_real
 from .logspace import NEG_INF
 from .objectives import (GradientVector, ObjectiveConfig, gradient_at_theta, gradient_terms,
                          values_at_thetas, _bind)
@@ -54,16 +53,11 @@ class AscentConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("step_size", "grad_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise NonFiniteParameter(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not self.step_size > 0:
-            raise InvalidSetting(f"step_size must be positive, got {self.step_size!r}")
+        require_real("step_size", self.step_size, "positive")
+        require_real("grad_tol", self.grad_tol, "non-negative")
         require_integer("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise InvalidSetting(f"max_iters must be at least 1, got {self.max_iters!r}")
-        if self.grad_tol < 0:
-            raise InvalidSetting(f"grad_tol must be non-negative, got {self.grad_tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,8 +181,7 @@ def _central_differences(values_fn: Callable[[Iterator[np.ndarray]], Sequence[fl
     the 2 * dim stencil rows, theta + h e_j and then theta - h e_j for each j in turn.
     The rows come one fresh array at a time, so a caller that takes them one by one
     holds O(dim) floats, not the whole stencil."""
-    if not math.isfinite(h):
-        raise NonFiniteParameter(f"h must be finite, got {h!r}")
+    require_real("h", h)
     if h == 0:
         raise InvalidSetting("h must be nonzero")
     theta = np.atleast_1d(as_array(theta))

@@ -7,8 +7,9 @@ DimensionMismatch instead (errors.as_array).  numpy rejects a string entry
 with a bare ValueError and a complex or dict entry with a bare TypeError;
 the same boundaries raise NonNumericEntry, and so for a None entry, which numpy
 turns into NaN.  A count, size or seed is checked when it is set, as an int or
-a numpy integer (errors.require_integer), and a sharpness, step or penalty
-weight as a real number (errors.require_real).
+a numpy integer (errors.require_integer), and a sharpness, step, tolerance,
+difference width, penalty weight or sweep setting as a real number
+(errors.require_real).
 """
 
 import numpy as np
@@ -26,6 +27,7 @@ from maxprob import (
     ObjectiveConfig,
     OutcomeRange,
     Parameterization,
+    SweepSpec,
     ToyNet,
     alpha_skeleton,
     apply_parameterization,
@@ -33,6 +35,7 @@ from maxprob import (
     cross_entropy_loss,
     exhaustive_bound_oracle,
     fd_gradient,
+    finite_difference_check,
     gradient_at_theta,
     grid_argmax,
     hn_forward,
@@ -255,6 +258,15 @@ REAL_SETTINGS = {
     "ObjectiveConfig alpha": lambda v: ObjectiveConfig("intersection", "cond-independent", v,
                                                        UNIFORM2),
     "alpha_skeleton alpha": lambda v: alpha_skeleton(UNIFORM2, v),
+    "AscentConfig step_size": lambda v: AscentConfig(step_size=v),
+    "AscentConfig grad_tol": lambda v: AscentConfig(grad_tol=v),
+    "fd_gradient h": lambda v: fd_gradient(lambda theta: 0.0, [1.0], v),
+    "finite_difference_check h": lambda v: finite_difference_check(CONFIG, UNIFORM2, SIGMOID,
+                                                                   [0.5], v),
+    "SweepSpec theta_star": lambda v: SweepSpec(v),
+    "SweepSpec grid_min": lambda v: SweepSpec(0.0, grid_min=v),
+    "SweepSpec grid_max": lambda v: SweepSpec(0.0, grid_max=v),
+    "SweepSpec grid_step": lambda v: SweepSpec(0.0, grid_step=v),
 }
 
 non_reals = st.one_of(
@@ -271,7 +283,8 @@ non_reals = st.one_of(
 
 class TestRealSettings:
     """A str, None, complex or array setting ended in a raw TypeError from math.isfinite,
-    and True trained and reported "alpha": true."""
+    and True trained and reported "alpha": true.  SweepSpec took a str theta_star and
+    echoed it into the summary, and read theta_star None as a NonNumericEntry."""
 
     @given(st.sampled_from(sorted(REAL_SETTINGS)), non_reals)
     def test_non_real_is_an_invalid_setting(self, name, value):

@@ -476,6 +476,30 @@ class TestCsvEmitter:
                                   ("", ["0,", "1,", "2,"], table)], None)
         assert buf.getvalue() == ""
 
+    def test_nan_in_the_last_block_leaves_no_file(self, tmp_path):
+        out = tmp_path / "out.csv"
+        keys, table = ["0,", "1,", "2,"], np.zeros(3)
+        table[-1] = np.nan
+        with pytest.raises(NonFiniteEncountered):
+            cli._emit_csv(["a"], [("x,", keys, np.zeros(3)), ("y,", keys, np.ones(3)),
+                                  ("z,", keys, table)], str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("assumption, tables", [("cond-independent", 7),
+                                                    ("oracle-subset", 11)])
+    def test_sweep_formats_each_table_once(self, assumption, tables, monkeypatch, capsys):
+        """The grid, then one table per curve, except that the alpha-free likelihood curve
+        under cond-independent is formatted once for its five alphas."""
+        formatted = []
+        csv_cells = cli._csv_cells
+        monkeypatch.setattr(cli, "_csv_cells",
+                            lambda table: formatted.append(table) or csv_cells(table))
+        code, out, err = run(["sweep-bernoulli", "--theta-star", "0.7",
+                              "--assumption", assumption], capsys)
+        assert code == 0 and err == ""
+        assert len(formatted) == tables
+        assert out.count("\n") == 1 + 10 * len(formatted[0])
+
     @pytest.mark.parametrize("spec", [
         dict(theta_star=2.1972245773362196),
         dict(theta_star=-1.5, assumption="oracle-subset", grid_step=0.37,

@@ -397,6 +397,24 @@ class TestTrain:
         with pytest.raises(error):
             self.small_run(**overrides)
 
+    @pytest.mark.parametrize("numpy_settings", [
+        dict(alpha=np.int64(2), step=np.float32(0.05)),
+        dict(mode="ce-l2", alpha=np.float32(2.0), lam=np.float32(1e-3), step=np.float16(0.05)),
+    ], ids=["intersection", "ce-l2"])
+    def test_numpy_scalar_settings_report_python_floats(self, numpy_settings):
+        """A numpy scalar setting trains as its Python float does, bit for bit, and the
+        report carries the float: it ended in a raw TypeError from json after training."""
+        python_settings = {key: value if isinstance(value, str) else float(value)
+                           for key, value in numpy_settings.items()}
+        nets = [ToyNet(seed=5), ToyNet(seed=5)]
+        reports = [train(net, make_toy_dataset(seed=11), epochs=3, batch_size=7, **settings)
+                   for net, settings in zip(nets, (numpy_settings, python_settings))]
+        assert reports[0].final_digest == reports[1].final_digest
+        for name in ToyNet.PARAM_ORDER:
+            assert nets[0].params[name].tobytes() == nets[1].params[name].tobytes()
+        assert canonical_report_bytes(reports[0]) == canonical_report_bytes(reports[1])
+        assert all(type(getattr(reports[0], key)) is float for key in ("alpha", "lam", "step"))
+
     def test_labels_checked_against_the_network(self):
         """A dataset of another class count is a DimensionMismatch; a label outside the
         net's classes in a dataset of its count is a LabelOutOfRange."""
