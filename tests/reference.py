@@ -28,8 +28,11 @@ It keeps optimize.ascend as it was before the objective was bound to a
 support once: ascend_stepwise calls _step on every iteration, which checks
 the support conditions and rebuilds every mask and constant column from the
 model's support.  Unlike the scalar reference above it runs on the
-package's logspace kernels, _theta_logp and _pullback, so the tests require
-ascend to match it bit for bit.  fd_gradient keeps the finite-difference
+package's float arithmetic: on frozen copies of logspace's _shifted,
+_log_normalize and _soft_min_step and of distributions._theta_logp, as they
+were while every reduction, of a 1-D row too, kept a length-1 axis and each
+step wrote theta into fresh zero-padded logits, and on the package's
+_pullback.  The tests require ascend to match it bit for bit.  fd_gradient keeps the finite-difference
 loop that made two value calls per coordinate, before one call of a rows
 function took the whole stencil; the tests require the two to agree bit for
 bit.
@@ -76,6 +79,7 @@ final_theta a list of floats and every infinite float made a string.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -97,7 +101,7 @@ from maxprob import (
 )
 from maxprob.bernoulli import PLATEAU_RUN, PLATEAU_TOL
 from maxprob import logspace, nn, objectives
-from maxprob.distributions import _check_theta, _pullback, _require_ranges, _theta_logp
+from maxprob.distributions import _check_theta, _pullback, _require_ranges
 from maxprob.nn import EpochRecord
 from maxprob.optimize import DIVERGENCE_THETA_BOUND
 
@@ -357,6 +361,75 @@ def fd_gradient(value_fn, theta, h=1e-5) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The logspace core and the theta map as ascend_stepwise runs them: every reduction
+# keeps a length-1 axis, a 1-D row's too, and each row of logits is made afresh.
+
+_MAX_FLOAT = float(np.finfo(float).max)
+_CALM = 2.0 ** 968
+_CALM_CONTEXT = contextlib.nullcontext()
+_ROWS_PER_COLUMN = 16
+
+
+def _by_columns(ufunc, a, first):
+    for j in range(1, a.shape[1]):
+        first = ufunc(first, a[:, j])
+    return first[:, np.newaxis]
+
+
+def keepdims_shifted(a, alpha, axis, normalize=False):
+    columns = (a.ndim == 2 and len(a) >= _ROWS_PER_COLUMN * a.shape[1] and 1 < a.shape[1] < 8
+               and axis in (1, -1))
+    top, bound = (np.maximum, -_MAX_FLOAT) if alpha > 0 else (np.minimum, _MAX_FLOAT)
+    m = (_by_columns(top, a, top(a[:, 0], bound)) if columns
+         else top.reduce(a, axis, keepdims=True, initial=bound))
+    reach = abs(m.item()) if m.size == 1 else np.maximum.reduce(abs(m), None, initial=0.0)
+    if abs(alpha) > 1.0:
+        far = (np.minimum if alpha > 0 else np.maximum).reduce(a, None, initial=-bound)
+        calm = max(reach, abs(far)) <= min(_CALM, _MAX_FLOAT / (4.0 * abs(alpha)))
+    else:
+        calm = reach <= _CALM and abs(alpha) >= 2.0 ** -1000
+    if calm:
+        s = a - m
+        if alpha != 1.0:
+            s *= alpha
+        e = np.exp(s)
+        return s, np.log(_by_columns(np.add, e, e[:, 0]) if columns
+                         else np.add.reduce(e, axis, keepdims=True)), m, _CALM_CONTEXT
+    if np.isnan(m).any():
+        raise NonFiniteEncountered("log-sum-exp of a NaN entry")
+    m = m.clip(-_MAX_FLOAT, _MAX_FLOAT)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = (a - m) * alpha
+        e = np.exp(s)
+        lse = np.log(_by_columns(np.add, e, e[:, 0]) if columns
+                     else np.add.reduce(e, axis, keepdims=True))
+    if normalize and (lse == NEG_INF).any():
+        raise SumOutOfTolerance("all outcomes carry zero mass")
+    if normalize and (lse == np.inf).any():
+        raise NonFiniteEncountered("an outcome carries infinite mass")
+    return s, lse, m, np.errstate(over="ignore")
+
+
+def keepdims_log_normalize(x, alpha=1.0):
+    s, lse, m, quiet = keepdims_shifted(np.asarray(x, dtype=float), alpha, -1, normalize=True)
+    with quiet:
+        return s - lse, ((m if alpha == 1.0 else alpha * m) + lse).squeeze(-1)
+
+
+def keepdims_soft_min_step(a, alpha, weights=True):
+    s, lse, m, quiet = keepdims_shifted(a, -alpha, -1, normalize=True)
+    with quiet:
+        return (m - lse / alpha).squeeze(-1), (np.exp(s - lse) if weights else None)
+
+
+def keepdims_theta_logp(p, th):
+    logits = np.zeros(th.shape[:-1] + (len(p.range),))
+    logits[..., :p.dim] = th
+    s, lse, _, _ = keepdims_shifted(logits, 1.0, -1, normalize=True)
+    return s - lse
+
+
+# ---------------------------------------------------------------------------
 # The per-step objective dispatch
 
 
@@ -387,19 +460,19 @@ def _on(mask, w) -> np.ndarray:
 
 def _independent_step(model, supp, oracle, prior, alpha):
     joint = supp & (oracle > NEG_INF) & (prior > NEG_INF)
-    logpost, value = logspace._log_normalize(
+    logpost, value = keepdims_log_normalize(
         model.compress(joint, axis=-1) + oracle[joint] - prior[joint])
     return value, _on(joint, np.exp(logpost))
 
 
 def _subset_step(model, supp, oracle, prior, alpha):
     osupp = oracle > NEG_INF
-    value, w = logspace._soft_min_step(model.compress(osupp, axis=-1) - oracle[osupp], alpha)
+    value, w = keepdims_soft_min_step(model.compress(osupp, axis=-1) - oracle[osupp], alpha)
     return value, _on(osupp, w)
 
 
 def _soft_bound_step(conditional, supp, prior, alpha):
-    value, w = logspace._soft_min_step(prior[supp] - conditional.compress(supp, axis=-1), alpha)
+    value, w = keepdims_soft_min_step(prior[supp] - conditional.compress(supp, axis=-1), alpha)
     return value, _on(supp, w)
 
 
@@ -427,7 +500,7 @@ def ascend_stepwise(config, oracle, p, theta0, cfg) -> AscentTrace:
     thetas, values, norms = [], [], []
     status = "max_iters"
     for _ in range(cfg.max_iters):
-        logp = _theta_logp(p, theta[np.newaxis])[0]
+        logp = keepdims_theta_logp(p, theta[np.newaxis])[0]
         value, attract, repulse = _step(config, logp, logp > NEG_INF, oracle.logp)
         value = float(value)
         d_theta = _pullback(p, attract - repulse)

@@ -320,6 +320,35 @@ class TestAscendMatchesStepwise:
         else:
             assert_bitwise_run(got, want)
 
+    @pytest.mark.parametrize("theta_star", [0.25, 1.25])
+    @pytest.mark.parametrize("alpha", [2.0, 4.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("assumption", ASSUMPTIONS)
+    def test_fit_small_grid(self, kind, assumption, alpha, theta_star):
+        """bench/inputs.py's fit-small operations: a sigmoid oracle read from linear
+        probabilities, a uniform prior, theta0 = 0, step 1, 400 steps, grad_tol 1e-10."""
+        success = float(1.0 / (1.0 + np.exp(-theta_star)))
+        oracle = make_distribution(SIGMOID.range, [success, 1.0 - success])
+        case = (ObjectiveConfig(kind, assumption, alpha, UNIFORM2), oracle, SIGMOID,
+                np.zeros(1), AscentConfig(step_size=1.0, max_iters=400, grad_tol=1e-10))
+        assert_bitwise_run(ascend(*case), reference.ascend_stepwise(*case))
+
+    @pytest.mark.parametrize("k, iters", [(3, 200), (64, 100), (2048, 10)])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("assumption", ASSUMPTIONS)
+    def test_softmax_runs(self, kind, assumption, k, iters):
+        """Softmax fits from a Dirichlet prior and oracle, one in ten oracle entries zero
+        (as in bench/inputs.py's fit-wide), so that some terms bind to a holed mask."""
+        p = Parameterization.softmax_logits(k)
+        rng = np.random.default_rng(k)
+        prior = make_distribution(p.range, rng.dirichlet(np.ones(k)))
+        weights = rng.dirichlet(np.ones(k))
+        weights[rng.random(k) < 0.1] = 0.0
+        oracle = make_distribution(p.range, weights / weights.sum())
+        case = (ObjectiveConfig(kind, assumption, 2.0, prior), oracle, p,
+                rng.normal(size=k), AscentConfig(step_size=1.0, max_iters=iters, grad_tol=0.0))
+        assert_bitwise_run(ascend(*case), reference.ascend_stepwise(*case))
+
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("assumption", ASSUMPTIONS)
     def test_support_changes_mid_run(self, kind, assumption, monkeypatch):
