@@ -11,6 +11,7 @@ from .errors import (
     InvalidSetting,
     LabelOutOfRange,
     MalformedDistribution,
+    MalformedRange,
     NegativeAlphaOnZeroMass,
     NegativeMass,
     NonFiniteEncountered,

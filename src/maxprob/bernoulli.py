@@ -68,6 +68,12 @@ class SweepSpec:
     _configs: tuple[ObjectiveConfig, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        for name in ("objectives", "alphas"):
+            try:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+            except TypeError:  # None, a number: not a collection
+                raise InvalidSetting(f"{name} must be a collection, got "
+                                     f"{getattr(self, name)!r}") from None
         prior = (self.prior if self.prior is not None
                  else uniform_distribution(Parameterization.sigmoid_bernoulli().range))
         object.__setattr__(self, "_configs", tuple(
@@ -78,6 +84,8 @@ class SweepSpec:
         for name in ("theta_star", "grid_min", "grid_max"):
             require_real(name, getattr(self, name))
         require_real("grid_step", self.grid_step, "positive")
+        for name in ("theta_star", "grid_min", "grid_max", "grid_step"):
+            object.__setattr__(self, name, float(getattr(self, name)))  # a report serializes
         if not self.grid_max > self.grid_min:
             raise InvalidSetting("grid needs grid_max > grid_min")
         bounds = (self.grid_min, self.grid_max, self.grid_step)

@@ -133,30 +133,25 @@ def _soft_bound_term(supp: np.ndarray, prior: np.ndarray, alpha: float, gradient
             raise NonFiniteEncountered(
                 "model mass on a zero-prior outcome makes the soft bound -inf; gradient undefined")
         return None
-    pick, place = _columns(supp)
-
-    def term(conditional: np.ndarray):
-        value, w = _soft_min_step(prior_on - pick(conditional), alpha, gradient)
-        return value, (place(w) if gradient else None)
-    return term
+    return _on_columns(supp, lambda conditional: _soft_min_step(prior_on - conditional, alpha,
+                                                                gradient))
 
 
-def _same(a: np.ndarray) -> np.ndarray:
-    return a
-
-
-def _columns(mask: np.ndarray):
-    """(pick, place) for the columns of mask (K,): pick takes them from rows (..., K) with
-    compress, which keeps the rows C-ordered, and place puts rows (..., mask.sum()) back on
-    them, zero elsewhere.  For a full mask both are the identity."""
+def _on_columns(mask: np.ndarray, term):
+    """term, a kernel on rows (..., mask.sum()) of the columns of mask (K,) giving (value,
+    vector or None), as a kernel on rows (..., K): it takes the columns with compress,
+    which keeps the rows C-ordered, and puts the vector back on them, zero elsewhere.
+    For a full mask that is term itself."""
     if mask.all():
-        return _same, _same
+        return term
 
-    def place(w: np.ndarray) -> np.ndarray:
-        out = np.zeros(w.shape[:-1] + mask.shape)
-        out[..., mask] = w
-        return out
-    return (lambda a: a.compress(mask, axis=-1)), place
+    def on_columns(rows: np.ndarray):
+        value, w = term(rows.compress(mask, axis=-1))
+        if w is not None:
+            w, on = np.zeros(w.shape[:-1] + mask.shape), w
+            w[..., mask] = on
+        return value, w
+    return on_columns
 
 
 def alpha_skeleton(dist: FiniteDistribution, alpha: float) -> FiniteDistribution:

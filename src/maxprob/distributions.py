@@ -28,6 +28,7 @@ from .errors import (
     EmptyRange,
     LabelOutOfRange,
     MalformedDistribution,
+    MalformedRange,
     NegativeMass,
     NonFiniteEncountered,
     NonFiniteParameter,
@@ -37,7 +38,7 @@ from .errors import (
     as_array,
     require_integer,
 )
-from .logspace import NEG_INF, log_softmax, logsumexp
+from .logspace import NEG_INF, log_softmax, logsumexp, _minus_logsumexp
 
 __all__ = [
     "SUM_REJECT_TOL",
@@ -70,11 +71,17 @@ class OutcomeRange:
     labels: tuple[Label, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if len(self.labels) == 0:
+        try:
+            labels = tuple(self.labels)
+            distinct = len(set(labels))
+        except TypeError:  # not a collection (None, a number), or an unhashable label
+            raise MalformedRange(f"an outcome range is a collection of hashable labels, "
+                                 f"got {self.labels!r}") from None
+        object.__setattr__(self, "labels", labels)
+        if len(labels) == 0:
             raise EmptyRange("outcome range must contain at least one label")
-        if len(set(self.labels)) != len(self.labels):
-            raise DuplicateOutcome(f"outcome labels must be distinct: {self.labels!r}")
+        if distinct != len(labels):
+            raise DuplicateOutcome(f"outcome labels must be distinct: {labels!r}")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -171,7 +178,7 @@ def make_distribution(rng: OutcomeRange | Sequence[Label], probs: Sequence[float
     log-space arithmetic.
     """
     if not isinstance(rng, OutcomeRange):
-        rng = OutcomeRange(tuple(rng))
+        rng = OutcomeRange(rng)
     p = as_array(probs)
     if p.shape != (len(rng),):
         raise DimensionMismatch(
@@ -184,7 +191,7 @@ def make_distribution(rng: OutcomeRange | Sequence[Label], probs: Sequence[float
 
 def uniform_distribution(rng: OutcomeRange | Sequence[Label]) -> FiniteDistribution:
     if not isinstance(rng, OutcomeRange):
-        rng = OutcomeRange(tuple(rng))
+        rng = OutcomeRange(rng)
     n = len(rng)
     return FiniteDistribution(rng, np.full(n, -np.log(n)))
 
@@ -298,7 +305,7 @@ def _theta_logp(p: Parameterization, th: np.ndarray) -> np.ndarray:
     """
     logits = np.zeros(th.shape[:-1] + (len(p.range),))
     logits[..., :p.dim] = th
-    return log_softmax(logits)
+    return _minus_logsumexp(logits, 1.0)
 
 
 def apply_parameterization(p: Parameterization, theta) -> FiniteDistribution:
@@ -332,8 +339,8 @@ def distribution_from_jsonable(obj: Mapping) -> FiniteDistribution:
                                     'and "probs" keys')
     labels = obj["range"]
     try:
-        rng = OutcomeRange(tuple(labels)) if isinstance(labels, (list, tuple)) else None
-    except TypeError:  # a label that is itself a list or an object is unhashable
+        rng = OutcomeRange(labels) if isinstance(labels, (list, tuple)) else None
+    except MalformedRange:  # a label that is itself a list or an object is unhashable
         rng = None
     if rng is None:
         raise MalformedDistribution('"range" must be a list of strings or numbers')

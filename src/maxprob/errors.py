@@ -33,6 +33,7 @@ __all__ = [
     "LabelOutOfRange",
     "InvalidSetting",
     "MalformedDistribution",
+    "MalformedRange",
     "NonNumericEntry",
     "require_alpha",
     "require_integer",
@@ -119,6 +120,10 @@ class InvalidSetting(DomainError):
 
 class MalformedDistribution(DomainError):
     """A serialized distribution is not a {"range": [labels], "probs": [numbers]} object."""
+
+
+class MalformedRange(DomainError):
+    """An outcome range is not a collection of hashable labels."""
 
 
 class NonNumericEntry(DomainError):

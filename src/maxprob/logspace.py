@@ -11,7 +11,9 @@ finite alpha overflows it.  The reduction alone decides a slice's float
 edges.  A slice with no mass (empty or all -inf) has log-sum-exp -inf, and
 one with a +inf entry has +inf, both silently; a NaN entry raises
 NonFiniteEncountered.  Normalizing a slice raises SumOutOfTolerance for no
-mass and NonFiniteEncountered for infinite mass."""
+mass and NonFiniteEncountered for infinite mass.  The core stays on numpy's
+exp and log for a single row too: math.exp and math.log differ from them in
+the last bit (on an AVX-512 host, on 55 194 of 1.2 M exp and 1 849 of 1 M log inputs)."""
 
 from __future__ import annotations
 
@@ -50,20 +52,22 @@ def _by_columns(ufunc, a: np.ndarray, first: np.ndarray) -> np.ndarray:
 
 
 def _shifted(a: np.ndarray, alpha: float, axis: int, normalize: bool = False):
-    """(s, lse, m, quiet) along axis, reductions kept as a length-1 axis: m is each
-    slice's entry where alpha * a is largest, s = alpha * (a - m), lse = log(sum(exp(s))),
-    and quiet the context for a kernel's arithmetic on them: none when calm (see _CALM),
-    else np.errstate, where an overflow is the correct infinite limit.  Not calm, a NaN
-    entry raises, and an infinite m is capped at +-finfo.max: no mass then sums to 0,
-    whose log is -inf, and infinite mass to +inf; with normalize, either raises."""
+    """(s, lse, m, quiet) along axis: m is each slice's entry where alpha * a is largest,
+    s = alpha * (a - m), lse = log(sum(exp(s))), and quiet the context for a kernel's
+    arithmetic on them: none when calm (see _CALM), else np.errstate, where an overflow
+    is the correct infinite limit.  Not calm, a NaN entry raises, and an infinite m is
+    capped at +-finfo.max: no mass then sums to 0, whose log is -inf, and infinite mass
+    to +inf; with normalize, either raises.  m and lse keep the reduced axis at length 1,
+    but are scalars for a 1-D row, to which numpy's exp and log give the same bits."""
     # the ufuncs' own reduce, not the ndarray methods, which wrap it in Python; and never
     # add.reduce(..., initial=None), which sums in another order
+    row = a.ndim == 1
     columns = (a.ndim == 2 and len(a) >= _ROWS_PER_COLUMN * a.shape[1] and 1 < a.shape[1] < 8
                and axis in (1, -1))
     top, bound = (np.maximum, -_MAX_FLOAT) if alpha > 0 else (np.minimum, _MAX_FLOAT)
     m = (_by_columns(top, a, top(a[:, 0], bound)) if columns
-         else top.reduce(a, axis, keepdims=True, initial=bound))
-    reach = abs(m.item()) if m.size == 1 else np.maximum.reduce(abs(m), None, initial=0.0)
+         else top.reduce(a, axis, keepdims=not row, initial=bound))
+    reach = abs(m) if row else np.maximum.reduce(abs(m), None, initial=0.0)
     if abs(alpha) > 1.0:
         far = (np.minimum if alpha > 0 else np.maximum).reduce(a, None, initial=-bound)
         calm = max(reach, abs(far)) <= min(_CALM, _MAX_FLOAT / (4.0 * abs(alpha)))
@@ -75,7 +79,7 @@ def _shifted(a: np.ndarray, alpha: float, axis: int, normalize: bool = False):
             s *= alpha
         e = np.exp(s)
         return s, np.log(_by_columns(np.add, e, e[:, 0]) if columns
-                         else np.add.reduce(e, axis, keepdims=True)), m, _CALM_CONTEXT
+                         else np.add.reduce(e, axis, keepdims=not row)), m, _CALM_CONTEXT
     if np.isnan(m).any():
         raise NonFiniteEncountered("log-sum-exp of a NaN entry")
     m = m.clip(-_MAX_FLOAT, _MAX_FLOAT)
@@ -83,7 +87,7 @@ def _shifted(a: np.ndarray, alpha: float, axis: int, normalize: bool = False):
         s = (a - m) * alpha
         e = np.exp(s)
         lse = np.log(_by_columns(np.add, e, e[:, 0]) if columns
-                     else np.add.reduce(e, axis, keepdims=True))
+                     else np.add.reduce(e, axis, keepdims=not row))
     if normalize and (lse == NEG_INF).any():
         raise SumOutOfTolerance("all outcomes carry zero mass")
     if normalize and (lse == np.inf).any():
@@ -97,33 +101,33 @@ def logsumexp(a, axis=None):
     along it, with its own max-shift, to an array."""
     a = as_array(a)
     if axis is None:
-        return logsumexp(a.ravel(), 0).item()
+        return float(logsumexp(a.ravel(), 0))
     _, lse, m, _ = _shifted(a, 1.0, axis)
-    return (m + lse).squeeze(axis)  # m is finite, so this never overflows
+    return np.asarray((m + lse).squeeze(axis))  # m is finite, so this never overflows
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
     """Log of the softmax of x along its last axis, stabilized by a max-shift per slice;
     raises as _log_normalize does."""
-    s, lse, _, _ = _shifted(as_array(x), 1.0, -1, normalize=True)
-    return s - lse  # s <= 0 and, normalized, 0 <= lse <= log K: this never warns
+    return _minus_logsumexp(as_array(x), 1.0)
 
 
 def _log_normalize(x: np.ndarray, alpha: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """log_softmax(alpha * x) and logsumexp(alpha * x) along the last axis, the latter
     m + lse at alpha 1, where alpha * m is m; a slice with no mass raises
     SumOutOfTolerance, and one with infinite mass NonFiniteEncountered."""
-    s, lse, m, quiet = _shifted(np.asarray(x, dtype=float), alpha, -1, normalize=True)
+    s, lse, m, quiet = _shifted(x, alpha, -1, normalize=True)
     with quiet:
-        return s - lse, ((m if alpha == 1.0 else alpha * m) + lse).squeeze(-1)
+        top = (m if alpha == 1.0 else alpha * m) + lse
+        return s - lse, (top if x.ndim == 1 else top.squeeze(-1))
 
 
 def _minus_logsumexp(x: np.ndarray, alpha: float) -> np.ndarray:
     """x - logsumexp(alpha * x) along the last axis, raising as _log_normalize does; at
-    alpha = 1 it is log_softmax(x) bit for bit.  An entry past the float range is
-    its infinite limit, silently."""
+    alpha = 1 it is log_softmax(x).  An entry past the float range is its infinite
+    limit, silently."""
     s, lse, m, quiet = _shifted(x, alpha, -1, normalize=True)
-    with quiet:
+    with quiet:  # at alpha 1, s <= 0 and, normalized, 0 <= lse <= log K: it never warns
         return s - lse if alpha == 1.0 else x - (alpha * m + lse)
 
 
@@ -140,10 +144,10 @@ def soft_min(a, alpha: float, axis=None):
     require_alpha(alpha)
     a = as_array(a)
     if axis is None:
-        return soft_min(a.ravel(), alpha, 0).item()
+        return float(soft_min(a.ravel(), alpha, 0))
     _, lse, m, quiet = _shifted(a, -alpha, axis)
     with quiet:
-        return (m - lse / alpha).squeeze(axis)
+        return np.asarray((m - lse / alpha).squeeze(axis))
 
 
 def _soft_min_step(a: np.ndarray, alpha: float, weights: bool = True):
@@ -151,4 +155,5 @@ def _soft_min_step(a: np.ndarray, alpha: float, weights: bool = True):
     None), from one shifted array."""
     s, lse, m, quiet = _shifted(a, -alpha, -1, normalize=True)
     with quiet:
-        return (m - lse / alpha).squeeze(-1), (np.exp(s - lse) if weights else None)
+        value = m - lse / alpha
+        return (value if a.ndim == 1 else value.squeeze(-1)), (np.exp(s - lse) if weights else None)

@@ -72,7 +72,7 @@ from .errors import (
     require_alpha,
 )
 from .logspace import NEG_INF, _log_normalize, _soft_min_step
-from .bounds import _columns, _soft_bound_term
+from .bounds import _on_columns, _soft_bound_term
 
 __all__ = [
     "KINDS",
@@ -114,6 +114,7 @@ class ObjectiveConfig:
         if self.assumption not in ASSUMPTIONS:
             raise InvalidSetting(f"assumption must be one of {ASSUMPTIONS}, got {self.assumption!r}")
         require_alpha(self.alpha)
+        object.__setattr__(self, "alpha", float(self.alpha))  # a report serializes
 
     @property
     def dropped_constant_terms(self) -> tuple[str, ...]:
@@ -166,14 +167,14 @@ def _ratio_argmax_set(oracle: FiniteDistribution, prior: FiniteDistribution) -> 
 # The likelihood kind has no penalty builder: _bind itself gives exp(model) as its
 # repulsion and adds nothing to the likelihood term's value.
 #
-# A kernel picks its columns with compress (bounds._columns), which keeps the rows
-# C-ordered: each row then sums in the same order as a single 1-D row, so a batch
-# of models gives bit for bit the values of one model at a time.  model[..., supp]
-# on a 2-D model gives a column-major copy whose row sums can differ in the last
-# bit.  Where a mask is full, the pick and the placement of the vector are the
-# identity, decided at bind time: every caller's model is C-ordered already.  A
-# kernel adds its constant columns one at a time, pick(model) + oracle - prior:
-# folding them into one column at bind time would round differently.
+# A kernel picks its columns with compress (bounds._on_columns), which keeps the
+# rows C-ordered: each row then sums in the same order as a single 1-D row, so a
+# batch of models gives bit for bit the values of one model at a time.
+# model[..., supp] on a 2-D model gives a column-major copy whose row sums can
+# differ in the last bit.  A full mask takes no pick and no placement, decided at
+# bind time: every caller's model is C-ordered already.  A kernel adds its constant
+# columns one at a time, model + oracle - prior on the picked columns: folding
+# them into one column at bind time would round differently.
 
 
 def _independent_term(supp: np.ndarray, oracle: np.ndarray, prior: np.ndarray,
@@ -190,13 +191,12 @@ def _independent_term(supp: np.ndarray, oracle: np.ndarray, prior: np.ndarray,
             raise EmptyIntersectionSupport(
                 "model, oracle, and prior share no supported outcome; the joint event is null")
         return None
-    pick, place = _columns(joint)
     oracle_on, prior_on = oracle[joint], prior[joint]
 
     def term(model: np.ndarray):
-        logpost, value = _log_normalize(pick(model) + oracle_on - prior_on)
-        return value, (place(np.exp(logpost)) if gradient else None)
-    return term
+        logpost, value = _log_normalize(model + oracle_on - prior_on)
+        return value, (np.exp(logpost) if gradient else None)
+    return _on_columns(joint, term)
 
 
 def _subset_term(supp: np.ndarray, oracle: np.ndarray, prior: np.ndarray,
@@ -213,13 +213,8 @@ def _subset_term(supp: np.ndarray, oracle: np.ndarray, prior: np.ndarray,
     if (osupp & ~supp).any():
         raise OracleSupportEscapesModel(
             "subset assumption requires the model to support every oracle outcome")
-    pick, place = _columns(osupp)
     oracle_on = oracle[osupp]
-
-    def term(model: np.ndarray):
-        value, w = _soft_min_step(pick(model) - oracle_on, alpha, gradient)
-        return value, (place(w) if gradient else None)
-    return term
+    return _on_columns(osupp, lambda model: _soft_min_step(model - oracle_on, alpha, gradient))
 
 
 _LIKELIHOOD_TERMS = {"cond-independent": _independent_term, "oracle-subset": _subset_term}

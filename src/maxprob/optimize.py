@@ -22,9 +22,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .distributions import (FiniteDistribution, Parameterization, apply_parameterization,
-                            _check_theta, _pullback, _require_ranges, _theta_logp)
+                            _check_theta, _pullback, _require_ranges)
 from .errors import DimensionMismatch, InvalidSetting, as_array, require_integer, require_real
-from .logspace import NEG_INF
+from .logspace import NEG_INF, _minus_logsumexp
 from .objectives import (GradientVector, ObjectiveConfig, gradient_at_theta, gradient_terms,
                          values_at_thetas, _bind)
 
@@ -98,9 +98,9 @@ def ascend(config: ObjectiveConfig, oracle: FiniteDistribution, p: Parameterizat
     """Maximize the objective over theta by fixed-step gradient ascent.
 
     theta0 and the outcome ranges are checked once, with the errors
-    value_at_theta raises.  Each iteration then maps theta to
-    log-probabilities once and makes one call to the objective's kernel on
-    that row for the value and both gradient vectors.  Within
+    value_at_theta raises.  Each iteration then maps theta to log-probabilities
+    as _theta_logp does, in one row of logits padded with zeros once, and makes
+    one kernel call on that row for the value and both gradient vectors.  Within
     DIVERGENCE_THETA_BOUND the logits spread by at most twice the bound, so
     every outcome keeps its mass: the kernel is bound to the full support
     (objectives._bind, whose terms check their supports) once.  Only an
@@ -116,16 +116,17 @@ def ascend(config: ObjectiveConfig, oracle: FiniteDistribution, p: Parameterizat
     thetas, values, norms = [], [], []
     status = "max_iters"
     full, bound = np.ones(len(p.range), dtype=bool), None
+    logits = np.zeros(len(p.range))
     for _ in range(cfg.max_iters):
-        reach = np.maximum.reduce(abs(theta))
-        logp = _theta_logp(p, theta)
+        reach = _max_norm(theta)
+        logits[:p.dim] = theta
+        logp = _minus_logsumexp(logits, 1.0)
         supp = full if reach <= DIVERGENCE_THETA_BOUND else logp > NEG_INF
         if supp is not bound and (bound is None or supp.tobytes() != bound.tobytes()):
             kernel, bound = _bind(config, supp, oracle.logp), supp
         value, attract, repulse = kernel(logp)
-        value = float(value)
         d_theta = _pullback(p, attract - repulse)
-        gnorm = float(np.maximum.reduce(abs(d_theta)))
+        gnorm = _max_norm(d_theta)
         thetas.append(theta)
         values.append(value)
         norms.append(gnorm)
@@ -137,6 +138,11 @@ def ascend(config: ObjectiveConfig, oracle: FiniteDistribution, p: Parameterizat
             break
         theta = theta + cfg.step_size * d_theta
     return AscentTrace(np.array(thetas), np.array(values), np.array(norms), status)
+
+
+def _max_norm(x: np.ndarray) -> float:
+    """float(np.maximum.reduce(abs(x))), NaN and +0.0 alike; one entry takes no ufunc."""
+    return abs(x.item()) if x.size == 1 else float(np.maximum.reduce(abs(x)))
 
 
 def mc_gradient(config: ObjectiveConfig, oracle: FiniteDistribution, p: Parameterization,

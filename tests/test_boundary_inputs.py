@@ -12,6 +12,8 @@ difference width, penalty weight or sweep setting as a real number
 (errors.require_real).
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -22,6 +24,7 @@ from maxprob import (
     DimensionMismatch,
     FiniteDistribution,
     InvalidSetting,
+    MalformedRange,
     NonFiniteEncountered,
     NonNumericEntry,
     ObjectiveConfig,
@@ -47,12 +50,14 @@ from maxprob import (
     make_toy_dataset,
     mc_gradient,
     regularizer_bound,
+    run_sweep,
     soft_min,
     train,
     uniform_distribution,
     value_at_theta,
     values_at_thetas,
 )
+from maxprob.bernoulli import report_to_jsonable
 from maxprob.errors import as_array
 
 COIN = OutcomeRange(("1", "0"))
@@ -296,3 +301,38 @@ class TestRealSettings:
                              ids=repr)
     def test_ints_floats_and_numpy_scalars_are_real(self, name, value):
         REAL_SETTINGS[name](value)
+
+    def test_numpy_scalar_sweep_settings_serialize(self):
+        """A numpy scalar theta_star, grid bound or alpha ran, and its summary then ended in
+        a raw TypeError from json; the spec keeps each as a Python float."""
+        spec = SweepSpec(np.int64(1), grid_min=np.int64(-2), grid_max=np.float32(2.0),
+                         grid_step=np.float64(0.5), alphas=(np.int64(2), np.float32(4.0)))
+        assert all(type(getattr(spec, name)) is float
+                   for name in ("theta_star", "grid_min", "grid_max", "grid_step"))
+        want = run_sweep(SweepSpec(1.0, grid_min=-2.0, grid_max=2.0, grid_step=0.5,
+                                   alphas=(2.0, 4.0)))
+        assert (json.dumps(report_to_jsonable(run_sweep(spec)))
+                == json.dumps(report_to_jsonable(want)))
+
+
+class TestCollections:
+    """A sweep's alphas or objectives, or an outcome range, that is no collection ended in
+    a raw TypeError ("... is not iterable"), and so did an unhashable label."""
+
+    @pytest.mark.parametrize("setting", [{"alphas": None}, {"alphas": 2.0},
+                                         {"objectives": None}], ids=repr)
+    def test_sweep_setting_is_an_invalid_setting(self, setting):
+        with pytest.raises(InvalidSetting, match="must be a collection"):
+            SweepSpec(0.5, **setting)
+
+    def test_outcome_range_of_none(self):
+        with pytest.raises(MalformedRange):
+            OutcomeRange(None)
+
+    def test_outcome_range_of_unhashable_labels(self):
+        with pytest.raises(MalformedRange):
+            OutcomeRange(([1], [2]))
+
+    def test_uniform_distribution_of_a_number(self):
+        with pytest.raises(MalformedRange):
+            uniform_distribution(3)

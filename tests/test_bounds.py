@@ -209,6 +209,25 @@ class TestLogsumexpAxis:
                 assert got.tobytes() == _soft_min_step(-x, alpha)[1].tobytes(), alpha
 
 
+class TestRowResultTypes:
+    """logspace reduces a 1-D row to scalars; the public functions still give a 0-d array
+    along an axis, a float with none, and a (K,) row from log_softmax and softmax, for
+    calm rows and for rows that are not (an overflowing shift, an extreme alpha)."""
+
+    @pytest.mark.parametrize("row", [[1.0, 2.0], [1e308, -1e308], [NEG_INF, 0.5, 3.0]])
+    def test_one_row(self, row):
+        row = np.array(row)
+        for axis in (0, -1):
+            got = [logsumexp(row, axis=axis)]
+            got += [soft_min(row, alpha, axis=axis) for alpha in (1e-300, 2.0, 1e308)]
+            for value in got:
+                assert type(value) is np.ndarray and value.shape == (), (axis, value)
+        assert type(logsumexp(row)) is float and type(soft_min(row, 2.0)) is float
+        for normalize in (log_softmax, softmax):
+            got = normalize(row)
+            assert type(got) is np.ndarray and got.shape == row.shape
+
+
 class TestZeroMass:
     """A slice with no mass: its log-sum-exp is -inf without a warning, and normalizing
     it raises SumOutOfTolerance."""
