@@ -155,5 +155,5 @@ def _soft_min_step(a: np.ndarray, alpha: float, weights: bool = True):
     None), from one shifted array."""
     s, lse, m, quiet = _shifted(a, -alpha, -1, normalize=True)
     with quiet:
-        value = m - lse / alpha
-        return (value if a.ndim == 1 else value.squeeze(-1)), (np.exp(s - lse) if weights else None)
+        value, w = m - lse / alpha, (np.exp(s - lse) if weights else None)
+        return (value if a.ndim == 1 else value.squeeze(-1)), w

@@ -32,10 +32,11 @@ package's float arithmetic: on frozen copies of logspace's _shifted,
 _log_normalize and _soft_min_step and of distributions._theta_logp, as they
 were while every reduction, of a 1-D row too, kept a length-1 axis and each
 step wrote theta into fresh zero-padded logits, and on the package's
-_pullback.  The tests require ascend to match it bit for bit.  fd_gradient keeps the finite-difference
-loop that made two value calls per coordinate, before one call of a rows
-function took the whole stencil; the tests require the two to agree bit for
-bit.
+_pullback.  The tests require ascend to match it bit for bit.
+
+fd_gradient keeps the finite-difference loop that made two value calls per
+coordinate, before one call of a rows function took the whole stencil; the
+tests require the two to agree bit for bit.
 
 The old bodies computed log model + log oracle - log prior before masking;
 on an outcome none of the three supports that is -inf - -inf, so they run

@@ -9,7 +9,9 @@ the same boundaries raise NonNumericEntry, and so for a None entry, which numpy
 turns into NaN.  A count, size or seed is checked when it is set, as an int or
 a numpy integer (errors.require_integer), and a sharpness, step, tolerance,
 difference width, penalty weight or sweep setting as a real number
-(errors.require_real).
+(errors.require_real).  A sweep's alphas and objectives must be collections
+(InvalidSetting), and so must an outcome range's labels, each hashable
+(MalformedRange).
 """
 
 import json
