@@ -211,16 +211,22 @@ class Refinement:
     targets: tuple[Label, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(self.targets))
-        if len(self.targets) != len(self.fine):
+        try:
+            targets = tuple(self.targets)
+            hit = set(targets)
+        except TypeError:  # not a collection (None, a number), or an unhashable target
+            raise MalformedRange(f"projection targets are a collection of hashable labels, "
+                                 f"got {self.targets!r}") from None
+        object.__setattr__(self, "targets", targets)
+        if len(targets) != len(self.fine):
             raise DimensionMismatch(
-                f"projection lists {len(self.targets)} targets for {len(self.fine)} fine outcomes")
+                f"projection lists {len(targets)} targets for {len(self.fine)} fine outcomes")
         coarse_set = set(self.coarse.labels)
-        for t in self.targets:
+        for t in targets:
             if t not in coarse_set:
                 raise RangeMismatch(f"projection target {t!r} not in coarse range")
-        if set(self.targets) != coarse_set:
-            missing = coarse_set - set(self.targets)
+        if hit != coarse_set:
+            missing = coarse_set - hit
             raise NonSurjectiveProjection(f"coarse outcomes with empty preimage: {sorted(map(str, missing))}")
 
     def preimage_indices(self, coarse_label: Label) -> np.ndarray:

@@ -127,18 +127,23 @@ class MalformedRange(DomainError):
 
 
 class NonNumericEntry(DomainError):
-    """An array entry is not a real number: a string, a complex number or another object."""
+    """An array entry is not a real number (a string, a complex number or another object),
+    or is an int past the float range."""
 
 
 def require_real(name: str, value, sign: Optional[str] = None,
                  error: type = InvalidSetting) -> None:
     """Raise InvalidSetting unless value is a real number, an int, a float or a numpy
     integer or float scalar (a bool, a str, None, a complex number or an array is none);
-    NonFiniteParameter unless it is finite; and error unless it has the sign asked for,
-    "positive" or "non-negative"."""
+    NonFiniteParameter unless it is finite, as a float (an int past the float range is
+    not); and error unless it has the sign asked for, "positive" or "non-negative"."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise InvalidSetting(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise NonFiniteParameter(f"{name} must be finite, got {value!r}")
     if sign is not None and not (value > 0 if sign == "positive" else value >= 0):
         raise error(f"{name} must be {sign}, got {value!r}")
@@ -163,10 +168,14 @@ def require_integer(name: str, value, error: type = InvalidSetting) -> None:
 def as_array(values, dtype=float) -> np.ndarray:
     """np.asarray(values, dtype), with DimensionMismatch for ragged nesting and
     NonNumericEntry for an entry that does not convert to dtype, which numpy rejects
-    with a bare ValueError (a string) or TypeError (a complex number, a dict), or turns
-    into NaN (None).  An array of dtype comes back as it is, unlooked at."""
+    with a bare ValueError (a string), TypeError (a complex number, a dict) or
+    OverflowError (an int past the float range), or turns into NaN (None).  An array of
+    dtype comes back as it is, unlooked at."""
     try:
         x = np.asarray(values, dtype=dtype)
+    except OverflowError as exc:
+        raise NonNumericEntry(f"array entries must be real numbers within the float range: "
+                              f"{exc}") from None
     except ValueError as exc:
         if "inhomogeneous" in str(exc):
             raise DimensionMismatch("nested sequences have unequal lengths") from None

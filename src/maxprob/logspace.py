@@ -13,7 +13,13 @@ one with a +inf entry has +inf, both silently; a NaN entry raises
 NonFiniteEncountered.  Normalizing a slice raises SumOutOfTolerance for no
 mass and NonFiniteEncountered for infinite mass.  The core stays on numpy's
 exp and log for a single row too: math.exp and math.log differ from them in
-the last bit (on an AVX-512 host, on 55 194 of 1.2 M exp and 1 849 of 1 M log inputs)."""
+the last bit (on an AVX-512 host, on 55 194 of 1.2 M exp and 1 849 of 1 M log inputs).
+A calm 1-D row of 1 to 7 entries takes its extremes and its sum in Python floats from
+tolist(), a ufunc reduction costing more than the arithmetic on so few: below 8
+entries numpy's 1-D add.reduce sums left to right, one + after another, and its maximum
+and minimum keep the last of equal entries (0.0 and -0.0), so the bits are numpy's.
+exp, log, the shift and the scaling stay numpy's, and the sum is never the builtin
+sum, which compensates from Python 3.12 on.  Longer rows and batches reduce in numpy."""
 
 from __future__ import annotations
 
@@ -38,6 +44,9 @@ _CALM_CONTEXT = contextlib.nullcontext()
 # A batch reduces along short rows column by column (_by_columns) from this many rows per
 # column: each column costs a ufunc call, and reducing a row costs about 1/16 of one.
 _ROWS_PER_COLUMN = 16
+# numpy reduces a 1-D row of fewer entries one entry after another: such a row reduces in
+# Python floats (see the module docstring), and a tall batch of them column by column.
+_SHORT = 8
 
 
 def _by_columns(ufunc, a: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -59,21 +68,36 @@ def _shifted(a: np.ndarray, alpha: float, axis: int, normalize: bool = False):
     capped at +-finfo.max: no mass then sums to 0, whose log is -inf, and infinite mass
     to +inf; with normalize, either raises.  m and lse keep the reduced axis at length 1,
     but are scalars for a 1-D row, to which numpy's exp and log give the same bits."""
+    big = abs(alpha) > 1.0
+    # the largest |m|, and above |alpha| = 1 the largest |entry|, of a calm reduction
+    limit = (min(_CALM, _MAX_FLOAT / (4.0 * abs(alpha))) if big
+             else _CALM if abs(alpha) >= 2.0 ** -1000 else -1.0)
+    if a.ndim == 1 and 0 < len(a) < _SHORT and axis in (0, -1):
+        xs = a.tolist()
+        xs.reverse()  # max and min keep the first of equal entries, numpy's reduce the last
+        m, far = (max(xs), min(xs)) if alpha > 0 else (min(xs), max(xs))
+        if abs(m) <= limit and (not big or abs(far) <= limit):
+            m = np.float64(m)
+            s = a - m
+            if alpha != 1.0:
+                s *= alpha
+            e = np.exp(s).tolist()
+            total = e[0]
+            for x in e[1:]:
+                total += x
+            if total == total:  # else a NaN entry, for which the general path raises
+                return s, np.log(total), m, _CALM_CONTEXT
     # the ufuncs' own reduce, not the ndarray methods, which wrap it in Python; and never
     # add.reduce(..., initial=None), which sums in another order
     row = a.ndim == 1
-    columns = (a.ndim == 2 and len(a) >= _ROWS_PER_COLUMN * a.shape[1] and 1 < a.shape[1] < 8
+    columns = (a.ndim == 2 and len(a) >= _ROWS_PER_COLUMN * a.shape[1] and 1 < a.shape[1] < _SHORT
                and axis in (1, -1))
     top, bound = (np.maximum, -_MAX_FLOAT) if alpha > 0 else (np.minimum, _MAX_FLOAT)
     m = (_by_columns(top, a, top(a[:, 0], bound)) if columns
          else top.reduce(a, axis, keepdims=not row, initial=bound))
     reach = abs(m) if row else np.maximum.reduce(abs(m), None, initial=0.0)
-    if abs(alpha) > 1.0:
-        far = (np.minimum if alpha > 0 else np.maximum).reduce(a, None, initial=-bound)
-        calm = max(reach, abs(far)) <= min(_CALM, _MAX_FLOAT / (4.0 * abs(alpha)))
-    else:
-        calm = reach <= _CALM and abs(alpha) >= 2.0 ** -1000
-    if calm:
+    if reach <= limit and (not big or abs((np.minimum if alpha > 0 else np.maximum)
+                                          .reduce(a, None, initial=-bound)) <= limit):
         s = a - m
         if alpha != 1.0:
             s *= alpha

@@ -6,12 +6,13 @@ numpy rejects nested sequences of unequal lengths with a bare ValueError
 DimensionMismatch instead (errors.as_array).  numpy rejects a string entry
 with a bare ValueError and a complex or dict entry with a bare TypeError;
 the same boundaries raise NonNumericEntry, and so for a None entry, which numpy
-turns into NaN.  A count, size or seed is checked when it is set, as an int or
+turns into NaN, and for an int past the float range, which it rejects with a bare
+OverflowError.  A count, size or seed is checked when it is set, as an int or
 a numpy integer (errors.require_integer), and a sharpness, step, tolerance,
 difference width, penalty weight or sweep setting as a real number
 (errors.require_real).  A sweep's alphas and objectives must be collections
-(InvalidSetting), and so must an outcome range's labels, each hashable
-(MalformedRange).
+(InvalidSetting), and so must an outcome range's labels and a refinement's
+targets, each hashable (MalformedRange).
 """
 
 import json
@@ -28,10 +29,12 @@ from maxprob import (
     InvalidSetting,
     MalformedRange,
     NonFiniteEncountered,
+    NonFiniteParameter,
     NonNumericEntry,
     ObjectiveConfig,
     OutcomeRange,
     Parameterization,
+    Refinement,
     SweepSpec,
     ToyNet,
     alpha_skeleton,
@@ -160,6 +163,14 @@ class TestNonNumericEntries:
     def test_none_is_no_real_number(self, call):
         """numpy turns None into NaN, which was a NonFiniteEncountered."""
         with pytest.raises(NonNumericEntry):
+            call()
+
+    @pytest.mark.parametrize("call", [lambda: make_distribution(("a",), [10 ** 400]),
+                                      lambda: logsumexp([0.0, -10 ** 400]),
+                                      lambda: log_softmax([[10 ** 400, 0.0]])])
+    def test_int_past_the_float_range(self, call):
+        """numpy's conversion raised a raw OverflowError."""
+        with pytest.raises(NonNumericEntry, match="within the float range"):
             call()
 
     def test_nan_entry_is_still_non_finite(self):
@@ -304,6 +315,13 @@ class TestRealSettings:
     def test_ints_floats_and_numpy_scalars_are_real(self, name, value):
         REAL_SETTINGS[name](value)
 
+    @pytest.mark.parametrize("name", sorted(REAL_SETTINGS))
+    def test_int_past_the_float_range_is_non_finite(self, name):
+        """math.isfinite raised a raw OverflowError, for AscentConfig(step_size=10**400) and
+        SweepSpec(10**400) among others."""
+        with pytest.raises(NonFiniteParameter, match="must be finite"):
+            REAL_SETTINGS[name](10 ** 400)
+
     def test_numpy_scalar_sweep_settings_serialize(self):
         """A numpy scalar theta_star, grid bound or alpha ran, and its summary then ended in
         a raw TypeError from json; the spec keeps each as a Python float."""
@@ -319,7 +337,7 @@ class TestRealSettings:
 
 class TestCollections:
     """A sweep's alphas or objectives, or an outcome range, that is no collection ended in
-    a raw TypeError ("... is not iterable"), and so did an unhashable label."""
+    a raw TypeError ("... is not iterable"), and so did an unhashable label or target."""
 
     @pytest.mark.parametrize("setting", [{"alphas": None}, {"alphas": 2.0},
                                          {"objectives": None}], ids=repr)
@@ -338,3 +356,9 @@ class TestCollections:
     def test_uniform_distribution_of_a_number(self):
         with pytest.raises(MalformedRange):
             uniform_distribution(3)
+
+    @pytest.mark.parametrize("targets", [(["c"], ["c"]), None], ids=repr)
+    def test_refinement_of_unhashable_targets(self, targets):
+        """Unhashable targets ended in a raw TypeError from the coarse-range lookup."""
+        with pytest.raises(MalformedRange):
+            Refinement(OutcomeRange(("a", "b")), OutcomeRange(("c",)), targets)

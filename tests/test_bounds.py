@@ -1,3 +1,5 @@
+import contextlib
+import itertools
 from decimal import Decimal, localcontext
 from unittest import mock
 
@@ -18,6 +20,7 @@ from helpers import (
     log_scale,
 )
 from maxprob import (
+    DomainError,
     NegativeAlphaOnZeroMass,
     NonFiniteEncountered,
     NonFiniteParameter,
@@ -322,6 +325,85 @@ class TestFloatEdges:
         logp, top = logspace._log_normalize(a)
         assert_within_rounding(logp, want[0], log_scale(a))
         assert_bits(top, want[1])
+
+
+def shifted_row(shifted, a, alpha, normalize):
+    """shifted's (s, lse, m, calm) for the 1-D row a, lse and m as 0-d arrays and calm
+    whether its context is the null one, or the class of the DomainError it raised."""
+    try:
+        s, lse, m, quiet = shifted(a, alpha, -1, normalize)
+    except DomainError as exc:
+        return type(exc)
+    return s, np.asarray(lse).squeeze(), np.asarray(m).squeeze(), type(quiet)
+
+
+def short_rows(alpha, rng):
+    """Rows of 1 to 7 entries: every sign pattern of zeros up to 4 entries, finite rows of
+    one scale, where the order of a sum shows, NaN first and last, and rows drawn from the
+    float edges of the calm test at alpha: -inf, +inf, NaN, subnormals, +-2**968 and
+    +-finfo.max / (4 |alpha|) (2**1000 at most), each with its neighbour outside."""
+    edge = min(2.0 ** 1000, MAX / (4.0 * abs(alpha)))
+    pool = [0.0, -0.0, 1.0, -3.5, NEG_INF, np.inf, np.nan, 5e-324, -5e-324, 1e-310,
+            2.0 ** 968, -(2.0 ** 968), np.nextafter(2.0 ** 968, np.inf), edge, -edge,
+            np.nextafter(edge, np.inf), 1e300, -1e300]
+    for n in range(1, 8):
+        yield from itertools.product((0.0, -0.0), repeat=n) if n <= 4 else ()
+        for _ in range(40):
+            row = rng.normal(0.0, 4.0, n)
+            yield row
+            yield rng.choice(pool, n)
+        for nan_at in (0, n - 1):
+            row = rng.normal(0.0, 4.0, n)
+            row[nan_at] = np.nan
+            yield row
+
+
+class TestShortRows:
+    """A 1-D row of 1 to 7 entries reduces in Python floats (logspace's module docstring):
+    the same bits as the numpy reduction it replaced (reference.keepdims_shifted, the
+    shift, log-sum-exp and extreme squeezed), the same context, and the same error, with
+    no RuntimeWarning, which the suite makes an error."""
+
+    @pytest.mark.parametrize("alpha", [sign * x for x in (2.0 ** -1000, 1e-300, 0.5, 1.0, 2.0,
+                                                          1e300, 1e308) for sign in (1, -1)])
+    def test_match_the_numpy_reduction(self, alpha):
+        rng = np.random.default_rng(abs(int(np.log2(abs(alpha)))))
+        for row in short_rows(alpha, rng):
+            a = np.array(row, dtype=float)
+            for normalize in (False, True):
+                got = shifted_row(logspace._shifted, a, alpha, normalize)
+                want = shifted_row(reference.keepdims_shifted, a, alpha, normalize)
+                if isinstance(want, type):
+                    assert got is want, (row, normalize)
+                    continue
+                assert not isinstance(got, type), (row, normalize, got)
+                for g, w in zip(got[:3], want[:3]):
+                    assert_bits(g, w)
+                assert (got[3] is contextlib.nullcontext) == (want[3] is contextlib.nullcontext)
+                s, lse, m, _ = logspace._shifted(a, alpha, -1, normalize)
+                assert type(lse) is np.float64 and type(m) is np.float64, row
+
+
+class TestNumpyReductionOrder:
+    """The numpy behaviour the short-row path copies; a numpy that changes it fails here."""
+
+    def test_add_reduce_sums_a_1d_row_left_to_right_below_8_entries(self):
+        rng = np.random.default_rng(0)
+        for n in range(1, 8):
+            for _ in range(500):
+                e = np.exp(rng.normal(0.0, 3.0, n))
+                total = e[0]
+                for x in e[1:]:
+                    total = total + x
+                assert np.add.reduce(e) == total, e
+
+    def test_maximum_and_minimum_keep_the_last_of_equal_zeros(self):
+        for n in range(1, 8):
+            for zeros in itertools.product((0.0, -0.0), repeat=n):
+                last = np.signbit(zeros[-1])
+                for top, bound in ((np.maximum, -MAX), (np.minimum, MAX)):
+                    assert np.signbit(top.reduce(np.array(zeros))) == last, zeros
+                    assert np.signbit(top.reduce(np.array(zeros), -1, initial=bound)) == last
 
 
 def decimal_soft_min(a, alpha):
