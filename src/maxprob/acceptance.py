@@ -41,7 +41,7 @@ from .distributions import (
     uniform_distribution,
     _theta_logp,
 )
-from .errors import InvalidSetting
+from .errors import require_integer
 from .logspace import softmax
 from .nn import (
     ToyNet,
@@ -462,8 +462,7 @@ CRITERIA: tuple[tuple[str, float, Callable[..., tuple[bool, str]]], ...] = (
 def run_criterion(number: int, artifacts_dir: Optional[str] = None) -> CriterionResult:
     """Run criterion number (1 to len(CRITERIA)); it passes if its check holds
     within its budget.  artifacts_dir goes to criterion 11 only."""
-    if number not in range(1, len(CRITERIA) + 1):
-        raise InvalidSetting(f"criterion number must be in 1-{len(CRITERIA)}, got {number!r}")
+    number = require_integer(f"criterion number (1-{len(CRITERIA)})", number, 1, len(CRITERIA))
     name, budget, check = CRITERIA[number - 1]
     started = time.perf_counter()
     ok, detail = check(artifacts_dir) if check is criterion_11_toy_training else check()

@@ -28,7 +28,7 @@ from .distributions import (
     _require_ranges,
     _theta_logp,
 )
-from .errors import InvalidSetting, require_real
+from .errors import InvalidSetting, as_labels, require_real
 from .objectives import ObjectiveConfig, _values_of_rows
 
 __all__ = [
@@ -69,11 +69,7 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         for name in ("objectives", "alphas"):
-            try:
-                object.__setattr__(self, name, tuple(getattr(self, name)))
-            except TypeError:  # None, a number: not a collection
-                raise InvalidSetting(f"{name} must be a collection, got "
-                                     f"{getattr(self, name)!r}") from None
+            object.__setattr__(self, name, as_labels(name, getattr(self, name), InvalidSetting)[0])
         prior = (self.prior if self.prior is not None
                  else uniform_distribution(Parameterization.sigmoid_bernoulli().range))
         object.__setattr__(self, "_configs", tuple(
@@ -81,11 +77,9 @@ class SweepSpec:
             for kind in self.objectives for alpha in self.alphas))
         if not self._configs:
             raise InvalidSetting("a sweep needs at least one objective and one alpha")
-        for name in ("theta_star", "grid_min", "grid_max"):
-            require_real(name, getattr(self, name))
-        require_real("grid_step", self.grid_step, "positive")
-        for name in ("theta_star", "grid_min", "grid_max", "grid_step"):
-            object.__setattr__(self, name, float(getattr(self, name)))  # a report serializes
+        for name in ("theta_star", "grid_min", "grid_max", "grid_step"):  # a report serializes
+            object.__setattr__(self, name, require_real(
+                name, getattr(self, name), "positive" if name == "grid_step" else None))
         if not self.grid_max > self.grid_min:
             raise InvalidSetting("grid needs grid_max > grid_min")
         bounds = (self.grid_min, self.grid_max, self.grid_step)

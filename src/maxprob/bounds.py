@@ -115,7 +115,7 @@ def softmax_probability(prior: FiniteDistribution, conditional: FiniteDistributi
     alpha and bounded above by max_probability; the gap to the hard bound is
     at most log(support size) / alpha.
     """
-    require_alpha(alpha)
+    alpha = require_alpha(alpha)
     _require_ranges(prior.range, conditional)
     term = _soft_bound_term(conditional.support, prior.logp, alpha, gradient=False)
     return NEG_INF if term is None else float(term(conditional.logp)[0])
@@ -163,7 +163,7 @@ def alpha_skeleton(dist: FiniteDistribution, alpha: float) -> FiniteDistribution
     alpha inverts the ordering and therefore requires full support.
     Composing skeletons multiplies their exponents.  alpha must be finite.
     """
-    require_real("alpha", alpha)
+    alpha = require_real("alpha", alpha)
     if alpha == 1.0:
         return dist
     if alpha < 0 and not np.all(dist.support):

@@ -36,9 +36,10 @@ from .errors import (
     RangeMismatch,
     SumOutOfTolerance,
     as_array,
+    as_labels,
     require_integer,
 )
-from .logspace import NEG_INF, log_softmax, logsumexp, _minus_logsumexp
+from .logspace import NEG_INF, logsumexp, _minus_logsumexp
 
 __all__ = [
     "SUM_REJECT_TOL",
@@ -71,16 +72,11 @@ class OutcomeRange:
     labels: tuple[Label, ...]
 
     def __post_init__(self) -> None:
-        try:
-            labels = tuple(self.labels)
-            distinct = len(set(labels))
-        except TypeError:  # not a collection (None, a number), or an unhashable label
-            raise MalformedRange(f"an outcome range is a collection of hashable labels, "
-                                 f"got {self.labels!r}") from None
+        labels, distinct = as_labels("outcome labels", self.labels, MalformedRange)
         object.__setattr__(self, "labels", labels)
         if len(labels) == 0:
             raise EmptyRange("outcome range must contain at least one label")
-        if distinct != len(labels):
+        if len(distinct) != len(labels):
             raise DuplicateOutcome(f"outcome labels must be distinct: {labels!r}")
 
     def __len__(self) -> int:
@@ -137,7 +133,7 @@ class FiniteDistribution:
         """Build from log-probabilities with mass, shifted by their logsumexp: the
         renormalization of operations whose definition includes it.  Zero mass is
         SumOutOfTolerance; the constructor is the strict check."""
-        return FiniteDistribution(rng, log_softmax(_check_logp(rng, logp)))
+        return FiniteDistribution(rng, _minus_logsumexp(_check_logp(rng, logp), 1.0))
 
     @property
     def logp(self) -> np.ndarray:
@@ -211,12 +207,7 @@ class Refinement:
     targets: tuple[Label, ...]
 
     def __post_init__(self) -> None:
-        try:
-            targets = tuple(self.targets)
-            hit = set(targets)
-        except TypeError:  # not a collection (None, a number), or an unhashable target
-            raise MalformedRange(f"projection targets are a collection of hashable labels, "
-                                 f"got {self.targets!r}") from None
+        targets, hit = as_labels("projection targets", self.targets, MalformedRange)
         object.__setattr__(self, "targets", targets)
         if len(targets) != len(self.fine):
             raise DimensionMismatch(
@@ -263,10 +254,7 @@ class Parameterization:
     range: OutcomeRange
 
     def __post_init__(self) -> None:
-        require_integer("dim", self.dim, DimensionMismatch)
-        if not 1 <= self.dim <= len(self.range):
-            raise DimensionMismatch(f"{len(self.range)} outcomes take 1 to {len(self.range)} "
-                                    f"parameters, got {self.dim}")
+        require_integer("dim", self.dim, 1, len(self.range), DimensionMismatch)
 
     @staticmethod
     def sigmoid_bernoulli(rng: OutcomeRange | None = None) -> "Parameterization":
@@ -278,7 +266,7 @@ class Parameterization:
     @staticmethod
     def softmax_logits(rng: OutcomeRange | int) -> "Parameterization":
         if not isinstance(rng, OutcomeRange):
-            require_integer("outcome count", rng, DimensionMismatch)
+            require_integer("outcome count", rng, error=DimensionMismatch)
             rng = OutcomeRange(tuple(f"v{i}" for i in range(rng)))
         return Parameterization(len(rng), rng)
 

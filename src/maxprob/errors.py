@@ -1,9 +1,14 @@
-"""Domain error hierarchy.
+"""Domain error hierarchy, and the helpers that check each kind of input once.
 
 Every failure mode that a caller can trigger with bad inputs raises a
 subclass of DomainError carrying a stable machine-readable ``code``.
 The CLI maps these to exit status 1 with a JSON payload on stderr;
 library callers can catch either the base class or a specific subclass.
+
+Each helper checks one kind of input and returns the checked value: require_real a finite
+real number as a float, require_alpha a finite alpha > 0 as one, require_integer an int or
+numpy integer in [least, most] (a bound of None is none) as an int, as_labels a collection
+of hashable items as (tuple, set), and as_array real entries as a float array.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "require_alpha",
     "require_integer",
     "require_real",
+    "as_labels",
     "as_array",
 ]
 
@@ -132,10 +138,10 @@ class NonNumericEntry(DomainError):
 
 
 def require_real(name: str, value, sign: Optional[str] = None,
-                 error: type = InvalidSetting) -> None:
-    """Raise InvalidSetting unless value is a real number, an int, a float or a numpy
-    integer or float scalar (a bool, a str, None, a complex number or an array is none);
-    NonFiniteParameter unless it is finite, as a float (an int past the float range is
+                 error: type = InvalidSetting) -> float:
+    """value as a float: InvalidSetting unless it is an int, a float or a numpy integer or
+    float scalar (a bool, a str, None, a complex number or an array is none);
+    NonFiniteParameter unless it is finite as a float (an int past the float range is
     not); and error unless it has the sign asked for, "positive" or "non-negative"."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise InvalidSetting(f"{name} must be a real number, got {value!r}")
@@ -147,22 +153,35 @@ def require_real(name: str, value, sign: Optional[str] = None,
         raise NonFiniteParameter(f"{name} must be finite, got {value!r}")
     if sign is not None and not (value > 0 if sign == "positive" else value >= 0):
         raise error(f"{name} must be {sign}, got {value!r}")
+    return float(value)
 
 
-def require_alpha(alpha: float) -> None:
-    """Raise unless alpha is a finite positive sharpness.
-
-    The package's one alpha check: public entry points call it, and the code
-    behind them trusts the alpha they accepted.
-    """
-    require_real("alpha", alpha, "positive", NonPositiveAlpha)
+def require_alpha(alpha) -> float:
+    """alpha as a float, once it is a finite positive sharpness: the package's one alpha
+    check, which public entry points make and the code behind them trusts."""
+    return require_real("alpha", alpha, "positive", NonPositiveAlpha)
 
 
-def require_integer(name: str, value, error: type = InvalidSetting) -> None:
-    """Raise error unless value is an int or a numpy integer; a bool is neither here.  The
-    callers check the value's range after it."""
+def require_integer(name: str, value, least=None, most=None, error: type = InvalidSetting) -> int:
+    """value as an int, so that a numpy integer neither wraps nor reaches a report: error
+    unless it is an int or a numpy integer (a bool is neither) in [least, most]."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise error(f"{name} must be at least {least}, got {value!r}")
+    if most is not None and value > most:
+        raise error(f"{name} must be at most {most}, got {value!r}")
+    return int(value)
+
+
+def as_labels(name: str, values, error: type) -> tuple[tuple, set]:
+    """(tuple(values), set(values)); error unless values is a collection (None and a number
+    are not) of hashable items."""
+    try:
+        items = tuple(values)
+        return items, set(items)
+    except TypeError:
+        raise error(f"{name} must be a collection of hashable items, got {values!r}") from None
 
 
 def as_array(values, dtype=float) -> np.ndarray:

@@ -27,7 +27,8 @@ import contextlib
 
 import numpy as np
 
-from .errors import NonFiniteEncountered, SumOutOfTolerance, as_array, require_alpha
+from .errors import (DimensionMismatch, NonFiniteEncountered, SumOutOfTolerance, as_array,
+                     require_alpha, require_integer)
 
 __all__ = ["NEG_INF", "logsumexp", "log_softmax", "softmax", "soft_min"]
 
@@ -119,15 +120,23 @@ def _shifted(a: np.ndarray, alpha: float, axis: int, normalize: bool = False):
     return s, lse, m, np.errstate(over="ignore")
 
 
+def _along(a, axis) -> tuple[np.ndarray, int]:
+    """(a as a float array, the axis to reduce): the raveled array and 0 for axis None, else
+    a and axis, an integer in [-a.ndim, a.ndim - 1] (DimensionMismatch otherwise)."""
+    a = as_array(a)
+    if axis is None:
+        return a.ravel(), 0
+    return a, require_integer("axis", axis, -a.ndim, a.ndim - 1, DimensionMismatch)
+
+
 def logsumexp(a, axis=None):
     """log(sum(exp(a))) with max-shift (see the module docstring for float edges).
     axis=None reduces the raveled input to a float; an axis reduces each slice
     along it, with its own max-shift, to an array."""
-    a = as_array(a)
-    if axis is None:
-        return float(logsumexp(a.ravel(), 0))
-    _, lse, m, _ = _shifted(a, 1.0, axis)
-    return np.asarray((m + lse).squeeze(axis))  # m is finite, so this never overflows
+    x, along = _along(a, axis)
+    _, lse, m, _ = _shifted(x, 1.0, along)
+    value = np.asarray((m + lse).squeeze(along))  # m is finite, so this never overflows
+    return float(value) if axis is None else value
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
@@ -165,13 +174,12 @@ def soft_min(a, alpha: float, axis=None):
     """Smooth lower envelope -(1/alpha) * log(sum(exp(-alpha * a))): never above min(a),
     it converges to it from below as alpha grows, within log(len(a)) / alpha.  alpha
     must be finite and positive; axis reduces each slice along it, as logsumexp does."""
-    require_alpha(alpha)
-    a = as_array(a)
-    if axis is None:
-        return float(soft_min(a.ravel(), alpha, 0))
-    _, lse, m, quiet = _shifted(a, -alpha, axis)
+    alpha = require_alpha(alpha)
+    x, along = _along(a, axis)
+    _, lse, m, quiet = _shifted(x, -alpha, along)
     with quiet:
-        return np.asarray((m - lse / alpha).squeeze(axis))
+        value = np.asarray((m - lse / alpha).squeeze(along))
+    return float(value) if axis is None else value
 
 
 def _soft_min_step(a: np.ndarray, alpha: float, weights: bool = True):

@@ -13,7 +13,7 @@ Its gradient in the logits is repulsion - attraction: the soft bound's ratio
 skeleton softmax(alpha * x) minus the oracle's posterior, onehot(y).  Both
 run on the package's one reduction, which shifts before it scales by alpha,
 for the objectives too: the loss on the soft minimum of -log p
-(logspace.soft_min), the gradient on the weights of the soft minimum of -x,
+(logspace._soft_min_step), the gradient on the weights of the soft minimum of -x,
 which _soft_min_weights takes from x with sharpness +alpha, without negating.
 
 The recorded regularizer term -(1/alpha) * log sum_c p_c ** alpha lies
@@ -66,7 +66,7 @@ from .errors import (
     require_integer,
     require_real,
 )
-from .logspace import log_softmax, soft_min, _minus_logsumexp, _shifted
+from .logspace import _minus_logsumexp, _shifted, _soft_min_step
 
 __all__ = [
     "LOSS_MODES",
@@ -92,7 +92,6 @@ WEIGHTS = ("W1", "W2", "W3")
 # Largest toy sizes, so that no array training makes holds more than 10**8 floats.
 MAX_TOY_CLASSES = 10**3
 MAX_TOY_HIDDEN = 10**3
-_SIZE_LIMITS = {"k": MAX_TOY_CLASSES, "hidden": MAX_TOY_HIDDEN}
 _N_TRAIN = _N_TEST = 512  # the toy dataset's split sizes
 _RADIUS = 2.0  # the toy blobs' class centers lie on a circle of this radius
 _NOISE = 1.0  # standard deviation of each blob around its center
@@ -129,34 +128,17 @@ def _check_batch(rows, labels, k: Optional[int] = None,
 
 def _check_loss(mode: str, alpha: float, lam: float,
                 step: float = 1.0) -> tuple[float, float, float]:
-    """alpha, lam and step as Python floats, so that a numpy scalar does not reach a
-    report, after checking a known mode, a finite positive alpha, a finite lam >= 0 and
-    a finite step > 0."""
+    """alpha, lam and step as floats, so that a numpy scalar does not reach a report, once
+    mode is known, alpha finite and positive, lam finite and >= 0 and step finite and > 0."""
     if mode not in LOSS_MODES:
         raise InvalidSetting(f"mode must be one of {LOSS_MODES}, got {mode!r}")
-    require_alpha(alpha)
-    require_real("lam", lam, "non-negative")
-    require_real("step", step, "positive")
-    return float(alpha), float(lam), float(step)
-
-
-def _require_settings(*settings: tuple[str, int, int]) -> list[int]:
-    """The values of settings (name, value, least) as Python ints, so that a narrow numpy
-    integer neither wraps nor reaches a report; InvalidSetting for the first value that is
-    not an integer, is below least or, for a size, above its MAX_TOY_ constant.  Callers
-    check before they allocate."""
-    for name, value, least in settings:
-        require_integer(name, value)
-        if value < least:
-            raise InvalidSetting(f"{name} must be at least {least}, got {value!r}")
-        if value > _SIZE_LIMITS.get(name, value):
-            raise InvalidSetting(f"{name} must be at most {_SIZE_LIMITS[name]}, got {value!r}")
-    return [int(value) for _, value, _ in settings]
+    return (require_alpha(alpha), require_real("lam", lam, "non-negative"),
+            require_real("step", step, "positive"))
 
 
 def hn_forward(logits, alpha: float) -> np.ndarray:
     """Generalized softmax head: exp(x_i - logsumexp(alpha * x)) along the last axis."""
-    require_alpha(alpha)
+    alpha = require_alpha(alpha)
     x = _check_logits(logits)
     d = _minus_logsumexp(x, alpha)
     # below alpha = 1 a head value can pass finfo.max: exp would warn on its limit, inf
@@ -169,10 +151,10 @@ def _loss(x: np.ndarray, y: np.ndarray, mode: str, alpha: float, penalty: float,
     logits x against labels y; the penalty, ce-l2's regularizer, is ignored by
     intersection.  Every row is reduced on its own, so a stretch's means are those of its
     rows alone, bit for bit."""
-    logp = log_softmax(x)
+    logp = _minus_logsumexp(x, 1.0)
     label_logp = logp[np.arange(len(y)), y]
     if mode == "intersection":
-        mass = -soft_min(-logp, alpha, axis=-1)
+        mass = -_soft_min_step(-logp, alpha, False)[0]
         losses = mass - label_logp
         return [(float(losses[rows].mean()), float(-mass[rows].mean())) for rows in parts]
     return [(float(-label_logp[rows].mean()) + penalty, penalty) for rows in parts]
@@ -188,7 +170,7 @@ def _penalty(net: "ToyNet", mode: str, lam: float) -> float:
 
 def intersection_loss(batch_logits, labels, alpha: float) -> float:
     """Mean of -log p[y] + (1/alpha) * log sum_y p_y ** alpha over the batch."""
-    require_alpha(alpha)
+    alpha = require_alpha(alpha)
     x, y = _check_batch(_check_logits(batch_logits), labels)
     return _loss(x, y, "intersection", alpha, 0.0)[0][0]
 
@@ -204,9 +186,9 @@ def regularizer_bound(k: int, alpha: float) -> float:
     """Regularizer term of a uniform prediction over k classes, log(k) * (alpha - 1) / alpha:
     the largest the term can be for alpha >= 1, the smallest below.  -log p is log(k) for
     every class, and a soft minimum of k equal entries lies log(k) / alpha below them."""
-    require_alpha(alpha)
-    k, = _require_settings(("k", k, 1))
-    return float(np.log(k) + soft_min(np.zeros(k), alpha))
+    alpha = require_alpha(alpha)
+    k = require_integer("k", k, 1, MAX_TOY_CLASSES)
+    return float(np.log(k) + _soft_min_step(np.zeros(k), alpha, False)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +215,7 @@ def make_toy_dataset(k: int = 3, seed: int = 0) -> ToyDataset:
     round-robin so counts differ by at most one when k does not divide the
     sample count.  Everything is a pure function of the seed it records.
     """
-    k, seed = _require_settings(("k", k, 1), ("seed", seed, 0))
+    k, seed = require_integer("k", k, 1, MAX_TOY_CLASSES), require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(k) / k
     centers = _RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -254,8 +236,9 @@ class ToyNet:
     PARAM_ORDER = ("W1", "b1", "W2", "b2", "W3", "b3")
 
     def __init__(self, k: int = 3, hidden: int = 16, seed: int = 0) -> None:
-        k, hidden, seed = _require_settings(("k", k, 1), ("hidden", hidden, 1),
-                                            ("seed", seed, 0))
+        k, hidden, seed = (require_integer("k", k, 1, MAX_TOY_CLASSES),
+                           require_integer("hidden", hidden, 1, MAX_TOY_HIDDEN),
+                           require_integer("seed", seed, 0))
         rng = np.random.default_rng(seed)
         self.k, self.hidden, self.seed = k, hidden, seed
         self.params: dict[str, np.ndarray] = {
@@ -400,13 +383,12 @@ def train(net: ToyNet, data: ToyDataset, mode: str = "intersection", alpha: floa
     alpha, lam, step = _check_loss(mode, alpha, lam, step)
     if data.k != net.k:
         raise DimensionMismatch(f"the data has {data.k} classes, the net {net.k}")
-    epochs, seed, size = _require_settings(
-        ("epochs", epochs, 0), ("seed", seed, 0),
-        ("batch_size", 1 if batch_size is None else batch_size, 1))
+    epochs, seed = require_integer("epochs", epochs, 0), require_integer("seed", seed, 0)
+    size = None if batch_size is None else require_integer("batch_size", batch_size, 1)
     train_x, train_y = _check_batch(data.train_x, data.train_y, net.k, width=2)
     test_x, test_y = _check_batch(data.test_x, data.test_y, net.k, width=2)
     n = len(train_y)
-    size = n if batch_size is None else size
+    size = n if size is None else size
     both_y = np.concatenate([train_y, test_y])
     train_hot = np.eye(net.k)[train_y]
     rng = np.random.default_rng(seed)

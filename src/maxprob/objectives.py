@@ -113,8 +113,7 @@ class ObjectiveConfig:
             raise InvalidSetting(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.assumption not in ASSUMPTIONS:
             raise InvalidSetting(f"assumption must be one of {ASSUMPTIONS}, got {self.assumption!r}")
-        require_alpha(self.alpha)
-        object.__setattr__(self, "alpha", float(self.alpha))  # a report serializes
+        object.__setattr__(self, "alpha", require_alpha(self.alpha))  # a report serializes
 
     @property
     def dropped_constant_terms(self) -> tuple[str, ...]:

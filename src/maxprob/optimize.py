@@ -30,6 +30,7 @@ from .objectives import (GradientVector, ObjectiveConfig, gradient_at_theta, gra
 
 __all__ = [
     "DIVERGENCE_THETA_BOUND",
+    "MAX_MC_SAMPLES",
     "AscentConfig",
     "AscentTrace",
     "ascend",
@@ -42,6 +43,8 @@ __all__ = [
 
 # Iterates beyond this magnitude are declared divergent rather than clipped.
 DIVERGENCE_THETA_BOUND = 1e6
+# Largest mc_gradient sample count: its draws hold two arrays of this many numbers.
+MAX_MC_SAMPLES = 10**7
 
 
 @dataclass(frozen=True)
@@ -55,9 +58,7 @@ class AscentConfig:
     def __post_init__(self) -> None:
         require_real("step_size", self.step_size, "positive")
         require_real("grad_tol", self.grad_tol, "non-negative")
-        require_integer("max_iters", self.max_iters)
-        if self.max_iters < 1:
-            raise InvalidSetting(f"max_iters must be at least 1, got {self.max_iters!r}")
+        require_integer("max_iters", self.max_iters, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,12 +157,8 @@ def mc_gradient(config: ObjectiveConfig, oracle: FiniteDistribution, p: Paramete
     vectors estimates d_logp; it sums to zero (up to rounding) like the exact
     gradient, so it is pulled back to d_theta the same way.
     """
-    require_integer("n_samples", n_samples)
-    if n_samples < 1:
-        raise InvalidSetting(f"n_samples must be at least 1, got {n_samples!r}")
-    require_integer("seed", seed)
-    if seed < 0:
-        raise InvalidSetting(f"seed must be non-negative, got {seed!r}")
+    n_samples = require_integer("n_samples", n_samples, 1, MAX_MC_SAMPLES)
+    seed = require_integer("seed", seed, 0)
     model = apply_parameterization(p, theta)
     attract, repulse = gradient_terms(config, model, oracle)
     rng = np.random.default_rng(seed)

@@ -7,12 +7,14 @@ DimensionMismatch instead (errors.as_array).  numpy rejects a string entry
 with a bare ValueError and a complex or dict entry with a bare TypeError;
 the same boundaries raise NonNumericEntry, and so for a None entry, which numpy
 turns into NaN, and for an int past the float range, which it rejects with a bare
-OverflowError.  A count, size or seed is checked when it is set, as an int or
-a numpy integer (errors.require_integer), and a sharpness, step, tolerance,
-difference width, penalty weight or sweep setting as a real number
-(errors.require_real).  A sweep's alphas and objectives must be collections
-(InvalidSetting), and so must an outcome range's labels and a refinement's
-targets, each hashable (MalformedRange).
+OverflowError.  A count, size, seed, criterion number or reduction axis is checked
+once, when it is set, by errors.require_integer: an int or a numpy integer in
+[least, most], either bound optional, which comes back as a Python int.  A sharpness,
+step, tolerance, difference width, penalty weight or sweep setting is checked as a
+real number and comes back as a Python float (errors.require_real).  A sweep's
+alphas and objectives must be collections of hashable items (InvalidSetting), and so
+must an outcome range's labels and a refinement's targets (MalformedRange), all
+through errors.as_labels.
 """
 
 import json
@@ -57,13 +59,16 @@ from maxprob import (
     regularizer_bound,
     run_sweep,
     soft_min,
+    softmax_probability,
     train,
     uniform_distribution,
     value_at_theta,
     values_at_thetas,
 )
+from maxprob.acceptance import run_criterion
 from maxprob.bernoulli import report_to_jsonable
 from maxprob.errors import as_array
+from maxprob.optimize import MAX_MC_SAMPLES
 
 COIN = OutcomeRange(("1", "0"))
 UNIFORM2 = uniform_distribution(COIN)
@@ -211,6 +216,7 @@ SETTINGS = {
     "make_toy_dataset k": lambda v: make_toy_dataset(k=v),
     "make_toy_dataset seed": lambda v: make_toy_dataset(seed=v),
     "regularizer_bound k": lambda v: regularizer_bound(v, 2.0),
+    "run_criterion number": lambda v: run_criterion(v),
 }
 
 non_integers = st.one_of(
@@ -259,6 +265,53 @@ class TestIntegerSettings:
         assert reports[0].final_digest == reports[1].final_digest
         assert regularizer_bound(integer(3), 2.0) == regularizer_bound(3, 2.0)
 
+    @pytest.mark.parametrize("n_samples", [10 ** 30, MAX_MC_SAMPLES + 1], ids=repr)
+    def test_sample_count_is_capped(self, n_samples):
+        """10**30 ended in numpy's raw ValueError ("Maximum allowed dimension exceeded"), and
+        a count that fits would allocate that many floats; the cap is checked first."""
+        with pytest.raises(InvalidSetting, match=f"at most {MAX_MC_SAMPLES}"):
+            SETTINGS["mc_gradient n_samples"](n_samples)
+
+    @pytest.mark.parametrize("number", [0, 13, -1, 1.0, True, np.float64(2.0)], ids=repr)
+    def test_criterion_number_is_an_integer_from_1_to_12(self, number):
+        """run_criterion(1.0) ended in a raw TypeError ("tuple indices must be integers"),
+        and run_criterion(True) ran criterion 1."""
+        with pytest.raises(InvalidSetting, match="1-12"):
+            run_criterion(number)
+
+
+# An axis out of range ended in numpy's raw AxisError, and one that is no integer in a raw
+# TypeError; a 0-d input has no axis.
+AXIS_CALLS = {
+    "logsumexp": lambda a, axis: logsumexp(a, axis=axis),
+    "soft_min": lambda a, axis: soft_min(a, 2.0, axis=axis),
+}
+BAD_AXES = [([1.0, 2.0], 3), ([1.0, 2.0], 1), ([1.0, 2.0], -2), ([[1.0, 2.0]], 2),
+            ([[1.0, 2.0]], -3), (3.0, 0), (3.0, -1), ([[1.0, 2.0]], 1.5), ([[1.0, 2.0]], "x"),
+            ([[1.0, 2.0]], True), ([[1.0, 2.0]], (0, 1))]
+
+
+class TestAxis:
+    @pytest.mark.parametrize("a, axis", BAD_AXES, ids=repr)
+    @pytest.mark.parametrize("name", sorted(AXIS_CALLS))
+    def test_bad_axis_is_a_dimension_mismatch(self, name, a, axis):
+        with pytest.raises(DimensionMismatch, match="axis must be"):
+            AXIS_CALLS[name](a, axis)
+
+    @given(st.sampled_from(sorted(AXIS_CALLS)), non_integers)
+    def test_non_integer_axis_is_a_dimension_mismatch(self, name, axis):
+        assume(axis is not None)  # None reduces the raveled input
+        with pytest.raises(DimensionMismatch):
+            AXIS_CALLS[name](np.zeros((2, 3)), axis)
+
+    @pytest.mark.parametrize("name", sorted(AXIS_CALLS))
+    def test_every_axis_in_range_reduces(self, name):
+        a = np.arange(6.0).reshape(2, 3)
+        for axis, shape in ((0, (3,)), (1, (2,)), (-1, (2,)), (-2, (3,))):
+            got = AXIS_CALLS[name](a, axis)
+            assert got.shape == shape
+            assert got.tobytes() == AXIS_CALLS[name](a, np.int64(axis)).tobytes()
+
 
 # Each real setting, set to the drawn value with every other argument valid.
 REAL_SETTINGS = {
@@ -273,6 +326,7 @@ REAL_SETTINGS = {
     "hn_forward alpha": lambda v: hn_forward([1.0, 0.0], v),
     "regularizer_bound alpha": lambda v: regularizer_bound(3, v),
     "soft_min alpha": lambda v: soft_min([1.0, 0.0], v),
+    "softmax_probability alpha": lambda v: softmax_probability(UNIFORM2, UNIFORM2, v),
     "ObjectiveConfig alpha": lambda v: ObjectiveConfig("intersection", "cond-independent", v,
                                                        UNIFORM2),
     "alpha_skeleton alpha": lambda v: alpha_skeleton(UNIFORM2, v),
@@ -314,6 +368,14 @@ class TestRealSettings:
                              ids=repr)
     def test_ints_floats_and_numpy_scalars_are_real(self, name, value):
         REAL_SETTINGS[name](value)
+
+    @pytest.mark.parametrize("name", [name for name in sorted(REAL_SETTINGS)
+                                      if name.endswith("alpha")])
+    def test_float32_alpha_above_1_is_quiet(self, name):
+        """The calm test of logspace._shifted computes finfo(float).max / (4 * alpha), which
+        a float32 alpha kept in float32 and overflowed with a RuntimeWarning; each entry
+        point now computes with the float its check returns."""
+        REAL_SETTINGS[name](np.float32(2.0))
 
     @pytest.mark.parametrize("name", sorted(REAL_SETTINGS))
     def test_int_past_the_float_range_is_non_finite(self, name):

@@ -65,3 +65,31 @@ def test_each_likelihood_support_rule_is_checked_by_its_own_term():
     """The term builder that a support rule guards is the one place that raises for it."""
     assert sorted(raise_sites("EmptyIntersectionSupport")) == [("objectives", "_independent_term")]
     assert sorted(raise_sites("OracleSupportEscapesModel")) == [("objectives", "_subset_term")]
+
+
+# Messages of the range and collection checks, which errors.require_integer and
+# errors.as_labels make for every caller.
+CHECK_PHRASES = ("must be at least", "must be at most", "collection of hashable")
+
+
+def raised_texts():
+    """(module, enclosing top-level function or None, text) of every string in the
+    expression of a raise statement in the package, an f-string's literal parts joined."""
+    for module, name, node in package_nodes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            for sub in ast.walk(node.exc):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    yield module, name, sub.value
+                elif isinstance(sub, ast.JoinedStr):
+                    yield module, name, "".join(part.value for part in sub.values
+                                                if isinstance(part, ast.Constant))
+
+
+def test_range_and_collection_checks_only_in_errors():
+    """A count or collection is checked by its errors helper, not by a hand-written raise."""
+    sites = sorted({(module, name) for module, name, text in raised_texts()
+                    if any(phrase in text for phrase in CHECK_PHRASES)})
+    assert ("errors", "require_integer") in sites and ("errors", "as_labels") in sites, \
+        "no range or collection message found in errors; update this test"
+    stray = [site for site in sites if site[0] != "errors"]
+    assert not stray, f"range or collection checks outside errors: {stray}"
