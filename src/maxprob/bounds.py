@@ -53,7 +53,7 @@ from .errors import (
     require_alpha,
     require_real,
 )
-from .logspace import NEG_INF, _log_normalize, _soft_min_step
+from .logspace import NEG_INF, _log_softmax, _soft_min_step
 
 __all__ = [
     "BoundResult",
@@ -172,7 +172,7 @@ def alpha_skeleton(dist: FiniteDistribution, alpha: float) -> FiniteDistribution
     if alpha == 0.0:
         # one-sided limit from alpha -> 0+: uniform over the support
         return FiniteDistribution.from_logp(dist.range, np.where(dist.support, 0.0, NEG_INF))
-    return FiniteDistribution(dist.range, _log_normalize(dist.logp, alpha)[0])
+    return FiniteDistribution(dist.range, _log_softmax(dist.logp, alpha))
 
 
 @dataclass(frozen=True)

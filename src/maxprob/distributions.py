@@ -39,9 +39,10 @@ from .errors import (
     as_labels,
     require_integer,
 )
-from .logspace import NEG_INF, logsumexp, _minus_logsumexp
+from .logspace import NEG_INF, logsumexp, _log_softmax
 
 __all__ = [
+    "MAX_OUTCOMES",
     "SUM_REJECT_TOL",
     "SUM_INVARIANT_TOL",
     "Label",
@@ -61,6 +62,8 @@ __all__ = [
 SUM_REJECT_TOL = 1e-9
 # Post-construction invariant on the exponentiated log-probability vector.
 SUM_INVARIANT_TOL = 1e-12
+# The most outcomes Parameterization.softmax_logits(n) labels for a count n.
+MAX_OUTCOMES = 10 ** 6
 
 Label = Union[str, int]
 
@@ -92,6 +95,11 @@ class OutcomeRange:
             raise LabelOutOfRange(f"label {label!r} not in range {self.labels!r}") from None
 
 
+def _as_range(rng: OutcomeRange | Sequence[Label]) -> OutcomeRange:
+    """rng, or the OutcomeRange of a sequence of labels (MalformedRange for a non-collection)."""
+    return rng if isinstance(rng, OutcomeRange) else OutcomeRange(rng)
+
+
 def _require_ranges(rng: OutcomeRange, *dists: "FiniteDistribution") -> None:
     """RangeMismatch unless every distribution in dists is over rng, label for label."""
     for d in dists:
@@ -113,13 +121,14 @@ def _check_logp(rng: OutcomeRange, logp) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FiniteDistribution:
-    """Probability distribution over an OutcomeRange, held in log space as given, once
-    checked: see _check_logp, and the sum must be within SUM_REJECT_TOL of 1."""
+    """Probability distribution over an OutcomeRange (a sequence of labels is made one), in
+    log space as given, once checked: see _check_logp; the sum is within SUM_REJECT_TOL of 1."""
 
     range: OutcomeRange
     _logp: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "range", _as_range(self.range))
         lp = _check_logp(self.range, self._logp).copy()
         total = logsumexp(lp)
         if not abs(np.expm1(total)) <= SUM_REJECT_TOL:
@@ -129,11 +138,13 @@ class FiniteDistribution:
         object.__setattr__(self, "_logp", lp)
 
     @staticmethod
-    def from_logp(rng: OutcomeRange, logp: Sequence[float]) -> "FiniteDistribution":
+    def from_logp(rng: OutcomeRange | Sequence[Label], logp: Sequence[float],
+                  ) -> "FiniteDistribution":
         """Build from log-probabilities with mass, shifted by their logsumexp: the
         renormalization of operations whose definition includes it.  Zero mass is
         SumOutOfTolerance; the constructor is the strict check."""
-        return FiniteDistribution(rng, _minus_logsumexp(_check_logp(rng, logp), 1.0))
+        rng = _as_range(rng)
+        return FiniteDistribution(rng, _log_softmax(_check_logp(rng, logp)))
 
     @property
     def logp(self) -> np.ndarray:
@@ -173,8 +184,7 @@ def make_distribution(rng: OutcomeRange | Sequence[Label], probs: Sequence[float
     stored invariant holds exactly enough (SUM_INVARIANT_TOL) for downstream
     log-space arithmetic.
     """
-    if not isinstance(rng, OutcomeRange):
-        rng = OutcomeRange(rng)
+    rng = _as_range(rng)
     p = as_array(probs)
     if p.shape != (len(rng),):
         raise DimensionMismatch(
@@ -186,8 +196,7 @@ def make_distribution(rng: OutcomeRange | Sequence[Label], probs: Sequence[float
 
 
 def uniform_distribution(rng: OutcomeRange | Sequence[Label]) -> FiniteDistribution:
-    if not isinstance(rng, OutcomeRange):
-        rng = OutcomeRange(rng)
+    rng = _as_range(rng)
     n = len(rng)
     return FiniteDistribution(rng, np.full(n, -np.log(n)))
 
@@ -232,7 +241,10 @@ def coarsen(dist: FiniteDistribution, r: Refinement) -> FiniteDistribution:
     """
     if dist.range != r.fine:
         raise RangeMismatch("distribution range does not match the refinement's fine range")
-    logp = np.array([logsumexp(dist.logp[r.preimage_indices(c)]) for c in r.coarse.labels])
+    preimages = {c: [] for c in r.coarse.labels}
+    for i, t in enumerate(r.targets):
+        preimages[t].append(i)
+    logp = np.array([logsumexp(dist.logp[fine]) for fine in preimages.values()])
     return FiniteDistribution.from_logp(r.coarse, logp)
 
 
@@ -266,8 +278,8 @@ class Parameterization:
     @staticmethod
     def softmax_logits(rng: OutcomeRange | int) -> "Parameterization":
         if not isinstance(rng, OutcomeRange):
-            require_integer("outcome count", rng, error=DimensionMismatch)
-            rng = OutcomeRange(tuple(f"v{i}" for i in range(rng)))
+            n = require_integer("outcome count", rng, most=MAX_OUTCOMES, error=DimensionMismatch)
+            rng = OutcomeRange(tuple(f"v{i}" for i in range(n)))
         return Parameterization(len(rng), rng)
 
 
@@ -299,7 +311,7 @@ def _theta_logp(p: Parameterization, th: np.ndarray) -> np.ndarray:
     """
     logits = np.zeros(th.shape[:-1] + (len(p.range),))
     logits[..., :p.dim] = th
-    return _minus_logsumexp(logits, 1.0)
+    return _log_softmax(logits)
 
 
 def apply_parameterization(p: Parameterization, theta) -> FiniteDistribution:

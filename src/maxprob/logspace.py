@@ -5,9 +5,11 @@ exact -inf sentinel for zero mass.  These helpers are the only place the
 package exponentiates, sums or scales mass by a sharpness alpha, all through
 one reduction (_shifted), which shifts before it scales: per slice it takes
 the entry m where alpha * a is largest and forms s = alpha * (a - m) <= 0,
-so lse = log(sum(exp(s))) lies in [0, log K].  logsumexp is m + lse, a
-normalized row s - lse, and a soft minimum m - lse / alpha, so that no
-finite alpha overflows it.  The reduction alone decides a slice's float
+so lse = log(sum(exp(s))) lies in [0, log K].  Each reading has one kernel:
+logsumexp is m + lse, a normalized row s - lse (_log_softmax), and a soft
+minimum m - lse / alpha (soft_min, _soft_min_step), so that no finite alpha
+overflows it; a log-sum-exp is the soft extreme at sharpness -1, where
+m - lse / -1.0 is m + lse bit for bit.  The reduction alone decides a slice's float
 edges.  A slice with no mass (empty or all -inf) has log-sum-exp -inf, and
 one with a +inf entry has +inf, both silently; a NaN entry raises
 NonFiniteEncountered.  Normalizing a slice raises SumOutOfTolerance for no
@@ -141,24 +143,22 @@ def logsumexp(a, axis=None):
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
     """Log of the softmax of x along its last axis, stabilized by a max-shift per slice;
-    raises as _log_normalize does."""
-    return _minus_logsumexp(as_array(x), 1.0)
+    raises as _log_softmax does."""
+    return _log_softmax(as_array(x))
 
 
-def _log_normalize(x: np.ndarray, alpha: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """log_softmax(alpha * x) and logsumexp(alpha * x) along the last axis, the latter
-    m + lse at alpha 1, where alpha * m is m; a slice with no mass raises
-    SumOutOfTolerance, and one with infinite mass NonFiniteEncountered."""
-    s, lse, m, quiet = _shifted(x, alpha, -1, normalize=True)
-    with quiet:
-        top = (m if alpha == 1.0 else alpha * m) + lse
-        return s - lse, (top if x.ndim == 1 else top.squeeze(-1))
+def _log_softmax(x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+    """log_softmax(alpha * x) along the last axis, s - lse; a slice with no mass raises
+    SumOutOfTolerance, and one with infinite mass NonFiniteEncountered.  It never warns,
+    so it enters no quiet context: s <= 0 and, normalized, 0 <= lse <= log K."""
+    s, lse, _, _ = _shifted(x, alpha, -1, normalize=True)
+    return s - lse
 
 
 def _minus_logsumexp(x: np.ndarray, alpha: float) -> np.ndarray:
-    """x - logsumexp(alpha * x) along the last axis, raising as _log_normalize does; at
-    alpha = 1 it is log_softmax(x).  An entry past the float range is its infinite
-    limit, silently."""
+    """x - logsumexp(alpha * x) along the last axis, raising as _log_softmax does; at
+    alpha = 1 it is _log_softmax(x) bit for bit.  An entry past the float range is its
+    infinite limit, silently."""
     s, lse, m, quiet = _shifted(x, alpha, -1, normalize=True)
     with quiet:  # at alpha 1, s <= 0 and, normalized, 0 <= lse <= log K: it never warns
         return s - lse if alpha == 1.0 else x - (alpha * m + lse)
@@ -184,7 +184,7 @@ def soft_min(a, alpha: float, axis=None):
 
 def _soft_min_step(a: np.ndarray, alpha: float, weights: bool = True):
     """soft_min(a, alpha, axis=-1) and, with weights, its gradient softmax(-alpha * a) (else
-    None), from one shifted array."""
+    None), from one shifted array; at alpha -1, logsumexp(a, axis=-1) and softmax(a)."""
     s, lse, m, quiet = _shifted(a, -alpha, -1, normalize=True)
     with quiet:
         value, w = m - lse / alpha, (np.exp(s - lse) if weights else None)

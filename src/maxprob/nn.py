@@ -14,7 +14,7 @@ skeleton softmax(alpha * x) minus the oracle's posterior, onehot(y).  Both
 run on the package's one reduction, which shifts before it scales by alpha,
 for the objectives too: the loss on the soft minimum of -log p
 (logspace._soft_min_step), the gradient on the weights of the soft minimum of -x,
-which _soft_min_weights takes from x with sharpness +alpha, without negating.
+exp(logspace._log_softmax(x, alpha)), taken from x without negating.
 
 The recorded regularizer term -(1/alpha) * log sum_c p_c ** alpha lies
 between 0 (a one-hot prediction) and log(K) * (alpha - 1) / alpha (a uniform
@@ -66,7 +66,7 @@ from .errors import (
     require_integer,
     require_real,
 )
-from .logspace import _minus_logsumexp, _shifted, _soft_min_step
+from .logspace import _log_softmax, _minus_logsumexp, _soft_min_step
 
 __all__ = [
     "LOSS_MODES",
@@ -151,7 +151,7 @@ def _loss(x: np.ndarray, y: np.ndarray, mode: str, alpha: float, penalty: float,
     logits x against labels y; the penalty, ce-l2's regularizer, is ignored by
     intersection.  Every row is reduced on its own, so a stretch's means are those of its
     rows alone, bit for bit."""
-    logp = _minus_logsumexp(x, 1.0)
+    logp = _log_softmax(x)
     label_logp = logp[np.arange(len(y)), y]
     if mode == "intersection":
         mass = -_soft_min_step(-logp, alpha, False)[0]
@@ -268,17 +268,6 @@ class ToyNet:
         return h.hexdigest()
 
 
-def _soft_min_weights(logits: np.ndarray, a: float) -> np.ndarray:
-    """softmax(a * logits) along the last axis, a > 0: the weights of the soft minimum of
-    -logits, _soft_min_step(-logits, a)[1] bit for bit, from logspace's one reduction with
-    sharpness +a.  Negation is exact and flips the sign of m, of each a - m and of the
-    sharpness alike, so s and lse are the same floats, without the negation or the
-    soft-min value."""
-    s, lse, _, quiet = _shifted(logits, a, -1, normalize=True)
-    with quiet:
-        return np.exp(s - lse)
-
-
 def _backprop(net: ToyNet, x: np.ndarray, hot: np.ndarray, mode: str, alpha: float,
               lam: float, out: Optional[dict[str, np.ndarray]] = None,
               ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -287,7 +276,7 @@ def _backprop(net: ToyNet, x: np.ndarray, hot: np.ndarray, mode: str, alpha: flo
     the soft minimum's weights softmax(a * logits) - hot_i, a = alpha (intersection) or 1.
     A weight w >= 0 less 0.0 is w, so subtracting hot changes only the label entries."""
     logits, (x0, z1, a1, z2, a2) = net.forward(x, want_cache=True)
-    dlogits = _soft_min_weights(_finite(logits), alpha if mode == "intersection" else 1.0)
+    dlogits = np.exp(_log_softmax(_finite(logits), alpha if mode == "intersection" else 1.0))
     dlogits -= hot
     dlogits /= len(hot)
     p, out = net.params, out or {}

@@ -38,8 +38,9 @@ the Monte Carlo estimator in optimize samples from them.
 Each term has one builder, which binds the term to the model's support
 mask once and checks the support the term is defined on, and one kernel,
 which gives the term's value and its vector from one shifted array (see
-logspace); the subset likelihood and the soft bound share one soft minimum
-(logspace._soft_min_step), and only those two read alpha
+logspace); all three terms share one soft minimum (logspace._soft_min_step),
+the cond-independent likelihood at sharpness -1, where it is a log-sum-exp
+and its weights the posterior, and only the other two read alpha
 (ObjectiveConfig.reads_alpha).  One dispatch, _bind, binds a config's
 terms and returns one kernel that does only the arithmetic on the model
 rows: for evaluate, values_at_thetas, gradient_terms, and optimize.ascend,
@@ -71,7 +72,7 @@ from .errors import (
     OracleSupportEscapesModel,
     require_alpha,
 )
-from .logspace import NEG_INF, _log_normalize, _soft_min_step
+from .logspace import NEG_INF, _soft_min_step
 from .bounds import _on_columns, _soft_bound_term
 
 __all__ = [
@@ -191,11 +192,8 @@ def _independent_term(supp: np.ndarray, oracle: np.ndarray, prior: np.ndarray,
                 "model, oracle, and prior share no supported outcome; the joint event is null")
         return None
     oracle_on, prior_on = oracle[joint], prior[joint]
-
-    def term(model: np.ndarray):
-        logpost, value = _log_normalize(model + oracle_on - prior_on)
-        return value, (np.exp(logpost) if gradient else None)
-    return _on_columns(joint, term)
+    return _on_columns(joint, lambda model: _soft_min_step(model + oracle_on - prior_on, -1.0,
+                                                           gradient))
 
 
 def _subset_term(supp: np.ndarray, oracle: np.ndarray, prior: np.ndarray,

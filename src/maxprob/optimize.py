@@ -24,7 +24,7 @@ import numpy as np
 from .distributions import (FiniteDistribution, Parameterization, apply_parameterization,
                             _check_theta, _pullback, _require_ranges)
 from .errors import DimensionMismatch, InvalidSetting, as_array, require_integer, require_real
-from .logspace import NEG_INF, _minus_logsumexp
+from .logspace import NEG_INF, _log_softmax
 from .objectives import (GradientVector, ObjectiveConfig, gradient_at_theta, gradient_terms,
                          values_at_thetas, _bind)
 
@@ -121,7 +121,7 @@ def ascend(config: ObjectiveConfig, oracle: FiniteDistribution, p: Parameterizat
     for _ in range(cfg.max_iters):
         reach = _max_norm(theta)
         logits[:p.dim] = theta
-        logp = _minus_logsumexp(logits, 1.0)
+        logp = _log_softmax(logits)
         supp = full if reach <= DIVERGENCE_THETA_BOUND else logp > NEG_INF
         if supp is not bound and (bound is None or supp.tobytes() != bound.tobytes()):
             kernel, bound = _bind(config, supp, oracle.logp), supp

@@ -76,6 +76,9 @@ included, with float.__repr__.  optimize_summary is the stdout summary of
 `maxprob optimize --out FILE` as it was before the CLI took final_theta from
 the text of the CSV's last row: one json.dumps of the whole dict, with
 final_theta a list of floats and every infinite float made a string.
+
+coarsen is distributions.coarsen as it was while it scanned every target once
+per coarse label; the tests require the one-pass grouping to match its bytes.
 """
 
 from __future__ import annotations
@@ -783,6 +786,14 @@ def csv_text(header, rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def coarsen(dist, r) -> FiniteDistribution:
+    """distributions.coarsen as it was before one pass over the targets grouped the
+    preimages: Refinement.preimage_indices scans every target for each coarse label."""
+    logp = np.array([logspace.logsumexp(dist.logp[r.preimage_indices(c)])
+                     for c in r.coarse.labels])
+    return FiniteDistribution.from_logp(r.coarse, logp)
 
 
 def sweep_rows(report):

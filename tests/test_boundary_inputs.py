@@ -18,6 +18,7 @@ through errors.as_labels.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,6 +56,7 @@ from maxprob import (
     loss_and_grads,
     make_distribution,
     make_toy_dataset,
+    max_probability,
     mc_gradient,
     regularizer_bound,
     run_sweep,
@@ -67,6 +69,7 @@ from maxprob import (
 )
 from maxprob.acceptance import run_criterion
 from maxprob.bernoulli import report_to_jsonable
+from maxprob.distributions import MAX_OUTCOMES
 from maxprob.errors import as_array
 from maxprob.optimize import MAX_MC_SAMPLES
 
@@ -272,6 +275,16 @@ class TestIntegerSettings:
         with pytest.raises(InvalidSetting, match=f"at most {MAX_MC_SAMPLES}"):
             SETTINGS["mc_gradient n_samples"](n_samples)
 
+    @pytest.mark.parametrize("n", [10 ** 9, MAX_OUTCOMES + 1], ids=repr)
+    def test_outcome_count_is_capped(self, n):
+        """softmax_logits(n) built n labels before any check, 0.65 s at n = 10**6; the cap
+        is checked first.  With range shadowed, a count past the cap that reached the
+        labels fails at once instead of allocating them."""
+        with mock.patch("maxprob.distributions.range", create=True,
+                        side_effect=AssertionError("labels built")):
+            with pytest.raises(DimensionMismatch, match=f"at most {MAX_OUTCOMES}"):
+                Parameterization.softmax_logits(n)
+
     @pytest.mark.parametrize("number", [0, 13, -1, 1.0, True, np.float64(2.0)], ids=repr)
     def test_criterion_number_is_an_integer_from_1_to_12(self, number):
         """run_criterion(1.0) ended in a raw TypeError ("tuple indices must be integers"),
@@ -418,6 +431,28 @@ class TestCollections:
     def test_uniform_distribution_of_a_number(self):
         with pytest.raises(MalformedRange):
             uniform_distribution(3)
+
+    @pytest.mark.parametrize("call", [lambda: make_distribution(5, [1.0]),
+                                      lambda: FiniteDistribution(5, [0.0]),
+                                      lambda: FiniteDistribution.from_logp(5, [0.0])],
+                             ids=["make_distribution", "FiniteDistribution", "from_logp"])
+    def test_distribution_over_a_number(self, call):
+        """The constructor and from_logp read only len(rng): a number ended in a raw
+        TypeError ("object of type 'int' has no len()")."""
+        with pytest.raises(MalformedRange):
+            call()
+
+    @pytest.mark.parametrize("build", [FiniteDistribution, FiniteDistribution.from_logp],
+                             ids=["FiniteDistribution", "from_logp"])
+    def test_distribution_over_a_label_sequence(self, build):
+        """A tuple of labels stayed a tuple, and the first range comparison ended in a raw
+        AttributeError ("'tuple' object has no attribute 'labels'")."""
+        d = build(("a", "b"), np.log([0.5, 0.5]))
+        assert d.range == OutcomeRange(("a", "b"))
+        got = max_probability(d, make_distribution(["a", "b"], [0.9, 0.1]))
+        want = max_probability(uniform_distribution(("a", "b")),
+                               make_distribution(["a", "b"], [0.9, 0.1]))
+        assert got == want
 
     @pytest.mark.parametrize("targets", [(["c"], ["c"]), None], ids=repr)
     def test_refinement_of_unhashable_targets(self, targets):

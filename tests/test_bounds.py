@@ -38,8 +38,8 @@ from maxprob import (
     uniform_distribution,
 )
 from maxprob import logspace
-from maxprob.logspace import NEG_INF, log_softmax, logsumexp, soft_min, softmax, _soft_min_step
-from maxprob.nn import _soft_min_weights
+from maxprob.logspace import (NEG_INF, log_softmax, logsumexp, soft_min, softmax, _log_softmax,
+                              _soft_min_step)
 
 
 COIN = OutcomeRange(("H", "T"))
@@ -197,9 +197,10 @@ class TestLogsumexpAxis:
                                           ([-MAX, 1e307, -1e307], [NEG_INF, 0.0, -2e307])])
     def test_overflowing_shift_of_one_slice_is_zero_mass_without_a_warning(self, row, want):
         """The shift overflows to -inf, whose exp is the correct 0.  The toy network takes
-        the soft minimum's weights of -logits with sharpness +alpha from the logits: bit
-        for bit _soft_min_step of the negated logits, on these rows that are not calm, at
-        sharpnesses far from 1 and in a batch tall enough to reduce column by column."""
+        the soft minimum's weights of -logits, exp(_log_softmax(logits, alpha)), from the
+        logits: bit for bit _soft_min_step of the negated logits, on these rows that are
+        not calm, at sharpnesses far from 1 and in a batch tall enough to reduce column by
+        column."""
         top = max(row)
         assert logsumexp(row) == top
         np.testing.assert_array_equal(logsumexp(np.array(row), axis=-1), top)
@@ -208,7 +209,7 @@ class TestLogsumexpAxis:
         np.testing.assert_array_equal(log_softmax([row]), [want])
         for x in (np.array([row]), np.tile(row, (64, 1))):
             for alpha in (1e-320, 1e-300, 1e-3, 0.5, 1.0, 2.0, 256.0, 1e6, 1e300):
-                got = _soft_min_weights(x, alpha)
+                got = np.exp(_log_softmax(x, alpha))
                 assert got.tobytes() == _soft_min_step(-x, alpha)[1].tobytes(), alpha
 
 
@@ -320,11 +321,12 @@ class TestFloatEdges:
             want = reference._log_normalize(a)
         except SumOutOfTolerance:
             with pytest.raises(SumOutOfTolerance):
-                logspace._log_normalize(a)
+                _log_softmax(a)
+            with pytest.raises(SumOutOfTolerance):
+                _soft_min_step(a, -1.0, False)
             return
-        logp, top = logspace._log_normalize(a)
-        assert_within_rounding(logp, want[0], log_scale(a))
-        assert_bits(top, want[1])
+        assert_within_rounding(_log_softmax(a), want[0], log_scale(a))
+        assert_bits(_soft_min_step(a, -1.0, False)[0], want[1])
 
 
 def shifted_row(shifted, a, alpha, normalize):

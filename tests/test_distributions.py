@@ -179,7 +179,34 @@ def refinement_instances(draw):
     return r, d
 
 
+@st.composite
+def labelled_refinements(draw):
+    """A refinement of 1 to 12 fine outcomes onto 1 (one coarse label) to all of them
+    (singleton preimages), int or str labels on either range, the coarse labels in drawn
+    order, and a distribution over the fine range with zero mass allowed."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, n))
+
+    def labels(k, prefix):
+        return tuple(range(k)) if draw(st.booleans()) else tuple(f"{prefix}{i}" for i in range(k))
+    fine = OutcomeRange(labels(n, "v"))
+    coarse = OutcomeRange(tuple(draw(st.permutations(labels(m, "c")))))
+    extra = draw(st.lists(st.integers(0, m - 1), min_size=n - m, max_size=n - m))
+    assignment = draw(st.permutations(list(range(m)) + extra))
+    r = Refinement(fine, coarse, tuple(coarse.labels[a] for a in assignment))
+    logp = draw(st.lists(st.one_of(st.just(NEG_INF), st.floats(-50.0, 5.0)),
+                         min_size=n, max_size=n).filter(lambda lp: max(lp) > NEG_INF))
+    return r, FiniteDistribution.from_logp(fine, logp)
+
+
 class TestCoarsen:
+    @given(labelled_refinements())
+    def test_matches_the_per_label_scan(self, case):
+        """One pass over the targets gives each coarse logsumexp the entries the scan of
+        every target per coarse label gave it, in the same order: the same bytes."""
+        r, d = case
+        assert_array_bits(coarsen(d, r).logp, reference.coarsen(d, r).logp)
+
     @given(refinement_instances())
     def test_mass_is_preserved_per_coarse_outcome(self, case):
         r, d = case

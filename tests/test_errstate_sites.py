@@ -52,6 +52,16 @@ def test_alpha_scales_mass_only_in_logspace():
     assert {module for module, _ in products} == {"logspace"}, products
 
 
+def test_only_logspace_reads_the_shift():
+    """Each reading of logspace's one reduction has one kernel there; a module that called
+    _shifted would read its tuple a second way."""
+    callers = sorted({(module, name) for module, name, node in package_nodes()
+                      if isinstance(node, ast.Call)  # _shifted(...) or logspace._shifted(...)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_shifted"})
+    assert ("logspace", "_soft_min_step") in callers, "no _shifted call found; update this test"
+    assert {module for module, _ in callers} == {"logspace"}, callers
+
+
 def raise_sites(error: str):
     """(module, enclosing top-level function or None) of every `raise error(...)` in the package."""
     for module, name, node in package_nodes():

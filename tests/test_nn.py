@@ -36,6 +36,9 @@ from maxprob.nn import report_to_jsonable
 from maxprob.logspace import logsumexp, softmax
 
 logit_rows = arrays(np.float64, (4, 5), elements=st.floats(-30.0, 30.0))
+# rows whose shift is not calm: entries past 2**968 in size, some beside small ones
+far_rows = arrays(np.float64, (4, 5), elements=st.one_of(
+    st.floats(1e307, 1.7e308), st.floats(-1.7e308, -1e307), st.floats(-30.0, 30.0)))
 label_rows = arrays(np.int64, (4,), elements=st.integers(0, 4))
 head_alphas = st.sampled_from([0.5, 1.0, 2.0, 4.0, 16.0])
 BAD_ALPHAS = ((0.0, NonPositiveAlpha), (np.inf, NonFiniteParameter),
@@ -43,9 +46,13 @@ BAD_ALPHAS = ((0.0, NonPositiveAlpha), (np.inf, NonFiniteParameter),
 
 
 class TestHnForward:
-    def test_alpha_one_is_bitwise_softmax(self):
-        x = np.array([1.0, 0.0, -2.5])
-        assert np.array_equal(hn_forward(x, 1.0), softmax(x))
+    @given(st.one_of(logit_rows, far_rows))
+    def test_alpha_one_is_bitwise_softmax(self, x):
+        """At alpha 1, x - logsumexp(x) is the shifted row less its log-sum-exp, softmax's
+        own log: (x - m) - lse and x - (m + lse) differ in the last bit on most rows.  A
+        batch and its first row alone, which reduces in Python floats, both hold."""
+        for rows in (x, x[0]):
+            assert hn_forward(rows, 1.0).tobytes() == softmax(rows).tobytes()
 
     def test_hand_value_at_alpha_two(self):
         out = hn_forward(np.array([1.0, 0.0]), 2.0)
