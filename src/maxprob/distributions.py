@@ -190,8 +190,7 @@ def make_distribution(rng: OutcomeRange | Sequence[Label], probs: Sequence[float
         raise DimensionMismatch(
             f"probability vector has shape {p.shape}, range has {len(rng)} outcomes")
     total = _check_probs(p)
-    with np.errstate(divide="ignore"):
-        logp = np.log(p)  # exact -inf sentinel for zero entries
+    logp = np.log(p, out=np.full(p.shape, NEG_INF), where=p > 0)  # exact -inf for zero mass
     return FiniteDistribution(rng, logp - np.log(total))
 
 
@@ -216,6 +215,8 @@ class Refinement:
     targets: tuple[Label, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "fine", _as_range(self.fine))
+        object.__setattr__(self, "coarse", _as_range(self.coarse))
         targets, hit = as_labels("projection targets", self.targets, MalformedRange)
         object.__setattr__(self, "targets", targets)
         if len(targets) != len(self.fine):
@@ -266,11 +267,13 @@ class Parameterization:
     range: OutcomeRange
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "range", _as_range(self.range))
         require_integer("dim", self.dim, 1, len(self.range), DimensionMismatch)
 
     @staticmethod
-    def sigmoid_bernoulli(rng: OutcomeRange | None = None) -> "Parameterization":
-        rng = rng or _DEFAULT_BERNOULLI_RANGE
+    def sigmoid_bernoulli(rng: OutcomeRange | Sequence[Label] | None = None,
+                          ) -> "Parameterization":
+        rng = _DEFAULT_BERNOULLI_RANGE if rng is None else _as_range(rng)
         if len(rng) != 2:
             raise DimensionMismatch("sigmoid-bernoulli requires a 2-outcome range")
         return Parameterization(1, rng)

@@ -7,8 +7,9 @@ library callers can catch either the base class or a specific subclass.
 
 Each helper checks one kind of input and returns the checked value: require_real a finite
 real number as a float, require_alpha a finite alpha > 0 as one, require_integer an int or
-numpy integer in [least, most] (a bound of None is none) as an int, as_labels a collection
-of hashable items as (tuple, set), and as_array real entries as a float array.
+numpy integer in [least, most] (a bound of None is none) as an int, require_choice a str
+among a setting's names as itself, as_labels a collection of hashable items as (tuple, set),
+and as_array real entries as a float array.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "MalformedRange",
     "NonNumericEntry",
     "require_alpha",
+    "require_choice",
     "require_integer",
     "require_real",
     "as_labels",
@@ -172,6 +174,13 @@ def require_integer(name: str, value, least=None, most=None, error: type = Inval
     if most is not None and value > most:
         raise error(f"{name} must be at most {most}, got {value!r}")
     return int(value)
+
+
+def require_choice(name: str, value, choices: tuple) -> str:
+    """value, once it is a str among choices: InvalidSetting otherwise (an array is none)."""
+    if not isinstance(value, str) or value not in choices:
+        raise InvalidSetting(f"{name} must be one of {choices}, got {value!r}")
+    return value
 
 
 def as_labels(name: str, values, error: type) -> tuple[tuple, set]:

@@ -2,19 +2,20 @@
 
 All probability mass in this package lives in natural-log space with an
 exact -inf sentinel for zero mass.  These helpers are the only place the
-package exponentiates, sums or scales mass by a sharpness alpha, all through
-one reduction (_shifted), which shifts before it scales: per slice it takes
-the entry m where alpha * a is largest and forms s = alpha * (a - m) <= 0,
-so lse = log(sum(exp(s))) lies in [0, log K].  Each reading has one kernel:
-logsumexp is m + lse, a normalized row s - lse (_log_softmax), and a soft
-minimum m - lse / alpha (soft_min, _soft_min_step), so that no finite alpha
-overflows it; a log-sum-exp is the soft extreme at sharpness -1, where
-m - lse / -1.0 is m + lse bit for bit.  The reduction alone decides a slice's float
-edges.  A slice with no mass (empty or all -inf) has log-sum-exp -inf, and
-one with a +inf entry has +inf, both silently; a NaN entry raises
-NonFiniteEncountered.  Normalizing a slice raises SumOutOfTolerance for no
-mass and NonFiniteEncountered for infinite mass.  The core stays on numpy's
-exp and log for a single row too: math.exp and math.log differ from them in
+package sums mass, scales it by a sharpness alpha or decides a reduction's float
+edges, all through one reduction (_shifted), which shifts before it scales: per
+slice it takes the entry m where alpha * a is largest and forms
+s = alpha * (a - m) <= 0, so lse = log(sum(exp(s))) lies in [0, log K], and the
+soft extreme v = m + lse / alpha, which no finite alpha overflows.  Each reading
+has one kernel: the soft extreme (logsumexp at alpha 1, soft_min and _soft_min_step
+at -alpha, where m + lse / -alpha is m - lse / alpha bit for bit), a normalized row
+s - lse (_log_softmax) and the generalized head exp(x - (alpha * m + lse)) (_head),
+whose exp alone may overflow, to its limit inf.  The reduction alone decides a
+slice's float edges, so no other kernel needs a context.  A slice with no mass
+(empty or all -inf) has log-sum-exp -inf, and one with a +inf entry has +inf, both
+silently; a NaN entry raises NonFiniteEncountered.  Normalizing a slice raises
+SumOutOfTolerance for no mass and NonFiniteEncountered for infinite mass.  The core
+stays on numpy's exp and log for a single row too: math.exp and math.log differ from them in
 the last bit (on an AVX-512 host, on 55 194 of 1.2 M exp and 1 849 of 1 M log inputs).
 A calm 1-D row of 1 to 7 entries takes its extremes and its sum in Python floats from
 tolist(), a ufunc reduction costing more than the arithmetic on so few: below 8
@@ -24,8 +25,6 @@ exp, log, the shift and the scaling stay numpy's, and the sum is never the built
 sum, which compensates from Python 3.12 on.  Longer rows and batches reduce in numpy."""
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 
@@ -43,7 +42,6 @@ _MAX_FLOAT = float(np.finfo(float).max)
 # when every entry lies within finfo.max / (4 |alpha|) too, so that neither alpha *
 # (a - m) nor alpha * m overflows.  Others run under np.errstate, costing a shift.
 _CALM = 2.0 ** 968
-_CALM_CONTEXT = contextlib.nullcontext()
 # A batch reduces along short rows column by column (_by_columns) from this many rows per
 # column: each column costs a ufunc call, and reducing a row costs about 1/16 of one.
 _ROWS_PER_COLUMN = 16
@@ -64,18 +62,18 @@ def _by_columns(ufunc, a: np.ndarray, first: np.ndarray) -> np.ndarray:
 
 
 def _shifted(a: np.ndarray, alpha: float, axis: int, normalize: bool = False):
-    """(s, lse, m, quiet) along axis: m is each slice's entry where alpha * a is largest,
-    s = alpha * (a - m), lse = log(sum(exp(s))), and quiet the context for a kernel's
-    arithmetic on them: none when calm (see _CALM), else np.errstate, where an overflow
-    is the correct infinite limit.  Not calm, a NaN entry raises, and an infinite m is
+    """(s, lse, m, v) along axis: m is each slice's entry where alpha * a is largest,
+    s = alpha * (a - m), lse = log(sum(exp(s))) and v = m + lse / alpha, computed in no
+    context when calm (see _CALM), else under np.errstate, where an overflow is the
+    correct infinite limit.  Not calm, a NaN entry raises, and an infinite m is
     capped at +-finfo.max: no mass then sums to 0, whose log is -inf, and infinite mass
-    to +inf; with normalize, either raises.  m and lse keep the reduced axis at length 1,
+    to +inf; with normalize, either raises.  m, lse and v keep the reduced axis at length 1,
     but are scalars for a 1-D row, to which numpy's exp and log give the same bits."""
     big = abs(alpha) > 1.0
     # the largest |m|, and above |alpha| = 1 the largest |entry|, of a calm reduction
     limit = (min(_CALM, _MAX_FLOAT / (4.0 * abs(alpha))) if big
              else _CALM if abs(alpha) >= 2.0 ** -1000 else -1.0)
-    if a.ndim == 1 and 0 < len(a) < _SHORT and axis in (0, -1):
+    if a.ndim == 1 and 0 < len(a) < _SHORT:
         xs = a.tolist()
         xs.reverse()  # max and min keep the first of equal entries, numpy's reduce the last
         m, far = (max(xs), min(xs)) if alpha > 0 else (min(xs), max(xs))
@@ -89,7 +87,8 @@ def _shifted(a: np.ndarray, alpha: float, axis: int, normalize: bool = False):
             for x in e[1:]:
                 total += x
             if total == total:  # else a NaN entry, for which the general path raises
-                return s, np.log(total), m, _CALM_CONTEXT
+                lse = np.log(total)
+                return s, lse, m, m + lse / alpha
     # the ufuncs' own reduce, not the ndarray methods, which wrap it in Python; and never
     # add.reduce(..., initial=None), which sums in another order
     row = a.ndim == 1
@@ -105,8 +104,9 @@ def _shifted(a: np.ndarray, alpha: float, axis: int, normalize: bool = False):
         if alpha != 1.0:
             s *= alpha
         e = np.exp(s)
-        return s, np.log(_by_columns(np.add, e, e[:, 0]) if columns
-                         else np.add.reduce(e, axis, keepdims=not row)), m, _CALM_CONTEXT
+        lse = np.log(_by_columns(np.add, e, e[:, 0]) if columns
+                     else np.add.reduce(e, axis, keepdims=not row))
+        return s, lse, m, m + lse / alpha
     if np.isnan(m).any():
         raise NonFiniteEncountered("log-sum-exp of a NaN entry")
     m = m.clip(-_MAX_FLOAT, _MAX_FLOAT)
@@ -115,30 +115,30 @@ def _shifted(a: np.ndarray, alpha: float, axis: int, normalize: bool = False):
         e = np.exp(s)
         lse = np.log(_by_columns(np.add, e, e[:, 0]) if columns
                      else np.add.reduce(e, axis, keepdims=not row))
+        v = m + lse / alpha
     if normalize and (lse == NEG_INF).any():
         raise SumOutOfTolerance("all outcomes carry zero mass")
     if normalize and (lse == np.inf).any():
         raise NonFiniteEncountered("an outcome carries infinite mass")
-    return s, lse, m, np.errstate(over="ignore")
+    return s, lse, m, v
 
 
-def _along(a, axis) -> tuple[np.ndarray, int]:
-    """(a as a float array, the axis to reduce): the raveled array and 0 for axis None, else
-    a and axis, an integer in [-a.ndim, a.ndim - 1] (DimensionMismatch otherwise)."""
-    a = as_array(a)
-    if axis is None:
-        return a.ravel(), 0
-    return a, require_integer("axis", axis, -a.ndim, a.ndim - 1, DimensionMismatch)
+def _soft_extreme(a, alpha: float, axis):
+    """_shifted's v of a as a float array at alpha: of the raveled array, as a float, for
+    axis None, else of each slice along axis, an integer in [-a.ndim, a.ndim - 1]
+    (DimensionMismatch otherwise), as an array."""
+    x = as_array(a)
+    along = 0 if axis is None else require_integer("axis", axis, -x.ndim, x.ndim - 1,
+                                                   DimensionMismatch)
+    value = np.asarray(_shifted(x.ravel() if axis is None else x, alpha, along)[3].squeeze(along))
+    return float(value) if axis is None else value
 
 
 def logsumexp(a, axis=None):
     """log(sum(exp(a))) with max-shift (see the module docstring for float edges).
     axis=None reduces the raveled input to a float; an axis reduces each slice
     along it, with its own max-shift, to an array."""
-    x, along = _along(a, axis)
-    _, lse, m, _ = _shifted(x, 1.0, along)
-    value = np.asarray((m + lse).squeeze(along))  # m is finite, so this never overflows
-    return float(value) if axis is None else value
+    return _soft_extreme(a, 1.0, axis)
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
@@ -149,19 +149,21 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
 
 def _log_softmax(x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     """log_softmax(alpha * x) along the last axis, s - lse; a slice with no mass raises
-    SumOutOfTolerance, and one with infinite mass NonFiniteEncountered.  It never warns,
-    so it enters no quiet context: s <= 0 and, normalized, 0 <= lse <= log K."""
+    SumOutOfTolerance, and one with infinite mass NonFiniteEncountered.  It never warns:
+    s <= 0 and, normalized, 0 <= lse <= log K."""
     s, lse, _, _ = _shifted(x, alpha, -1, normalize=True)
     return s - lse
 
 
-def _minus_logsumexp(x: np.ndarray, alpha: float) -> np.ndarray:
-    """x - logsumexp(alpha * x) along the last axis, raising as _log_softmax does; at
-    alpha = 1 it is _log_softmax(x) bit for bit.  An entry past the float range is its
-    infinite limit, silently."""
-    s, lse, m, quiet = _shifted(x, alpha, -1, normalize=True)
-    with quiet:  # at alpha 1, s <= 0 and, normalized, 0 <= lse <= log K: it never warns
-        return s - lse if alpha == 1.0 else x - (alpha * m + lse)
+def _head(x: np.ndarray, alpha: float) -> np.ndarray:
+    """exp(x - logsumexp(alpha * x)) along the last axis, raising as _log_softmax does; at
+    alpha = 1 it is softmax(x) bit for bit.  A value past the float range is its infinite
+    limit, silently: below alpha = 1 a head value can pass finfo.max."""
+    s, lse, m, _ = _shifted(x, alpha, -1, normalize=True)
+    if alpha == 1.0:
+        return np.exp(s - lse)
+    with np.errstate(over="ignore"):
+        return np.exp(x - (alpha * m + lse))
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -174,18 +176,11 @@ def soft_min(a, alpha: float, axis=None):
     """Smooth lower envelope -(1/alpha) * log(sum(exp(-alpha * a))): never above min(a),
     it converges to it from below as alpha grows, within log(len(a)) / alpha.  alpha
     must be finite and positive; axis reduces each slice along it, as logsumexp does."""
-    alpha = require_alpha(alpha)
-    x, along = _along(a, axis)
-    _, lse, m, quiet = _shifted(x, -alpha, along)
-    with quiet:
-        value = np.asarray((m - lse / alpha).squeeze(along))
-    return float(value) if axis is None else value
+    return _soft_extreme(a, -require_alpha(alpha), axis)
 
 
 def _soft_min_step(a: np.ndarray, alpha: float, weights: bool = True):
     """soft_min(a, alpha, axis=-1) and, with weights, its gradient softmax(-alpha * a) (else
     None), from one shifted array; at alpha -1, logsumexp(a, axis=-1) and softmax(a)."""
-    s, lse, m, quiet = _shifted(a, -alpha, -1, normalize=True)
-    with quiet:
-        value, w = m - lse / alpha, (np.exp(s - lse) if weights else None)
-        return (value if a.ndim == 1 else value.squeeze(-1)), w
+    s, lse, _, v = _shifted(a, -alpha, -1, normalize=True)
+    return (v if a.ndim == 1 else v.squeeze(-1)), (np.exp(s - lse) if weights else None)

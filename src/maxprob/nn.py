@@ -42,8 +42,8 @@ which glibc's malloc can return to the system and fault in again each epoch.)
 loss_and_grads runs the same _backprop on the one-hot rows of its labels.
 
 hn_forward is the generalized softmax head exp(x_i) / sum_j exp(alpha * x_j),
-exp(x_i - logsumexp(alpha * x)); at alpha = 1 it is softmax bit for bit.
-Training does not call it.
+exp(x_i - logsumexp(alpha * x)) (logspace._head): softmax at alpha = 1, bit for
+bit, and inf for a head value past finfo.max.  Training does not call it.
 """
 
 from __future__ import annotations
@@ -58,15 +58,15 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    InvalidSetting,
     LabelOutOfRange,
     NonFiniteLogits,
     as_array,
     require_alpha,
+    require_choice,
     require_integer,
     require_real,
 )
-from .logspace import _log_softmax, _minus_logsumexp, _soft_min_step
+from .logspace import _head, _log_softmax, _soft_min_step
 
 __all__ = [
     "LOSS_MODES",
@@ -95,7 +95,6 @@ MAX_TOY_HIDDEN = 10**3
 _N_TRAIN = _N_TEST = 512  # the toy dataset's split sizes
 _RADIUS = 2.0  # the toy blobs' class centers lie on a circle of this radius
 _NOISE = 1.0  # standard deviation of each blob around its center
-_LOG_MAX = float(np.log(np.finfo(float).max))  # the largest x whose exp is finite
 
 
 def _finite(logits: np.ndarray) -> np.ndarray:
@@ -130,8 +129,7 @@ def _check_loss(mode: str, alpha: float, lam: float,
                 step: float = 1.0) -> tuple[float, float, float]:
     """alpha, lam and step as floats, so that a numpy scalar does not reach a report, once
     mode is known, alpha finite and positive, lam finite and >= 0 and step finite and > 0."""
-    if mode not in LOSS_MODES:
-        raise InvalidSetting(f"mode must be one of {LOSS_MODES}, got {mode!r}")
+    require_choice("mode", mode, LOSS_MODES)
     return (require_alpha(alpha), require_real("lam", lam, "non-negative"),
             require_real("step", step, "positive"))
 
@@ -139,10 +137,7 @@ def _check_loss(mode: str, alpha: float, lam: float,
 def hn_forward(logits, alpha: float) -> np.ndarray:
     """Generalized softmax head: exp(x_i - logsumexp(alpha * x)) along the last axis."""
     alpha = require_alpha(alpha)
-    x = _check_logits(logits)
-    d = _minus_logsumexp(x, alpha)
-    # below alpha = 1 a head value can pass finfo.max: exp would warn on its limit, inf
-    return np.exp(d, out=np.full(d.shape, np.inf), where=d <= _LOG_MAX)
+    return _head(_check_logits(logits), alpha)
 
 
 def _loss(x: np.ndarray, y: np.ndarray, mode: str, alpha: float, penalty: float,

@@ -68,9 +68,9 @@ from .distributions import (
 )
 from .errors import (
     EmptyIntersectionSupport,
-    InvalidSetting,
     OracleSupportEscapesModel,
     require_alpha,
+    require_choice,
 )
 from .logspace import NEG_INF, _soft_min_step
 from .bounds import _on_columns, _soft_bound_term
@@ -110,10 +110,8 @@ class ObjectiveConfig:
     prior: FiniteDistribution
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise InvalidSetting(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.assumption not in ASSUMPTIONS:
-            raise InvalidSetting(f"assumption must be one of {ASSUMPTIONS}, got {self.assumption!r}")
+        require_choice("kind", self.kind, KINDS)
+        require_choice("assumption", self.assumption, ASSUMPTIONS)
         object.__setattr__(self, "alpha", require_alpha(self.alpha))  # a report serializes
 
     @property

@@ -193,7 +193,7 @@ def _central_differences(values_fn: Callable[[Iterator[np.ndarray]], Sequence[fl
         for j in range(theta.size):
             for step in (h, -h):  # x + -h is x - h bit for bit
                 row = theta.copy()
-                row[j] += step
+                row.flat[j] += step  # each entry of theta is a coordinate, in C order
                 yield row
     values = values_fn(rows())
     # one entry at a time, in the values' own type: Python floats overflow to inf, and

@@ -56,7 +56,9 @@ one forward and one loss pass over both splits gave an epoch's record:
 backprop_by_label_index, split_loss and split_metrics.  The tests require
 train, and loss_and_grads over the first two, to match them bit for bit.
 soft_min_rows is logspace.soft_min along the last axis on the ndarray min
-and sum methods, before short rows were reduced column by column.
+and sum methods, before short rows were reduced column by column.  hn_forward is
+nn.hn_forward on keepdims_shifted, as it was while it masked exp past log(finfo.max)
+itself, before logspace._head let exp overflow to inf.
 
 likelihood_kind_kernel is objectives._bind for the likelihood kind as it was
 while that kind had a penalty term that was none: over the package's own
@@ -424,6 +426,20 @@ def keepdims_soft_min_step(a, alpha, weights=True):
     s, lse, m, quiet = keepdims_shifted(a, -alpha, -1, normalize=True)
     with quiet:
         return (m - lse / alpha).squeeze(-1), (np.exp(s - lse) if weights else None)
+
+
+_LOG_MAX = float(np.log(np.finfo(float).max))  # the largest x whose exp is finite
+
+
+def hn_forward(logits, alpha):
+    """nn.hn_forward as it was before the head moved into logspace: x - (alpha * m + lse)
+    in the context the reduction handed back, and exp masked to inf past log(finfo.max);
+    it skips the package's input checks."""
+    x = np.asarray(logits, dtype=float)
+    s, lse, m, quiet = keepdims_shifted(x, alpha, -1, normalize=True)
+    with quiet:
+        d = s - lse if alpha == 1.0 else x - (alpha * m + lse)
+    return np.exp(d, out=np.full(d.shape, np.inf), where=d <= _LOG_MAX)
 
 
 def keepdims_theta_logp(p, th):

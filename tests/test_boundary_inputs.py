@@ -14,7 +14,9 @@ step, tolerance, difference width, penalty weight or sweep setting is checked as
 real number and comes back as a Python float (errors.require_real).  A sweep's
 alphas and objectives must be collections of hashable items (InvalidSetting), and so
 must an outcome range's labels and a refinement's targets (MalformedRange), all
-through errors.as_labels.
+through errors.as_labels.  A refinement's and a parameterization's ranges, like a
+distribution's, may be given as label sequences.  A name (an objective's kind or
+assumption, a loss mode) must be a str among its choices (errors.require_choice).
 """
 
 import json
@@ -43,6 +45,7 @@ from maxprob import (
     alpha_skeleton,
     apply_parameterization,
     ascend,
+    coarsen,
     cross_entropy_loss,
     exhaustive_bound_oracle,
     fd_gradient,
@@ -459,3 +462,56 @@ class TestCollections:
         """Unhashable targets ended in a raw TypeError from the coarse-range lookup."""
         with pytest.raises(MalformedRange):
             Refinement(OutcomeRange(("a", "b")), OutcomeRange(("c",)), targets)
+
+    def test_refinement_onto_a_label_sequence(self):
+        """A coarse tuple stayed a tuple, and the target lookup ended in a raw
+        AttributeError ("'tuple' object has no attribute 'labels'")."""
+        r = Refinement(OutcomeRange(("a", "b")), ("c",), ("c", "c"))
+        assert r.coarse == OutcomeRange(("c",))
+
+    def test_refinement_from_a_label_sequence(self):
+        """A fine tuple stayed a tuple, and coarsen reported a RangeMismatch for a
+        distribution over those very labels."""
+        r = Refinement(("a", "b"), OutcomeRange(("c",)), ("c", "c"))
+        assert r.fine == OutcomeRange(("a", "b"))
+        coarse = coarsen(make_distribution(("a", "b"), [0.25, 0.75]), r)
+        assert coarse.range == OutcomeRange(("c",)) and coarse.logp.tolist() == [0.0]
+
+    @pytest.mark.parametrize("call", [lambda: Refinement(5, ("c",), ("c",)),
+                                      lambda: Refinement(("a",), 5, ("c",)),
+                                      lambda: Parameterization(2, 5),
+                                      lambda: Parameterization.sigmoid_bernoulli(5)],
+                             ids=["refinement fine", "refinement coarse", "parameterization",
+                                  "sigmoid_bernoulli"])
+    def test_range_of_a_number(self, call):
+        """A number ended in a raw TypeError ("object of type 'int' has no len()")."""
+        with pytest.raises(MalformedRange):
+            call()
+
+    def test_ascent_over_a_label_sequence(self):
+        """A sigmoid family over a list of labels kept the list, and ascend's range check
+        ended in a raw AttributeError."""
+        p = Parameterization.sigmoid_bernoulli(["1", "0"])
+        assert p == SIGMOID
+        cfg = AscentConfig(max_iters=5)
+        oracle = make_distribution(COIN, [0.7, 0.3])
+        want = ascend(CONFIG, oracle, SIGMOID, [0.0], cfg)
+        assert ascend(CONFIG, oracle, p, [0.0], cfg).thetas.tobytes() == want.thetas.tobytes()
+
+
+class TestChoices:
+    """A name given as an array ended in a raw ValueError ("The truth value of an array
+    with more than one element is ambiguous") from its `not in` check."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: ObjectiveConfig(np.array(["likelihood", "x"]), "cond-independent", 1.0, UNIFORM2),
+        lambda: ObjectiveConfig("likelihood", np.array(["cond-independent", "x"]), 1.0,
+                                UNIFORM2),
+        lambda: SweepSpec(0.5, assumption=np.array([1, 2])),
+        lambda: train(ToyNet(k=3, hidden=4, seed=0), DATA, mode=np.array([1, 2]), epochs=1),
+        lambda: loss_and_grads(ToyNet(k=3, hidden=4, seed=0), DATA.train_x[:4],
+                               DATA.train_y[:4], mode=np.array(["a", "b"])),
+    ], ids=["kind", "assumption", "sweep assumption", "train mode", "loss_and_grads mode"])
+    def test_array_name_is_an_invalid_setting(self, call):
+        with pytest.raises(InvalidSetting, match="must be one of"):
+            call()

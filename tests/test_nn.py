@@ -89,6 +89,25 @@ class TestHnForward:
         np.testing.assert_array_equal(hn_forward([[1.7e308, -1.7e308]], 0.25), [[np.inf, 0.0]])
         assert hn_forward([[1400.0, 0.0]], 0.5)[0, 0] == np.exp(700.0)  # finite, still exp
 
+    @pytest.mark.parametrize("alpha", [2.0 ** -1000, 0.25, 0.5, 2.0, 1e308])
+    def test_matches_the_masked_exp(self, alpha):
+        """exp under np.errstate overflows exactly where the frozen head's mask put inf:
+        on drawn rows, calm or not, and on rows (2 x, 0) at alpha 0.5, whose head value x
+        lies within 2000 ulps of log(finfo.max) on either side; batched and row by row."""
+        rng = np.random.default_rng(7)
+        edge = float(np.log(np.finfo(float).max))
+        ulps = np.nextafter(edge, np.inf) - edge
+        batches = [rng.normal(0.0, scale, (40, k)) for scale in (1.0, 30.0, 1e3, 1e300)
+                   for k in (1, 2, 3, 9)]
+        batches.append(np.array([[2.0 * (edge + i * ulps), 0.0] for i in range(-2000, 2001)]))
+        for x in batches:
+            want = reference.hn_forward(x, alpha)
+            assert hn_forward(x, alpha).tobytes() == want.tobytes(), (alpha, x)
+            for i in range(0, len(x), 97):
+                assert hn_forward(x[i], alpha).tobytes() == want[i].tobytes(), (alpha, x[i])
+        if alpha == 0.5:
+            assert np.isinf(want[2001:, 0]).all() and np.isfinite(want[:2001, 0]).all()
+
     def test_rejects_non_finite_logits(self):
         with pytest.raises(NonFiniteLogits):
             hn_forward(np.array([1.0, np.nan]), 2.0)

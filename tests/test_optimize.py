@@ -466,6 +466,20 @@ class TestFiniteDifferences:
         assert np.isnan(fd_gradient(lambda t: float("-inf"), [0.0])).all()
         assert fd_gradient(lambda t: float(t[0]) * 1e298, [0.0], 1e10)[0] == np.inf
 
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3)])
+    def test_each_entry_of_a_2d_theta_is_a_coordinate(self, shape):
+        """Each stencil row bumped a whole row of a 2-D theta, and the second of two rows
+        (or the second coordinate of one) ended in an IndexError; every entry is a
+        coordinate, in C order, as for the raveled theta."""
+        weights = np.arange(1.0, 7.0)[:np.prod(shape)]
+
+        def f(t):
+            return float((weights * t.ravel() ** 3).sum())
+        theta = np.linspace(-1.0, 2.0, weights.size).reshape(shape)
+        want = fd_gradient(lambda t: f(t.reshape(shape)), theta.ravel())
+        assert fd_gradient(f, theta).tobytes() == want.tobytes()
+        np.testing.assert_allclose(want, 3.0 * weights * theta.ravel() ** 2, rtol=1e-8)
+
     def test_scalar_form_holds_one_stencil_row_at_a_time(self):
         """At dim 2048 the whole stencil is 4096 x 2048 floats (64 MiB)."""
         tracemalloc.start()
