@@ -19,7 +19,8 @@ softmax_probability replaces the hard minimum with a smooth soft-minimum
 controlled by alpha > 0.  It never exceeds the hard bound, is non-decreasing
 in alpha, and converges to the hard bound as alpha grows, which makes it a
 differentiable surrogate suitable for gradient methods.  Its term builder,
-_soft_bound_term, is also the intersection objective's penalty term.
+_soft_bound_term, is also the intersection objective's penalty term, and
+_no_mass is the kernel of every term whose event is null: -inf, no vector.
 
 alpha_skeleton is the companion transform on distributions: raise mass to
 the alpha power and renormalize, sharpening (alpha > 1) or flattening
@@ -118,7 +119,7 @@ def softmax_probability(prior: FiniteDistribution, conditional: FiniteDistributi
     alpha = require_alpha(alpha)
     _require_ranges(prior.range, conditional)
     term = _soft_bound_term(conditional.support, prior.logp, alpha, gradient=False)
-    return NEG_INF if term is None else float(term(conditional.logp)[0])
+    return float(term(conditional.logp)[0])
 
 
 def _soft_bound_term(supp: np.ndarray, prior: np.ndarray, alpha: float, gradient: bool = True):
@@ -126,15 +127,20 @@ def _soft_bound_term(supp: np.ndarray, prior: np.ndarray, alpha: float, gradient
     softmax_probability of each row of a conditional (..., K) and, with gradient, its
     gradient in the row's log-probabilities, (conditional / prior) ** alpha on supp,
     normalized (else None).  Zero prior mass on supp makes the event null and the bound
-    -inf: NonFiniteEncountered with gradient, else None.  See the objectives term builders."""
+    -inf: NonFiniteEncountered with gradient, else _no_mass (see objectives' builders)."""
     prior_on = prior[supp]
     if (prior_on == NEG_INF).any():
         if gradient:
             raise NonFiniteEncountered(
                 "model mass on a zero-prior outcome makes the soft bound -inf; gradient undefined")
-        return None
+        return _no_mass
     return _on_columns(supp, lambda conditional: _soft_min_step(prior_on - conditional, alpha,
                                                                 gradient))
+
+
+def _no_mass(rows: np.ndarray):
+    """The kernel of a term whose event is null on rows (..., K): -inf per row, no vector."""
+    return np.full(rows.shape[:-1], NEG_INF), None
 
 
 def _on_columns(mask: np.ndarray, term):

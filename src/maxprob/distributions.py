@@ -18,7 +18,7 @@ All types here are immutable.  Operations return new objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Collection, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -207,31 +207,36 @@ class Refinement:
     targets[i] is the coarse label that fine outcome i maps to.  The map
     must be total over the fine range and surjective onto the coarse range;
     preimages of distinct coarse outcomes are disjoint by construction, so
-    the coarse variable is a well-defined function of the fine one.
+    the coarse variable is a well-defined function of the fine one.  The
+    preimages are grouped once, in coarse-label order, each ascending.
     """
 
     fine: OutcomeRange
     coarse: OutcomeRange
     targets: tuple[Label, ...]
+    _preimages: tuple[list[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fine", _as_range(self.fine))
         object.__setattr__(self, "coarse", _as_range(self.coarse))
-        targets, hit = as_labels("projection targets", self.targets, MalformedRange)
+        targets, _ = as_labels("projection targets", self.targets, MalformedRange)
         object.__setattr__(self, "targets", targets)
         if len(targets) != len(self.fine):
             raise DimensionMismatch(
                 f"projection lists {len(targets)} targets for {len(self.fine)} fine outcomes")
-        coarse_set = set(self.coarse.labels)
-        for t in targets:
-            if t not in coarse_set:
+        groups = {c: [] for c in self.coarse.labels}
+        for i, t in enumerate(targets):
+            if t not in groups:
                 raise RangeMismatch(f"projection target {t!r} not in coarse range")
-        if hit != coarse_set:
-            missing = coarse_set - hit
-            raise NonSurjectiveProjection(f"coarse outcomes with empty preimage: {sorted(map(str, missing))}")
+            groups[t].append(i)
+        missing = [str(c) for c, group in groups.items() if not group]
+        if missing:
+            raise NonSurjectiveProjection(f"coarse outcomes with empty preimage: {sorted(missing)}")
+        object.__setattr__(self, "_preimages", tuple(groups.values()))
 
     def preimage_indices(self, coarse_label: Label) -> np.ndarray:
-        return np.array([i for i, t in enumerate(self.targets) if t == coarse_label], dtype=int)
+        """Fine indices that map to coarse_label, ascending (LabelOutOfRange off the range)."""
+        return np.array(self._preimages[self.coarse.index(coarse_label)], dtype=int)
 
 
 def coarsen(dist: FiniteDistribution, r: Refinement) -> FiniteDistribution:
@@ -242,10 +247,7 @@ def coarsen(dist: FiniteDistribution, r: Refinement) -> FiniteDistribution:
     """
     if dist.range != r.fine:
         raise RangeMismatch("distribution range does not match the refinement's fine range")
-    preimages = {c: [] for c in r.coarse.labels}
-    for i, t in enumerate(r.targets):
-        preimages[t].append(i)
-    logp = np.array([logsumexp(dist.logp[fine]) for fine in preimages.values()])
+    logp = np.array([logsumexp(dist.logp[fine]) for fine in r._preimages])
     return FiniteDistribution.from_logp(r.coarse, logp)
 
 
@@ -279,10 +281,12 @@ class Parameterization:
         return Parameterization(1, rng)
 
     @staticmethod
-    def softmax_logits(rng: OutcomeRange | int) -> "Parameterization":
-        if not isinstance(rng, OutcomeRange):
+    def softmax_logits(rng: OutcomeRange | Sequence[Label] | int) -> "Parameterization":
+        """Every logit free, over a range, a collection of labels (no 0-d array) or a count."""
+        if not isinstance(rng, (OutcomeRange, Collection)) or getattr(rng, "ndim", 1) == 0:
             n = require_integer("outcome count", rng, most=MAX_OUTCOMES, error=DimensionMismatch)
-            rng = OutcomeRange(tuple(f"v{i}" for i in range(n)))
+            rng = tuple(f"v{i}" for i in range(n))
+        rng = _as_range(rng)
         return Parameterization(len(rng), rng)
 
 

@@ -41,13 +41,14 @@ which gives the term's value and its vector from one shifted array (see
 logspace); all three terms share one soft minimum (logspace._soft_min_step),
 the cond-independent likelihood at sharpness -1, where it is a log-sum-exp
 and its weights the posterior, and only the other two read alpha
-(ObjectiveConfig.reads_alpha).  One dispatch, _bind, binds a config's
-terms and returns one kernel that does only the arithmetic on the model
-rows: for evaluate, values_at_thetas, gradient_terms, and optimize.ascend,
-which binds the full support once and binds again only for an iterate
-past its divergence bound whose support differs.  Bound for the value
-alone, the kernel builds no vectors.  The entry points validate outcome
-ranges and finite parameters once per call.
+(ObjectiveConfig.reads_alpha).  A term whose event is null has the kernel
+bounds._no_mass, -inf per row and no vector.  _bind picks a config's terms
+by its assumption and kind and returns one kernel that does only the
+arithmetic on the model rows, and builds no vectors when bound for the
+value alone: for evaluate, values_at_thetas, gradient_terms and
+optimize.ascend, which binds the full support once and binds again only for
+an iterate past its divergence bound whose support differs.  The entry
+points validate outcome ranges and finite parameters once per call.
 """
 
 from __future__ import annotations
@@ -68,12 +69,13 @@ from .distributions import (
 )
 from .errors import (
     EmptyIntersectionSupport,
+    InvalidSetting,
     OracleSupportEscapesModel,
     require_alpha,
     require_choice,
 )
 from .logspace import NEG_INF, _soft_min_step
-from .bounds import _on_columns, _soft_bound_term
+from .bounds import _no_mass, _on_columns, _soft_bound_term
 
 __all__ = [
     "KINDS",
@@ -113,6 +115,8 @@ class ObjectiveConfig:
         require_choice("kind", self.kind, KINDS)
         require_choice("assumption", self.assumption, ASSUMPTIONS)
         object.__setattr__(self, "alpha", require_alpha(self.alpha))  # a report serializes
+        if not isinstance(self.prior, FiniteDistribution):
+            raise InvalidSetting(f"prior must be a FiniteDistribution, got {self.prior!r}")
 
     @property
     def dropped_constant_terms(self) -> tuple[str, ...]:
@@ -121,10 +125,9 @@ class ObjectiveConfig:
 
     @property
     def reads_alpha(self) -> bool:
-        """Whether either term's builder reads alpha; if not, every alpha gives the same
-        values bit for bit (see _ALPHA_TERMS)."""
-        return not {_LIKELIHOOD_TERMS[self.assumption],
-                    _PENALTY_TERMS[self.kind]}.isdisjoint(_ALPHA_TERMS)
+        """Whether a term is a soft minimum at sharpness alpha, the subset likelihood or the
+        soft bound; if not, every alpha gives the same values bit for bit."""
+        return self.assumption == "oracle-subset" or self.kind == "intersection"
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,16 +157,14 @@ def _ratio_argmax_set(oracle: FiniteDistribution, prior: FiniteDistribution) -> 
     return ratios == np.inf if top == np.inf else ratios >= top - ARGMAX_LOG_TOL
 
 
-# Term builders.  Each binds one term to the model's support mask supp (K,), the
-# oracle's and the prior's log-probabilities (K,) and alpha: it builds the term's
-# column masks and constant columns once, and returns a kernel that maps the
-# model's log-probabilities (..., K), whose rows share supp, to the term's value
-# (...) and, with gradient, its attraction or repulsion (..., K) (else None).
-# Each checks the support its term is defined on, once, as it binds: where the
-# term's value is -inf and it has no vector, a builder bound for the gradient
-# raises, and one bound for the value alone returns None in place of a kernel.
-# The likelihood kind has no penalty builder: _bind itself gives exp(model) as its
-# repulsion and adds nothing to the likelihood term's value.
+# Term builders.  Each binds one term to the model's support mask supp (K,) and what
+# the term reads of the oracle's and the prior's log-probabilities (K,) and alpha: it
+# builds the term's column masks and constant columns once, and returns a kernel that
+# maps the model's log-probabilities (..., K), whose rows share supp, to the term's
+# value (...) and, with gradient, its attraction or repulsion (..., K) (else None).
+# Each checks the support its term is defined on, once, as it binds: where the term's
+# event is null, its value is -inf and it has no vector, so a builder bound for the
+# gradient raises, and one bound for the value alone returns bounds._no_mass.
 #
 # A kernel picks its columns with compress (bounds._on_columns), which keeps the
 # rows C-ordered: each row then sums in the same order as a single 1-D row, so a
@@ -176,7 +177,7 @@ def _ratio_argmax_set(oracle: FiniteDistribution, prior: FiniteDistribution) -> 
 
 
 def _independent_term(supp: np.ndarray, oracle: np.ndarray, prior: np.ndarray,
-                      alpha: float, gradient: bool = True):
+                      gradient: bool = True):
     """log P(M* | M) up to the constant log P(M*), and the posterior given both events.
 
     The value is log sum_v oracle(v) * model(v) / prior(v) over the joint
@@ -188,14 +189,13 @@ def _independent_term(supp: np.ndarray, oracle: np.ndarray, prior: np.ndarray,
         if gradient:
             raise EmptyIntersectionSupport(
                 "model, oracle, and prior share no supported outcome; the joint event is null")
-        return None
+        return _no_mass
     oracle_on, prior_on = oracle[joint], prior[joint]
     return _on_columns(joint, lambda model: _soft_min_step(model + oracle_on - prior_on, -1.0,
                                                            gradient))
 
 
-def _subset_term(supp: np.ndarray, oracle: np.ndarray, prior: np.ndarray,
-                 alpha: float, gradient: bool = True):
+def _subset_term(supp: np.ndarray, oracle: np.ndarray, alpha: float, gradient: bool = True):
     """Soft minimum over the oracle's support of log model(v) - log oracle(v), and the
     attraction (oracle/model) ** alpha there, normalized.
 
@@ -212,31 +212,20 @@ def _subset_term(supp: np.ndarray, oracle: np.ndarray, prior: np.ndarray,
     return _on_columns(osupp, lambda model: _soft_min_step(model - oracle_on, alpha, gradient))
 
 
-_LIKELIHOOD_TERMS = {"cond-independent": _independent_term, "oracle-subset": _subset_term}
-
-_PENALTY_TERMS = {"likelihood": None, "intersection": _soft_bound_term}
-
-# The builders that read alpha: both soft minima.  A config with neither term here,
-# the cond-independent likelihood, is alpha-free (ObjectiveConfig.reads_alpha).
-_ALPHA_TERMS = frozenset({_subset_term, _soft_bound_term})
-
-
-def _bind(config: ObjectiveConfig, supp: np.ndarray, oracle: np.ndarray,
-          gradient: bool = True):
+def _bind(config: ObjectiveConfig, supp: np.ndarray, oracle: np.ndarray, gradient: bool = True):
     """config's kernel for models whose rows share the support mask supp, against the
     oracle's log-probabilities: model (..., K) -> (value, attraction, repulsion), the
     vectors None without gradient.  Each term checks its support as it binds, the
-    likelihood first; where a term's value is -inf, the kernel gives -inf values.  The
-    likelihood kind's kernel gives the likelihood term's value as it is, and the model
-    itself, exp(model), as the repulsion."""
+    likelihood first.  A null term's -inf plus the other's value, finite or -inf, is -inf.
+    The likelihood kind has no penalty: its value is the likelihood term's, its repulsion
+    the model itself, exp(model)."""
     prior, alpha = config.prior.logp, config.alpha
-    likelihood = _LIKELIHOOD_TERMS[config.assumption](supp, oracle, prior, alpha, gradient)
-    builder = _PENALTY_TERMS[config.kind]
-    penalty = builder and builder(supp, prior, alpha, gradient)
-    if likelihood is None or (builder and penalty is None):
-        return lambda model: (np.full(model.shape[:-1], NEG_INF), None, None)
-    if builder is None:
+    likelihood = (_subset_term(supp, oracle, alpha, gradient)
+                  if config.assumption == "oracle-subset"
+                  else _independent_term(supp, oracle, prior, gradient))
+    if config.kind == "likelihood":
         return lambda model: likelihood(model) + ((np.exp(model) if gradient else None),)
+    penalty = _soft_bound_term(supp, prior, alpha, gradient)
 
     def kernel(model: np.ndarray):
         lik, attraction = likelihood(model)

@@ -540,10 +540,9 @@ def ascend_stepwise(config, oracle, p, theta0, cfg) -> AscentTrace:
 
 def likelihood_kind_kernel(config, supp, oracle, gradient=True):
     """objectives._bind for the likelihood kind, which added its penalty's -0.0."""
-    likelihood = objectives._LIKELIHOOD_TERMS[config.assumption](
-        supp, oracle, config.prior.logp, config.alpha, gradient)
-    if likelihood is None:
-        return lambda model: (np.full(model.shape[:-1], NEG_INF), None, None)
+    likelihood = (objectives._subset_term(supp, oracle, config.alpha, gradient)
+                  if config.assumption == "oracle-subset"
+                  else objectives._independent_term(supp, oracle, config.prior.logp, gradient))
 
     def kernel(model):
         lik, attraction = likelihood(model)

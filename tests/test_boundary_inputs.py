@@ -30,6 +30,8 @@ from hypothesis import strategies as st
 from maxprob import (
     AscentConfig,
     DimensionMismatch,
+    DomainError,
+    EmptyRange,
     FiniteDistribution,
     InvalidSetting,
     MalformedRange,
@@ -72,7 +74,7 @@ from maxprob import (
 )
 from maxprob.acceptance import run_criterion
 from maxprob.bernoulli import report_to_jsonable
-from maxprob.distributions import MAX_OUTCOMES
+from maxprob.distributions import MAX_OUTCOMES, _as_range
 from maxprob.errors import as_array
 from maxprob.optimize import MAX_MC_SAMPLES
 
@@ -242,6 +244,8 @@ class TestIntegerSettings:
     def test_non_integer_is_a_domain_error(self, name, value):
         """InvalidSetting, or DimensionMismatch for a parameterization's size."""
         assume(value is not None or name != "train batch_size")  # None is the full batch
+        # text and lists are label sequences there (TestCollections)
+        assume(not isinstance(value, (str, list)) or name != "softmax_logits outcome count")
         error = DimensionMismatch if name.startswith(("Param", "softmax")) else InvalidSetting
         with pytest.raises(error):
             SETTINGS[name](value)
@@ -488,6 +492,23 @@ class TestCollections:
         with pytest.raises(MalformedRange):
             call()
 
+    @given(st.one_of(st.text(max_size=2), st.integers(1, 5).map(lambda n: [n]),
+                     st.just(("a", "b"))))
+    def test_softmax_logits_over_a_label_sequence(self, labels):
+        """A label sequence was taken for a count and ended in DimensionMismatch ("outcome
+        count must be an integer"); it is a range, as _as_range makes one, or its error."""
+        try:
+            rng = _as_range(labels)
+        except DomainError as exc:
+            with pytest.raises(type(exc)):
+                Parameterization.softmax_logits(labels)
+        else:
+            assert Parameterization.softmax_logits(labels) == Parameterization(len(rng), rng)
+
+    def test_softmax_logits_over_empty_text(self):
+        with pytest.raises(EmptyRange):
+            Parameterization.softmax_logits("")
+
     def test_ascent_over_a_label_sequence(self):
         """A sigmoid family over a list of labels kept the list, and ascend's range check
         ended in a raw AttributeError."""
@@ -514,4 +535,18 @@ class TestChoices:
     ], ids=["kind", "assumption", "sweep assumption", "train mode", "loss_and_grads mode"])
     def test_array_name_is_an_invalid_setting(self, call):
         with pytest.raises(InvalidSetting, match="must be one of"):
+            call()
+
+
+class TestObjectivePrior:
+    """A prior that is no distribution was kept as it was: a config constructed, and its
+    first evaluate ended in a raw AttributeError ("... has no attribute 'logp'")."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: ObjectiveConfig("likelihood", "cond-independent", 1.0, None),
+        lambda: ObjectiveConfig("likelihood", "cond-independent", 1.0, "prior.json"),
+        lambda: SweepSpec(1.0, prior="x"),
+    ], ids=["None", "a path", "sweep prior"])
+    def test_is_an_invalid_setting(self, call):
+        with pytest.raises(InvalidSetting, match="prior must be a FiniteDistribution"):
             call()

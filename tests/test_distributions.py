@@ -165,6 +165,13 @@ class TestRefinement:
         r = Refinement(fine, coarse, ("x", "y", "x"))
         np.testing.assert_array_equal(r.preimage_indices("x"), [0, 2])
 
+    @pytest.mark.parametrize("label", ["zzz", ["x"], None])
+    def test_preimage_of_a_label_off_the_coarse_range(self, label):
+        """LabelOutOfRange, as OutcomeRange.index raises, not an empty preimage."""
+        r = Refinement(OutcomeRange(("a", "b")), OutcomeRange(("x",)), ("x", "x"))
+        with pytest.raises(LabelOutOfRange):
+            r.preimage_indices(label)
+
 
 @st.composite
 def refinement_instances(draw):
@@ -197,6 +204,20 @@ def labelled_refinements(draw):
     logp = draw(st.lists(st.one_of(st.just(NEG_INF), st.floats(-50.0, 5.0)),
                          min_size=n, max_size=n).filter(lambda lp: max(lp) > NEG_INF))
     return r, FiniteDistribution.from_logp(fine, logp)
+
+
+class TestPreimages:
+    @given(labelled_refinements())
+    def test_match_the_scan_of_every_target(self, case):
+        """Each preimage is the scan of the targets for its coarse label, as a fresh int
+        array: writing to one leaves the refinement as it was."""
+        r, _ = case
+        for c in r.coarse.labels:
+            want = np.array([i for i, t in enumerate(r.targets) if t == c], dtype=int)
+            got = r.preimage_indices(c)
+            assert_array_bits(got, want)
+            got[:] = -1
+            assert_array_bits(r.preimage_indices(c), want)
 
 
 class TestCoarsen:

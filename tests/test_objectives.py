@@ -9,6 +9,7 @@ from maxprob import (
     DomainError,
     EmptyIntersectionSupport,
     InvalidSetting,
+    NonFiniteEncountered,
     NonFiniteParameter,
     NonPositiveAlpha,
     ObjectiveConfig,
@@ -25,7 +26,10 @@ from maxprob import (
     values_at_thetas,
 )
 from maxprob.distributions import _theta_logp
-from maxprob.objectives import ASSUMPTIONS, _ratio_argmax_set, _values_of_rows
+from maxprob.bounds import _soft_bound_term
+from maxprob.logspace import NEG_INF
+from maxprob.objectives import (ASSUMPTIONS, _independent_term, _ratio_argmax_set,
+                                _values_of_rows)
 
 COIN = OutcomeRange(("1", "0"))
 TRIAD = OutcomeRange(("a", "b", "c"))
@@ -370,3 +374,30 @@ class TestLikelihoodKindKernel:
             config, oracle, _theta_logp(p, np.array(rows))))
         assert same_bits(result_or_error(lambda: values_at_thetas(config, oracle, p, rows)),
                          want)
+
+
+class TestNullTermKernel:
+    """A term builder bound for the value alone returns a kernel where its event is null,
+    never None: -inf per row and no vector.  Bound for the gradient, it raises."""
+
+    BUILDERS = {  # name: (build(gradient), the error it raises with gradient)
+        "independent, no joint support": (lambda gradient: _independent_term(
+            np.array([True, True]), np.array([0.0, NEG_INF]), np.array([NEG_INF, 0.0]),
+            gradient), EmptyIntersectionSupport),
+        "soft bound, zero prior on the support": (lambda gradient: _soft_bound_term(
+            np.array([True, True]), np.array([0.0, NEG_INF]), 2.0, gradient),
+            NonFiniteEncountered),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    @pytest.mark.parametrize("rows", [np.log([0.25, 0.75]), np.log([[0.5, 0.5], [0.25, 0.75]])],
+                             ids=["row", "batch"])
+    def test_value_only_kernel_gives_minus_inf(self, name, rows):
+        build, error = self.BUILDERS[name]
+        kernel = build(False)
+        assert kernel is not None
+        value, vector = kernel(rows)
+        assert vector is None
+        assert np.shape(value) == rows.shape[:-1] and (np.asarray(value) == NEG_INF).all()
+        with pytest.raises(error):
+            build(True)
