@@ -102,6 +102,11 @@ def criterion_01_coin_bounds() -> tuple[bool, str]:
                 f"(best of {COIN_TIMING_REPEATS})")
 
 
+def _random_surjection(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+    """n indices in [0, m), each of the m hit at least once, in random order."""
+    return rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)]))
+
+
 def _random_atom_space(rng: np.random.Generator):
     """Sample space with integer-weight atoms and a surjective outcome map."""
     n_atoms = int(rng.integers(2, 13))
@@ -109,14 +114,10 @@ def _random_atom_space(rng: np.random.Generator):
     weights = rng.integers(1, 21, size=n_atoms).astype(float)
     atom_probs = weights / weights.sum()
     labels = [f"v{i}" for i in range(n_out)]
-    assignment = np.concatenate([np.arange(n_out), rng.integers(0, n_out, size=n_atoms - n_out)])
-    assignment = rng.permutation(assignment)
+    assignment = _random_surjection(rng, n_atoms, n_out)
     vmap = [labels[a] for a in assignment]
     out_range = OutcomeRange(tuple(labels))
-    marginal = np.zeros(n_out)
-    for a, p in zip(assignment, atom_probs):
-        marginal[a] += p
-    prior = make_distribution(out_range, marginal)
+    prior = make_distribution(out_range, np.bincount(assignment, atom_probs, n_out))
     return atom_probs, assignment, vmap, out_range, prior
 
 
@@ -138,10 +139,7 @@ def criterion_02_bound_vs_enumeration() -> tuple[bool, str]:
             mask = rng.integers(0, 2, size=n_atoms).astype(bool)
             if atom_probs[mask].sum() > 0:
                 break
-        sub_mass = np.zeros(len(out_range))
-        for a, p, keep in zip(assignment, atom_probs, mask):
-            if keep:
-                sub_mass[a] += p
+        sub_mass = np.bincount(assignment[mask], atom_probs[mask], len(out_range))
         event_prob = float(sub_mass.sum())
         conditional = make_distribution(out_range, sub_mass / event_prob)
         found = exhaustive_bound_oracle(atom_probs, vmap, conditional)
@@ -164,16 +162,16 @@ def criterion_02_bound_vs_enumeration() -> tuple[bool, str]:
             f"200 spaces; max oracle-bound excess {worst_gap:.1e}; degenerate gap {worst_deg:.1e}")
 
 
-def _random_distribution(rng: np.random.Generator, labels: tuple, allow_zeros: bool,
+def _random_distribution(rng: np.random.Generator, outcomes: OutcomeRange, allow_zeros: bool,
                          ) -> FiniteDistribution:
-    n = len(labels)
+    n = len(outcomes)
     weights = rng.integers(1, 21, size=n).astype(float)
     if allow_zeros and n > 1:
         kill = rng.random(n) < 0.25
         if kill.all():
             kill[int(rng.integers(0, n))] = False
         weights[kill] = 0.0
-    return make_distribution(OutcomeRange(labels), weights / weights.sum())
+    return make_distribution(outcomes, weights / weights.sum())
 
 
 def criterion_03_refinement_monotonicity() -> tuple[bool, str]:
@@ -185,11 +183,10 @@ def criterion_03_refinement_monotonicity() -> tuple[bool, str]:
         m = int(rng.integers(1, n + 1))
         fine = OutcomeRange(tuple(f"f{i}" for i in range(n)))
         coarse = OutcomeRange(tuple(f"c{j}" for j in range(m)))
-        assignment = rng.permutation(
-            np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)]))
+        assignment = _random_surjection(rng, n, m)
         ref = Refinement(fine, coarse, tuple(coarse.labels[a] for a in assignment))
-        prior = _random_distribution(rng, fine.labels, allow_zeros=True)
-        conditional = _random_distribution(rng, fine.labels, allow_zeros=True)
+        prior = _random_distribution(rng, fine, allow_zeros=True)
+        conditional = _random_distribution(rng, fine, allow_zeros=True)
         report = check_extension_monotonicity(prior, conditional, ref)
         if not report.holds:
             return False, (f"violated: fine {report.fine.log_max_probability!r} "
@@ -209,9 +206,9 @@ def criterion_04_soft_bound_chain() -> tuple[bool, str]:
     worst_rel = 0.0
     for _ in range(1000):
         n = int(rng.integers(2, 9))
-        labels = tuple(f"v{i}" for i in range(n))
-        prior = _random_distribution(rng, labels, allow_zeros=False)
-        conditional = _random_distribution(rng, labels, allow_zeros=True)
+        outcomes = OutcomeRange(tuple(f"v{i}" for i in range(n)))
+        prior = _random_distribution(rng, outcomes, allow_zeros=False)
+        conditional = _random_distribution(rng, outcomes, allow_zeros=True)
         hard = max_probability(prior, conditional).log_max_probability
         prev = -np.inf
         for a in alphas:
@@ -252,7 +249,7 @@ def criterion_05_gradients_match_fd() -> tuple[bool, str]:
                     if rng.random() < 0.5:
                         prior = uniform_distribution(p.range)
                     else:
-                        prior = _random_distribution(rng, p.range.labels, allow_zeros=False)
+                        prior = _random_distribution(rng, p.range, allow_zeros=False)
                     config = ObjectiveConfig(kind, assumption, float(rng.choice(alphas)), prior)
                     analytic = gradient_at_theta(config, oracle, p, theta).d_theta
                     if np.min(np.abs(analytic)) < 1e-3:

@@ -51,6 +51,7 @@ from .errors import (
     NonFiniteEncountered,
     SpaceTooLarge,
     as_array,
+    as_labels,
     require_alpha,
     require_real,
 )
@@ -223,6 +224,7 @@ def exhaustive_bound_oracle(atom_probs: Sequence[float], variable_map: Sequence[
     if n > MAX_ORACLE_ATOMS:
         raise SpaceTooLarge(f"{n} atoms would need 2**{n} subsets; cap is {MAX_ORACLE_ATOMS}")
     _check_probs(p)
+    variable_map, _ = as_labels("variable_map", variable_map, LabelOutOfRange)
     if len(variable_map) != n:
         raise LabelOutOfRange("variable_map must assign an outcome to every atom")
     cols = np.array([conditional.range.index(lab) for lab in variable_map], dtype=int)

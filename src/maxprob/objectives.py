@@ -71,6 +71,7 @@ from .errors import (
     EmptyIntersectionSupport,
     InvalidSetting,
     OracleSupportEscapesModel,
+    as_array,
     require_alpha,
     require_choice,
 )
@@ -138,11 +139,11 @@ class GradientVector:
     d_theta: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.d_logp, dtype=float)
+        d = as_array(self.d_logp)
         d.setflags(write=False)
         object.__setattr__(self, "d_logp", d)
         if self.d_theta is not None:
-            t = np.asarray(self.d_theta, dtype=float)
+            t = as_array(self.d_theta)
             t.setflags(write=False)
             object.__setattr__(self, "d_theta", t)
 

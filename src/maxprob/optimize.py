@@ -77,7 +77,7 @@ class AscentTrace:
 
     def __post_init__(self) -> None:
         for name in ("thetas", "values", "grad_norms"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = as_array(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -80,7 +80,8 @@ the text of the CSV's last row: one json.dumps of the whole dict, with
 final_theta a list of floats and every infinite float made a string.
 
 coarsen is distributions.coarsen as it was while it scanned every target once
-per coarse label; the tests require the one-pass grouping to match its bytes.
+per coarse label: it reads r.targets, not the groups the refinement stores, and
+the tests require the one-pass grouping to match its bytes.
 """
 
 from __future__ import annotations
@@ -805,9 +806,10 @@ def csv_text(header, rows) -> str:
 
 def coarsen(dist, r) -> FiniteDistribution:
     """distributions.coarsen as it was before one pass over the targets grouped the
-    preimages: Refinement.preimage_indices scans every target for each coarse label."""
-    logp = np.array([logspace.logsumexp(dist.logp[r.preimage_indices(c)])
-                     for c in r.coarse.labels])
+    preimages: each coarse label, in order, scans every target for its fine indices."""
+    preimages = ([i for i, t in enumerate(r.targets) if t == c] for c in r.coarse.labels)
+    logp = np.array([logspace.logsumexp(dist.logp[np.array(fine, dtype=int)])
+                     for fine in preimages])
     return FiniteDistribution.from_logp(r.coarse, logp)
 
 

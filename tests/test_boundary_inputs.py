@@ -29,11 +29,14 @@ from hypothesis import strategies as st
 
 from maxprob import (
     AscentConfig,
+    AscentTrace,
     DimensionMismatch,
     DomainError,
     EmptyRange,
     FiniteDistribution,
+    GradientVector,
     InvalidSetting,
+    LabelOutOfRange,
     MalformedRange,
     NonFiniteEncountered,
     NonFiniteParameter,
@@ -134,6 +137,9 @@ RAGGED_CALLS = {
     "grid_argmax values": lambda r, labels: grid_argmax(lambda grid: r, [0.0, 1.0]),
     "exhaustive_bound_oracle": lambda r, labels: exhaustive_bound_oracle(
         r, ["1", "0"], UNIFORM2),
+    "GradientVector d_logp": lambda r, labels: GradientVector(r),
+    "GradientVector d_theta": lambda r, labels: GradientVector([0.0], r),
+    "AscentTrace": lambda r, labels: AscentTrace(r, [0.0], [0.0], "max_iters"),
 }
 
 
@@ -194,6 +200,23 @@ class TestNonNumericEntries:
     def test_float_array_passes_unlooked_at(self):
         x = np.array([np.nan, 1.0])
         assert as_array(x) is x
+
+
+class TestResultTypes:
+    """GradientVector and AscentTrace converted their arrays with a bare np.asarray: None
+    became a silent NaN, and text or ragged nesting ended in a raw ValueError (see
+    RAGGED_CALLS for the arrays)."""
+
+    def test_text_is_no_array(self):
+        with pytest.raises(NonNumericEntry):
+            GradientVector([0.0], "x")
+
+    def test_float_arrays_are_kept_uncopied(self):
+        a, b, c = np.zeros((2, 1)), np.zeros(2), np.ones(2)
+        g = GradientVector(b, c)
+        trace = AscentTrace(a, b, c, "max_iters")
+        assert g.d_logp is b and g.d_theta is c
+        assert trace.thetas is a and trace.values is b and trace.grad_norms is c
 
 
 class TestShapes:
@@ -460,6 +483,12 @@ class TestCollections:
         want = max_probability(uniform_distribution(("a", "b")),
                                make_distribution(["a", "b"], [0.9, 0.1]))
         assert got == want
+
+    @pytest.mark.parametrize("variable_map", [None, 3, (["1"], ["0"])], ids=repr)
+    def test_oracle_variable_map_of_no_labels(self, variable_map):
+        """A variable_map that is no collection ended in a raw TypeError from len()."""
+        with pytest.raises(LabelOutOfRange, match="variable_map must be a collection"):
+            exhaustive_bound_oracle([0.5, 0.5], variable_map, UNIFORM2)
 
     @pytest.mark.parametrize("targets", [(["c"], ["c"]), None], ids=repr)
     def test_refinement_of_unhashable_targets(self, targets):
