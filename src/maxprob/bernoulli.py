@@ -28,7 +28,7 @@ from .distributions import (
     _require_ranges,
     _theta_logp,
 )
-from .errors import InvalidSetting, as_labels, require_real
+from .errors import InvalidSetting, _read_only, as_labels, require_real
 from .objectives import ObjectiveConfig, _values_of_rows
 
 __all__ = [
@@ -70,8 +70,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         for name in ("objectives", "alphas"):
             object.__setattr__(self, name, as_labels(name, getattr(self, name), InvalidSetting)[0])
-        prior = (self.prior if self.prior is not None
-                 else uniform_distribution(Parameterization.sigmoid_bernoulli().range))
+        coin = Parameterization.sigmoid_bernoulli().range
+        prior = self.prior if self.prior is not None else uniform_distribution(coin)
         object.__setattr__(self, "_configs", tuple(
             ObjectiveConfig(kind, self.assumption, alpha, prior)
             for kind in self.objectives for alpha in self.alphas))
@@ -89,6 +89,7 @@ class SweepSpec:
         # the rounded count can put the last point up to half a step past grid_max
         if not math.isfinite(self.grid_min + (count - 1) * self.grid_step):
             raise InvalidSetting(f"grid {bounds!r} ends beyond the float range")
+        _require_ranges(coin, prior)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +102,8 @@ class SweepCurve:
     flatness: float  # value range over the middle half of the grid
 
     def __post_init__(self) -> None:
-        self.thetas.setflags(write=False)
-        self.values.setflags(write=False)
+        for name in ("thetas", "values"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     @property
     def argmax_theta(self) -> float:
@@ -144,8 +145,7 @@ def run_sweep(spec: SweepSpec) -> SweepReport:
     grid = theta_grid(spec)
     quarter = len(grid) // 4
     middle = slice(quarter, max(quarter + 1, len(grid) - quarter))
-    # values_at_thetas' range check and model, once; the spec's checks leave the grid finite
-    _require_ranges(p.range, oracle, spec._configs[0].prior)
+    # values_at_thetas' model, once; the spec checked its prior's range and left the grid finite
     model = _theta_logp(p, grid[:, np.newaxis])
     curves = []
     for config in spec._configs:

@@ -243,8 +243,6 @@ def exhaustive_bound_oracle(atom_probs: Sequence[float], variable_map: Sequence[
         outcome_mass = bits.astype(float) @ atom_by_outcome   # (subsets, outcomes)
         event_prob = outcome_mass.sum(axis=1)
         positive = event_prob > 0
-        if not np.any(positive):
-            continue
         induced = outcome_mass[positive] / event_prob[positive, None]
         matches = np.all(np.abs(induced - target[None, :]) <= ORACLE_MATCH_TOL, axis=1)
         if np.any(matches):

@@ -133,12 +133,9 @@ def _emit_csv(header: Sequence[str], blocks: Iterable, out: Optional[str]) -> li
 
 def _floats_csv(text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one value")
-    return values
 
 
 def _names_csv(text: str) -> tuple[str, ...]:

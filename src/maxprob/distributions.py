@@ -35,6 +35,7 @@ from .errors import (
     NonSurjectiveProjection,
     RangeMismatch,
     SumOutOfTolerance,
+    _read_only,
     as_array,
     as_labels,
     require_integer,
@@ -134,8 +135,7 @@ class FiniteDistribution:
         if not abs(np.expm1(total)) <= SUM_REJECT_TOL:
             raise SumOutOfTolerance(
                 f"probabilities sum to {float(np.exp(total))!r}, beyond tolerance {SUM_REJECT_TOL}")
-        lp.setflags(write=False)
-        object.__setattr__(self, "_logp", lp)
+        object.__setattr__(self, "_logp", _read_only(lp))
 
     @staticmethod
     def from_logp(rng: OutcomeRange | Sequence[Label], logp: Sequence[float],

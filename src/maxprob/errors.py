@@ -9,7 +9,7 @@ Each helper checks one kind of input and returns the checked value: require_real
 real number as a float, require_alpha a finite alpha > 0 as one, require_integer an int or
 numpy integer in [least, most] (a bound of None is none) as an int, require_choice a str
 among a setting's names as itself, as_labels a collection of hashable items as (tuple, set),
-and as_array real entries as a float array.
+and as_array real entries as a float array, which _read_only freezes for the types that hold one.
 """
 
 from __future__ import annotations
@@ -215,4 +215,11 @@ def as_array(values, dtype=float) -> np.ndarray:
     if (x is not values and x.dtype.kind == "f" and np.isnan(x).any()
             and np.equal(np.asarray(values, dtype=object), None).any()):
         raise NonNumericEntry("array entries must be real numbers, got None")
+    return x
+
+
+def _read_only(values, dtype=float) -> np.ndarray:
+    """as_array(values, dtype), read-only: an array of dtype is frozen in place, not copied."""
+    x = as_array(values, dtype)
+    x.setflags(write=False)
     return x

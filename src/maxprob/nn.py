@@ -25,11 +25,11 @@ times the squared weight-matrix entries.
 
 Training runs through one loss kernel (_loss) and one hand-written backward
 pass (_backprop) on numpy arrays; there is no autodiff anywhere, which is
-what makes the finite-difference audit in the test suite meaningful.  train
-checks every setting and both splits once; a minibatch then checks only
-that its logits are finite, which is how a diverging run is reported: numpy's
-overflow and invalid-value warnings are off for the whole run.  The report
-reads its seeds from the network and the dataset, which record them.
+what makes the finite-difference audit in the test suite meaningful.  A
+ToyDataset checks its splits where it is made, and train checks its settings
+once; a minibatch then checks only that its logits are finite, which is how a
+diverging run is reported: numpy's overflow and invalid-value warnings are off
+for the whole run.  The report reads its seeds from the network and the dataset.
 train concatenates the six tensors into one flat weight vector, and after it
 net.params holds views into that vector: _backprop writes each minibatch's
 gradients into views of a second one, and one subtraction updates them all.
@@ -58,8 +58,10 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidSetting,
     LabelOutOfRange,
     NonFiniteLogits,
+    _read_only,
     as_array,
     require_alpha,
     require_choice,
@@ -104,10 +106,6 @@ def _finite(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _check_logits(logits) -> np.ndarray:
-    return _finite(as_array(logits))
-
-
 def _check_batch(rows, labels, k: Optional[int] = None,
                  width: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
     """(rows, labels as ints) for n >= 1 rows (of the given width) and n integer labels
@@ -137,7 +135,7 @@ def _check_loss(mode: str, alpha: float, lam: float,
 def hn_forward(logits, alpha: float) -> np.ndarray:
     """Generalized softmax head: exp(x_i - logsumexp(alpha * x)) along the last axis."""
     alpha = require_alpha(alpha)
-    return _head(_check_logits(logits), alpha)
+    return _head(_finite(as_array(logits)), alpha)
 
 
 def _loss(x: np.ndarray, y: np.ndarray, mode: str, alpha: float, penalty: float,
@@ -166,13 +164,13 @@ def _penalty(net: "ToyNet", mode: str, lam: float) -> float:
 def intersection_loss(batch_logits, labels, alpha: float) -> float:
     """Mean of -log p[y] + (1/alpha) * log sum_y p_y ** alpha over the batch."""
     alpha = require_alpha(alpha)
-    x, y = _check_batch(_check_logits(batch_logits), labels)
+    x, y = _check_batch(_finite(as_array(batch_logits)), labels)
     return _loss(x, y, "intersection", alpha, 0.0)[0][0]
 
 
 def cross_entropy_loss(batch_logits, labels) -> float:
     """Mean negative log softmax probability of the true labels."""
-    x, y = _check_batch(_check_logits(batch_logits), labels)
+    x, y = _check_batch(_finite(as_array(batch_logits)), labels)
     # -0.0 is the exact additive identity: a saturated batch keeps its -0.0 loss
     return _loss(x, y, "ce-l2", 1.0, -0.0)[0][0]
 
@@ -188,7 +186,7 @@ def regularizer_bound(k: int, alpha: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ToyDataset:
-    """Gaussian blobs on a circle; balanced labels assigned round-robin."""
+    """Gaussian blobs on a circle, labels round-robin; checked and copied where it is made."""
 
     train_x: np.ndarray
     train_y: np.ndarray
@@ -198,8 +196,12 @@ class ToyDataset:
     seed: int
 
     def __post_init__(self) -> None:
-        for name in ("train_x", "train_y", "test_x", "test_y"):
-            getattr(self, name).setflags(write=False)
+        for name, least, most in (("k", 1, MAX_TOY_CLASSES), ("seed", 0, None)):
+            object.__setattr__(self, name, require_integer(name, getattr(self, name), least, most))
+        for split in ("train", "test"):  # a copy of the points, so the caller's stays writable
+            x, y = _check_batch(getattr(self, f"{split}_x"), getattr(self, f"{split}_y"), self.k, 2)
+            object.__setattr__(self, f"{split}_x", _read_only(x.copy()))
+            object.__setattr__(self, f"{split}_y", _read_only(y, int))  # already a copy, by astype
 
 
 def make_toy_dataset(k: int = 3, seed: int = 0) -> ToyDataset:
@@ -365,12 +367,13 @@ def train(net: ToyNet, data: ToyDataset, mode: str = "intersection", alpha: floa
     exactly reproducible.  Epoch 0 records the untouched initial network.
     """
     alpha, lam, step = _check_loss(mode, alpha, lam, step)
+    if not isinstance(data, ToyDataset):
+        raise InvalidSetting(f"data must be a ToyDataset, got {data!r}")
     if data.k != net.k:
         raise DimensionMismatch(f"the data has {data.k} classes, the net {net.k}")
     epochs, seed = require_integer("epochs", epochs, 0), require_integer("seed", seed, 0)
     size = None if batch_size is None else require_integer("batch_size", batch_size, 1)
-    train_x, train_y = _check_batch(data.train_x, data.train_y, net.k, width=2)
-    test_x, test_y = _check_batch(data.test_x, data.test_y, net.k, width=2)
+    train_x, train_y, test_x, test_y = data.train_x, data.train_y, data.test_x, data.test_y
     n = len(train_y)
     size = n if size is None else size
     both_y = np.concatenate([train_y, test_y])

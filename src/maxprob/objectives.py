@@ -71,7 +71,7 @@ from .errors import (
     EmptyIntersectionSupport,
     InvalidSetting,
     OracleSupportEscapesModel,
-    as_array,
+    _read_only,
     require_alpha,
     require_choice,
 )
@@ -139,13 +139,9 @@ class GradientVector:
     d_theta: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        d = as_array(self.d_logp)
-        d.setflags(write=False)
-        object.__setattr__(self, "d_logp", d)
+        object.__setattr__(self, "d_logp", _read_only(self.d_logp))
         if self.d_theta is not None:
-            t = as_array(self.d_theta)
-            t.setflags(write=False)
-            object.__setattr__(self, "d_theta", t)
+            object.__setattr__(self, "d_theta", _read_only(self.d_theta))
 
 
 def _ratio_argmax_set(oracle: FiniteDistribution, prior: FiniteDistribution) -> np.ndarray:

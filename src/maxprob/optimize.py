@@ -23,7 +23,8 @@ import numpy as np
 
 from .distributions import (FiniteDistribution, Parameterization, apply_parameterization,
                             _check_theta, _pullback, _require_ranges)
-from .errors import DimensionMismatch, InvalidSetting, as_array, require_integer, require_real
+from .errors import (DimensionMismatch, InvalidSetting, _read_only, as_array, require_integer,
+                     require_real)
 from .logspace import NEG_INF, _log_softmax
 from .objectives import (GradientVector, ObjectiveConfig, gradient_at_theta, gradient_terms,
                          values_at_thetas, _bind)
@@ -77,9 +78,7 @@ class AscentTrace:
 
     def __post_init__(self) -> None:
         for name in ("thetas", "values", "grad_norms"):
-            arr = as_array(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     @property
     def iterations(self) -> int:

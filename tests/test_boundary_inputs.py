@@ -16,9 +16,12 @@ alphas and objectives must be collections of hashable items (InvalidSetting), an
 must an outcome range's labels and a refinement's targets (MalformedRange), all
 through errors.as_labels.  A refinement's and a parameterization's ranges, like a
 distribution's, may be given as label sequences.  A name (an objective's kind or
-assumption, a loss mode) must be a str among its choices (errors.require_choice).
+assumption, a loss mode) must be a str among its choices (errors.require_choice).  A
+ToyDataset and a SweepSpec are checked where they are made, and every type that holds an
+array holds it read-only (errors._read_only).
 """
 
+import dataclasses
 import json
 from unittest import mock
 
@@ -44,12 +47,16 @@ from maxprob import (
     ObjectiveConfig,
     OutcomeRange,
     Parameterization,
+    RangeMismatch,
     Refinement,
+    SweepCurve,
     SweepSpec,
+    ToyDataset,
     ToyNet,
     alpha_skeleton,
     apply_parameterization,
     ascend,
+    canonical_report_bytes,
     coarsen,
     cross_entropy_loss,
     exhaustive_bound_oracle,
@@ -140,6 +147,11 @@ RAGGED_CALLS = {
     "GradientVector d_logp": lambda r, labels: GradientVector(r),
     "GradientVector d_theta": lambda r, labels: GradientVector([0.0], r),
     "AscentTrace": lambda r, labels: AscentTrace(r, [0.0], [0.0], "max_iters"),
+    "SweepCurve thetas": lambda r, labels: SweepCurve("likelihood", 1.0, r, [0.0], 0, 0.0),
+    "SweepCurve values": lambda r, labels: SweepCurve("likelihood", 1.0, [0.0], r, 0, 0.0),
+    "ToyDataset points": lambda r, labels: ToyDataset(r, [0, 1], [[0.0, 0.0]], [0], 3, 0),
+    "ToyDataset labels": lambda r, labels: ToyDataset([[0.0, 0.0], [1.0, 1.0]], labels,
+                                                      [[0.0, 0.0]], [0], 3, 0),
 }
 
 
@@ -218,6 +230,37 @@ class TestResultTypes:
         assert g.d_logp is b and g.d_theta is c
         assert trace.thetas is a and trace.values is b and trace.grad_norms is c
 
+    def test_lists_are_arrays(self):
+        """A ToyDataset or SweepCurve of lists ended in a raw AttributeError ("'list'
+        object has no attribute 'setflags'")."""
+        data = ToyDataset([[0.0, 0.0]], [0], [[1.0, 1.0]], [0], 1, 0)
+        assert data.train_x.shape == (1, 2) and data.test_y.dtype.kind == "i"
+        curve = SweepCurve("likelihood", 1.0, [-1.0, 0.0], [0.0, 2.0], 1, 0.0)
+        assert (curve.argmax_theta, curve.argmax_value) == (0.0, 2.0)
+
+    def test_toy_dataset_copies_its_points(self):
+        """The dataset froze the caller's arrays; it holds copies, which train trusts."""
+        x, y = np.zeros((2, 2)), np.array([0, 1])
+        data = ToyDataset(x, y, x, y, 2, 0)
+        assert x.flags.writeable and y.flags.writeable
+        x[0, 0], y[0] = 1.0, 1
+        assert data.train_x[0, 0] == 0.0 and data.train_y[0] == 0
+
+    @pytest.mark.parametrize("build, names", [
+        (lambda: FiniteDistribution(COIN, [0.0, -np.inf]), ("logp",)),
+        (lambda: GradientVector([0.0, 0.0], [1.0]), ("d_logp", "d_theta")),
+        (lambda: AscentTrace([[0.0]], [0.0], [0.0], "max_iters"),
+         ("thetas", "values", "grad_norms")),
+        (lambda: SweepCurve("likelihood", 1.0, [0.0], [0.0], 0, 0.0), ("thetas", "values")),
+        (lambda: ToyDataset([[0.0, 0.0]], [0], [[1.0, 1.0]], [0], 1, 0),
+         ("train_x", "train_y", "test_x", "test_y")),
+    ], ids=["FiniteDistribution", "GradientVector", "AscentTrace", "SweepCurve", "ToyDataset"])
+    def test_every_held_array_is_read_only(self, build, names):
+        held = build()
+        for name in names:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(held, name)[0] = 1
+
 
 class TestShapes:
     @pytest.mark.parametrize("grid", [[[0.0, 1.0]], [[0.0], [1.0]], 0.5, []], ids=repr)
@@ -229,6 +272,30 @@ class TestShapes:
     def test_train_needs_the_nets_class_count(self, net_k, data_k):
         with pytest.raises(DimensionMismatch):
             train(ToyNet(k=net_k, seed=0), make_toy_dataset(k=data_k, seed=0), epochs=1)
+
+    @pytest.mark.parametrize("data", [None, (DATA.train_x, DATA.train_y)], ids=["None", "tuple"])
+    def test_train_data_is_a_toy_dataset(self, data):
+        """None ended in a raw AttributeError ("'NoneType' object has no attribute 'k'")."""
+        with pytest.raises(InvalidSetting, match="data must be a ToyDataset"):
+            train(ToyNet(seed=0), data, epochs=1)
+
+    @pytest.mark.parametrize("change, error", [
+        ({"k": "3"}, InvalidSetting),
+        ({"train_y": DATA.train_y + 1}, LabelOutOfRange),
+        ({"test_x": np.zeros((len(DATA.test_y), 3))}, DimensionMismatch),
+    ], ids=["k text", "label k", "3 columns"])
+    def test_toy_dataset_is_checked_where_it_is_made(self, change, error):
+        """A bad dataset constructed, and raised only in train (or, for k = "3", ran)."""
+        with pytest.raises(error):
+            dataclasses.replace(DATA, **change)
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: Refinement(["a", "b"], ["x"], ["x"]), DimensionMismatch),
+        (lambda: exhaustive_bound_oracle([0.5, 0.5], ["1"], UNIFORM2), LabelOutOfRange),
+    ], ids=["refinement targets", "oracle variable_map"])
+    def test_one_label_per_outcome(self, call, error):
+        with pytest.raises(error):
+            call()
 
 
 # Each integer setting, set to the drawn value with every other argument valid.
@@ -246,6 +313,8 @@ SETTINGS = {
     "ToyNet seed": lambda v: ToyNet(seed=v),
     "make_toy_dataset k": lambda v: make_toy_dataset(k=v),
     "make_toy_dataset seed": lambda v: make_toy_dataset(seed=v),
+    "ToyDataset k": lambda v: dataclasses.replace(DATA, k=v),
+    "ToyDataset seed": lambda v: dataclasses.replace(DATA, seed=v),
     "regularizer_bound k": lambda v: regularizer_bound(v, 2.0),
     "run_criterion number": lambda v: run_criterion(v),
 }
@@ -274,7 +343,7 @@ class TestIntegerSettings:
             SETTINGS[name](value)
 
     @pytest.mark.parametrize("name", ["mc_gradient seed", "ToyNet seed", "train seed",
-                                      "make_toy_dataset seed"])
+                                      "make_toy_dataset seed", "ToyDataset seed"])
     def test_negative_seed_is_invalid(self, name):
         with pytest.raises(InvalidSetting):
             SETTINGS[name](-1)
@@ -297,6 +366,14 @@ class TestIntegerSettings:
                                       (same, 2, 64, 3))]
         assert reports[0].final_digest == reports[1].final_digest
         assert regularizer_bound(integer(3), 2.0) == regularizer_bound(3, 2.0)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.uint8])
+    def test_numpy_integer_dataset_settings_serialize(self, integer):
+        """A dataset's numpy k and seed reached the report, and canonical_report_bytes
+        ended in a raw TypeError from json after training."""
+        data = dataclasses.replace(DATA, k=integer(3), seed=integer(0))
+        assert (canonical_report_bytes(train(ToyNet(seed=0), data, epochs=1))
+                == canonical_report_bytes(train(ToyNet(seed=0), DATA, epochs=1)))
 
     @pytest.mark.parametrize("n_samples", [10 ** 30, MAX_MC_SAMPLES + 1], ids=repr)
     def test_sample_count_is_capped(self, n_samples):
@@ -579,3 +656,8 @@ class TestObjectivePrior:
     def test_is_an_invalid_setting(self, call):
         with pytest.raises(InvalidSetting, match="prior must be a FiniteDistribution"):
             call()
+
+    def test_sweep_prior_on_another_range(self):
+        """The spec constructed, and run_sweep raised the RangeMismatch."""
+        with pytest.raises(RangeMismatch, match="identical outcome ranges"):
+            SweepSpec(1.0, prior=uniform_distribution(("x", "y")))

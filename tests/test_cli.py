@@ -485,6 +485,13 @@ class TestCsvEmitter:
                                   ("z,", keys, table)], str(out))
         assert not out.exists()
 
+    @pytest.mark.parametrize("obj", [{"x": float("nan")}, [1.0, float("nan")],
+                                     {"x": ({"y": float("nan")},)}], ids=repr)
+    def test_nan_in_json_output_raises(self, obj):
+        """The JSON writer rejects a NaN as the CSV writer does, however deep it sits."""
+        with pytest.raises(NonFiniteEncountered, match="NaN reached the JSON output"):
+            cli._json_safe(obj)
+
     @pytest.mark.parametrize("assumption, tables", [("cond-independent", 7),
                                                     ("oracle-subset", 11)])
     def test_sweep_formats_each_table_once(self, assumption, tables, monkeypatch, capsys):

@@ -96,6 +96,7 @@ class TestMakeDistribution:
         ([np.nan, 0.0], NonFiniteEncountered),
         ([np.inf, NEG_INF], NonFiniteEncountered),
         ([NEG_INF, NEG_INF], SumOutOfTolerance),
+        ([0.0], DimensionMismatch),
     ])
     def test_constructors_check_log_probabilities(self, build, logp, error):
         with pytest.raises(error):

@@ -62,6 +62,15 @@ def test_only_logspace_reads_the_shift():
     assert {module for module, _ in callers} == {"logspace"}, callers
 
 
+def test_only_errors_freezes_an_array():
+    """errors._read_only holds the arrays of every type that keeps one; a module that froze
+    an array itself would write out that rule (as_array, then read-only) a second time."""
+    callers = sorted((module, name) for module, name, node in package_nodes()
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "setflags")
+    assert callers == [("errors", "_read_only")], callers
+
+
 def raise_sites(error: str):
     """(module, enclosing top-level function or None) of every `raise error(...)` in the package."""
     for module, name, node in package_nodes():

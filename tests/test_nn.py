@@ -447,8 +447,8 @@ class TestTrain:
         with pytest.raises(DimensionMismatch):
             train(ToyNet(k=2), make_toy_dataset(k=3), epochs=1)
         data = make_toy_dataset(k=2)
-        bad = dataclasses.replace(data, train_y=np.where(data.train_y == 1, 2, data.train_y))
         with pytest.raises(LabelOutOfRange):
+            bad = dataclasses.replace(data, train_y=np.where(data.train_y == 1, 2, data.train_y))
             train(ToyNet(k=2), bad, epochs=1)
 
     def test_divergence_reports_non_finite_logits(self):
